@@ -1,10 +1,10 @@
 # Convenience targets for the DICER reproduction.
 
-.PHONY: all install lint test fastmath kernels kernels-ci chaos conformance coverage golden bench bench-quick bench-json bench-full bench-fast bench-fast-quick bench-kernel bench-kernel-quick queue-smoke serve serve-smoke examples clean
+.PHONY: all install lint test fastmath chaos conformance coverage golden bench bench-quick bench-json bench-full bench-fast bench-fast-quick queue-smoke serve serve-smoke examples clean
 
 .DEFAULT_GOAL := all
 
-all: lint test chaos serve conformance queue-smoke serve-smoke bench-fast-quick bench-kernel-quick
+all: lint test chaos serve conformance queue-smoke serve-smoke bench-fast-quick
 
 install:
 	pip install -e .
@@ -21,27 +21,6 @@ test:
 
 fastmath:         ## fast_math-marked suites (catalog-wide fast-vs-exact sweeps; slow)
 	pytest tests/ -m fast_math
-
-kernels:          ## kernels-marked compiled-kernel parity suites (need `pip install .[compiled]`)
-	pytest tests/ -m kernels
-
-KERNELS_VENV ?= .venv-kernels
-
-kernels-ci:       ## CI job: provision a venv with the [compiled] extra, then
-                  ## run the numba parity suites and the >=2x compiled floor.
-                  ## Degrades to a skip (exit 0) when the extra cannot be
-                  ## installed (offline / unsupported platform) so NumPy-only
-                  ## runners still pass the rest of the pipeline.
-	@python -m venv $(KERNELS_VENV) 2>/dev/null || true
-	@if $(KERNELS_VENV)/bin/pip install -e '.[compiled]' >/dev/null 2>&1; then \
-		echo "kernels-ci: compiled extra installed, running parity gates"; \
-		$(KERNELS_VENV)/bin/python -m pytest tests/ -m kernels && \
-		PYTHONPATH=src $(KERNELS_VENV)/bin/python benchmarks/bench_kernel.py --quick; \
-	else \
-		echo "kernels-ci: could not install .[compiled] (offline or"; \
-		echo "unsupported platform) — compiled parity suites skipped;"; \
-		echo "the pure-NumPy kernels remain covered by 'make test'"; \
-	fi
 
 chaos:            ## chaos-marked fault-injection suites (worker crash/hang fuzz; fixed seeds)
 	pytest tests/ -m chaos
@@ -83,13 +62,7 @@ bench-fast:       ## fast-math speedup gate: full 3481-pair grid, exact vs fast,
 bench-fast-quick: ## fast-math speedup gate on the truncated population (floor 3x)
 	PYTHONPATH=src python benchmarks/bench_fast.py --quick
 
-bench-kernel:     ## kernel gate: full grid, compiled-vs-fast + thread-pool digest identity
-	PYTHONPATH=src python benchmarks/bench_kernel.py
-
-bench-kernel-quick: ## kernel gate on the truncated population (floors relaxed/waived)
-	PYTHONPATH=src python benchmarks/bench_kernel.py --quick
-
-queue-smoke:      ## two-worker shared-queue campaign, digest-checked against serial
+queue-smoke:      ## serial/threads/processes pools + two-worker shared queue, digest-checked against serial
 	PYTHONPATH=src python benchmarks/queue_smoke.py
 
 serve:            ## serve-marked control-plane integration suites (daemon, API, chaos determinism)
@@ -102,5 +75,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f; done
 
 clean:
-	rm -rf benchmarks/results benchmarks/.benchmarks .benchmarks .pytest_cache $(KERNELS_VENV)
+	rm -rf benchmarks/results benchmarks/.benchmarks .benchmarks .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

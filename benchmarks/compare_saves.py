@@ -135,16 +135,13 @@ def report_bench_json(path: Path, history: Path | None = None) -> list[str]:
             f"  (previous run used precision={prev_precision} — "
             "wall-clock deltas compare different solver modes)"
         )
-    # Kernel / pool stamps (rows older than the kernel registry carry
-    # neither; absent reads as the pre-registry defaults).
-    kernel = payload.get("kernel", "fast")
+    # Pool stamp (older rows carry none; absent reads as serial).
     pool = payload.get("pool", "serial")
-    report.append(f"  kernel: {kernel}   pool: {pool}")
-    prev_kernel = (previous or {}).get("kernel", "fast")
+    report.append(f"  pool: {pool}")
     prev_pool = (previous or {}).get("pool", "serial")
-    if previous is not None and (kernel, pool) != (prev_kernel, prev_pool):
+    if previous is not None and pool != prev_pool:
         report.append(
-            f"  (previous run used kernel={prev_kernel} pool={prev_pool} — "
+            f"  (previous run used pool={prev_pool} — "
             "wall-clock deltas compare different execution modes)"
         )
     report.append(
@@ -163,9 +160,6 @@ def report_bench_json(path: Path, history: Path | None = None) -> list[str]:
         "scalar_iterations",
         "batch_iterations",
         "fast_iterations",
-        "compiled_solves",
-        "compiled_points",
-        "compiled_iterations",
         "params_memo_hits",
         "params_memo_misses",
         "params_memo_evictions",
@@ -184,21 +178,6 @@ def report_bench_json(path: Path, history: Path | None = None) -> list[str]:
         report.append(
             fmt("  fast_speedup", payload.get("fast_speedup"),
                 (previous or {}).get("fast_speedup"), "x")
-        )
-    if payload.get("compiled_speedup") is not None or (
-        previous or {}
-    ).get("compiled_speedup") is not None:
-        report.append(
-            fmt("  compiled_speedup", payload.get("compiled_speedup"),
-                (previous or {}).get("compiled_speedup"), "x")
-        )
-    kernels_block = payload.get("kernels")
-    if isinstance(kernels_block, dict) and not kernels_block.get(
-        "numba", True
-    ):
-        report.append(
-            "  (compiled kernel unavailable in this environment — "
-            "numba not installed; pip install .[compiled])"
         )
 
     with history.open("a") as fh:

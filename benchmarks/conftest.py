@@ -44,10 +44,6 @@ WORKERS = int(os.environ.get("REPRO_WORKERS", "1"))
 #: bitwise-reproducible path instead.
 PRECISION = os.environ.get("REPRO_PRECISION", "fast")
 
-#: Solver kernel implementation (DESIGN.md §12): auto / exact / fast /
-#: compiled. 'auto' resolves to compiled when numba is importable.
-KERNEL = os.environ.get("REPRO_KERNEL", "auto")
-
 #: Execution pool for REPRO_WORKERS > 1: processes (default) or threads.
 POOL = os.environ.get("REPRO_POOL", "processes")
 
@@ -56,9 +52,7 @@ POOL = os.environ.get("REPRO_POOL", "processes")
 def store() -> ResultStore:
     """One memoising store for the whole harness — Figures 1 and 4-8 share
     most of their underlying executions."""
-    return ResultStore(
-        n_workers=WORKERS, precision=PRECISION, kernel=KERNEL, pool=POOL
-    )
+    return ResultStore(n_workers=WORKERS, precision=PRECISION, pool=POOL)
 
 
 @pytest.fixture(scope="session")
@@ -130,7 +124,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
         "limit": LIMIT,
         "workers": WORKERS,
         "precision": PRECISION,
-        "kernel": KERNEL,
         "pool": POOL if WORKERS != 1 else "serial",
         "wall_clock_s": round(time.perf_counter() - SESSION_PERF["t0"], 3),
         "headline_wall_s": (
@@ -163,9 +156,8 @@ def pytest_sessionfinish(session, exitstatus) -> None:
     out_dir = RESULTS_DIR.parent / ("results_full" if FULL else "results")
     out_dir.mkdir(exist_ok=True)
     path = out_dir / "BENCH_headline.json"
-    # Merge over the existing artefact so the blocks other gates own
-    # (bench_fast's "fast", bench_kernel's "kernels") survive a harness
-    # re-run instead of being clobbered.
+    # Merge over the existing artefact so the block bench_fast owns
+    # ("fast") survives a harness re-run instead of being clobbered.
     merged: dict = {}
     if path.exists():
         try:
@@ -177,6 +169,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
     path.write_text(text)
     if not FULL:
         # Refresh the committed repo-root copy (quick mode is the
-        # configuration the repo tracks; see bench_kernel.py).
+        # configuration the repo tracks).
         (RESULTS_DIR.parent.parent / "BENCH_headline.json").write_text(text)
     print(f"\nperf artefact: {path}")

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Self-checking smoke test for the shared campaign queue.
 
-Runs a small real campaign three ways — two concurrent ``dicer-repro
+Runs a small real campaign five ways — two concurrent ``dicer-repro
 campaign`` worker processes draining one queue into one shared SQLite
-store, a serial SQLite store, and a serial JSON-file store — and fails
-(exit 1) unless all three artefacts carry the same canonical content
-digest and the queue reports every cell done exactly once. This is the
-acceptance property of DESIGN.md §11 run end-to-end through the real
-CLI; ``make queue-smoke`` wires it into ``make all``.
+store, a serial SQLite store, a serial JSON-file store, and JSON-file
+stores fanned out over ``pool="threads"`` and ``pool="processes"`` —
+and fails (exit 1) unless all five artefacts carry the same canonical
+content digest and the queue reports every cell done exactly once. This
+is the acceptance property of DESIGN.md §11 (queue ≡ serial) and §12
+(serial ≡ threads ≡ processes) run end-to-end through the real CLI and
+``ResultStore``; ``make queue-smoke`` wires it into ``make all``.
 
 Usage::
 
@@ -41,7 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--limit", type=int, default=2)
     parser.add_argument("--cores", type=int, default=3)
     parser.add_argument("--workers", type=int, default=2,
-                        help="concurrent worker processes (default 2)")
+                        help="concurrent queue workers, and the pool width "
+                        "of the threads/processes references (default 2)")
     args = parser.parse_args(argv)
 
     import os
@@ -80,36 +83,51 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: queue did not drain clean: {snapshot}")
             return 1
 
-        # Serial references: the exact workload a campaign worker runs
-        # (classification sample + canonical grid), one per backend.
+        # References: the exact workload a campaign worker runs
+        # (classification sample + canonical grid), serially on each
+        # backend and over both execution pools.
         from repro.experiments.grid import build_sample, grid_cells
         from repro.experiments.store import ResultStore
+        from repro.sim.contention import GLOBAL_STEADY_CACHE
 
-        for name in ("serial.db", "serial.json"):
+        references = (
+            ("serial.db", 1, "processes"),
+            ("serial.json", 1, "processes"),
+            ("threads.json", args.workers, "threads"),
+            ("processes.json", args.workers, "processes"),
+        )
+        for name, workers, pool in references:
+            # A cold in-process memo per run, so the thread pool cannot
+            # coast on entries an earlier reference left behind.
+            GLOBAL_STEADY_CACHE.clear()
             store = ResultStore(
-                cache_path=tmpdir / name, precision="fast"
+                cache_path=tmpdir / name,
+                n_workers=workers,
+                precision="fast",
+                pool=pool,
             )
             sample = build_sample(store, limit=args.limit)
             store.get_many(grid_cells(sample, cores=(args.cores,)))
             store.save()
 
         digests = {
-            path.name: open_backend(tmpdir / path.name).digest()
-            for path in (store_db, tmpdir / "serial.db",
-                         tmpdir / "serial.json")
+            path.name: open_backend(path).digest()
+            for path in [store_db]
+            + [tmpdir / name for name, _, _ in references]
         }
         for name, digest in sorted(digests.items()):
             print(f"digest {name}: {digest}")
         if len(set(digests.values())) != 1:
             print(
-                f"FAIL: {args.workers}-worker queue store diverged from "
-                "the serial references"
+                f"FAIL: {args.workers}-worker queue store and the "
+                "serial/threads/processes references diverged"
             )
             return 1
         print(
             f"OK: {args.workers} workers, {snapshot.done} cells, "
             f"{snapshot.steals} steal(s) — queue store byte-identical to "
-            "serial file and sqlite references"
+            "serial file and sqlite references and to threads/processes "
+            "pool runs"
         )
     return 0
 

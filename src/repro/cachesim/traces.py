@@ -14,7 +14,9 @@ model:
 * :func:`mixed_trace` — working set + scan blend (cf. :class:`BlendedMRC`).
 
 All generators take a :class:`numpy.random.Generator` so traces are
-reproducible; addresses are line-aligned.
+reproducible; addresses are line-aligned. Random values are drawn in
+fixed chunks of :data:`CHUNK` as the trace is consumed, so a generator's
+memory stays bounded however long the trace it was asked for.
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ __all__ = [
 ]
 
 LINE = 64
+
+#: Random values drawn per RNG call. A power of two: for a single-array
+#: draw (``working_set_trace``, ``zipf_trace``) NumPy's stream is then
+#: identical to one ``size=n_accesses`` draw.
+CHUNK = 1 << 16
+
+
+def _chunk_sizes(n_accesses: int) -> Iterator[int]:
+    """``n_accesses`` split into :data:`CHUNK`-sized draws (last one short)."""
+    for start in range(0, n_accesses, CHUNK):
+        yield min(CHUNK, n_accesses - start)
 
 
 def streaming_trace(
@@ -62,9 +75,9 @@ def working_set_trace(
     """Uniform random reuse over a hot set of ``ws_lines`` lines."""
     check_positive_int("n_accesses", n_accesses)
     check_positive_int("ws_lines", ws_lines)
-    picks = rng.integers(0, ws_lines, size=n_accesses)
-    for p in picks:
-        yield base + int(p) * LINE
+    for size in _chunk_sizes(n_accesses):
+        for p in rng.integers(0, ws_lines, size=size):
+            yield base + int(p) * LINE
 
 
 def zipf_trace(
@@ -84,9 +97,9 @@ def zipf_trace(
     check_positive_int("universe_lines", universe_lines)
     if exponent <= 1.0:
         raise ValueError(f"exponent must be > 1, got {exponent}")
-    ranks = rng.zipf(exponent, size=n_accesses)
-    for r in ranks:
-        yield base + (int(r - 1) % universe_lines) * LINE
+    for size in _chunk_sizes(n_accesses):
+        for r in rng.zipf(exponent, size=size):
+            yield base + (int(r - 1) % universe_lines) * LINE
 
 
 def mixed_trace(
@@ -102,7 +115,9 @@ def mixed_trace(
 
     ``scan_fraction`` of accesses walk a large streaming region; the rest
     reuse the hot set. Produces the knee-plus-gradient blend of real
-    big-footprint applications.
+    big-footprint applications. Each chunk draws its scan mask, then
+    its hot-set picks, so traces longer than :data:`CHUNK` interleave
+    the two draws chunk by chunk.
     """
     check_positive_int("n_accesses", n_accesses)
     check_positive_int("ws_lines", ws_lines)
@@ -111,11 +126,12 @@ def mixed_trace(
         raise ValueError(f"scan_fraction must be in [0,1], got {scan_fraction}")
     scan_base = base + ws_lines * LINE
     scan_pos = 0
-    is_scan = rng.random(size=n_accesses) < scan_fraction
-    picks = rng.integers(0, ws_lines, size=n_accesses)
-    for i in range(n_accesses):
-        if is_scan[i]:
-            yield scan_base + (scan_pos % scan_lines) * LINE
-            scan_pos += 1
-        else:
-            yield base + int(picks[i]) * LINE
+    for size in _chunk_sizes(n_accesses):
+        is_scan = rng.random(size=size) < scan_fraction
+        picks = rng.integers(0, ws_lines, size=size)
+        for scan, pick in zip(is_scan, picks):
+            if scan:
+                yield scan_base + (scan_pos % scan_lines) * LINE
+                scan_pos += 1
+            else:
+                yield base + int(pick) * LINE

@@ -18,8 +18,8 @@ policy_from_name`), and the HP side accepts either one catalog name or a
 sequence of names — a multi-HP mix judged on its *worst* HP (the
 fairness metric :func:`repro.experiments.runner.run_multi` reports).
 This is the admission path the :mod:`repro.serve` control plane
-bin-packs with, so it also threads ``precision``/``kernel`` down to the
-solver (serve uses the fast kernel; the library default stays exact).
+bin-packs with, so it also threads ``precision`` down to the solver
+(serve uses the fast solver; the library default stays exact).
 
 :class:`AdmissionPlan` carries the full sweep so capacity-planning
 examples can show the whole frontier, not just the answer.
@@ -98,7 +98,6 @@ def find_max_bes(
     platform: PlatformConfig = TABLE1_PLATFORM,
     max_cores: int | None = None,
     precision: str = "exact",
-    kernel: str = "auto",
 ) -> AdmissionPlan:
     """Binary-search the largest BE count that keeps the HP SLO.
 
@@ -125,14 +124,12 @@ def find_max_bes(
                 policy,
                 platform,
                 precision=precision,
-                kernel=kernel,
             )
         return run_multi(
             make_multi_mix(hp_names, (be_name,) * n_be),
             policy,
             platform,
             precision=precision,
-            kernel=kernel,
         )
 
     def ok(n_be: int) -> bool:

@@ -9,10 +9,10 @@ from repro.experiments.classify import (
     representative_sample,
 )
 from repro.experiments.grid import GridData, GridPoint, build_sample, run_grid
-from repro.experiments.parallel import Cell, ParallelExecutor
 from repro.experiments.supervise import (
     CampaignError,
     CampaignOutcome,
+    Cell,
     FailedCell,
     SupervisedExecutor,
     SuperviseConfig,
@@ -33,7 +33,6 @@ __all__ = [
     "build_sample",
     "run_grid",
     "Cell",
-    "ParallelExecutor",
     "CampaignError",
     "CampaignOutcome",
     "FailedCell",

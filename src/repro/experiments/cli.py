@@ -174,22 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision",
         choices=("exact", "fast"),
-        default=None,
-        help="steady-state solver mode (DESIGN.md §10): 'fast' uses the "
-        "tolerance-contracted vectorised kernel (<=1e-3 relative error vs "
-        "exact), 'exact' keeps bitwise-reproducible scalar parity — "
-        "golden/conformance tooling pins exact. Default: implied by "
-        "--kernel ('exact' kernel means exact precision, otherwise fast)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "exact", "fast", "compiled"),
-        default="auto",
-        help="solver kernel implementation (DESIGN.md §12): 'auto' "
-        "(default) picks the best available for the precision, 'compiled' "
-        "is the numba kernel (falls back to 'fast' when numba is not "
-        "installed; pip install .[compiled]), 'fast' pins the NumPy "
-        "kernel, 'exact' pins the bitwise scalar path",
+        default="fast",
+        help="steady-state solver mode (DESIGN.md §10): 'fast' (default) "
+        "uses the tolerance-contracted vectorised solver (<=1e-3 relative "
+        "error vs exact), 'exact' keeps bitwise-reproducible scalar "
+        "parity — golden/conformance tooling pins exact",
     )
     parser.add_argument(
         "--pool",
@@ -197,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="processes",
         help="execution pool for --workers > 1: 'processes' (default) "
         "isolates crashes, 'threads' shares the in-process solver caches "
-        "without spawn/pickling cost — worthwhile with the GIL-releasing "
-        "compiled kernel; results are digest-identical either way",
+        "without spawn/pickling cost; results are digest-identical "
+        "either way",
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--hp", type=str, default="omnetpp1",
@@ -320,33 +309,13 @@ def _run_single(store: ResultStore, args: argparse.Namespace) -> str:
     )
 
 
-def _resolve_modes(args: argparse.Namespace) -> None:
-    """Resolve ``--precision`` from ``--kernel`` and reject contradictions.
-
-    ``--precision`` defaults to ``None`` so the kernel can imply it:
-    ``--kernel exact`` means exact precision, any other kernel means
-    fast. An explicit ``--precision`` that contradicts the kernel (e.g.
-    ``--kernel compiled --precision exact``) is a clean CLI error.
-    """
-    from repro.sim.kernels import check_kernel_precision, kernel_precision
-
-    kernel = getattr(args, "kernel", "auto")
-    if args.precision is None:
-        args.precision = kernel_precision(kernel) or "fast"
-    else:
-        try:
-            check_kernel_precision(kernel, args.precision)
-        except ValueError as exc:
-            raise SystemExit(f"dicer-repro: {exc}") from None
-
-
-def _emit_kernel_gauges(registry) -> None:
-    """Per-kernel solver call counts as gauges (DESIGN.md §12)."""
+def _emit_solver_gauges(registry) -> None:
+    """Per-precision solver call counts as ``solver.<precision>.*`` gauges."""
     from repro.sim.contention import solver_counters
 
-    for kernel, counts in solver_counters()["by_kernel"].items():
+    for precision, counts in solver_counters()["by_kernel"].items():
         for key, value in counts.items():
-            registry.gauge(f"solver.{kernel}.{key}").set(value)
+            registry.gauge(f"solver.{precision}.{key}").set(value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -357,7 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["serve"]:
         return _serve_main(argv[1:])
     args = _build_parser().parse_args(argv)
-    _resolve_modes(args)
     exp = args.experiment
 
     if exp == "report":
@@ -386,7 +354,6 @@ def main(argv: list[str] | None = None) -> int:
             limit=args.limit,
             workers=args.workers,
             precision=args.precision,
-            kernel=args.kernel,
             pool=args.pool,
         )
 
@@ -422,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
                     registry.gauge(
                         f"steady_cache.lifetime.{mode}.{key}"
                     ).set(value)
-            _emit_kernel_gauges(registry)
+            _emit_solver_gauges(registry)
             obs.emit("campaign.end", experiment=exp)
             obs.finalise()
     return 0
@@ -487,7 +454,6 @@ def _dispatch(exp: str, args: argparse.Namespace) -> None:
             precision=args.precision,
             backend=args.backend,
             pool=args.pool,
-            kernel=args.kernel,
         )
     except ValueError as exc:
         # e.g. --cache written under the other --precision mode
@@ -591,16 +557,9 @@ def _campaign_parser() -> argparse.ArgumentParser:
         help="worker processes inside this drainer (default 1)",
     )
     parser.add_argument(
-        "--precision", choices=("exact", "fast"), default=None,
+        "--precision", choices=("exact", "fast"), default="fast",
         help="solver mode; every cooperating worker must agree "
-        "(default: implied by --kernel, 'fast' unless --kernel exact)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "exact", "fast", "compiled"),
-        default="auto",
-        help="solver kernel implementation (DESIGN.md §12); 'compiled' "
-        "falls back to 'fast' when numba is absent",
+        "(default: fast)",
     )
     parser.add_argument(
         "--pool",
@@ -730,7 +689,6 @@ def _campaign_main(argv: list[str]) -> int:
     args = _campaign_parser().parse_args(argv)
     if args.monitor == "monitor":
         return _campaign_monitor(args)
-    _resolve_modes(args)
     if not args.queue or not args.store:
         raise SystemExit(
             "campaign worker mode requires --queue DB and --store DB "
@@ -768,7 +726,6 @@ def _campaign_main(argv: list[str]) -> int:
                 backend="sqlite",
                 batch_label=worker_id,
                 pool=args.pool,
-                kernel=args.kernel,
             )
         except ValueError as exc:
             raise SystemExit(f"campaign: {exc}") from None
@@ -814,7 +771,7 @@ def _campaign_main(argv: list[str]) -> int:
         store.save()
     finally:
         if telemetry:
-            _emit_kernel_gauges(obs.get_registry())
+            _emit_solver_gauges(obs.get_registry())
             obs.emit("campaign.end", worker=worker_id)
             obs.finalise()
     return 0
@@ -867,9 +824,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     run.add_argument("--slo", type=float, default=0.9)
     run.add_argument("--precision", choices=("exact", "fast"),
                      default="fast")
-    run.add_argument("--kernel",
-                     choices=("auto", "exact", "fast", "compiled"),
-                     default="auto")
     run.add_argument("--snapshot-every", type=int, default=100)
     run.add_argument("--throttle-s", type=float, default=0.0,
                      help="pacing between events (kill/restart testing)")
@@ -1091,7 +1045,6 @@ def _serve_main(argv: list[str]) -> int:
             policy=args.policy,
             slo=args.slo,
             precision=args.precision,
-            kernel=args.kernel,
         )
         daemon = ServeDaemon(
             ServeConfig(

@@ -14,7 +14,6 @@ from repro.core.dicer import DecisionRecord
 from repro.core.policies import Policy
 from repro.metrics.efu import efu
 from repro.rdt.simulated import SimulatedRdt
-from repro.sim.kernels import check_kernel_precision, use_kernel
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 from repro.sim.server import Server
@@ -75,36 +74,14 @@ def run_pair(
     max_time_s: float = 4000.0,
     record_timeline: bool = False,
     precision: str = "exact",
-    kernel: str = "auto",
 ) -> PairResult:
     """Execute ``mix`` under ``policy`` and compute the paper's metrics.
 
     ``precision`` selects the steady-state solver mode for every solve in
     the run — event loop, prefetches, and solo baselines alike ("exact" =
     bitwise-reproducible scalar parity, "fast" = tolerance-contracted
-    vectorised kernel; DESIGN.md §10). ``kernel`` picks the fast-precision
-    implementation (``auto``/``fast``/``compiled``; DESIGN.md §12) for
-    the duration of the run; it must not contradict ``precision``.
+    vectorised kernel; DESIGN.md §10).
     """
-    check_kernel_precision(kernel, precision)
-    with use_kernel(kernel):
-        return _run_pair_impl(
-            mix, policy, platform,
-            max_time_s=max_time_s,
-            record_timeline=record_timeline,
-            precision=precision,
-        )
-
-
-def _run_pair_impl(
-    mix: WorkloadMix,
-    policy: Policy,
-    platform: PlatformConfig,
-    *,
-    max_time_s: float,
-    record_timeline: bool,
-    precision: str,
-) -> PairResult:
     apps = mix.apps()
     n_cores = len(apps)
     policy = policy.fresh()
@@ -205,29 +182,12 @@ def run_custom(
     *,
     max_time_s: float = 4000.0,
     precision: str = "exact",
-    kernel: str = "auto",
 ) -> CustomResult:
     """Execute a :class:`~repro.workloads.mix.HeterogeneousMix`.
 
     Identical methodology to :func:`run_pair` but with per-core BE models;
-    each BE is normalised against its *own* solo profile. ``kernel``
-    behaves as in :func:`run_pair`.
+    each BE is normalised against its *own* solo profile.
     """
-    check_kernel_precision(kernel, precision)
-    with use_kernel(kernel):
-        return _run_custom_impl(
-            mix, policy, platform, max_time_s=max_time_s, precision=precision
-        )
-
-
-def _run_custom_impl(
-    mix,
-    policy: Policy,
-    platform: PlatformConfig,
-    *,
-    max_time_s: float,
-    precision: str,
-) -> CustomResult:
     apps = mix.apps()
     n_cores = len(apps)
     policy = policy.fresh()
@@ -313,7 +273,6 @@ def run_multi(
     *,
     max_time_s: float = 4000.0,
     precision: str = "exact",
-    kernel: str = "auto",
 ) -> MultiResult:
     """Execute a :class:`~repro.workloads.mix.MultiHpMix`.
 
@@ -325,21 +284,6 @@ def run_multi(
     rest as best-effort, which is exactly how they would behave if
     deployed on this mix unmodified.
     """
-    check_kernel_precision(kernel, precision)
-    with use_kernel(kernel):
-        return _run_multi_impl(
-            mix, policy, platform, max_time_s=max_time_s, precision=precision
-        )
-
-
-def _run_multi_impl(
-    mix: MultiHpMix,
-    policy: Policy,
-    platform: PlatformConfig,
-    *,
-    max_time_s: float,
-    precision: str,
-) -> MultiResult:
     apps = mix.apps()
     n_cores = len(apps)
     policy = policy.fresh()

@@ -45,8 +45,8 @@ from typing import Callable, Iterable
 
 from repro.core.policies import Policy
 from repro.experiments.backends import StoreBackend, open_backend
-from repro.experiments.parallel import Cell
 from repro.experiments.supervise import (
+    Cell,
     FailedCell,
     SupervisedExecutor,
     SuperviseConfig,
@@ -132,20 +132,8 @@ class ResultStore:
     pool:
         Execution pool for bulk requests: ``"processes"`` (default,
         crash-isolated workers) or ``"threads"`` (GIL-sharing workers
-        over the in-process solver caches — built for the compiled
-        kernel; see DESIGN.md §12). Serial, thread and process campaigns
-        produce digest-identical artefacts.
-    kernel:
-        Solver kernel request stamped into every execution
-        (``auto``/``exact``/``fast``/``compiled``; DESIGN.md §12).
-        Like ``precision``, a store is single-kernel-request: a
-        per-request ``kernel`` that disagrees is refused, and the
-        request must not contradict the store's ``precision``
-        (``exact`` kernel ⇔ exact precision). ``auto`` (default)
-        composes with either precision and picks the best available
-        fast implementation at solve time — kernels honouring the fast
-        tolerance contract share cache keys, so artefact contents do
-        not depend on which fast implementation ran.
+        over the in-process solver caches; see DESIGN.md §12). Serial,
+        thread and process campaigns produce digest-identical artefacts.
     """
 
     #: Minimum seconds between mid-campaign checkpoint rewrites.
@@ -164,14 +152,9 @@ class ResultStore:
         backend: str | StoreBackend = "auto",
         batch_label: str | None = None,
         pool: str = "processes",
-        kernel: str = "auto",
     ) -> None:
-        from repro.sim.kernels import check_kernel_precision
-
         self.platform = platform
         self.precision = _check_precision(precision)
-        check_kernel_precision(kernel, self.precision)
-        self.kernel = kernel
         self._supervise = supervise if supervise is not None else SuperviseConfig()
         self._executor = SupervisedExecutor(
             n_workers, config=self._supervise, label=batch_label, pool=pool
@@ -235,9 +218,9 @@ class ResultStore:
         return (hp_name, be_name, n_be, policy.name)
 
     def _run_kwargs(self, run_kwargs: dict) -> dict:
-        """Stamp the store's precision and kernel into per-request kwargs.
+        """Stamp the store's precision into per-request kwargs.
 
-        An explicit ``precision`` (or ``kernel``) that matches the store
+        An explicit ``precision`` that matches the store
         is redundant but allowed; one that disagrees would mix solver
         modes inside a single cache file and is refused.
         """
@@ -248,17 +231,7 @@ class ResultStore:
                 f"per-request precision={requested!r} (mixed-mode results "
                 "must not merge into one cache)"
             )
-        requested_kernel = run_kwargs.get("kernel")
-        if requested_kernel is not None and requested_kernel != self.kernel:
-            raise ValueError(
-                f"store runs kernel={self.kernel!r}; refusing per-request "
-                f"kernel={requested_kernel!r}"
-            )
-        return {
-            **run_kwargs,
-            "precision": self.precision,
-            "kernel": self.kernel,
-        }
+        return {**run_kwargs, "precision": self.precision}
 
     # -- execution ---------------------------------------------------------
 

@@ -37,15 +37,15 @@ this. All recovery actions emit ``supervise.*`` events/counters through
 
 ``pool="threads"`` (DESIGN.md §12) swaps the process pool for a
 ``ThreadPoolExecutor``: no spawn cost, no pickling, and every worker
-shares the in-process ``GLOBAL_STEADY_CACHE`` and ResultStore — the mode
-built for the GIL-releasing compiled solver kernel. Retry, backoff,
-quarantine and ordered emission are identical; what threads cannot do is
-crash isolation (a segfault takes the whole process, so there is no
-``pool_crash``/solo-rerun machinery) or hard preemption — an expired
-``cell_timeout_s`` *abandons* the future (strike + retry/quarantine as
-usual, late result discarded) but the wedged thread occupies its worker
-slot until it returns. Chaos kinds ``crash`` and ``hang`` are
-process-pool-only for the same reasons.
+shares the in-process ``GLOBAL_STEADY_CACHE`` and ResultStore, so the
+prewarmed solo profiles and phase products serve them all. Retry,
+backoff, quarantine and ordered emission are identical; what threads
+cannot do is crash isolation (a segfault takes the whole process, so
+there is no ``pool_crash``/solo-rerun machinery) or hard preemption — an
+expired ``cell_timeout_s`` *abandons* the future (strike +
+retry/quarantine as usual, late result discarded) but the wedged thread
+occupies its worker slot until it returns. Chaos kinds ``crash`` and
+``hang`` are process-pool-only for the same reasons.
 """
 
 from __future__ import annotations
@@ -64,20 +64,27 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
+from repro.core.policies import Policy
 from repro.experiments.chaos import maybe_inject
-from repro.experiments.runner import PairResult
+from repro.experiments.runner import PairResult, run_pair
 from repro.obs import get_event_log, get_registry
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
+from repro.workloads.mix import make_mix
 
 __all__ = [
     "AttemptRecord",
     "CampaignError",
     "CampaignOutcome",
+    "Cell",
     "FailedCell",
     "SuperviseConfig",
     "SupervisedExecutor",
     "backoff_schedule",
+    "run_cell",
 ]
+
+#: One campaign cell: (hp_name, be_name, n_be, policy).
+Cell = tuple[str, str, int, Policy]
 
 #: Attempt outcomes that consume retry budget ("pool_crash" / "pool_lost"
 #: are unattributed collateral and do not).
@@ -265,10 +272,110 @@ def _format_exception(exc: BaseException) -> str:
     return text[-_MAX_TRACEBACK_CHARS:]
 
 
+def run_cell(
+    platform: PlatformConfig,
+    cell: Cell,
+    run_kwargs: dict | None = None,
+) -> PairResult:
+    """Execute one campaign cell (the unit of work the pool distributes)."""
+    hp_name, be_name, n_be, policy = cell
+    return run_pair(
+        make_mix(hp_name, be_name, n_be=n_be),
+        policy,
+        platform,
+        **(run_kwargs or {}),
+    )
+
+
+def _prewarm_solo_profiles(
+    platform: PlatformConfig,
+    cells: list[Cell],
+    run_kwargs: dict | None = None,
+) -> None:
+    """Batch-solve the solo baselines every cell will normalise against.
+
+    In-process paths only: one :func:`~repro.sim.solo.prewarm_profiles`
+    call feeds the distinct apps of the whole campaign into the vectorised
+    solver, instead of each cell cold-solving its own pair of profiles.
+    Apps missing from the catalog (tests with synthetic names) are simply
+    skipped — the cell itself will raise the right error. Honours the
+    campaign's solver ``precision`` (from ``run_kwargs``) so the prewarmed
+    profiles are the ones the cells will actually look up.
+    """
+    from repro.sim.solo import prewarm_profiles
+    from repro.workloads.catalog import catalog
+
+    precision = (run_kwargs or {}).get("precision", "exact")
+    apps = catalog()
+    names: list[str] = []
+    seen: set[str] = set()
+    for hp_name, be_name, _n_be, _policy in cells:
+        for name in (hp_name, be_name):
+            if name not in seen:
+                seen.add(name)
+                names.append(name)
+    prewarm_profiles(
+        [apps[name] for name in names if name in apps],
+        platform,
+        precision=precision,
+    )
+
+
+def _prewarm_phase_products(
+    platform: PlatformConfig,
+    cells: list[Cell],
+    run_kwargs: dict | None = None,
+    max_points_per_cell: int = 64,
+) -> int:
+    """Fuse the phase-product operating points of many cells into one batch.
+
+    Fast-mode in-process campaigns only. Each cell's execution starts from
+    its policy's *initial* partition and (absent MBA throttling) visits
+    exactly the phase cross product — the same points
+    :meth:`~repro.sim.server.Server.prefetch_phase_product` would solve one
+    cell at a time. Aggregating them across the whole campaign hands the
+    vectorised fast kernel one wide fused batch instead of hundreds of
+    narrow ones, which is where its throughput comes from (DESIGN.md §10).
+
+    A no-op for ``precision="exact"`` (the scalar-parity path keeps its
+    historical per-cell solve pattern) and for cells whose mix or policy
+    setup fails — those cells surface their own errors when they run.
+    Returns the number of operating points submitted.
+    """
+    from repro.sim.contention import GLOBAL_STEADY_CACHE
+    from repro.sim.partition import PartitionSpec
+    from repro.sim.server import phase_product_points
+
+    if (run_kwargs or {}).get("precision", "exact") != "fast":
+        return 0
+    points: list[tuple] = []
+    seen: set[tuple] = set()
+    for hp_name, be_name, n_be, policy in cells:
+        cell_key = (hp_name, be_name, n_be, policy.name)
+        if cell_key in seen:
+            continue
+        seen.add(cell_key)
+        try:
+            mix = make_mix(hp_name, be_name, n_be=n_be)
+            models = mix.apps()
+            allocation = policy.fresh().setup(platform.llc_ways)
+            partition = (
+                allocation.to_partition(len(models))
+                if allocation is not None
+                else PartitionSpec.unmanaged(len(models), platform.llc_ways)
+            )
+        except Exception:
+            continue
+        points.extend(
+            phase_product_points(models, partition, None, max_points_per_cell)
+        )
+    if points:
+        GLOBAL_STEADY_CACHE.solve_many(platform, points, precision="fast")
+    return len(points)
+
+
 def _supervised_worker(payload: tuple) -> PairResult:
     """Run one cell in a worker, under the process's chaos config."""
-    from repro.experiments.parallel import run_cell
-
     platform, cell, run_kwargs, index1, attempt = payload
     garbage = maybe_inject(index1, attempt)
     if garbage is not None:
@@ -315,8 +422,7 @@ class SupervisedExecutor:
         processes; ``"threads"`` over a thread pool sharing the
         in-process solver caches — same retry/timeout/quarantine
         semantics minus crash attribution and hard preemption (see the
-        module docstring). Threads only beat the GIL when the solve
-        itself releases it, i.e. with the ``compiled`` kernel.
+        module docstring).
     """
 
     #: Hard cap on pool rebuilds, as a termination backstop: every
@@ -472,12 +578,6 @@ class SupervisedExecutor:
         run_kwargs: dict | None,
         on_result,
     ) -> CampaignOutcome:
-        from repro.experiments.parallel import (
-            _prewarm_phase_products,
-            _prewarm_solo_profiles,
-            run_cell,
-        )
-
         config = self.config
         registry = get_registry()
         if config.cell_timeout_s is not None:
@@ -897,15 +997,9 @@ class SupervisedExecutor:
         a campaign full of genuine hangs degrades to serial throughput
         rather than being killed. Worker threads share the process's
         solver caches, which is the point: the prewarmed
-        ``GLOBAL_STEADY_CACHE`` serves every thread, and the compiled
-        kernel solves with the GIL released.
+        ``GLOBAL_STEADY_CACHE`` serves every thread with no spawn or
+        pickling cost.
         """
-        from repro.experiments.parallel import (
-            _prewarm_phase_products,
-            _prewarm_solo_profiles,
-            run_cell,
-        )
-
         config = self.config
         registry = get_registry()
         states = [_CellState(i, cell) for i, cell in enumerate(cells)]

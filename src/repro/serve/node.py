@@ -35,7 +35,6 @@ from repro.rdt.faulty import NodeFaultKind, NodeFaultyRdt, RdtUnavailableError
 from repro.rdt.interface import PeriodSample, RdtBackend
 from repro.rdt.simulated import SimulatedRdt
 from repro.serve.placement import PlaneConfig
-from repro.sim.kernels import use_kernel
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 from repro.sim.server import Server
@@ -197,36 +196,31 @@ class NodeRuntime:
 
         policy = policy_from_name(self.config.policy).fresh()
         managed = self.hp_app is not None
-        with use_kernel(self.config.kernel):
-            allocation = (
-                policy.setup(self.platform.llc_ways) if managed else None
-            )
-            partition = (
-                allocation.to_partition(len(apps))
-                if allocation is not None
-                else PartitionSpec.unmanaged(
-                    len(apps), self.platform.llc_ways
-                )
-            )
-            server = Server(
-                self.platform,
-                apps,
-                partition,
-                precision=self.config.precision,
-            )
-            self.boundary.rebind(SimulatedRdt(server))
-            try:
-                sample = None
-                for _ in range(periods):
-                    if self.boundary.finished or server.time >= max_time_s:
-                        break
-                    sample = self.boundary.sample(policy.period_s)
-                    if managed and policy.dynamic:
-                        new_allocation = policy.update(sample)
-                        if new_allocation is not None:
-                            self.boundary.apply(new_allocation)
-            finally:
-                self.boundary.rebind(_IdleRdt(self.platform.llc_ways))
+        allocation = policy.setup(self.platform.llc_ways) if managed else None
+        partition = (
+            allocation.to_partition(len(apps))
+            if allocation is not None
+            else PartitionSpec.unmanaged(len(apps), self.platform.llc_ways)
+        )
+        server = Server(
+            self.platform,
+            apps,
+            partition,
+            precision=self.config.precision,
+        )
+        self.boundary.rebind(SimulatedRdt(server))
+        try:
+            sample = None
+            for _ in range(periods):
+                if self.boundary.finished or server.time >= max_time_s:
+                    break
+                sample = self.boundary.sample(policy.period_s)
+                if managed and policy.dynamic:
+                    new_allocation = policy.update(sample)
+                    if new_allocation is not None:
+                        self.boundary.apply(new_allocation)
+        finally:
+            self.boundary.rebind(_IdleRdt(self.platform.llc_ways))
         self.evaluations += 1
         self._dirty = False
         self.last_metrics = (

@@ -105,7 +105,6 @@ class PlaneConfig:
     policy: str = "DICER"
     slo: float = 0.9
     precision: str = "fast"
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.node_ids:
@@ -130,17 +129,17 @@ class PlaneConfig:
             "policy": self.policy,
             "slo": self.slo,
             "precision": self.precision,
-            "kernel": self.kernel,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PlaneConfig":
+        """Load a config; keys this version no longer reads (an old
+        ``kernel`` field) are ignored."""
         return cls(
             node_ids=tuple(raw["node_ids"]),
             policy=raw.get("policy", "DICER"),
             slo=float(raw.get("slo", 0.9)),
             precision=raw.get("precision", "fast"),
-            kernel=raw.get("kernel", "auto"),
         )
 
 
@@ -161,13 +160,11 @@ class AdmissionCache:
         slo: float,
         platform: PlatformConfig = TABLE1_PLATFORM,
         precision: str = "fast",
-        kernel: str = "auto",
     ) -> None:
         self.policy = policy
         self.slo = slo
         self.platform = platform
         self.precision = precision
-        self.kernel = kernel
         self._max_bes: dict[tuple[str, str], int] = {}
 
     def max_bes(self, hp_app: str | None, be_app: str) -> int:
@@ -188,7 +185,6 @@ class AdmissionCache:
                 self.slo,
                 platform=self.platform,
                 precision=self.precision,
-                kernel=self.kernel,
             )
             cached = plan.max_bes
             self._max_bes[key] = cached
@@ -257,7 +253,6 @@ class ControlPlane:
             slo=config.slo,
             platform=platform,
             precision=config.precision,
-            kernel=config.kernel,
         )
         self.jobs: dict[str, Job] = {}
         self.nodes: dict[str, _NodeEntry] = {

@@ -105,12 +105,6 @@ SOLVER_COUNTERS: dict[str, int] = {
     "fast_solves": 0,
     "fast_points": 0,
     "fast_iterations": 0,
-    # The numba kernel (repro.sim.kernels "compiled"); when it bails out
-    # or numba is absent the work lands in the fast_* counters instead,
-    # so fast_* + compiled_* is the total precision="fast" workload.
-    "compiled_solves": 0,
-    "compiled_points": 0,
-    "compiled_iterations": 0,
     # _PARAMS_MEMO parse-cache effectiveness (bounded LRU, see below).
     "params_memo_hits": 0,
     "params_memo_misses": 0,
@@ -174,10 +168,10 @@ def solver_counters() -> dict:
     """A snapshot of the process-wide solver call/iteration counters.
 
     The flat keys are the raw counters. ``by_kernel`` is a derived view
-    attributing work to the kernel implementation that did it (``exact``
-    combines the scalar and exact-batch paths; ``fast`` is the NumPy
-    kernel; ``compiled`` the numba kernel), so ``report --metrics`` and
-    bench artefacts can say which kernel solved what.
+    attributing work to the solver that did it (``exact`` combines the
+    scalar and exact-batch paths; ``fast`` is the vectorised
+    tolerance-contracted solver), so ``report --metrics`` and bench
+    artefacts can say which precision solved what.
     """
     snap: dict = dict(SOLVER_COUNTERS)
     snap["by_kernel"] = {
@@ -191,11 +185,6 @@ def solver_counters() -> dict:
             "solves": snap["fast_solves"],
             "points": snap["fast_points"],
             "iterations": snap["fast_iterations"],
-        },
-        "compiled": {
-            "solves": snap["compiled_solves"],
-            "points": snap["compiled_points"],
-            "iterations": snap["compiled_iterations"],
         },
     }
     return snap
@@ -247,7 +236,7 @@ def _point_params(
     inputs (same construction, same op order). The prefetch-throttle axis
     folds into the parameter arrays here — effective blocking grows by the
     re-exposed stall, bytes-per-miss shrinks by the suppressed waste — so
-    all three kernels (exact / fast / compiled) pick it up without any
+    the scalar, exact-batch and fast solvers pick it up without any
     change to their iteration bodies. ``prefetch=None`` skips the
     transform entirely, and a level of exactly ``0.0`` multiplies by
     ``1.0`` (a bitwise identity), so unthrottled points stay byte-for-byte
@@ -1144,26 +1133,7 @@ def _solve_batch_fast(
     elementwise transcendental kernels are value-deterministic regardless
     of array position — guarded by a property test in
     tests/sim/test_fastmath.py.
-
-    When the thread's active kernel request resolves to ``compiled``
-    (see :mod:`repro.sim.kernels`), the batch is handed to the numba
-    kernel first — same tolerance contract, same lane purity — and this
-    NumPy path only runs when the compiled kernel is unavailable or
-    bails out (tabulated curves).
     """
-    from repro.sim import kernels as _kernels
-
-    if _kernels.resolve_kernel(precision="fast") == "compiled":
-        out = _kernels.compiled_solve_batch(
-            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
-        )
-        if out is not None:
-            if _fast_check_enabled():
-                _assert_fast_contract(
-                    platform, parsed, out,
-                    tol=tol, max_iter=max_iter, damping=damping,
-                )
-            return out
     n_points = len(parsed)
     n_cores = np.array([partition.n_cores for _, partition, _, _ in parsed])
     width = int(n_cores.max())

@@ -1,8 +1,13 @@
 """Unit tests for the synthetic trace generators."""
 
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.cachesim.traces import (
+    CHUNK,
     LINE,
     mixed_trace,
     streaming_trace,
@@ -93,3 +98,46 @@ class TestMixed:
                     scan_fraction=1.5,
                 )
             )
+
+
+class TestChunkedDraws:
+    """Traces draw lazily in CHUNK-sized pieces, without changing values."""
+
+    N = 2 * CHUNK + 3  # two full chunks and a short tail
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_working_set_equals_one_shot_draw(self, seed):
+        one_shot = make_rng(seed).integers(0, 100, size=self.N) * LINE
+        chunked = working_set_trace(self.N, make_rng(seed), ws_lines=100)
+        assert np.array_equal(np.fromiter(chunked, dtype=np.int64), one_shot)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_zipf_equals_one_shot_draw(self, seed):
+        ranks = make_rng(seed).zipf(1.2, size=self.N)
+        one_shot = ((ranks - 1) % 500) * LINE
+        chunked = zipf_trace(self.N, make_rng(seed), universe_lines=500)
+        assert np.array_equal(np.fromiter(chunked, dtype=np.int64), one_shot)
+
+    @pytest.mark.parametrize(
+        "make_trace",
+        [
+            lambda n: working_set_trace(n, make_rng(3), ws_lines=128),
+            lambda n: zipf_trace(n, make_rng(3), universe_lines=128),
+            lambda n: mixed_trace(
+                n, make_rng(3), ws_lines=128, scan_lines=512
+            ),
+        ],
+        ids=["working_set", "zipf", "mixed"],
+    )
+    def test_peak_memory_bounded_for_a_billion_accesses(self, make_trace):
+        """A one-shot draw of 10**9 values would need ~8 GB; consuming
+        the start of the trace must stay within a few chunks."""
+        tracemalloc.start()
+        try:
+            trace = make_trace(10**9)
+            consumed = sum(1 for _ in itertools.islice(trace, 3 * CHUNK))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert consumed == 3 * CHUNK
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"

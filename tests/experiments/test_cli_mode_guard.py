@@ -1,12 +1,10 @@
-"""Regression guards: solver-mode contradictions on the campaign path.
+"""Regression guards: solver-mode handling on the campaign path.
 
-``campaign --kernel exact --precision fast`` must die at argument
-resolution — letting it through would run every queue cell under the
-fast tolerance contract while stamping the shared store ``exact``. The
-guard lives in ``_resolve_modes`` (shared with the experiment
-subcommand); these tests pin it to the ``campaign`` subcommand
-specifically, together with the store-side refusal to merge a result
-cache written under the other precision mode.
+``--precision`` is the only solver setting: it defaults to ``fast`` and
+is stamped into the shared store, which refuses to merge a result cache
+written under the other mode. The retired ``--kernel`` flag is refused
+at argument parsing, so an old script fails loudly instead of silently
+running under a mode it did not ask for.
 """
 
 from __future__ import annotations
@@ -18,77 +16,42 @@ from repro.experiments.cli import main
 from repro.experiments.store import ResultStore
 
 
+def _seed_store(store_db, precision: str) -> None:
+    seed = ResultStore(
+        cache_path=store_db, precision=precision, backend="sqlite"
+    )
+    seed.get("omnetpp1", "bzip22", UnmanagedPolicy(), n_be=1)
+    seed.save()
+
+
 class TestCampaignModeGuard:
-    def _argv(self, tmp_path, *extra):
-        return [
-            "campaign",
-            "--queue", str(tmp_path / "q.db"),
-            "--store", str(tmp_path / "results.db"),
-            "--limit", "2", "--cores", "3",
-            *extra,
-        ]
+    def test_retired_kernel_flag_is_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main([
+                "campaign",
+                "--queue", str(tmp_path / "q.db"),
+                "--store", str(tmp_path / "results.db"),
+                "--kernel", "exact",
+            ])
+        assert info.value.code == 2  # argparse usage error
 
-    def test_kernel_exact_precision_fast_rejected(self, tmp_path):
-        with pytest.raises(
-            SystemExit, match="contradicts precision='fast'"
-        ):
-            main(
-                self._argv(
-                    tmp_path, "--kernel", "exact", "--precision", "fast"
-                )
-            )
-
-    def test_kernel_fast_precision_exact_rejected(self, tmp_path):
-        with pytest.raises(
-            SystemExit, match="contradicts precision='exact'"
-        ):
-            main(
-                self._argv(
-                    tmp_path, "--kernel", "fast", "--precision", "exact"
-                )
-            )
-
-    def test_kernel_compiled_precision_exact_rejected(self, tmp_path):
-        with pytest.raises(
-            SystemExit, match="contradicts precision='exact'"
-        ):
-            main(
-                self._argv(
-                    tmp_path, "--kernel", "compiled",
-                    "--precision", "exact",
-                )
-            )
-
-    def test_guard_fires_before_queue_requirement(self):
-        """Contradictory flags die even when --queue/--store are absent:
-        mode resolution precedes the worker-argument check."""
-        with pytest.raises(
-            SystemExit, match="contradicts precision='fast'"
-        ):
-            main(["campaign", "--kernel", "exact", "--precision", "fast"])
-
-    def test_kernel_exact_alone_implies_exact_and_enqueues(
-        self, tmp_path, capsys
-    ):
-        """Positive control: --kernel exact with no explicit --precision
-        resolves cleanly (enqueue-only, so no cells actually run)."""
-        assert main(
-            self._argv(
-                tmp_path, "--kernel", "exact", "--enqueue-only",
-                "--worker-id", "prod",
-            )
-        ) == 0
-        assert "enqueued" in capsys.readouterr().out
+    def test_precision_defaults_to_fast(self, tmp_path):
+        store_db = tmp_path / "results.db"
+        _seed_store(store_db, "exact")
+        with pytest.raises(SystemExit, match="refusing to merge"):
+            main([
+                "campaign",
+                "--queue", str(tmp_path / "q.db"),
+                "--store", str(store_db),
+                "--limit", "2", "--cores", "3",
+                "--worker-id", "w1",
+            ])
 
 
 class TestCrossModeStoreLoad:
     def test_campaign_refuses_store_from_the_other_mode(self, tmp_path):
         store_db = tmp_path / "results.db"
-        seed = ResultStore(
-            cache_path=store_db, precision="exact", backend="sqlite"
-        )
-        seed.get("omnetpp1", "bzip22", UnmanagedPolicy(), n_be=1)
-        seed.save()
+        _seed_store(store_db, "exact")
 
         with pytest.raises(SystemExit, match="refusing to merge"):
             main([
@@ -102,11 +65,7 @@ class TestCrossModeStoreLoad:
 
     def test_matching_mode_store_loads_fine(self, tmp_path, capsys):
         store_db = tmp_path / "results.db"
-        seed = ResultStore(
-            cache_path=store_db, precision="fast", backend="sqlite"
-        )
-        seed.get("omnetpp1", "bzip22", UnmanagedPolicy(), n_be=1)
-        seed.save()
+        _seed_store(store_db, "fast")
 
         assert main([
             "campaign",

@@ -181,3 +181,39 @@ class TestBenchJsonSchemaDrift:
         assert any("wall_clock: 10.0s" in line for line in report)
         # The torn line is left in place; the new row still appends.
         assert len(history.read_text().splitlines()) == 2
+
+    def test_rows_from_the_compiled_kernel_era_still_render(self, tmp_path):
+        """Artefacts written while a numba kernel existed carry
+        ``kernel``, ``compiled_*`` counters, ``compiled_speedup`` and a
+        ``kernels`` block; they must still render, as history and as the
+        current payload."""
+
+        def compiled_era(wall):
+            payload = _headline_payload(wall=wall)
+            payload["precision"] = "fast"
+            payload["kernel"] = "auto"
+            payload["pool"] = "serial"
+            payload["solver"].update(
+                compiled_solves=0, compiled_points=0, compiled_iterations=0
+            )
+            payload["solver"]["by_kernel"] = {
+                name: {"solves": 0, "points": 0, "iterations": 0}
+                for name in ("exact", "fast", "compiled")
+            }
+            payload["compiled_speedup"] = None
+            payload["kernels"] = {"numba": False, "compiled_wall_s": None}
+            return payload
+
+        artefact = tmp_path / "BENCH_headline.json"
+        history = artefact.with_name("BENCH_history.jsonl")
+        history.write_text(json.dumps(compiled_era(12.0)) + "\n")
+        artefact.write_text(json.dumps(compiled_era(10.0)))
+        # Line 0 names the artefact path; the rest is the rendering.
+        text = "\n".join(compare_saves.report_bench_json(artefact)[1:])
+        assert "precision: fast" in text
+        assert "pool: serial" in text
+        assert "prev 12.0s" in text
+        assert "compiled" not in text
+        # The row is carried into the history unchanged.
+        rows = history.read_text().splitlines()
+        assert json.loads(rows[-1]) == compiled_era(10.0)

@@ -1,10 +1,12 @@
-"""Tests for the parallel campaign engine.
+"""Tests for parallel campaign execution (``SupervisedExecutor``).
 
 The load-bearing property is determinism: a campaign executed over N
 worker processes must be *bit-identical* to the serial execution — same
 floats, same traces, same ordering — because every figure in the paper is
 a projection of these campaigns and must not depend on the machine's core
-count.
+count. The default (strict) supervision config keeps the all-or-nothing
+contract: the first failing cell aborts the batch with a
+:class:`CampaignError` carrying the original exception.
 """
 
 import pytest
@@ -14,10 +16,15 @@ from repro.core.policies import (
     DicerPolicy,
     UnmanagedPolicy,
 )
+from repro.experiments.chaos import CHAOS_ENV_VAR, ChaosInjected, chaos_env
 from repro.experiments.classify import classify_all
 from repro.experiments.grid import run_grid
-from repro.experiments.parallel import ParallelExecutor, run_cell
 from repro.experiments.store import ResultStore
+from repro.experiments.supervise import (
+    CampaignError,
+    SupervisedExecutor,
+    run_cell,
+)
 from repro.sim.platform import TABLE1_PLATFORM
 from repro.workloads.catalog import app_names
 
@@ -33,31 +40,35 @@ def _cells(n_names: int, n_be: int = 3):
     ]
 
 
+def _run(n_workers: int, cells):
+    """Strict supervised run; the results list of a clean campaign."""
+    outcome = SupervisedExecutor(n_workers).run(cells, TABLE1_PLATFORM)
+    assert outcome.ok
+    return outcome.results
+
+
 class TestParallelExecutor:
     def test_serial_path_matches_direct_run(self):
         cells = _cells(2)
         direct = [run_cell(TABLE1_PLATFORM, cell) for cell in cells]
-        serial = ParallelExecutor(1).run(cells, TABLE1_PLATFORM)
-        assert serial == direct
+        assert _run(1, cells) == direct
 
     def test_parallel_bit_identical_to_serial(self):
         cells = _cells(2)
-        serial = ParallelExecutor(1).run(cells, TABLE1_PLATFORM)
-        parallel = ParallelExecutor(4).run(cells, TABLE1_PLATFORM)
         # Dataclass equality is exact float equality, field by field.
-        assert parallel == serial
+        assert _run(4, cells) == _run(1, cells)
 
     def test_dicer_trace_survives_the_pool(self):
         cells = [("omnetpp1", "bzip22", 3, DicerPolicy())]
-        serial = ParallelExecutor(1).run(cells, TABLE1_PLATFORM)
-        parallel = ParallelExecutor(2).run(cells * 2, TABLE1_PLATFORM)
+        serial = _run(1, cells)
+        parallel = _run(2, cells * 2)
         assert parallel[0] == parallel[1] == serial[0]
         assert parallel[0].trace  # decisions crossed the process boundary
 
     def test_on_result_fires_in_submission_order(self):
         cells = _cells(2)
         seen = []
-        ParallelExecutor(4).run(
+        SupervisedExecutor(4).run(
             cells,
             TABLE1_PLATFORM,
             on_result=lambda i, cell, r: seen.append(i),
@@ -65,13 +76,21 @@ class TestParallelExecutor:
         assert seen == list(range(len(cells)))
 
     def test_auto_detect_workers(self):
-        assert ParallelExecutor(None).n_workers >= 1
-        assert ParallelExecutor(0).n_workers >= 1
-        assert ParallelExecutor(3).n_workers == 3
+        assert SupervisedExecutor(None).n_workers >= 1
+        assert SupervisedExecutor(0).n_workers >= 1
+        assert SupervisedExecutor(3).n_workers == 3
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(2, chunk_size=0)
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_first_failure_carries_the_original_exception(
+        self, n_workers, monkeypatch
+    ):
+        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={2: "raise"}))
+        with pytest.raises(CampaignError) as info:
+            SupervisedExecutor(n_workers).run(_cells(2), TABLE1_PLATFORM)
+        err = info.value
+        assert isinstance(err.cause, ChaosInjected)
+        assert err.__cause__ is err.cause
+        assert err.failure.index == 1
 
 
 class TestParallelCampaigns:

@@ -15,9 +15,10 @@ import pytest
 
 from repro import obs
 from repro.core.policies import CacheTakeoverPolicy, UnmanagedPolicy
-from repro.experiments.chaos import CHAOS_ENV_VAR, chaos_env
-from repro.experiments.parallel import ParallelExecutor
+from repro.experiments import supervise
+from repro.experiments.chaos import CHAOS_ENV_VAR, ChaosInjected, chaos_env
 from repro.experiments.supervise import (
+    CampaignError,
     FailedCell,
     SupervisedExecutor,
     SuperviseConfig,
@@ -93,13 +94,20 @@ class TestThreadPoolDeterminism:
         )
         assert seen == list(range(len(cells)))
 
-    def test_parallel_executor_threads_facade(self):
+    def test_strict_threads_match_serial_and_reraise_cause(
+        self, monkeypatch
+    ):
         cells = _cells(2)
-        serial = ParallelExecutor(1).run(cells, TABLE1_PLATFORM)
-        threads = ParallelExecutor(4, pool="threads").run(
-            cells, TABLE1_PLATFORM
-        )
-        assert threads == serial
+        clean = _clean_serial(cells)
+        executor = SupervisedExecutor(4, pool="threads")
+        assert executor.run(cells, TABLE1_PLATFORM).results == clean
+        # The default config is strict: the first failure aborts with the
+        # worker's original exception as ``cause``.
+        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={3: "raise"}))
+        with pytest.raises(CampaignError) as info:
+            executor.run(cells, TABLE1_PLATFORM)
+        assert isinstance(info.value.cause, ChaosInjected)
+        assert info.value.__cause__ is info.value.cause
 
     def test_store_digest_identical_to_serial(self, tmp_path):
         from repro.experiments.backends import open_backend
@@ -166,9 +174,7 @@ class TestThreadPoolSupervision:
         self, tmp_path, monkeypatch
     ):
         clean = _clean_serial(self.CELLS)
-        import repro.experiments.parallel as parallel_mod
-
-        real_run_cell = parallel_mod.run_cell
+        real_run_cell = supervise.run_cell
         slow_attempts = []
 
         def slow_first(platform, cell, run_kwargs=None):
@@ -177,7 +183,7 @@ class TestThreadPoolSupervision:
                 time.sleep(1.2)
             return real_run_cell(platform, cell, run_kwargs)
 
-        monkeypatch.setattr(parallel_mod, "run_cell", slow_first)
+        monkeypatch.setattr(supervise, "run_cell", slow_first)
         path = tmp_path / "events.jsonl"
         obs.enable(path, run_id="t")
         outcome = SupervisedExecutor(

@@ -183,6 +183,17 @@ class TestDigest:
         assert restored.applied_seq == plane.applied_seq
         assert restored.nodes["node02"].health == "crashed"
 
+    def test_snapshot_with_retired_kernel_field_loads(self, plane):
+        """Snapshots written while a ``kernel`` setting existed still
+        resume, to the same digest."""
+        submit(plane, 0, "h", "namd1", kind="hp")
+        submit(plane, 1, "b", "bzip22")
+        state = plane.snapshot_state()
+        state["config"]["kernel"] = "compiled"
+        restored = ControlPlane.from_snapshot(state)
+        assert restored.digest() == plane.digest()
+        assert restored.config == plane.config
+
     def test_roster_change_invalidates_snapshot(self, plane):
         state = plane.snapshot_state()
         state["config"]["node_ids"] = ["other00"]
@@ -204,3 +215,9 @@ class TestConfig:
     def test_config_round_trip(self):
         config = PlaneConfig.for_nodes(2, policy="LFOC", slo=0.85)
         assert PlaneConfig.from_dict(config.to_dict()) == config
+
+    def test_retired_kernel_key_is_ignored(self):
+        config = PlaneConfig.for_nodes(2, policy="LFOC", slo=0.85)
+        old = {**config.to_dict(), "kernel": "compiled"}
+        assert PlaneConfig.from_dict(old) == config
+        assert "kernel" not in config.to_dict()

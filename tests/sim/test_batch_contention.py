@@ -185,6 +185,25 @@ class TestBatchEdgeCases:
         )
         assert after["scalar_solves"] == before["scalar_solves"]
 
+    def test_by_kernel_rows_attribute_work_per_precision(self):
+        apps = catalog()
+        phases = (apps[app_names()[3]].phases[0],) * 2
+        points = [(phases, PartitionSpec.unmanaged(2, 20))] * 2
+        before = solver_counters()["by_kernel"]
+        solve_steady_state_batch(PLAT, points, precision="exact")
+        solve_steady_state_batch(PLAT, points, precision="fast")
+        after = solver_counters()
+        by_kernel = after["by_kernel"]
+        assert set(by_kernel) == {"exact", "fast"}
+        for counts in by_kernel.values():
+            assert set(counts) == {"solves", "points", "iterations"}
+        assert by_kernel["exact"]["points"] == before["exact"]["points"] + 2
+        assert by_kernel["fast"]["points"] == before["fast"]["points"] + 2
+        assert by_kernel["fast"]["solves"] == after["fast_solves"]
+        assert by_kernel["exact"]["solves"] == (
+            after["scalar_solves"] + after["batch_solves"]
+        )
+
 
 class TestSolveMany:
     """SteadyStateCache.solve_many: memoisation + batch dispatch."""

@@ -25,7 +25,6 @@ from repro.sim.contention import (
     _parse_points,
     solve_steady_state_batch,
 )
-from repro.sim.kernels import available_kernels, use_kernel
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM
 from repro.workloads.catalog import app_names, catalog
@@ -38,28 +37,9 @@ PARTITIONS = (
     PartitionSpec.hp_be(19, 10, 20),
 )
 
-#: Every fast-precision kernel implementation, skip-with-reason for the
-#: ones this environment cannot run (DESIGN.md §12) — the contract and
-#: composition-independence sweeps must hold for whichever kernel serves
-#: ``precision="fast"``.
-FAST_KERNELS = [
-    pytest.param(
-        kernel,
-        marks=()
-        if kernel in available_kernels()
-        else pytest.mark.skip(
-            reason=f"kernel {kernel!r} unavailable: numba not installed "
-            "(pip install .[compiled])"
-        ),
-    )
-    for kernel in ("fast", "compiled")
-]
-
-
-def solve_both(points, kernel="fast"):
+def solve_both(points):
     """(fast, exact) result lists for one point population."""
-    with use_kernel(kernel):
-        fast = solve_steady_state_batch(PLAT, points, precision="fast")
+    fast = solve_steady_state_batch(PLAT, points, precision="fast")
     exact = solve_steady_state_batch(PLAT, points, precision="exact")
     return fast, exact
 
@@ -80,12 +60,11 @@ def assert_states_bitwise(a, b, label=""):
     assert a.iterations == b.iterations, f"{label}: iterations"
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
 class TestToleranceContract:
     """Fast results track exact ones within the documented band."""
 
     @pytest.mark.parametrize("hp_name", app_names()[::8])
-    def test_catalog_slice_within_contract(self, hp_name, kernel):
+    def test_catalog_slice_within_contract(self, hp_name):
         apps = catalog()
         be_phase = apps["bzip22"].phases[0]
         points = []
@@ -93,7 +72,7 @@ class TestToleranceContract:
             phases = (hp_phase,) + (be_phase,) * 9
             for part in PARTITIONS:
                 points.append((phases, part))
-        fast, exact = solve_both(points, kernel)
+        fast, exact = solve_both(points)
         assert_within_contract(fast, exact, points)
 
     @settings(deadline=None, max_examples=30)
@@ -106,9 +85,7 @@ class TestToleranceContract:
             st.none(), st.floats(min_value=0.1, max_value=1.0)
         ),
     )
-    def test_contract_holds_everywhere(
-        self, kernel, hp, be, n_be, hp_ways, throttle
-    ):
+    def test_contract_holds_everywhere(self, hp, be, n_be, hp_ways, throttle):
         apps = catalog()
         phases = (apps[hp].phases[0],) + (apps[be].phases[0],) * n_be
         n = n_be + 1
@@ -119,20 +96,19 @@ class TestToleranceContract:
         )
         mba = None if throttle is None else (1.0,) + (throttle,) * n_be
         points = [(phases, partition, mba)]
-        fast, exact = solve_both(points, kernel)
+        fast, exact = solve_both(points)
         assert_within_contract(fast, exact, points)
 
-    def test_mba_throttled_points_within_contract(self, kernel):
+    def test_mba_throttled_points_within_contract(self):
         apps = catalog()
         phases = (apps["omnetpp1"].phases[0],) + (apps["lbm1"].phases[0],) * 9
         points = [
             (phases, part, (1.0,) + (0.25,) * 9) for part in PARTITIONS
         ]
-        fast, exact = solve_both(points, kernel)
+        fast, exact = solve_both(points)
         assert_within_contract(fast, exact, points)
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
 class TestCompositionIndependence:
     """A fast lane's bits cannot depend on its batch mates.
 
@@ -153,28 +129,24 @@ class TestCompositionIndependence:
                 points.append((phases, part))
         return points
 
-    def test_singleton_equals_batch(self, kernel):
+    def test_singleton_equals_batch(self):
         points = self._points()
-        with use_kernel(kernel):
-            batch = solve_steady_state_batch(PLAT, points, precision="fast")
-            for i, point in enumerate(points):
-                solo = solve_steady_state_batch(
-                    PLAT, [point], precision="fast"
-                )
-                assert_states_bitwise(solo[0], batch[i], label=f"point {i}")
+        batch = solve_steady_state_batch(PLAT, points, precision="fast")
+        for i, point in enumerate(points):
+            solo = solve_steady_state_batch(PLAT, [point], precision="fast")
+            assert_states_bitwise(solo[0], batch[i], label=f"point {i}")
 
-    def test_permutation_invariant(self, kernel):
+    def test_permutation_invariant(self):
         points = self._points()
-        with use_kernel(kernel):
-            batch = solve_steady_state_batch(PLAT, points, precision="fast")
-            order = list(reversed(range(len(points))))
-            shuffled = solve_steady_state_batch(
-                PLAT, [points[i] for i in order], precision="fast"
-            )
+        batch = solve_steady_state_batch(PLAT, points, precision="fast")
+        order = list(reversed(range(len(points))))
+        shuffled = solve_steady_state_batch(
+            PLAT, [points[i] for i in order], precision="fast"
+        )
         for pos, i in enumerate(order):
             assert_states_bitwise(shuffled[pos], batch[i], label=f"point {i}")
 
-    def test_ragged_core_counts_pad_neutrally(self, kernel):
+    def test_ragged_core_counts_pad_neutrally(self):
         apps = catalog()
         narrow = (
             (apps["omnetpp1"].phases[0],) * 2,
@@ -184,17 +156,12 @@ class TestCompositionIndependence:
             (apps["lbm1"].phases[0],) * 10,
             PartitionSpec.hp_be(5, 10, 20),
         )
-        with use_kernel(kernel):
-            together = solve_steady_state_batch(
-                PLAT, [narrow, wide], precision="fast"
-            )
-            for i, point in enumerate((narrow, wide)):
-                solo = solve_steady_state_batch(
-                    PLAT, [point], precision="fast"
-                )
-                assert_states_bitwise(
-                    solo[0], together[i], label=f"point {i}"
-                )
+        together = solve_steady_state_batch(
+            PLAT, [narrow, wide], precision="fast"
+        )
+        for i, point in enumerate((narrow, wide)):
+            solo = solve_steady_state_batch(PLAT, [point], precision="fast")
+            assert_states_bitwise(solo[0], together[i], label=f"point {i}")
 
 
 class TestFastCheckMode:
@@ -227,7 +194,7 @@ class TestFastCheckMode:
 
 
 class TestFailureAttribution:
-    """Fast-lane convergence failures say which kernel they came from."""
+    """Fast-lane convergence failures say which precision they came from."""
 
     def test_convergence_error_names_fast_precision(self):
         apps = catalog()
@@ -240,11 +207,10 @@ class TestFailureAttribution:
 
 
 @pytest.mark.fast_math
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
 class TestFullCatalogSweep:
     """The exhaustive 3481-pair contract sweep (``make fastmath``)."""
 
-    def test_every_pair_every_partition(self, kernel):
+    def test_every_pair_every_partition(self):
         apps = catalog()
         names = app_names()
         points = []
@@ -253,5 +219,5 @@ class TestFullCatalogSweep:
                 phases = (apps[hp].phases[0],) + (apps[be].phases[0],) * 9
                 for part in PARTITIONS:
                     points.append((phases, part))
-        fast, exact = solve_both(points, kernel)
+        fast, exact = solve_both(points)
         assert_within_contract(fast, exact, points)

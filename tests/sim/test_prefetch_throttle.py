@@ -13,8 +13,8 @@ Hypothesis suites pin the axis's contract:
   ``Server.set_prefetch_levels``);
 * level ``0.0`` and ``prefetch=None`` are bitwise-identical operating
   points;
-* fast and compiled kernels honour the PR 6 tolerance contract on
-  throttled points exactly as on unthrottled ones.
+* the fast solver honours its tolerance contract on throttled points
+  exactly as on unthrottled ones.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.sim.contention import (
     solve_steady_state,
     solve_steady_state_batch,
 )
-from repro.sim.kernels import available_kernels, use_kernel
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM, PlatformConfig
 from repro.sim.server import Server
@@ -43,20 +42,6 @@ PLAT = TABLE1_PLATFORM
 #: at tol=1e-6, so neighbouring levels can disagree by solver noise even
 #: when the underlying curve is flat.
 SOLVER_SLACK = 1e-5
-
-FAST_KERNELS = [
-    pytest.param(
-        kernel,
-        marks=()
-        if kernel in available_kernels()
-        else pytest.mark.skip(
-            reason=f"kernel {kernel!r} unavailable: numba not installed "
-            "(pip install .[compiled])"
-        ),
-    )
-    for kernel in ("fast", "compiled")
-]
-
 
 def make_test_phase(
     *,
@@ -215,9 +200,8 @@ class TestZeroIdentity:
         assert plain.iterations == zeroed.iterations
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
 class TestKernelAgreement:
-    """Throttled points obey the same PR 6 fast-vs-exact contract."""
+    """Throttled points obey the same fast-vs-exact contract."""
 
     @given(
         hide=st.floats(min_value=0.0, max_value=1.0),
@@ -227,15 +211,14 @@ class TestKernelAgreement:
     )
     @settings(max_examples=40, deadline=None)
     def test_fast_within_contract_on_throttled_points(
-        self, kernel, hide, waste, level, n_be
+        self, hide, waste, level, n_be
     ):
         be = make_test_phase(hide=hide, waste=waste)
         hp = make_test_phase(hide=0.1, waste=0.05, blocking=0.7)
         phases = (hp,) + (be,) * n_be
         part = PartitionSpec.hp_be(10, n_be + 1, PLAT.llc_ways)
         points = [(phases, part, None, (0.0,) + (level,) * n_be)]
-        with use_kernel(kernel):
-            fast = solve_steady_state_batch(PLAT, points, precision="fast")
+        fast = solve_steady_state_batch(PLAT, points, precision="fast")
         exact = solve_steady_state_batch(PLAT, points, precision="exact")
         problems = _fast_contract_violations(fast[0], exact[0])
         assert not problems, problems
