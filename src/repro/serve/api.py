@@ -110,6 +110,8 @@ class ServeApi:
                 body = json.loads(await reader.readexactly(length))
             except (json.JSONDecodeError, asyncio.IncompleteReadError):
                 return 400, {"error": "invalid JSON body"}
+            if not isinstance(body, dict):
+                return 400, {"error": "JSON body must be an object"}
         return await self._route(method, path, body)
 
     # -- routes ------------------------------------------------------------

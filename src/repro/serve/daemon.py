@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import time
 from dataclasses import dataclass, field
@@ -68,15 +69,34 @@ class ReplayInProgressError(RuntimeError):
     """
 
 
+#: Bytes :func:`_tail_seq` reads per step back from the end of the file.
+_TAIL_BLOCK = 4096
+
+
 def _tail_seq(path: Path) -> int | None:
-    """Seq of the last event in the durable file (``None`` if none)."""
+    """Seq of the last event in the durable file (``None`` if none).
+
+    Reads backwards from the end, a block at a time, until it holds a
+    whole non-blank last line, so the write-ahead guard costs the same
+    however long the event history grows.
+    """
     try:
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
-    if not lines:
-        return None
-    return int(json.loads(lines[-1])["seq"])
+    with fh:
+        pos = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while pos > 0:
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+            text = tail.rstrip()
+            cut = text.rfind(b"\n")
+            if text and (cut >= 0 or pos == 0):
+                return int(json.loads(text[cut + 1:])["seq"])
+    return None
 
 
 @dataclass(frozen=True)
@@ -241,9 +261,10 @@ class ServeDaemon:
         retried on the next actuation pass — graceful degradation, not
         a wedge.
         """
+        assignments = self.plane.assignments()
         for nid in self.plane.healthy_nodes():
             runtime = self.runtimes[nid]
-            hp, bes = self.plane.node_assignment(nid)
+            hp, bes = assignments[nid]
             desired = (
                 hp.app if hp else None,
                 tuple(b.app for b in bes),

@@ -1,9 +1,13 @@
 """Admission + placement: the control plane's deterministic core.
 
-The plane is **declarative**: it never patches placement incrementally.
-After every applied event it recomputes the *canonical placement* — a
-pure function of (live jobs in arrival order, healthy node set) — and
-reconciles the fleet to it. That one design choice buys the whole
+The plane is **declarative**: after every applied event it reconciles
+the fleet to the *canonical placement* — a pure function of (live jobs
+in arrival order, healthy node set). The greedy placement is a left fold
+in arrival order, so the plane computes it by extending a cached fold
+with the jobs that arrived since, and rebuilds it from scratch through
+:meth:`ControlPlane.canonical_placement` only when a job departs or the
+node set changes; both paths share :class:`_Fold`, so the result is the
+same function either way. That one design choice buys the whole
 robustness story:
 
 * a node going down is just "reconcile over the survivors": its jobs
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.core.admission import find_max_bes
 from repro.obs import get_event_log, get_registry
@@ -192,6 +197,82 @@ class AdmissionCache:
         return cached
 
 
+class _Fold:
+    """Greedy placement state after folding a prefix of jobs onto nodes.
+
+    Per node it keeps the HP app, the BE count, the resident BE types and
+    the running BE capacity ``min(phys, min_t max_bes(hp, t))``, so
+    judging a BE job is one ``max_bes`` lookup per node. The greedy rule:
+    most remaining admissible slots wins (load balancing keeps the SLO
+    safety margin widest), node order breaking ties.
+    """
+
+    def __init__(
+        self, admission: AdmissionCache, node_ids: Sequence[str], phys: int
+    ) -> None:
+        self.admission = admission
+        self.phys = phys
+        self.node_ids = tuple(node_ids)
+        self.hp_on: dict[str, str | None] = dict.fromkeys(self.node_ids)
+        self.n_be: dict[str, int] = dict.fromkeys(self.node_ids, 0)
+        self.types_on: dict[str, set[str]] = {
+            nid: set() for nid in self.node_ids
+        }
+        self.cap_on: dict[str, int] = dict.fromkeys(self.node_ids, phys)
+        self.job_ids: list[str] = []
+        self.assignment: dict[str, str] = {}
+        self.overflow: list[str] = []
+
+    def _hp_cap(self, hp_app: str, types) -> int:
+        """BE slots under ``hp_app`` with resident BE types ``types``."""
+        max_bes = self.admission.max_bes
+        return min([self.phys, *(max_bes(hp_app, t) for t in types)])
+
+    def best_node(self, job: Job) -> str | None:
+        """Greedy best-headroom node for ``job`` (read-only)."""
+        best = None
+        best_headroom = 0
+        for nid in self.node_ids:
+            hp = self.hp_on[nid]
+            if job.kind == "hp":
+                if hp is not None:
+                    continue
+                headroom = self._hp_cap(job.app, self.types_on[nid])
+                headroom -= self.n_be[nid]
+                if headroom < 0:
+                    continue  # resident BEs inadmissible under this HP
+            else:
+                cap = self.cap_on[nid]
+                if hp is not None:
+                    cap = min(cap, self.admission.max_bes(hp, job.app))
+                headroom = cap - self.n_be[nid]
+                if headroom < 1:
+                    continue
+            if best is None or headroom > best_headroom:
+                best, best_headroom = nid, headroom
+        return best
+
+    def add(self, job: Job) -> None:
+        """Place ``job`` on :meth:`best_node` and commit it to the state."""
+        nid = self.best_node(job)
+        self.job_ids.append(job.job_id)
+        if nid is None:
+            self.overflow.append(job.job_id)
+            return
+        self.assignment[job.job_id] = nid
+        if job.kind == "hp":
+            self.hp_on[nid] = job.app
+            self.cap_on[nid] = self._hp_cap(job.app, self.types_on[nid])
+        else:
+            self.n_be[nid] += 1
+            self.types_on[nid].add(job.app)
+            hp = self.hp_on[nid]
+            if hp is not None:
+                self.cap_on[nid] = min(
+                    self.cap_on[nid], self.admission.max_bes(hp, job.app)
+                )
+
+
 @dataclass
 class _NodeEntry:
     """Plane-side view of one node."""
@@ -255,6 +336,10 @@ class ControlPlane:
             precision=config.precision,
         )
         self.jobs: dict[str, Job] = {}
+        #: Accepted, not yet departed jobs in arrival order.
+        self._live: dict[str, Job] = {}
+        #: Cached greedy folds keyed by node tuple (see :meth:`_fold_for`).
+        self._folds: dict[tuple[str, ...], _Fold] = {}
         self.nodes: dict[str, _NodeEntry] = {
             nid: _NodeEntry() for nid in config.node_ids
         }
@@ -272,9 +357,7 @@ class ControlPlane:
 
     def live_jobs(self) -> list[Job]:
         """Accepted jobs still in the system, in arrival order."""
-        return [
-            j for j in self.jobs_in_order() if j.status in ("placed", "pending")
-        ]
+        return list(self._live.values())
 
     def healthy_nodes(self) -> list[str]:
         """Roster order, healthy only."""
@@ -288,80 +371,61 @@ class ControlPlane:
         """Whether any node is currently down."""
         return any(e.health in _DOWN for e in self.nodes.values())
 
-    def node_assignment(self, node_id: str) -> tuple[Job | None, list[Job]]:
-        """(HP job or None, BE jobs in arrival order) placed on a node."""
-        hp = None
-        bes = []
-        for job in self.jobs_in_order():
-            if job.status != "placed" or job.node_id != node_id:
+    def assignments(self) -> dict[str, tuple[Job | None, list[Job]]]:
+        """Node → (HP job or None, BE jobs in arrival order), roster order."""
+        out: dict[str, tuple[Job | None, list[Job]]] = {
+            nid: (None, []) for nid in self.config.node_ids
+        }
+        for job in self._live.values():
+            if job.status != "placed":
                 continue
+            hp, bes = out[job.node_id]
             if job.kind == "hp":
-                hp = job
+                out[job.node_id] = (job, bes)
             else:
                 bes.append(job)
-        return hp, bes
+        return out
 
     # -- canonical placement ---------------------------------------------
 
-    def _be_capacity(self, hp_app: str | None, be_types) -> int:
-        """BE slots on a node hosting ``hp_app`` and BE types ``be_types``."""
-        phys = self.platform.n_cores - 1
-        if hp_app is None or not be_types:
-            return phys
-        return min(
-            phys,
-            min(self.admission.max_bes(hp_app, t) for t in set(be_types)),
-        )
-
-    def _place_one(self, job: Job, hp_on: dict, bes_on: dict) -> str | None:
-        """Greedy best-headroom node for ``job`` given partial placement."""
-        best = None
-        best_headroom = None
-        for nid in hp_on:  # insertion = roster order → deterministic ties
-            if job.kind == "hp":
-                if hp_on[nid] is not None:
-                    continue
-                cap = self._be_capacity(job.app, bes_on[nid])
-                headroom = cap - len(bes_on[nid])
-                if headroom < 0:
-                    continue  # resident BEs inadmissible under this HP
-            else:
-                cap = self._be_capacity(
-                    hp_on[nid], list(bes_on[nid]) + [job.app]
-                )
-                headroom = cap - len(bes_on[nid])
-                if headroom < 1:
-                    continue
-            if best is None or headroom > best_headroom:
-                best, best_headroom = nid, headroom
-        return best
-
     def canonical_placement(
-        self, jobs: list[Job], node_ids: list[str]
-    ) -> tuple[dict[str, str], list[str]]:
-        """Place ``jobs`` (arrival order) onto ``node_ids`` greedily.
+        self, jobs: list[Job], node_ids: Sequence[str]
+    ) -> _Fold:
+        """Place ``jobs`` (arrival order) onto ``node_ids`` from scratch.
 
         Pure function of its arguments: bin-pack by predicted SLO
-        headroom, preferring the node with the most remaining admissible
-        slots (load balancing keeps the SLO safety margin widest),
-        roster order breaking ties. Returns (job_id → node_id,
-        overflowed job_ids).
+        headroom (:class:`_Fold`). The returned fold's ``assignment``
+        maps job_id → node_id and ``overflow`` lists the unplaced ids.
         """
-        hp_on: dict[str, str | None] = {nid: None for nid in node_ids}
-        bes_on: dict[str, list[str]] = {nid: [] for nid in node_ids}
-        assignment: dict[str, str] = {}
-        overflow: list[str] = []
+        fold = _Fold(self.admission, node_ids, self.platform.n_cores - 1)
         for job in jobs:
-            nid = self._place_one(job, hp_on, bes_on)
-            if nid is None:
-                overflow.append(job.job_id)
-            else:
-                assignment[job.job_id] = nid
-                if job.kind == "hp":
-                    hp_on[nid] = job.app
-                else:
-                    bes_on[nid].append(job.app)
-        return assignment, overflow
+            fold.add(job)
+        return fold
+
+    def _fold_for(self, node_ids: tuple[str, ...]) -> _Fold:
+        """The canonical placement of the live jobs onto ``node_ids``.
+
+        Extends the cached fold when it covers a prefix of the live jobs
+        (only submits happened since); otherwise rebuilds it through
+        :meth:`canonical_placement`. At most two folds are cached: the
+        roster's (admission) and the healthy set's (reconcile).
+        """
+        live = self.live_jobs()
+        fold = self._folds.get(node_ids)
+        registry = get_registry()
+        if fold is not None and [
+            j.job_id for j in live[: len(fold.job_ids)]
+        ] == fold.job_ids:
+            for job in live[len(fold.job_ids):]:
+                fold.add(job)
+            registry.counter("serve.placement.extends").inc()
+            return fold
+        fold = self.canonical_placement(live, node_ids)
+        roster = self.config.node_ids
+        self._folds = {k: f for k, f in self._folds.items() if k == roster}
+        self._folds[node_ids] = fold
+        registry.counter("serve.placement.rebuilds").inc()
+        return fold
 
     def _admits(self, candidate: Job) -> bool:
         """Admission check against the FULL roster, ignoring health.
@@ -369,11 +433,8 @@ class ControlPlane:
         Chaos-invariant by construction: a degraded plane queues what it
         cannot place, but accepts exactly what a healthy plane would.
         """
-        jobs = self.live_jobs() + [candidate]
-        assignment, overflow = self.canonical_placement(
-            jobs, list(self.config.node_ids)
-        )
-        return candidate.job_id in assignment
+        roster = self._fold_for(self.config.node_ids)
+        return roster.best_node(candidate) is not None
 
     # -- reconciliation --------------------------------------------------
 
@@ -383,12 +444,13 @@ class ControlPlane:
         Returns ``{"migrations": ..., "drains": ..., "placements": ...}``
         for this pass (also accumulated into :attr:`counters`).
         """
-        live = self.live_jobs()
-        assignment, _overflow = self.canonical_placement(
-            live, self.healthy_nodes()
-        )
+        with get_registry().histogram("serve.reconcile_s").time():
+            return self._reconcile()
+
+    def _reconcile(self) -> dict[str, int]:
+        assignment = self._fold_for(tuple(self.healthy_nodes())).assignment
         migrations = drains = placements = 0
-        for job in live:
+        for job in self._live.values():
             new = assignment.get(job.job_id)
             old = job.node_id if job.status == "placed" else None
             if new != old:
@@ -455,12 +517,13 @@ class ControlPlane:
         event (``seq <= applied_seq``) is the replay-overlap case after a
         restart and raises — feeders must skip already-applied events.
         """
-        self.validate_event(event)
-        outcome: dict = {"seq": event.seq, "kind": event.kind}
-        outcome.update(getattr(self, f"_on_{event.kind}")(event) or {})
-        self.applied_seq = event.seq
-        self.counters["events_applied"] += 1
-        self.reconcile()
+        with get_registry().histogram("serve.apply_s").time():
+            self.validate_event(event)
+            outcome: dict = {"seq": event.seq, "kind": event.kind}
+            outcome.update(getattr(self, f"_on_{event.kind}")(event) or {})
+            self.applied_seq = event.seq
+            self.counters["events_applied"] += 1
+            self.reconcile()
         log = get_event_log()
         if log.enabled:
             payload = dict(outcome)
@@ -495,6 +558,7 @@ class ControlPlane:
         if self._admits(job):
             job.status = "pending"  # reconcile() promotes to placed
             self.jobs[job.job_id] = job
+            self._live[job.job_id] = job
             self.counters["accepted"] += 1
             registry.counter("serve.accepted").inc()
             return {"job_id": job.job_id, "outcome": "accepted"}
@@ -512,6 +576,7 @@ class ControlPlane:
             return {"job_id": event.job_id, "outcome": "noop"}
         job.status = "departed"
         job.node_id = None
+        del self._live[job.job_id]
         self.counters["departed"] += 1
         get_registry().counter("serve.departed").inc()
         return {"job_id": job.job_id, "outcome": "departed"}
@@ -585,13 +650,13 @@ class ControlPlane:
         node restarts, elapsed time) are deliberately excluded — see
         :meth:`digest`.
         """
-        nodes = {}
-        for nid in self.config.node_ids:
-            hp, bes = self.node_assignment(nid)
-            nodes[nid] = {
+        nodes = {
+            nid: {
                 "hp": [hp.job_id, hp.app] if hp else None,
                 "bes": [[b.job_id, b.app] for b in bes],
             }
+            for nid, (hp, bes) in self.assignments().items()
+        }
         by_status = {status: 0 for status in JOB_STATUSES}
         for job in self.jobs.values():
             by_status[job.status] += 1
@@ -599,7 +664,7 @@ class ControlPlane:
             "nodes": nodes,
             "pending": [
                 [j.job_id, j.kind, j.app]
-                for j in self.jobs_in_order()
+                for j in self._live.values()
                 if j.status == "pending"
             ],
             "rejected": [
@@ -675,6 +740,11 @@ class ControlPlane:
         plane.applied_seq = int(state["applied_seq"])
         plane.jobs = {
             raw["job_id"]: Job.from_dict(raw) for raw in state["jobs"]
+        }
+        plane._live = {
+            j.job_id: j
+            for j in plane.jobs_in_order()
+            if j.status in ("placed", "pending")
         }
         for nid, raw in state.get("nodes", {}).items():
             if nid in plane.nodes:

@@ -143,9 +143,10 @@ class TestNullRegistry:
         assert reg.snapshot() == []
 
     def test_hot_path_allocates_nothing(self):
-        """The disabled-telemetry invariant the ISSUE pins: no allocation.
+        """The disabled-telemetry invariant: no allocation.
 
-        ``get_registry().counter(name).inc()`` must not allocate on the
+        ``get_registry().counter(name).inc()`` and ``with
+        get_registry().histogram(name).time():`` must not allocate on the
         hot path — the null registry hands back shared singletons, so a
         tight instrumented loop leaves traced memory untouched.
         """
@@ -156,6 +157,8 @@ class TestNullRegistry:
                 get_registry().counter("hot.path").inc()
                 get_registry().gauge("hot.gauge").set(1.0)
                 get_registry().histogram("hot.hist").observe(1.0)
+                with get_registry().histogram("hot.timed").time():
+                    pass
 
         hot_loop()  # warm up (interned strings, method caches)
         tracemalloc.start()

@@ -102,6 +102,21 @@ class TestRoutes:
             assert status == 400
             assert "error" in body
 
+    def test_non_object_json_body_is_400(self, tmp_path):
+        async def scenario(daemon, api):
+            return [
+                await request(api.port, "POST", route, body)
+                for route in ("/submit", "/depart")
+                for body in ([], "x", 3)
+            ]
+
+        results = with_api(tmp_path, scenario)
+        assert len(results) == 6
+        for status, body in results:
+            assert status == 400
+            assert body == {"error": "JSON body must be an object"}
+        assert not (tmp_path / "events.jsonl").exists()
+
     def test_telemetry_reports_supervisor_downs(self, tmp_path):
         async def scenario(daemon, api):
             daemon.downs_reported.append(("node01", "crash"))

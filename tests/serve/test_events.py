@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.serve.daemon import _tail_seq
 from repro.serve.events import (
     EVENT_KINDS,
     ServeEvent,
@@ -57,3 +58,36 @@ class TestEventsFile:
         path.write_text(good + "\n{not json\n")
         with pytest.raises(ValueError):
             read_events(path)
+
+
+class TestTailSeq:
+    """The daemon's write-ahead guard reads only the end of the file."""
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"", None),
+            (b"\n\n  \n", None),
+            (b"\n" * 10_000, None),
+            (b'{"seq": 4}', 4),
+            (b'{"seq": 4}\n', 4),
+            (b'{"seq": 1}\n{"seq": 2}\n\n \n\n', 2),
+            (b'{"seq": 1}\n{"seq": 2}' + b"\n" * 10_000, 2),
+            (b'{"seq": 1}\r\n{"seq": 12}\r\n', 12),
+            (b'{"seq": 7, "job_id": "' + b"x" * 10_000 + b'"}\n', 7),
+        ],
+    )
+    def test_last_non_blank_line(self, tmp_path, content, expected):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(content)
+        assert _tail_seq(path) == expected
+
+    def test_missing_file(self, tmp_path):
+        assert _tail_seq(tmp_path / "absent.jsonl") is None
+
+    def test_matches_the_written_stream(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [ServeEvent(seq=i, kind="depart", job_id=f"j{i}")
+                  for i in range(500)]
+        write_events(path, events)
+        assert _tail_seq(path) == 499

@@ -2,17 +2,20 @@
 
 The load-bearing properties: placement is a pure function of the live
 job history, node failure drains without dropping, recovery converges
-back to the clean placement, and admission ignores node health.
+back to the clean placement, and admission ignores node health. The work
+bounds pin the incremental fold: what an event costs depends on the live
+jobs and the nodes, never on the departed or rejected history.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve.events import ServeEvent
-from repro.serve.placement import ControlPlane, PlaneConfig
+from repro.serve.placement import AdmissionCache, ControlPlane, PlaneConfig
 
-from tests.serve.conftest import make_plane
+from tests.serve.conftest import SLO, make_plane
 
 
 def submit(plane, seq, job_id, app, kind="be"):
@@ -199,6 +202,114 @@ class TestDigest:
         state["config"]["node_ids"] = ["other00"]
         restored = ControlPlane.from_snapshot(state)
         assert restored.config.node_ids == ("other00",)
+
+
+class CountingAdmission(AdmissionCache):
+    """An admission memo that counts ``max_bes`` lookups."""
+
+    def __init__(self, shared: AdmissionCache) -> None:
+        super().__init__(policy=shared.policy, slo=shared.slo,
+                         precision=shared.precision)
+        self._max_bes = shared._max_bes  # reuse the session's searches
+        self.lookups = 0
+
+    def max_bes(self, hp_app, be_app):
+        self.lookups += 1
+        return super().max_bes(hp_app, be_app)
+
+
+def warm_fleet(admission, n_nodes=30):
+    """A 30-node plane with 10 HPs and 40 BEs placed, fold cache warm."""
+    plane = ControlPlane(
+        PlaneConfig.for_nodes(n_nodes, slo=SLO), admission=admission
+    )
+    hps = ["namd1", "povray1", "gamess1", "h264ref1"]
+    bes = ["bzip22", "lbm1", "hmmer1", "milc1"]
+    seq = 0
+    for i in range(10):
+        submit(plane, seq, f"h{i}", hps[i % len(hps)], kind="hp")
+        seq += 1
+    for i in range(40):
+        submit(plane, seq, f"b{i}", bes[i % len(bes)])
+        seq += 1
+    return plane, seq
+
+
+class TestWorkBounds:
+    def test_accepted_be_submit_extends_the_fold(self, admission,
+                                                 monkeypatch):
+        counting = CountingAdmission(admission)
+        plane, seq = warm_fleet(counting)
+        rebuilds = []
+        rebuild = plane.canonical_placement
+
+        def spy(jobs, node_ids):
+            rebuilds.append(len(jobs))
+            return rebuild(jobs, node_ids)
+
+        monkeypatch.setattr(plane, "canonical_placement", spy)
+        counting.lookups = 0
+        outcome = submit(plane, seq, "new", "bzip22")
+        assert outcome["outcome"] == "accepted"
+        assert rebuilds == []
+        n_nodes = len(plane.config.node_ids)
+        assert 0 < counting.lookups <= 2 * n_nodes + 1
+        # A depart invalidates the prefix: exactly one rebuild.
+        plane.apply_event(ServeEvent(seq=seq + 1, kind="depart", job_id="b3"))
+        assert rebuilds == [len(plane.live_jobs())]
+
+    def test_events_never_scan_the_job_history(self, admission,
+                                               monkeypatch):
+        plane, seq = warm_fleet(admission, n_nodes=3)
+        submit(plane, seq, "extra", "namd1", kind="hp")  # rejected: 3 HPs
+        assert plane.jobs["extra"].status == "rejected"
+
+        def scan():
+            raise AssertionError("per-event work scanned every job")
+
+        monkeypatch.setattr(plane, "jobs_in_order", scan)
+        submit(plane, seq + 1, "late", "bzip22")
+        plane.apply_event(ServeEvent(seq=seq + 2, kind="depart", job_id="b0"))
+        plane.apply_event(
+            ServeEvent(seq=seq + 3, kind="depart", job_id="late")
+        )
+
+    def test_live_index_survives_a_snapshot(self, admission):
+        plane, seq = warm_fleet(admission, n_nodes=3)
+        for i, jid in enumerate(["b1", "h2", "b7"]):
+            plane.apply_event(
+                ServeEvent(seq=seq + i, kind="depart", job_id=jid)
+            )
+        restored = ControlPlane.from_snapshot(
+            plane.snapshot_state(), admission=admission
+        )
+        expected = [
+            j for j in restored.jobs_in_order()
+            if j.status in ("placed", "pending")
+        ]
+        assert restored.live_jobs() == expected
+        assert [j.job_id for j in expected] == [
+            j.job_id for j in plane.live_jobs()
+        ]
+        assert restored.assignments() == plane.assignments()
+
+
+class TestTelemetry:
+    def test_latency_histograms_and_fold_counters(self, plane):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            submit(plane, 0, "h", "namd1", kind="hp")
+            submit(plane, 1, "b", "bzip22")
+            plane.apply_event(ServeEvent(seq=2, kind="depart", job_id="b"))
+        finally:
+            set_registry(previous)
+        assert registry.histogram("serve.apply_s").count == 3
+        assert registry.histogram("serve.reconcile_s").count == 3
+        # Fresh plane: one rebuild; the depart forces another; every
+        # other admission check and reconcile extends the cached fold.
+        assert registry.counter("serve.placement.rebuilds").value == 2
+        assert registry.counter("serve.placement.extends").value == 3
 
 
 class TestConfig:

@@ -7,6 +7,9 @@ Hypothesis drives the two structural claims the smoke test checks once:
   — for any stream and any split point.
 * **Chaos invariance**: weaving seeded node faults (all recovered before
   the end) into a stream never changes the terminal placement digest.
+* **Incremental ≡ from scratch**: the plane's cached, prefix-extended
+  greedy fold agrees with :meth:`ControlPlane.canonical_placement` run
+  from scratch after every event of a churn + chaos stream.
 
 Streams come from the seeded load generator, so every example is a
 realistic churn history; the admission memo is shared session-wide, so
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.serve.chaos import weave_chaos
 from repro.serve.loadgen import generate_events
-from repro.serve.placement import ControlPlane
+from repro.serve.placement import ControlPlane, Job
 from repro.serve.snapshot import load_snapshot, save_snapshot
 
 from tests.serve.conftest import make_plane
@@ -90,3 +93,74 @@ class TestChaosInvarianceProperty:
         assert chaotic.counters["accepted"] == clean.counters["accepted"]
         # The weave actually exercised failure handling.
         assert chaotic.counters["node_crashes"] >= 1
+
+
+def chaos_stream(seed, chaos_seed):
+    return list(
+        weave_chaos(
+            generate_events(seed, N_EVENTS),
+            seed=chaos_seed,
+            node_ids=tuple(f"node{i:02d}" for i in range(3)),
+            recover_after=15,
+        ).events
+    )
+
+
+def from_scratch_admits(plane, event):
+    candidate = Job(
+        job_id=event.job_id, kind=event.job_kind, app=event.app, seq=event.seq
+    )
+    fold = plane.canonical_placement(
+        plane.live_jobs() + [candidate], plane.config.node_ids
+    )
+    return candidate.job_id in fold.assignment
+
+
+class TestIncrementalOracleProperty:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chaos_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_every_event_matches_the_from_scratch_placement(
+        self, seed, chaos_seed
+    ):
+        plane = make_plane()
+        for event in chaos_stream(seed, chaos_seed):
+            expected = None
+            if event.kind == "submit":
+                expected = from_scratch_admits(plane, event)
+            outcome = plane.apply_event(event)
+            if expected is not None:
+                assert (outcome["outcome"] == "accepted") == expected
+            oracle = plane.canonical_placement(
+                plane.live_jobs(), plane.healthy_nodes()
+            )
+            placed = {
+                j.job_id: j.node_id
+                for j in plane.live_jobs()
+                if j.status == "placed"
+            }
+            pending = [
+                j.job_id for j in plane.live_jobs() if j.status == "pending"
+            ]
+            assert placed == oracle.assignment
+            assert pending == oracle.overflow
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chaos_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_cold_cache_twin_ends_identically(self, seed, chaos_seed):
+        # Migrations and drains are path-dependent, so the counters catch
+        # any event where the cached fold placed differently.
+        events = chaos_stream(seed, chaos_seed)
+        warm = make_plane()
+        cold = make_plane()
+        for event in events:
+            warm.apply_event(event)
+            cold._folds.clear()
+            cold.apply_event(event)
+        assert cold.digest() == warm.digest()
+        assert cold.counters == warm.counters
