@@ -168,13 +168,18 @@ class DicerController:
         self._cooldown = 0
         self._period = 0
         self._suppress_bw_bookkeeping = False
-        #: Optional batch-solve hook: called with the full list of candidate
-        #: allocations whenever a sampling sweep starts, BEFORE the first
-        #: probe is enforced. The simulated-RDT runner points this at
-        #: :meth:`SimulatedRdt.prefetch_allocations` so the whole grid is
+        #: True between the first ``shrink`` of a descent and the next
+        #: non-shrink decision (fault periods leave it untouched).
+        self._descending = False
+        #: Optional batch-solve hook: called with a list of allocations the
+        #: controller is about to enforce, BEFORE the first of them is
+        #: applied — the whole grid when a sampling sweep starts, and the
+        #: rest of the HP-ways ladder (current ways down to 1) when a
+        #: descent starts. The simulated-RDT runner points this at
+        #: :meth:`SimulatedRdt.prefetch_allocations` so each list is
         #: solved in one vectorised batch; on real hardware (or when unset)
-        #: it stays ``None`` and sampling behaves exactly as before. Purely
-        #: an execution-speed hint — it must never change decisions.
+        #: it stays ``None`` and the controller behaves exactly as before.
+        #: Purely an execution-speed hint — it must never change decisions.
         self.prefetch_hook: Callable[[list[Allocation]], object] | None = None
         #: Compatibility surface: the decision history as a plain list of
         #: :class:`DecisionRecord` (what ``trace_tools`` renders). The same
@@ -224,6 +229,7 @@ class DicerController:
             event, note = self._validate_reset(sample)
         else:
             phase_change, event, note = self._optimise(sample)
+        self._track_descent(event)
 
         # Bookkeeping AFTER decisions: Equation 2 compares this period's HP
         # bandwidth against the *previous* periods' baseline. The period
@@ -257,6 +263,27 @@ class DicerController:
         )
         self._report(sample, event, note, raw_saturated, phase_change)
         return self.current
+
+    def _track_descent(self, event: str) -> None:
+        """Prefetch the HP-ways ladder on the first shrink of a descent.
+
+        Listing 2 donates one way per stable period, so a descent visits
+        ``current``, ``current - 1``, ... until the IPC moves; handing the
+        hook the whole ladder at once turns those per-period solves into
+        memo hits. Any other decision ends the descent.
+        """
+        if event != "shrink":
+            self._descending = False
+            return
+        if self._descending:
+            return
+        self._descending = True
+        if self.prefetch_hook is not None:
+            ladder = range(self.current.hp_ways, 0, -1)
+            self.prefetch_hook([self.current.with_hp_ways(w) for w in ladder])
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("dicer.ladder_prefetches").inc()
 
     def _record_fault(self, sample: PeriodSample, fault: str) -> None:
         """Log a held (faulty-sample) period into the trace and telemetry."""

@@ -167,11 +167,14 @@ def run_grid(
     All cells go to the store as one bulk request, so a parallel store fans
     the whole campaign out over its workers; cell order (workload-major,
     then cores, then policies) matches the serial loop the bulk API
-    replaced, keeping grids bit-identical across worker counts. On the
-    serial path the executor additionally prewarms the campaign's solo
-    profiles and each cell batch-solves its phase product / sampling grid
-    through ``solve_steady_state_batch`` (see DESIGN.md §7) — same bits,
-    far fewer scalar solver calls.
+    replaced, keeping grids bit-identical across worker counts. The
+    serial executor additionally prewarms the campaign's solo profiles;
+    under ``precision="fast"`` it also fuses the phase products, and each
+    DICER cell batch-solves its sampling grids and descent ladders in one
+    fast ``solve_steady_state_batch`` call each — fast lanes are pure per
+    lane, so the results carry the same bits as on-demand singleton
+    solves (DESIGN.md §7, §10). Exact cells solve every point with the
+    scalar solver.
     """
     if policies is None:
         policies = default_policies()

@@ -30,14 +30,20 @@ __all__ = [
 ]
 
 
-def _wire_prefetch(policy: Policy, rdt: SimulatedRdt) -> None:
+def _wire_prefetch(policy: Policy, rdt: SimulatedRdt, precision: str) -> None:
     """Point a DICER-style controller's prefetch hook at the simulator.
 
     Controllers that expose ``prefetch_hook`` (see
     :class:`~repro.core.dicer.DicerController`) get their sampling grids
-    batch-solved by :meth:`SimulatedRdt.prefetch_allocations`. The hook is
-    a pure execution-speed hint; policies without one are untouched.
+    and descent ladders batch-solved by
+    :meth:`SimulatedRdt.prefetch_allocations`. The hook is a pure
+    execution-speed hint; policies without one are untouched. Exact runs
+    leave it unwired: their prefetches are no-ops (the scalar solver is
+    the cheap exact kernel), so building the candidate partitions would
+    be wasted work.
     """
+    if precision == "exact":
+        return
     controller = getattr(policy, "controller", None)
     if controller is not None and hasattr(controller, "prefetch_hook"):
         controller.prefetch_hook = rdt.prefetch_allocations
@@ -103,10 +109,11 @@ def run_pair(
     trace: tuple[DecisionRecord, ...] = ()
     if policy.dynamic:
         rdt = SimulatedRdt(server)
-        _wire_prefetch(policy, rdt)
+        _wire_prefetch(policy, rdt, server.precision)
         # Batch-solve the phase product of the policy's *initial* partition
         # (a dynamic controller dwells there between decisions); later
-        # partitions are prefetched through the controller hook.
+        # partitions are prefetched through the controller hook. Both are
+        # no-ops under exact precision.
         server.prefetch_phase_product()
         while not rdt.finished and server.time < max_time_s:
             sample = rdt.sample(policy.period_s)
@@ -124,8 +131,8 @@ def run_pair(
             trace = tuple(controller.trace)
     else:
         # Static partition: batch-solve the phase cross product up front
-        # (identical results — the solves the event loop would do one at a
-        # time all become memo hits).
+        # under fast precision (identical results — the solves the event
+        # loop would do one at a time all become memo hits).
         server.prefetch_phase_product()
         server.run_until_all_complete(max_time_s=max_time_s)
 
@@ -203,7 +210,7 @@ def run_custom(
     trace: tuple[DecisionRecord, ...] = ()
     if policy.dynamic:
         rdt = SimulatedRdt(server)
-        _wire_prefetch(policy, rdt)
+        _wire_prefetch(policy, rdt, server.precision)
         server.prefetch_phase_product()
         while not rdt.finished and server.time < max_time_s:
             sample = rdt.sample(policy.period_s)
@@ -299,7 +306,7 @@ def run_multi(
     trace: tuple = ()
     if policy.dynamic:
         rdt = SimulatedRdt(server)
-        _wire_prefetch(policy, rdt)
+        _wire_prefetch(policy, rdt, server.precision)
         server.prefetch_phase_product()
         while not rdt.finished and server.time < max_time_s:
             sample = rdt.sample(policy.period_s)

@@ -295,8 +295,9 @@ def _prewarm_solo_profiles(
     """Batch-solve the solo baselines every cell will normalise against.
 
     In-process paths only: one :func:`~repro.sim.solo.prewarm_profiles`
-    call feeds the distinct apps of the whole campaign into the vectorised
-    solver, instead of each cell cold-solving its own pair of profiles.
+    call solves the distinct apps of the whole campaign up front (one fast
+    batch, or scalar cold solves under exact), instead of each cell
+    cold-solving its own pair of profiles.
     Apps missing from the catalog (tests with synthetic names) are simply
     skipped — the cell itself will raise the right error. Honours the
     campaign's solver ``precision`` (from ``run_kwargs``) so the prewarmed

@@ -163,6 +163,16 @@ def render_metrics_summary(summary: dict[str, object]) -> str:
         header += f"  [{summary['n_faults']} fault event(s)]"
     sections = [header]
     sections.append(f"n_failed_cells: {summary.get('n_failed_cells', 0)}")
+    counters = summary["counters"]
+    prefetched = counters.get("server.prefetch.points", 0.0)
+    if prefetched:
+        # Is the speculation paying? Points a prefetch solved into a
+        # Server memo against the ones the event loop went on to read.
+        used = counters.get("server.prefetch.used", 0.0)
+        sections.append(
+            f"prefetch used/points: {used:.0f}/{prefetched:.0f} "
+            f"({used / prefetched:.0%})"
+        )
 
     events = summary["events_by_kind"]
     if events:
@@ -171,7 +181,6 @@ def render_metrics_summary(summary: dict[str, object]) -> str:
                 "Events", ["kind", "count"], list(events.items())
             )
         )
-    counters = summary["counters"]
     if counters:
         sections.append(
             _section("Counters", ["name", "value"], list(counters.items()))

@@ -61,10 +61,13 @@ class SimulatedRdt(RdtBackend):
     def prefetch_allocations(self, allocations: list[Allocation]) -> int:
         """Pre-solve the current phases under many candidate allocations.
 
-        The DICER controller hands its whole sampling grid here before
-        stepping through it, so the underlying server batch-solves every
-        candidate partition in one vectorised call (byte-identical to the
-        on-demand scalar solves it replaces). Returns the number of
+        The DICER controller hands its whole sampling grid (and, when a
+        descent starts, the rest of its HP-ways ladder) here before
+        stepping through it, so a fast-precision server batch-solves every
+        candidate partition in one vectorised call; fast lanes are pure
+        per lane, so the memo holds exactly what on-demand fast solves
+        would have computed. Exact-precision servers solve nothing here
+        (see :meth:`Server.prefetch_partitions`). Returns the number of
         operating points actually solved.
         """
         n = self._server.n_active

@@ -1630,25 +1630,24 @@ class SteadyStateCache:
         platform: PlatformConfig,
         points: Sequence[tuple],
         *,
-        min_batch: int = 2,
         precision: str = "exact",
     ) -> list[SteadyState]:
-        """Fetch (or batch-solve and memoise) many operating points.
+        """Fetch (or solve and memoise) many operating points.
 
         ``points`` entries are ``(phases, partition)``, ``(phases,
         partition, mba_scale)`` or ``(phases, partition, mba_scale,
-        prefetch)`` tuples. Memo hits are served directly; the
-        distinct misses are solved in ONE
-        :func:`solve_steady_state_batch` call (below ``min_batch`` the
-        scalar solver is used instead — NumPy dispatch overhead beats lane
-        sharing for tiny batches). Because batch lanes are byte-identical
-        to scalar cold solves, the memo invariant — every inserted entry
-        equals a cold scalar solve of its key — is preserved.
+        prefetch)`` tuples. Memo hits are served directly; the distinct
+        misses go to the kernel that is cheap for their precision
+        (DESIGN.md §7):
 
-        ``precision="fast"`` keys and solves through the fast contract;
-        fast points always take the fast kernel (even singleton batches),
-        so a fast memo entry is a pure function of its key no matter
-        which call path inserted it.
+        * ``precision="fast"``: ONE fast
+          :func:`solve_steady_state_batch` call, even for a single point.
+          Fast lanes are pure per lane, so a fast memo entry is a pure
+          function of its key no matter which call path inserted it.
+        * ``precision="exact"``: one scalar :func:`solve_steady_state`
+          per point. The scalar solver is cheaper per point than the exact
+          batch kernel below a few hundred points, and every memo entry is
+          a cold scalar solve of its key by construction.
 
         Duplicate points are solved once; the duplicates (and any point
         already memoised) count as hits, the distinct cold points as
@@ -1698,7 +1697,7 @@ class SteadyStateCache:
             registry.counter("steady_cache.misses").inc(len(pending))
             cold = list(pending.items())
             t0 = time.perf_counter()
-            if len(cold) >= min_batch or precision == "fast":
+            if precision == "fast":
                 states = solve_steady_state_batch(
                     platform,
                     [point for _key, point in cold],

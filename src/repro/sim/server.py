@@ -23,6 +23,7 @@ import numpy as np
 from repro.obs import get_registry
 from repro.sim.contention import (
     GLOBAL_STEADY_CACHE,
+    ConvergenceError,
     SteadyState,
     SteadyStateCache,
     _check_precision,
@@ -64,8 +65,9 @@ def phase_product_points(
     the product exceeds ``max_points`` (multi-phase zoos are cheaper to
     solve on demand). Shared by :meth:`Server.prefetch_phase_product` and
     the campaign-level fused prewarm in
-    :mod:`repro.experiments.parallel`. ``prefetch`` is keyword-only so the
-    long-standing positional ``max_points`` callers keep binding.
+    :func:`repro.experiments.supervise._prewarm_phase_products`.
+    ``prefetch`` is keyword-only so the long-standing positional
+    ``max_points`` callers keep binding.
     """
     distinct: list[tuple[tuple[Phase, ...], list[int]]] = []
     index_of: dict[tuple[Phase, ...], int] = {}
@@ -187,6 +189,10 @@ class Server:
         # Operating points already visited by THIS server (includes warm-
         # started solves, which the shared process-wide cache refuses).
         self._memo: dict[tuple, SteadyState] = {}
+        # Memo keys a prefetch inserted that _steady has not read yet;
+        # maintained only while telemetry is enabled (the
+        # server.prefetch.points/used counters).
+        self._unread_prefetched: set[tuple] = set()
         self._warm_start = warm_start
         self._last_state: SteadyState | None = None
         #: Solver precision contract every steady-state request runs under
@@ -252,6 +258,9 @@ class Server:
             registry.counter("server.steady_requests").inc()
             if state is not None:
                 registry.counter("server.memo_hits").inc()
+                if key in self._unread_prefetched:
+                    self._unread_prefetched.discard(key)
+                    registry.counter("server.prefetch.used").inc()
         if state is None:
             warm = None
             if self._warm_start and self._last_state is not None:
@@ -286,43 +295,39 @@ class Server:
         """Pre-solve the current phases under many candidate partitions.
 
         Feeds every not-yet-memoised (phases, partition) point into one
-        :meth:`SteadyStateCache.solve_many` batch, so a controller about
-        to sweep candidate allocations (DICER's sampling grid) pays one
-        vectorised solve instead of a scalar solve per candidate. Batch
-        lanes are byte-identical to cold scalar solves, so later lookups
-        see exactly the values they would have computed on demand.
+        fast :meth:`SteadyStateCache.solve_many` batch, so a controller
+        about to step through candidate allocations (DICER's sampling grid
+        and descent ladder) pays one vectorised solve instead of a
+        singleton solve per candidate. Fast lanes are pure per lane
+        (DESIGN.md §10), so later lookups see exactly the values an
+        on-demand fast solve would have computed. A batch that raises
+        :class:`~repro.sim.contention.ConvergenceError` is dropped: its
+        points are solved on demand, and the error surfaces only if the
+        run reaches the point that cannot converge.
 
-        No-op under warm-start semantics (warm-started solves depend on
-        the caller's history and must not be pre-computed). Returns the
-        number of points actually solved.
+        A no-op under ``precision="exact"`` — the scalar solver is cheaper
+        per point than the exact batch kernel at every size a prefetch
+        sends (DESIGN.md §7) — and under warm-start semantics (warm-started
+        solves depend on the caller's history and must not be
+        pre-computed). Every partition's shape is checked either way.
+        Returns the number of points actually solved.
         """
-        if self._warm_start:
-            return 0
-        phases = tuple(app.current_phase()[0] for app in self.apps)
-        points: list[tuple] = []
-        keys: list[tuple] = []
         for partition in partitions:
             if partition.n_cores != self.n_active:
                 raise ValueError(
                     f"partition covers {partition.n_cores} cores but "
                     f"{self.n_active} apps are running"
                 )
-            key = SteadyStateCache.make_key(
-                self.platform, phases, partition, self.mba_scale,
-                self.precision, prefetch=self.prefetch,
-            )
-            if key in self._memo:
-                continue
-            points.append((phases, partition, self.mba_scale, self.prefetch))
-            keys.append(key)
-        if not points:
+        if not self._batches_prefetch:
             return 0
-        states = GLOBAL_STEADY_CACHE.solve_many(
-            self.platform, points, precision=self.precision
-        )
-        for key, state in zip(keys, states):
-            self._memo[key] = state
-        return len(points)
+        phases = tuple(app.current_phase()[0] for app in self.apps)
+        try:
+            return self._prefetch_points(
+                (phases, partition, self.mba_scale, self.prefetch)
+                for partition in partitions
+            )
+        except ConvergenceError:
+            return 0
 
     def prefetch_phase_product(self, max_points: int = 64) -> int:
         """Pre-solve the cross product of per-app phases in one batch.
@@ -330,20 +335,31 @@ class Server:
         A static-partition run visits exactly the phase combinations in
         the product of each app's phase list (clones share their model's
         phases, so the product is over *distinct* models — typically
-        |HP phases| x |BE phases| points). Solving them all up front turns
-        the event loop's per-interval solves into memo hits. Skipped when
-        the product exceeds ``max_points`` (multi-phase zoos) or under
-        warm-start semantics. Returns the number of points solved.
+        |HP phases| x |BE phases| points). Solving them all up front in
+        one fast batch turns the event loop's per-interval solves into
+        memo hits. Skipped when the product exceeds ``max_points``
+        (multi-phase zoos), under ``precision="exact"`` or under
+        warm-start semantics (see :meth:`prefetch_partitions`). Returns
+        the number of points solved.
         """
-        if self._warm_start:
+        if not self._batches_prefetch:
             return 0
-        candidates = phase_product_points(
-            [app.model for app in self.apps],
-            self.partition,
-            self.mba_scale,
-            max_points,
-            prefetch=self.prefetch,
+        return self._prefetch_points(
+            phase_product_points(
+                [app.model for app in self.apps],
+                self.partition,
+                self.mba_scale,
+                max_points,
+                prefetch=self.prefetch,
+            )
         )
+
+    @property
+    def _batches_prefetch(self) -> bool:
+        return self.precision == "fast" and not self._warm_start
+
+    def _prefetch_points(self, candidates) -> int:
+        """Batch-solve the not-yet-memoised points into the memo."""
         points = []
         keys = []
         for phases, partition, mba_scale, prefetch in candidates:
@@ -362,6 +378,10 @@ class Server:
         )
         for key, state in zip(keys, states):
             self._memo[key] = state
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("server.prefetch.points").inc(len(points))
+            self._unread_prefetched.update(keys)
         return len(points)
 
     @property

@@ -71,9 +71,9 @@ def solo_profile(
         return cached
 
     partition = PartitionSpec.unmanaged(1, platform.llc_ways)
-    # One batched (and globally memoised) solve across the app's phases:
-    # in "exact" mode batch lanes are byte-identical to scalar cold solves,
-    # so the profile carries the same bits it always did.
+    # One globally memoised request across the app's phases: a fast batch
+    # under "fast", scalar cold solves under "exact" (so exact profiles
+    # carry the same bits they always did).
     states = GLOBAL_STEADY_CACHE.solve_many(
         platform,
         [((phase,), partition) for phase in app.phases],

@@ -407,3 +407,68 @@ class TestSamplingConcludeHistory:
         # baseline Equation 3 compares against next period.
         c = self._through_sampling()
         assert c._last_ipc == pytest.approx(0.5)
+
+
+class TestDescentLadder:
+    """The prefetch hook sees each descent's HP-ways ladder exactly once."""
+
+    @staticmethod
+    def hooked():
+        c = controller()
+        calls = []
+        c.prefetch_hook = lambda allocations: calls.append(
+            [a.hp_ways for a in allocations]
+        )
+        return c, calls
+
+    def test_first_shrink_prefetches_rest_of_ladder(self):
+        c, calls = self.hooked()
+        c.update(sample())  # warmup
+        c.update(sample())  # shrink to 18: descent starts
+        assert calls == [list(range(18, 0, -1))]
+        for _ in range(5):
+            c.update(sample())
+        assert c.current.hp_ways == 13
+        assert len(calls) == 1
+
+    def test_non_shrink_decision_ends_descent(self):
+        c, calls = self.hooked()
+        c.update(sample(ipc=0.5))
+        c.update(sample(ipc=0.5))  # shrink to 18
+        c.update(sample(ipc=0.5))  # 17
+        c.update(sample(ipc=0.6))  # improved: hold
+        c.update(sample(ipc=0.6))  # stable again: new descent from 16
+        assert calls == [list(range(18, 0, -1)), list(range(16, 0, -1))]
+
+    def test_fault_period_leaves_descent_running(self):
+        c, calls = self.hooked()
+        c.update(sample())
+        c.update(sample())  # shrink to 18
+        c.update(sample(ipc=float("nan")))  # fault: held
+        assert c.trace[-1].event == "fault"
+        c.update(sample())  # still the same descent
+        assert c.current.hp_ways == 17
+        assert len(calls) == 1
+
+    def test_hook_never_changes_decisions(self):
+        ipcs = [0.5, 0.5, 0.5, 0.6, 0.6, 0.6, 0.4, 0.5, 0.5, float("nan"),
+                0.5, 0.5]
+        hooked, calls = self.hooked()
+        plain = controller()
+        for ipc in ipcs:
+            assert hooked.update(sample(ipc=ipc)) == plain.update(
+                sample(ipc=ipc)
+            )
+        assert calls
+        assert hooked.trace == plain.trace
+
+    def test_ladder_prefetches_counted(self):
+        registry, _ = obs.enable()
+        try:
+            c, calls = self.hooked()
+            for ipc in (0.5, 0.5, 0.5, 0.6, 0.6, 0.6):
+                c.update(sample(ipc=ipc))
+            assert registry.counter("dicer.ladder_prefetches").value == 2
+            assert len(calls) == 2
+        finally:
+            obs.disable()

@@ -134,3 +134,14 @@ class TestRender:
         assert "n_failed_cells: 0" in text
         assert "Counters" not in text
         assert "Histograms" not in text
+        assert "prefetch used/points" not in text
+
+    def test_prefetch_yield_rendered(self):
+        records = [
+            {"kind": "metric", "type": "counter",
+             "name": "server.prefetch.points", "value": 1367.0},
+            {"kind": "metric", "type": "counter",
+             "name": "server.prefetch.used", "value": 1243.0},
+        ]
+        text = render_metrics_summary(summarise_metrics(records))
+        assert "prefetch used/points: 1243/1367 (91%)" in text

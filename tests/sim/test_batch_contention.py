@@ -253,19 +253,23 @@ class TestSolveMany:
         states = cache.solve_many(PLAT, [point] * 4)
         after = solver_counters()
         assert cache.misses == 1 and cache.hits == 3
-        # One point below min_batch -> one scalar solve, no batch.
+        # One distinct exact point -> one scalar solve, no batch.
         assert after["scalar_solves"] == before["scalar_solves"] + 1
         assert after["batch_solves"] == before["batch_solves"]
         assert all(s is states[0] for s in states)
 
-    def test_min_batch_routes_small_batches_to_scalar(self, clean_caches):
-        points = self.make_points(3)
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    def test_exact_never_batches(self, clean_caches, n):
+        points = self.make_points(n)
         cache = SteadyStateCache()
         before = solver_counters()
-        cache.solve_many(PLAT, points, min_batch=10)
+        cache.solve_many(PLAT, points)
         after = solver_counters()
-        assert after["scalar_solves"] == before["scalar_solves"] + 3
+        assert after["scalar_solves"] == before["scalar_solves"] + len(
+            {cache.make_key(PLAT, ph, part, None) for ph, part in points}
+        )
         assert after["batch_solves"] == before["batch_solves"]
+        assert after["batch_points"] == before["batch_points"]
 
     def test_results_survive_tiny_cache_eviction(self, clean_caches):
         points = self.make_points(5)
