@@ -57,8 +57,9 @@ class PeriodSample:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("core_ipcs", "core_mem_bytes_s", "core_occupancy_ways"):
-            if any(v < 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be >= 0")
+            for v in getattr(self, name):
+                if v < 0:
+                    raise ValueError(f"{name} entries must be >= 0")
 
     @property
     def n_cores(self) -> int:

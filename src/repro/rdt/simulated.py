@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.obs import get_registry
 from repro.rdt.interface import PeriodSample, RdtBackend
+from repro.sim.partition import PartitionSpec
 from repro.sim.server import Server
 
 __all__ = ["SimulatedRdt"]
@@ -26,14 +27,26 @@ class SimulatedRdt(RdtBackend):
     def __init__(self, server: Server) -> None:
         self._server = server
         self._last = self._snapshot()
+        # Partition spec per allocation: controllers revisit a handful of
+        # allocations, and building a validated spec costs more than the
+        # rest of a monitoring period.
+        self._partitions: dict[Allocation, PartitionSpec] = {}
 
-    def _snapshot(self) -> dict:
-        counters = self._server.counters()
-        return {
-            "time_s": counters["time_s"],
-            "instructions": np.array(counters["instructions"], copy=True),
-            "mem_bytes": np.array(counters["mem_bytes"], copy=True),
-        }
+    def _snapshot(self) -> tuple[float, list[float], list[float]]:
+        """``(time, per-core instructions, per-core memory bytes)``."""
+        apps = self._server.apps
+        return (
+            self._server.time,
+            [app.total_instructions for app in apps],
+            [app.total_mem_bytes for app in apps],
+        )
+
+    def _partition(self, allocation: Allocation) -> PartitionSpec:
+        partition = self._partitions.get(allocation)
+        if partition is None:
+            partition = allocation.to_partition(self._server.n_active)
+            self._partitions[allocation] = partition
+        return partition
 
     # -- RdtBackend --------------------------------------------------------
 
@@ -50,13 +63,11 @@ class SimulatedRdt(RdtBackend):
     def apply(self, allocation: Allocation) -> None:
         """Map the allocation onto the simulator's partition spec.
 
-        Accepts anything with ``to_partition(n_cores)`` — the classic
-        HP/BE :class:`~repro.core.allocation.Allocation` and the M-group
-        :class:`~repro.core.allocation.GroupAllocation` alike.
+        Accepts anything hashable with ``to_partition(n_cores)`` — the
+        classic HP/BE :class:`~repro.core.allocation.Allocation` and the
+        M-group :class:`~repro.core.allocation.GroupAllocation` alike.
         """
-        self._server.set_partition(
-            allocation.to_partition(self._server.n_active)
-        )
+        self._server.set_partition(self._partition(allocation))
 
     def prefetch_allocations(self, allocations: list[Allocation]) -> int:
         """Pre-solve the current phases under many candidate allocations.
@@ -70,9 +81,8 @@ class SimulatedRdt(RdtBackend):
         (see :meth:`Server.prefetch_partitions`). Returns the number of
         operating points actually solved.
         """
-        n = self._server.n_active
         return self._server.prefetch_partitions(
-            [allocation.to_partition(n) for allocation in allocations]
+            [self._partition(allocation) for allocation in allocations]
         )
 
     def apply_be_throttle(self, scale: float) -> None:
@@ -113,8 +123,11 @@ class SimulatedRdt(RdtBackend):
             self._server.advance(target - self._server.time)
 
         now = self._snapshot()
+        time_s, instructions, mem_bytes = now
+        last_time_s, last_instructions, last_mem_bytes = self._last
+        self._last = now
         registry = get_registry()
-        dt = now["time_s"] - self._last["time_s"]
+        dt = time_s - last_time_s
         if dt <= 0:
             # The workload completed exactly on the previous boundary; emit
             # a degenerate (but valid) sample over a tiny interval.
@@ -123,29 +136,28 @@ class SimulatedRdt(RdtBackend):
         if registry.enabled:
             registry.counter("rdt.simulated.samples").inc()
             registry.histogram("rdt.sample_duration_s").observe(dt)
-        d_instr = now["instructions"] - self._last["instructions"]
-        d_bytes = now["mem_bytes"] - self._last["mem_bytes"]
-        self._last = now
-
+        d_bytes = [x - y for x, y in zip(mem_bytes, last_mem_bytes)]
         cycles = dt * self._server.platform.freq_hz
-        hp_ipc = float(d_instr[0]) / cycles
-        hp_bw = float(d_bytes[0]) / dt
-        total_bw = float(d_bytes.sum()) / dt
+        # Per-core views for M-class controllers (LFOC/CBP), from the same
+        # counter diffs as the aggregates, so core 0's entries always agree
+        # with hp_*.
+        core_ipcs = tuple([
+            (x - y) / cycles for x, y in zip(instructions, last_instructions)
+        ])
+        core_mem_bytes_s = tuple([x / dt for x in d_bytes])
 
         # CMT-equivalent occupancy snapshot for the HP core.
-        state = self._server.steady_state()
-        occupancy = float(state.ways[0]) * self._server.platform.way_bytes
+        ways = self._server.steady_state().ways.tolist()
 
         return PeriodSample(
             duration_s=dt,
-            hp_ipc=hp_ipc,
-            hp_mem_bytes_s=hp_bw,
-            total_mem_bytes_s=total_bw,
-            hp_llc_occupancy_bytes=occupancy,
-            # Per-core views for M-class controllers (LFOC/CBP). Derived
-            # from the same counter diffs and occupancy snapshot as the
-            # aggregates, so core 0's entries always agree with hp_*.
-            core_ipcs=tuple(float(x) / cycles for x in d_instr),
-            core_mem_bytes_s=tuple(float(x) / dt for x in d_bytes),
-            core_occupancy_ways=tuple(float(w) for w in state.ways),
+            hp_ipc=core_ipcs[0],
+            hp_mem_bytes_s=core_mem_bytes_s[0],
+            # NumPy's pairwise reduction, not ``sum``: the two round
+            # differently from eight cores up.
+            total_mem_bytes_s=float(np.add.reduce(d_bytes)) / dt,
+            hp_llc_occupancy_bytes=ways[0] * self._server.platform.way_bytes,
+            core_ipcs=core_ipcs,
+            core_mem_bytes_s=core_mem_bytes_s,
+            core_occupancy_ways=tuple(ways),
         )

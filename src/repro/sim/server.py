@@ -97,7 +97,13 @@ def phase_product_points(
 
 @dataclass
 class RunningApp:
-    """Execution state of one application instance on one core."""
+    """Execution state of one application instance on one core.
+
+    Keeps a cursor — ``(phase index, instructions left in it)`` — for the
+    current :attr:`instructions_in_run`. It is exactly what
+    :meth:`AppModel.phase_at` returns for that position, recomputed only
+    when the position moves, so the event loop reads it for free.
+    """
 
     model: AppModel
     instructions_in_run: float = 0.0
@@ -107,13 +113,25 @@ class RunningApp:
     # Cumulative counters since the experiment started (for monitoring).
     total_instructions: float = 0.0
     total_mem_bytes: float = 0.0
+    # None after a snap or a restart; filled through phase_at on the next
+    # read, which is where a position past the run's end raises.
+    _cursor: tuple[int, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def cursor(self) -> tuple[int, float]:
+        """``(phase index, instructions left in that phase)``."""
+        if self._cursor is None:
+            self._cursor = self.model.phase_at(self.instructions_in_run)
+        return self._cursor
 
     def current_phase(self) -> tuple[Phase, float]:
         """The phase now executing and the instructions left in it."""
-        idx, remaining = self.model.phase_at(self.instructions_in_run)
+        idx, remaining = self.cursor
         return self.model.phases[idx], remaining
 
-    def advance(self, instructions: float, now: float) -> None:
+    def advance(self, instructions: float, now: float) -> bool:
         """Retire ``instructions``; handle run completion/restart at ``now``.
 
         Progress within a run is a float around 1e10-1e11, whose ulp is
@@ -121,22 +139,31 @@ class RunningApp:
         anything within one instruction of a phase/run boundary is therefore
         snapped *onto* the boundary, or the accumulator could absorb the
         residue forever and wedge the event loop.
+
+        Returns whether the app restarted its run or may have left its
+        phase — the events that can change a memo key.
         """
-        self.instructions_in_run += instructions
-        total = self.model.total_instructions
-        if self.instructions_in_run >= total - 1.0:
+        position = self.instructions_in_run + instructions
+        self.instructions_in_run = position
+        if position >= self.model.total_instructions - 1.0:
             self.completions += 1
             self.run_times.append(now - self.run_start_time)
             self.instructions_in_run = 0.0
             self.run_start_time = now
-            return
-        idx, remaining = self.model.phase_at(self.instructions_in_run)
+            self._cursor = None
+            return True
+        before = self._cursor
+        idx, remaining = self.model.phase_at(position)
         if remaining <= 1.0:
             # Snap onto the boundary by assignment, not accumulation — the
             # residue may be below the accumulator's ulp.
             self.instructions_in_run = float(
                 sum(p.instructions for p in self.model.phases[: idx + 1])
             )
+            self._cursor = None
+            return True
+        self._cursor = (idx, remaining)
+        return before is None or before[0] != idx
 
 
 @dataclass(frozen=True)
@@ -194,7 +221,18 @@ class Server:
         # server.prefetch.points/used counters).
         self._unread_prefetched: set[tuple] = set()
         self._warm_start = warm_start
-        self._last_state: SteadyState | None = None
+        # The held operating point: the state the apps run at, the phases
+        # it was resolved for and its per-core rates as Python floats.
+        # _steady re-resolves it (memo key, then lookup) only when a key
+        # input changed: _stale is set by the reconfiguration setters,
+        # _moved by an app that restarted or may have left its phase.
+        self._state: SteadyState | None = None
+        self._phases: tuple[Phase, ...] = ()
+        self._rates: list[float] = []
+        self._bw_bytes: list[float] = []
+        self._stale = True
+        self._moved = True
+        self._incomplete = len(self.apps)
         #: Solver precision contract every steady-state request runs under
         #: ("exact" = bitwise scalar parity, "fast" = tolerance-contracted
         #: vectorised kernel; DESIGN.md §10).
@@ -214,11 +252,24 @@ class Server:
                 f"partition covers {partition.n_cores} cores but "
                 f"{self.n_active} apps are running"
             )
+        if partition.key() != self.partition.key():
+            self._stale = True
         self.partition = partition
 
     def set_mba_scale(self, scale: Sequence[float] | None) -> None:
-        """Apply per-core MBA throttles (None = unthrottled)."""
-        self.mba_scale = None if scale is None else tuple(scale)
+        """Apply per-core MBA throttles (None = unthrottled).
+
+        Each entry is a fraction of full speed in (0, 1], one per core.
+        """
+        if scale is not None:
+            scale = tuple(scale)
+            if len(scale) != self.n_active:
+                raise ValueError(f"mba_scale must have length {self.n_active}")
+            if not all(0.0 < x <= 1.0 for x in scale):
+                raise ValueError("mba_scale entries must be in (0, 1]")
+        if scale != self.mba_scale:
+            self._stale = True
+        self.mba_scale = scale
 
     def set_prefetch_levels(self, levels: Sequence[float] | None) -> None:
         """Apply per-core prefetch-throttle levels (None = fully on).
@@ -231,28 +282,43 @@ class Server:
         them keeps memo keys, prewarm batches and the serial-vs-parallel
         digest audit on a single canonical spelling.
         """
-        if levels is None:
-            self.prefetch = None
-            return
-        if len(levels) != self.n_active:
-            raise ValueError(
-                f"prefetch covers {len(levels)} cores but "
-                f"{self.n_active} apps are running"
+        prefetch = None
+        if levels is not None:
+            if len(levels) != self.n_active:
+                raise ValueError(
+                    f"prefetch covers {len(levels)} cores but "
+                    f"{self.n_active} apps are running"
+                )
+            quantised = tuple(
+                self.platform.quantise_prefetch(float(x)) for x in levels
             )
-        quantised = tuple(
-            self.platform.quantise_prefetch(float(x)) for x in levels
-        )
-        self.prefetch = None if not any(quantised) else quantised
+            if any(quantised):
+                prefetch = quantised
+        if prefetch != self.prefetch:
+            self._stale = True
+        self.prefetch = prefetch
 
     # -- execution -------------------------------------------------------
 
     def _steady(self) -> SteadyState:
-        phases = tuple(app.current_phase()[0] for app in self.apps)
+        if self._moved:
+            phases = tuple(app.current_phase()[0] for app in self.apps)
+            self._moved = False
+            if phases != self._phases:
+                self._phases = phases
+                self._stale = True
+        registry = get_registry()
+        if not self._stale:
+            # Still the operating point _memo returned for this key.
+            if registry.enabled:
+                registry.counter("server.steady_requests").inc()
+                registry.counter("server.memo_hits").inc()
+            return self._state
+        phases = self._phases
         key = SteadyStateCache.make_key(
             self.platform, phases, self.partition, self.mba_scale,
             self.precision, prefetch=self.prefetch,
         )
-        registry = get_registry()
         state = self._memo.get(key)
         if registry.enabled:
             registry.counter("server.steady_requests").inc()
@@ -263,11 +329,8 @@ class Server:
                     registry.counter("server.prefetch.used").inc()
         if state is None:
             warm = None
-            if self._warm_start and self._last_state is not None:
-                warm = (
-                    self._last_state.ways,
-                    self._last_state.latency_cycles,
-                )
+            if self._warm_start and self._state is not None:
+                warm = (self._state.ways, self._state.latency_cycles)
             state = GLOBAL_STEADY_CACHE.solve(
                 self.platform,
                 phases,
@@ -278,14 +341,17 @@ class Server:
                 precision=self.precision,
             )
             self._memo[key] = state
-        self._last_state = state
+        self._state = state
+        self._rates = (state.ipc * self.platform.freq_hz).tolist()
+        self._bw_bytes = state.bw_bytes.tolist()
+        self._stale = False
         return state
 
     def steady_state(self) -> SteadyState:
         """The converged operating point for the current phases/partition.
 
         Public monitoring surface (used by the RDT backend's occupancy
-        snapshot); memoised, so repeated calls between events are free.
+        snapshot); held between events, so repeated calls are free.
         """
         return self._steady()
 
@@ -387,7 +453,7 @@ class Server:
     @property
     def all_completed(self) -> bool:
         """Has every application finished at least one full run?"""
-        return all(app.completions >= 1 for app in self.apps)
+        return not self._incomplete
 
     def advance(self, max_dt: float) -> float:
         """Advance simulated time by at most ``max_dt`` seconds.
@@ -399,13 +465,13 @@ class Server:
         if max_dt <= 0:
             raise ValueError(f"max_dt must be > 0, got {max_dt}")
         state = self._steady()
-        freq = self.platform.freq_hz
-        rates = state.ipc * freq  # instructions / second
-
+        rates = self._rates
+        cursors = [app.cursor for app in self.apps]
         dt = max_dt
-        for app, rate in zip(self.apps, rates):
-            _, remaining = app.current_phase()
-            dt = min(dt, remaining / rate)
+        for (_, remaining), rate in zip(cursors, rates):
+            until_boundary = remaining / rate
+            if until_boundary < dt:
+                dt = until_boundary
 
         if self._record_timeline:
             self.timeline.append(
@@ -420,14 +486,24 @@ class Server:
             )
 
         self.time += dt
-        for i, (app, rate) in enumerate(zip(self.apps, rates)):
+        now = self.time
+        moved = False
+        for app, (_, remaining), rate, bw in zip(
+            self.apps, cursors, rates, self._bw_bytes
+        ):
             retired = rate * dt
             app.total_instructions += retired
-            app.total_mem_bytes += state.bw_bytes[i] * dt
-            _, remaining = app.current_phase()
+            app.total_mem_bytes += bw * dt
             if retired >= remaining * (1.0 - _BOUNDARY_RTOL):
                 retired = remaining  # snap exactly onto the boundary
-            app.advance(retired, self.time)
+            if app.advance(retired, now):
+                moved = True
+        if moved:
+            self._moved = True
+            if self._incomplete:
+                self._incomplete = sum(
+                    1 for app in self.apps if not app.completions
+                )
         return dt
 
     def run_until_all_complete(self, max_time_s: float = 3600.0) -> None:

@@ -145,11 +145,17 @@ class AppModel:
             raise ValueError(f"app {self.name!r} needs at least one phase")
         if self.suite not in ("spec", "parsec", "synthetic"):
             raise ValueError(f"unknown suite {self.suite!r}")
+        # Summed once: the event loop reads the run length on every retire.
+        object.__setattr__(
+            self,
+            "_total_instructions",
+            sum(p.instructions for p in self.phases),
+        )
 
     @property
     def total_instructions(self) -> float:
         """Instructions retired by one complete run."""
-        return sum(p.instructions for p in self.phases)
+        return self._total_instructions
 
     @property
     def footprint_ways(self) -> float:

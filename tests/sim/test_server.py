@@ -146,6 +146,47 @@ class TestReconfiguration:
         throttled = server._steady().ipc[1]
         assert throttled < base
 
+    def test_mba_scale_length_checked(self):
+        server = Server(PLAT, make_mix("namd1", "lbm1", n_be=2).apps(), um(3))
+        with pytest.raises(ValueError, match="mba_scale must have length 3"):
+            server.set_mba_scale([1.0, 0.5])
+        with pytest.raises(ValueError, match="mba_scale must have length 3"):
+            server.set_mba_scale([1.0, 0.5, 0.5, 0.5])
+        assert server.mba_scale is None
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, float("nan")])
+    def test_mba_scale_range_checked(self, bad):
+        # Rejected when set, not on the next solver miss: the server holds
+        # its operating point, so a bad vector could otherwise go unnoticed
+        # until much later.
+        server = Server(PLAT, make_mix("namd1", "lbm1", n_be=2).apps(), um(3))
+        server.set_mba_scale([1.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"entries must be in \(0, 1\]"):
+            server.set_mba_scale([1.0, bad, 0.5])
+        assert server.mba_scale == (1.0, 0.5, 0.5)
+
+    def test_mba_scale_bounds_accepted(self):
+        server = Server(PLAT, make_mix("namd1", "lbm1", n_be=2).apps(), um(3))
+        server.set_mba_scale([1.0, 1e-3, 1.0])
+        assert server.mba_scale == (1.0, 1e-3, 1.0)
+        server.set_mba_scale(None)
+        assert server.mba_scale is None
+
+    def test_reconfiguration_reaches_held_operating_point(self):
+        mix = make_mix("omnetpp1", "milc1", n_be=9)
+        server = Server(PLAT, mix.apps(), PartitionSpec.hp_be(19, 10, 20))
+        held = server.steady_state()
+        server.set_partition(PartitionSpec.hp_be(19, 10, 20))
+        assert server.steady_state() is held
+        server.set_partition(PartitionSpec.hp_be(2, 10, 20))
+        squeezed = server.steady_state()
+        assert squeezed.ipc[0] < held.ipc[0]
+        server.set_mba_scale([1.0] + [0.5] * 9)
+        assert server.steady_state() is not squeezed
+        server.set_mba_scale(None)
+        server.set_prefetch_levels([0.0] * 10)
+        assert server.steady_state() is squeezed
+
     def test_timeline_recording(self):
         mix = make_mix("namd1", "povray1", n_be=2)
         server = Server(PLAT, mix.apps(), um(3), record_timeline=True)
