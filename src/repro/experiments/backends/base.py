@@ -1,7 +1,7 @@
 """The :class:`StoreBackend` contract shared by every persistence engine.
 
 A backend owns exactly one artefact on disk (a checksummed JSON file, an
-SQLite database, ...) and exposes the same three-verb surface to
+SQLite database, ...) and exposes the same four-verb surface to
 :class:`~repro.experiments.store.ResultStore`:
 
 ``exists()``
@@ -18,6 +18,13 @@ SQLite database, ...) and exposes the same three-verb surface to
     the previous save — instead of rewriting everything; whole-artefact
     backends ignore the hint. Either way the on-disk state after
     ``save`` equals ``rows``.
+``checkpoint(keys, dirty, build_row, precision)``
+    The store's checkpoint verb: the same end state as ``save``, but
+    rows arrive *lazily* through ``build_row(key)``, so each engine
+    builds only the rows it writes. SQLite builds just the ``dirty``
+    keys; the file engine keeps a per-key row cache and builds each row
+    once. A checkpoint therefore costs O(new results) in row building on
+    both engines.
 
 The row unit is the plain-dict projection of
 :class:`~repro.experiments.runner.PairResult` (the store's
@@ -26,10 +33,11 @@ by ``(hp_name, be_name, n_be, policy)``. Precision-mode bookkeeping
 (DESIGN.md §10) stays in the store: backends merely record and report
 the stamp, the store decides whether to refuse or drop.
 
-Backends never share mutable state with the store and open no
-long-lived file handles, so a backend instance survives ``fork()`` into
-campaign worker processes without care (workers never touch it — all
-persistence happens in the supervising parent).
+Backends never share mutable state with the store (the file engine's
+row cache is private to it) and open no long-lived file handles, so a
+backend instance survives ``fork()`` into campaign worker processes
+without care (workers never touch it — all persistence happens in the
+supervising parent).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 from repro.obs import get_event_log, get_registry
 
@@ -137,6 +146,21 @@ class StoreBackend(ABC):
         dirty: list[dict] | None = None,
     ) -> None:
         """Persist ``rows`` (``dirty`` = changed-since-last-save hint)."""
+
+    @abstractmethod
+    def checkpoint(
+        self,
+        keys: Iterable[tuple],
+        dirty: Iterable[tuple],
+        build_row: Callable[[tuple], dict],
+        precision: str,
+    ) -> int:
+        """Persist the store's rows, building only the ones this engine needs.
+
+        ``keys`` lists every row key in store order, ``dirty`` the keys
+        changed since the previous checkpoint (a subset, same order) and
+        ``build_row(key)`` makes one row. Returns the rows written.
+        """
 
     # -- shared quarantine plumbing --------------------------------------
 

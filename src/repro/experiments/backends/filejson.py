@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import re
+from pathlib import Path
 
 from repro.experiments.backends.base import (
     CACHE_VERSION,
@@ -52,7 +53,31 @@ class FileBackend(StoreBackend):
 
     kind = "file"
 
+    def __init__(self, path: Path | str) -> None:
+        super().__init__(path)
+        #: Rows already built, by key: every checkpoint rewrites the whole
+        #: artefact, but only the rows it has not seen are built.
+        self._rows: dict[tuple, dict] = {}
+
     # -- persistence -----------------------------------------------------
+
+    def checkpoint(self, keys, dirty, build_row, precision) -> int:
+        """Rewrite the whole artefact, building only uncached rows.
+
+        Dirty keys are rebuilt; every other row comes from the per-key
+        cache, so each result's row is built once per backend.
+        """
+        cache = self._rows
+        for key in dirty:
+            cache.pop(key, None)
+        rows = []
+        for key in keys:
+            row = cache.get(key)
+            if row is None:
+                row = cache[key] = build_row(key)
+            rows.append(row)
+        self.save(rows, precision)
+        return len(rows)
 
     def _tmp_path(self):
         """This process's private temp name (``<name>.tmp.<pid>``)."""

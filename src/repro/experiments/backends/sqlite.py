@@ -66,6 +66,11 @@ CREATE TABLE IF NOT EXISTS meta (
 #: Seconds a writer waits on a locked database before giving up.
 _BUSY_TIMEOUT_S = 30.0
 
+#: A row's canonical JSON (sorted keys, no whitespace): the same bytes as
+#: ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per row.
+_row_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class SqliteBackend(StoreBackend):
     """One SQLite database per store; safe for concurrent writers."""
@@ -109,7 +114,16 @@ class SqliteBackend(StoreBackend):
         keyed by cell and every writer computes identical values for
         identical cells (determinism is load-bearing, DESIGN.md §9).
         """
-        to_write = rows if dirty is None else dirty
+        self._upsert(rows if dirty is None else dirty, precision)
+
+    def checkpoint(self, keys, dirty, build_row, precision) -> int:
+        """Upsert the dirty keys' rows; clean rows are never built."""
+        rows = [build_row(key) for key in dirty]
+        self._upsert(rows, precision)
+        return len(rows)
+
+    def _upsert(self, to_write: list[dict], precision: str) -> None:
+        """Stamp the artefact and upsert ``to_write`` in one transaction."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with closing(self._connect()) as conn:
             with conn:  # one transaction: schema + meta + upserts
@@ -131,9 +145,7 @@ class SqliteBackend(StoreBackend):
                             row["n_be"],
                             row["policy"],
                             precision,
-                            json.dumps(
-                                row, sort_keys=True, separators=(",", ":")
-                            ),
+                            _row_json(row),
                         )
                         for row in to_write
                     ],

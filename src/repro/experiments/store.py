@@ -39,7 +39,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -75,6 +75,17 @@ _PERSISTED_FIELDS = (
     "duration_s",
     "hp_completions",
 )
+
+#: The persisted fields in ``PairResult`` field order — the key order
+#: ``dataclasses.asdict`` would give a row, without its deep copy.
+_ROW_FIELDS = tuple(
+    f.name for f in fields(PairResult) if f.name in _PERSISTED_FIELDS
+)
+
+
+def _persisted_row(result: PairResult) -> dict:
+    """The row a backend persists for ``result`` (no decision trace)."""
+    return {name: getattr(result, name) for name in _ROW_FIELDS}
 
 
 class ResultStore:
@@ -176,9 +187,9 @@ class ResultStore:
             if self._cache_path
             else None
         )
-        #: Keys computed since the last save (the sqlite backend persists
-        #: only these per checkpoint instead of rewriting everything).
-        self._dirty: set[tuple[str, str, int, str]] = set()
+        #: Keys computed since the last save, in computation order (a
+        #: checkpoint builds rows only for these).
+        self._dirty: dict[tuple[str, str, int, str], None] = {}
         self._n_loaded = 0
         self._n_dropped = 0
         self._n_salvaged = 0
@@ -265,7 +276,7 @@ class ResultStore:
                     **run_kwargs,
                 )
             self._results[key] = result
-            self._dirty.add(key)
+            self._dirty[key] = None
             self._n_computed += 1
             registry.counter("store.computed").inc()
         else:
@@ -319,7 +330,7 @@ class ResultStore:
             def merge(index: int, cell: Cell, result: PairResult) -> None:
                 key = pending_keys[index]
                 self._results[key] = result
-                self._dirty.add(key)
+                self._dirty[key] = None
                 self._n_computed += 1
                 registry.counter("store.computed").inc()
                 self._pending_checkpoint += 1
@@ -501,21 +512,27 @@ class ResultStore:
     def save(self) -> None:
         """Checkpoint all results to the cache backend (no-op without one).
 
-        The file backend atomically rewrites the whole checksummed
-        artefact; the sqlite backend upserts only the rows computed since
-        the previous save. Either way the artefact afterwards holds every
-        result this store knows.
+        Rows are built only for results computed since the previous save:
+        the sqlite backend upserts just those, and the file backend
+        rewrites the whole checksummed artefact from its per-key row cache
+        (each result's row is built once). Either way the artefact
+        afterwards holds every result this store knows, and the row
+        building of a checkpoint costs O(new results), not O(campaign).
         """
         if not self._backend:
             return
         t0 = time.perf_counter()
-        rows_by_key = {
-            key: {k: v for k, v in asdict(r).items() if k in _PERSISTED_FIELDS}
-            for key, r in self._results.items()
-        }
-        rows = list(rows_by_key.values())
-        dirty = [rows_by_key[key] for key in rows_by_key if key in self._dirty]
-        self._backend.save(rows, self.precision, dirty=dirty)
+        results = self._results
+        n_built = 0
+
+        def build_row(key: tuple[str, str, int, str]) -> dict:
+            nonlocal n_built
+            n_built += 1
+            return _persisted_row(results[key])
+
+        n_written = self._backend.checkpoint(
+            results.keys(), list(self._dirty), build_row, self.precision
+        )
         self._dirty.clear()
         self._pending_checkpoint = 0
         self._last_checkpoint = time.monotonic()
@@ -523,6 +540,8 @@ class ResultStore:
         if registry.enabled:
             elapsed = time.perf_counter() - t0
             registry.counter("store.checkpoints").inc()
+            registry.counter("store.rows_built").inc(n_built)
+            registry.counter("store.rows_written").inc(n_written)
             registry.histogram("store.checkpoint_seconds").observe(elapsed)
             log = get_event_log()
             if log.enabled:
@@ -531,7 +550,8 @@ class ResultStore:
                     path=str(self._cache_path),
                     backend=self._backend.kind,
                     results=len(self._results),
-                    written=len(dirty),
+                    built=n_built,
+                    written=n_written,
                     seconds=round(elapsed, 6),
                 )
 

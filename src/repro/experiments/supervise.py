@@ -337,42 +337,42 @@ def _prewarm_phase_products(
     cell at a time. Aggregating them across the whole campaign hands the
     vectorised fast kernel one wide fused batch instead of hundreds of
     narrow ones, which is where its throughput comes from (DESIGN.md §10).
+    :func:`~repro.sim.server.stage_phase_products` keeps each cell's solved
+    product for the cell's Server to claim, so no cell builds it twice.
 
     A no-op for ``precision="exact"`` (the scalar-parity path keeps its
     historical per-cell solve pattern) and for cells whose mix or policy
     setup fails — those cells surface their own errors when they run.
     Returns the number of operating points submitted.
     """
-    from repro.sim.contention import GLOBAL_STEADY_CACHE
     from repro.sim.partition import PartitionSpec
-    from repro.sim.server import phase_product_points
+    from repro.sim.server import stage_phase_products
 
     if (run_kwargs or {}).get("precision", "exact") != "fast":
         return 0
-    points: list[tuple] = []
-    seen: set[tuple] = set()
-    for hp_name, be_name, n_be, policy in cells:
-        cell_key = (hp_name, be_name, n_be, policy.name)
-        if cell_key in seen:
-            continue
-        seen.add(cell_key)
-        try:
-            mix = make_mix(hp_name, be_name, n_be=n_be)
-            models = mix.apps()
-            allocation = policy.fresh().setup(platform.llc_ways)
-            partition = (
-                allocation.to_partition(len(models))
-                if allocation is not None
-                else PartitionSpec.unmanaged(len(models), platform.llc_ways)
-            )
-        except Exception:
-            continue
-        points.extend(
-            phase_product_points(models, partition, None, max_points_per_cell)
-        )
-    if points:
-        GLOBAL_STEADY_CACHE.solve_many(platform, points, precision="fast")
-    return len(points)
+
+    def runs():
+        seen: set[tuple] = set()
+        for hp_name, be_name, n_be, policy in cells:
+            cell_key = (hp_name, be_name, n_be, policy.name)
+            if cell_key in seen:
+                continue
+            seen.add(cell_key)
+            try:
+                models = make_mix(hp_name, be_name, n_be=n_be).apps()
+                allocation = policy.fresh().setup(platform.llc_ways)
+                partition = (
+                    allocation.to_partition(len(models))
+                    if allocation is not None
+                    else PartitionSpec.unmanaged(
+                        len(models), platform.llc_ways
+                    )
+                )
+            except Exception:
+                continue
+            yield models, partition
+
+    return stage_phase_products(platform, runs(), max_points_per_cell)
 
 
 def _supervised_worker(payload: tuple) -> PairResult:

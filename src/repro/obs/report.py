@@ -173,6 +173,14 @@ def render_metrics_summary(summary: dict[str, object]) -> str:
             f"prefetch used/points: {used:.0f}/{prefetched:.0f} "
             f"({used / prefetched:.0%})"
         )
+    if "store.checkpoints" in counters:
+        # Does a checkpoint grow with the campaign? Rows built against the
+        # rows the engine wrote (sqlite: the new ones; file: all of them).
+        built = counters.get("store.rows_built", 0.0)
+        written = counters.get("store.rows_written", 0.0)
+        sections.append(
+            f"checkpoint rows built/written: {built:.0f}/{written:.0f}"
+        )
 
     events = summary["events_by_kind"]
     if events:

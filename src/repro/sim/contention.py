@@ -94,8 +94,10 @@ FAST_WAYS_ATOL = 0.05
 #: solver, ``batch_points`` counts operating points that went through the
 #: bitwise-exact vectorised kernel, ``fast_points`` the points solved by
 #: the tolerance-contracted fast kernel; ``scalar + batch + fast`` points
-#: over Python-level calls is the headline "fewer per-point Python solver
-#: calls" metric in BENCH_headline.json.
+#: over Python-level calls says how much solver work each Python-level call
+#: carries. The benchmark reports the same split per layer as the
+#: ``sim.solver.*`` metrics of ``bench/`` (calls, points, iterations and
+#: us_per_point for each precision and singleton/batch path).
 SOLVER_COUNTERS: dict[str, int] = {
     "scalar_solves": 0,
     "scalar_iterations": 0,

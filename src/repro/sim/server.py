@@ -15,8 +15,9 @@ under full contention.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "TimelinePoint",
     "SimulationTimeout",
     "phase_product_points",
+    "stage_phase_products",
 ]
 
 #: Relative tolerance for phase-boundary hit detection.
@@ -93,6 +95,101 @@ def phase_product_points(
                 per_core[core] = chosen
         points.append((tuple(per_core), partition, mba_scale, prefetch))
     return points
+
+
+#: Phase products :func:`stage_phase_products` solved, waiting for their
+#: Servers: staging key (:func:`_staged_key`) -> ``[claims left, memo
+#: keys, states]``. Unthrottled points with prefetchers fully on, all on
+#: ``_staged_platform``.
+_STAGED: dict[tuple, list] = {}
+_staged_platform: PlatformConfig | None = None
+_STAGED_LOCK = threading.Lock()
+
+
+def _staged_key(
+    models: Sequence[AppModel], partition_key: tuple, max_points: int
+) -> tuple:
+    # The product depends on the models only through their phases.
+    return (partition_key, max_points, *(m.phases for m in models))
+
+
+def stage_phase_products(
+    platform: PlatformConfig,
+    runs: Iterable[tuple[Sequence[AppModel], PartitionSpec]],
+    max_points: int = 64,
+) -> int:
+    """Solve the phase products of many upcoming runs in one fast batch.
+
+    ``runs`` yields one ``(models, partition)`` per run: the apps and the
+    initial partition of a Server about to start unthrottled with
+    prefetchers fully on. Their :func:`phase_product_points` go to the
+    fast kernel as ONE fused batch (DESIGN.md §10), and each run's memo
+    keys and states are staged until a Server running the same phases
+    under that partition claims them in
+    :meth:`Server.prefetch_phase_product` — so each run's product and
+    keys are built once, here. Runs whose product exceeds ``max_points``
+    are staged empty. Equal partitions share one object, so the memo
+    keys of thousands of runs share a handful of partition keys.
+    Replaces whatever an earlier call staged; a stage nobody claims
+    lives until the next call. Returns the number of points submitted.
+    """
+    global _staged_platform
+    partitions: dict[tuple, PartitionSpec] = {}
+    points: list[tuple] = []
+    spans: dict[tuple, list[int]] = {}  # key -> [claims, start, stop]
+    for models, partition in runs:
+        partition = partitions.setdefault(partition.key(), partition)
+        key = _staged_key(models, partition.key(), max_points)
+        span = spans.get(key)
+        if span is not None:
+            span[0] += 1
+            continue
+        start = len(points)
+        points += phase_product_points(models, partition, None, max_points)
+        spans[key] = [1, start, len(points)]
+    states = (
+        GLOBAL_STEADY_CACHE.solve_many(platform, points, precision="fast")
+        if points
+        else []
+    )
+    staged = {
+        key: [
+            claims,
+            tuple(
+                SteadyStateCache.make_key(
+                    platform, phases, partition, None, "fast"
+                )
+                for phases, partition, _mba, _prefetch in points[start:stop]
+            ),
+            tuple(states[start:stop]),
+        ]
+        for key, (claims, start, stop) in spans.items()
+    }
+    with _STAGED_LOCK:
+        _STAGED.clear()
+        _STAGED.update(staged)
+        _staged_platform = platform
+    return len(points)
+
+
+def _claim_staged(
+    platform: PlatformConfig,
+    models: Sequence[AppModel],
+    partition: PartitionSpec,
+    max_points: int,
+) -> tuple[tuple, tuple] | None:
+    """Take one claim on a staged ``(keys, states)`` (``None``: no stage)."""
+    if not _STAGED:
+        return None
+    key = _staged_key(models, partition.key(), max_points)
+    with _STAGED_LOCK:
+        entry = _STAGED.get(key)
+        if entry is None or _staged_platform != platform:
+            return None
+        entry[0] -= 1
+        if not entry[0]:
+            del _STAGED[key]
+    return entry[1], entry[2]
 
 
 @dataclass
@@ -405,14 +502,27 @@ class Server:
         one fast batch turns the event loop's per-interval solves into
         memo hits. Skipped when the product exceeds ``max_points``
         (multi-phase zoos), under ``precision="exact"`` or under
-        warm-start semantics (see :meth:`prefetch_partitions`). Returns
-        the number of points solved.
+        warm-start semantics (see :meth:`prefetch_partitions`). When a
+        campaign prewarm already staged this run's product
+        (:func:`stage_phase_products`), its keys and states are claimed
+        instead of rebuilt. Returns the number of points memoised.
         """
         if not self._batches_prefetch:
             return 0
+        models = [app.model for app in self.apps]
+        if self.mba_scale is None and self.prefetch is None:
+            staged = _claim_staged(
+                self.platform, models, self.partition, max_points
+            )
+            if staged is not None:
+                keys, states = staged
+                pairs = zip(keys, states)
+                if self._memo:
+                    pairs = (p for p in pairs if p[0] not in self._memo)
+                return self._memoise(list(pairs))
         return self._prefetch_points(
             phase_product_points(
-                [app.model for app in self.apps],
+                models,
                 self.partition,
                 self.mba_scale,
                 max_points,
@@ -442,13 +552,18 @@ class Server:
         states = GLOBAL_STEADY_CACHE.solve_many(
             self.platform, points, precision=self.precision
         )
-        for key, state in zip(keys, states):
-            self._memo[key] = state
+        return self._memoise(list(zip(keys, states)))
+
+    def _memoise(self, pairs: list[tuple[tuple, SteadyState]]) -> int:
+        """Put prefetched ``(memo key, state)`` pairs into the memo."""
+        if not pairs:
+            return 0
+        self._memo.update(pairs)
         registry = get_registry()
         if registry.enabled:
-            registry.counter("server.prefetch.points").inc(len(points))
-            self._unread_prefetched.update(keys)
-        return len(points)
+            registry.counter("server.prefetch.points").inc(len(pairs))
+            self._unread_prefetched.update(key for key, _state in pairs)
+        return len(pairs)
 
     @property
     def all_completed(self) -> bool:

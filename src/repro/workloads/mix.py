@@ -8,6 +8,7 @@ the full 59 × 59 = 3481 pair population.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,6 +24,28 @@ __all__ = [
     "make_mix",
     "make_multi_mix",
 ]
+
+#: Serialises the growth of the interned clone lists (reads take no lock).
+_CLONE_LOCK = threading.Lock()
+
+
+def _slot_clones(model: AppModel, n_slots: int) -> list[AppModel]:
+    """``model``'s interned per-core clones ``<name>#0`` .. ``#n_slots-1``.
+
+    ``AppModel`` is frozen, so one clone per (model, slot) can serve every
+    mix that ever asks for it. The clones live on the model itself, as a
+    list indexed by slot, like its cached run length; the list is only
+    ever replaced by a longer copy, so a reader never sees a half-built
+    one. A dict keyed by the model would hash every field per lookup.
+    """
+    clones = model.__dict__.get("_slot_clones", ())
+    if len(clones) < n_slots:
+        with _CLONE_LOCK:
+            clones = list(model.__dict__.get("_slot_clones", ()))
+            for k in range(len(clones), n_slots):
+                clones.append(model.with_name(f"{model.name}#{k}"))
+            object.__setattr__(model, "_slot_clones", clones)
+    return clones
 
 
 @dataclass(frozen=True)
@@ -52,10 +75,12 @@ class WorkloadMix:
         return f"{self.hp.name} {self.be.name}"
 
     def apps(self) -> list[AppModel]:
-        """Per-core application instances (HP first)."""
-        return [self.hp] + [
-            self.be.with_name(f"{self.be.name}#{k}") for k in range(self.n_be)
-        ]
+        """Per-core application instances (HP first).
+
+        The BE instances are interned ``<be>#k`` clones, shared by every
+        mix and every call (models are frozen, so sharing is safe).
+        """
+        return [self.hp, *_slot_clones(self.be, self.n_be)[: self.n_be]]
 
 
 def make_mix(hp_name: str, be_name: str, n_be: int = 9) -> WorkloadMix:
@@ -102,7 +127,7 @@ class HeterogeneousMix:
         """Per-core application instances (HP first)."""
         out = [self.hp]
         for k, be in enumerate(self.bes):
-            out.append(be.with_name(f"{be.name}#{k}"))
+            out.append(_slot_clones(be, k + 1)[k])
         return out
 
 
@@ -148,10 +173,8 @@ class MultiHpMix:
     def apps(self) -> list[AppModel]:
         """Per-core application instances (HPs first, then BEs)."""
         out: list[AppModel] = []
-        for k, hp in enumerate(self.hps):
-            out.append(hp.with_name(f"{hp.name}#{k}"))
-        for k, be in enumerate(self.bes):
-            out.append(be.with_name(f"{be.name}#{len(self.hps) + k}"))
+        for k, app in enumerate(self.hps + self.bes):
+            out.append(_slot_clones(app, k + 1)[k])
         return out
 
 

@@ -25,15 +25,20 @@ def clean_caches():
     """Cold module-level caches before and after a test.
 
     For tests that reason about cold-vs-memoised solves: empties the solo
-    profile caches and the process-wide steady-state solver memo on entry
+    profile caches, the process-wide steady-state solver memo and any
+    phase products a fast campaign staged but no run claimed, on entry
     and on exit (so the rest of the suite keeps its warm caches semantics
     but never sees this test's entries).
     """
     from repro.sim.contention import GLOBAL_STEADY_CACHE
+    from repro.sim.server import stage_phase_products
     from repro.sim.solo import clear_caches
 
-    clear_caches()
-    GLOBAL_STEADY_CACHE.clear()
+    def cold():
+        clear_caches()
+        GLOBAL_STEADY_CACHE.clear()
+        stage_phase_products(TABLE1_PLATFORM, ())  # stages nothing
+
+    cold()
     yield
-    clear_caches()
-    GLOBAL_STEADY_CACHE.clear()
+    cold()

@@ -3,12 +3,20 @@
 import hashlib
 import json
 import logging
+import sqlite3
+from dataclasses import asdict
 
 import pytest
 
-from repro.core.policies import CacheTakeoverPolicy, UnmanagedPolicy
+from repro import obs
+from repro.core.policies import (
+    CacheTakeoverPolicy,
+    DicerPolicy,
+    UnmanagedPolicy,
+)
+from repro.experiments.backends import CACHE_VERSION, FileBackend, rows_digest
 from repro.experiments.chaos import CHAOS_ENV_VAR, chaos_env
-from repro.experiments.store import ResultStore
+from repro.experiments.store import _PERSISTED_FIELDS, ResultStore
 from repro.experiments.supervise import CampaignError, SuperviseConfig
 
 
@@ -306,3 +314,124 @@ class TestSupervisedFailures:
         assert report == {
             "requested": 4, "cached": 0, "computed": 3, "failed": 1,
         }
+
+
+#: A small UM/CT/DICER campaign: the DICER rows carry decision traces.
+MIXED_CELLS = [
+    (hp, "gcc_base6", 3, policy)
+    for hp in ("milc1", "omnetpp1")
+    for policy in (UnmanagedPolicy(), CacheTakeoverPolicy(), DicerPolicy())
+]
+
+
+@pytest.fixture(params=["file", "sqlite"])
+def backend_path(request, tmp_path):
+    suffix = {"file": "cache.json", "sqlite": "cache.db"}[request.param]
+    return request.param, tmp_path / suffix
+
+
+@pytest.fixture
+def registry():
+    registry, _ = obs.enable()
+    yield registry
+    obs.disable()
+
+
+class TestCheckpointWork:
+    """A checkpoint builds rows only for results computed since the last."""
+
+    def test_rows_built_only_for_new_results(self, backend_path, registry):
+        kind, path = backend_path
+        built = registry.counter("store.rows_built")
+        store = ResultStore(cache_path=path, backend=kind, precision="fast")
+        store.get_many(MIXED_CELLS[:2])  # flushes a checkpoint at the end
+        assert built.value == 2
+        store.get_many(MIXED_CELLS)
+        assert built.value == len(MIXED_CELLS)
+        store.save()  # nothing dirty
+        assert built.value == len(MIXED_CELLS)
+        store.get("lbm1", "gcc_base6", UnmanagedPolicy(), n_be=3)
+        store.save()
+        assert built.value == len(MIXED_CELLS) + 1
+        assert registry.counter("store.checkpoints").value == 4
+        assert len(ResultStore(cache_path=path, backend=kind,
+                               precision="fast")) == len(MIXED_CELLS) + 1
+
+    def test_rows_written_per_engine(self, backend_path, registry):
+        kind, path = backend_path
+        store = ResultStore(cache_path=path, backend=kind, precision="fast")
+        store.get_many(MIXED_CELLS[:2])
+        store.get_many(MIXED_CELLS[2:3])
+        written = registry.counter("store.rows_written").value
+        # sqlite upserts the new rows; the file engine rewrites them all.
+        assert written == {"sqlite": 3, "file": 2 + 3}[kind]
+
+
+def _reference_rows(results) -> list[dict]:
+    """The historical row projection: ``asdict``, then filter."""
+    return [
+        {k: v for k, v in asdict(r).items() if k in _PERSISTED_FIELDS}
+        for r in results
+    ]
+
+
+def _file_bytes(rows, precision) -> str:
+    return json.dumps(
+        {
+            "version": CACHE_VERSION,
+            "precision": precision,
+            "n_rows": len(rows),
+            "sha256": rows_digest(rows),
+            "rows": rows,
+        }
+    )
+
+
+class TestRowBytes:
+    """Rows stay byte-identical to the ``asdict`` projection."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        store = ResultStore(precision="fast")
+        results = store.get_many(MIXED_CELLS)
+        assert any(r.trace for r in results)
+        return results
+
+    def test_file_artefact_bytes(self, tmp_path, results):
+        path = tmp_path / "cache.json"
+        store = ResultStore(cache_path=path, precision="fast")
+        store.get_many(MIXED_CELLS[:2])
+        store.get_many(MIXED_CELLS)  # second checkpoint reuses cached rows
+        assert path.read_text() == _file_bytes(
+            _reference_rows(results), "fast"
+        )
+
+    def test_sqlite_row_column(self, tmp_path, results):
+        path = tmp_path / "cache.db"
+        store = ResultStore(cache_path=path, precision="fast")
+        store.get_many(MIXED_CELLS[:2])
+        store.get_many(MIXED_CELLS)
+        with sqlite3.connect(path) as conn:
+            column = [
+                row for (row,) in conn.execute(
+                    "SELECT row FROM results ORDER BY rowid"
+                )
+            ]
+        assert column == [
+            json.dumps(row, sort_keys=True, separators=(",", ":"))
+            for row in _reference_rows(results)
+        ]
+
+    def test_sqlite_load_then_file_save(self, tmp_path, results):
+        db = tmp_path / "cache.db"
+        ResultStore(cache_path=db, precision="fast").get_many(MIXED_CELLS)
+        reloaded = ResultStore(cache_path=db, precision="fast")
+        assert reloaded.stats()["loaded"] == len(MIXED_CELLS)
+        # Loaded sqlite rows have sorted keys: the file artefact must be
+        # rebuilt from the results, not from those dicts.
+        path = tmp_path / "cache.json"
+        reloaded._backend = FileBackend(path)
+        reloaded.save()
+        assert path.read_text() == _file_bytes(
+            _reference_rows(results), "fast"
+        )

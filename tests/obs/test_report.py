@@ -145,3 +145,18 @@ class TestRender:
         ]
         text = render_metrics_summary(summarise_metrics(records))
         assert "prefetch used/points: 1243/1367 (91%)" in text
+
+    def test_checkpoint_rows_rendered(self):
+        records = [
+            {"kind": "metric", "type": "counter",
+             "name": "store.checkpoints", "value": 3.0},
+            {"kind": "metric", "type": "counter",
+             "name": "store.rows_built", "value": 7137.0},
+            {"kind": "metric", "type": "counter",
+             "name": "store.rows_written", "value": 7137.0},
+        ]
+        text = render_metrics_summary(summarise_metrics(records))
+        assert "checkpoint rows built/written: 7137/7137" in text
+        assert "checkpoint rows" not in render_metrics_summary(
+            summarise_metrics([])
+        )

@@ -16,11 +16,18 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 import repro.sim.contention as contention_mod
+import repro.sim.server as server_mod
 from repro import obs
 from repro.core.admission import find_max_bes
 from repro.core.allocation import Allocation
-from repro.core.policies import DicerPolicy, StaticPolicy
+from repro.core.policies import (
+    CacheTakeoverPolicy,
+    DicerPolicy,
+    StaticPolicy,
+    UnmanagedPolicy,
+)
 from repro.experiments.runner import run_pair
+from repro.experiments.store import ResultStore
 from repro.sim.contention import (
     GLOBAL_STEADY_CACHE,
     ConvergenceError,
@@ -296,6 +303,59 @@ class TestWorkBounds:
         find_max_bes("soplex2", "gcc_base6", "DICER", 0.9)
         assert batches == []
         assert prefetched and set(prefetched) == {0}
+
+
+class TestStagedPhaseProducts:
+    """A fast in-process campaign builds each cell's phase product once."""
+
+    CELLS = [
+        (hp, be, 3, policy)
+        for hp, be in (("milc1", "gcc_base6"), ("bzip23", "lbm1"))
+        for policy in (UnmanagedPolicy(), CacheTakeoverPolicy())
+    ]
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        real = server_mod.phase_product_points
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "phase_product_points", spy)
+        return calls
+
+    def test_one_phase_product_per_cell(self, clean_caches, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        ResultStore(precision="fast").get_many(self.CELLS)
+        assert len(calls) == len(self.CELLS)
+
+    def test_runs_sharing_a_product_build_it_once(
+        self, clean_caches, monkeypatch
+    ):
+        # CT and DICER start from the same partition: one product, two
+        # claims.
+        calls = self.count_products(monkeypatch)
+        cells = [("milc1", "gcc_base6", 3, CacheTakeoverPolicy()),
+                 ("milc1", "gcc_base6", 3, DicerPolicy())]
+        ResultStore(precision="fast").get_many(cells)
+        assert len(calls) == 1
+
+    def test_staged_campaign_identical_to_unstaged_runs(self, clean_caches):
+        cells = self.CELLS + [("milc1", "gcc_base6", 3, DicerPolicy())]
+        registry, _ = obs.enable()
+        try:
+            staged = ResultStore(precision="fast").get_many(cells)
+            points = registry.counter("server.prefetch.points").value
+            used = registry.counter("server.prefetch.used").value
+        finally:
+            obs.disable()
+        assert 0 < used <= points
+        GLOBAL_STEADY_CACHE.clear()
+        for (hp, be, n_be, policy), result in zip(cells, staged):
+            plain = run_pair(make_mix(hp, be, n_be), policy, precision="fast")
+            assert plain == result  # traces included
 
 
 class TestPrefetchTelemetry:
