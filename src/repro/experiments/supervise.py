@@ -1,51 +1,47 @@
-"""Supervised campaign execution: crash isolation, retry, quarantine.
+"""Supervised campaign execution: retry, quarantine, ordered emission.
 
 The paper-scale campaigns (3481 UM/CT pairs behind Figure 1, the
-120-workload grid behind Figures 4-8) are hours of embarrassingly
-parallel work, and the executor used to drive them through a single
-``pool.map`` — one worker segfault/OOM raised ``BrokenProcessPool`` and
-discarded every in-flight cell. :class:`SupervisedExecutor` replaces
-that all-or-nothing dispatch with individually submitted futures under
-a supervisor loop:
+120-workload grid behind Figures 4-8) are long runs of independent
+cells. :class:`SupervisedExecutor` runs them under one supervisor loop
+that owns everything a campaign needs whatever executes its cells:
 
-* **per-cell wall-clock timeouts** — a wedged worker is detected, its
-  process group killed, and the cell retried (pool mode only; a serial
-  in-process cell cannot be preempted);
 * **bounded retry with deterministic exponential backoff** — no jitter,
-  so a retry schedule is bit-reproducible;
-* **pool rebuild + requeue** — ``BrokenProcessPool`` costs only the
-  in-flight cells one (re-)attempt, never the campaign;
-* **crash attribution by isolation** — when several cells were in
-  flight during a pool break the culprit is unknown, so the suspects
-  are re-run *solo* (uncounted "pool_crash" strike); a solo crash is
-  exactly attributed and counts against the retry budget. Innocent
-  bystanders are never quarantined for a neighbour's segfault;
+  so a retry schedule is bit-reproducible; while a cell waits out its
+  backoff the next ready cell runs;
 * **poison-cell quarantine** — a cell that exhausts its retries yields
   a structured :class:`FailedCell` (exception, traceback, full attempt
   history) instead of killing the campaign; ``on_failure="skip"``
   surfaces partial results plus a failure manifest, ``"abort"`` raises
-  :class:`CampaignError` after everything already computed has been
-  handed to ``on_result``.
+  :class:`CampaignError` after every completed cell has been handed to
+  ``on_result`` in index order;
+* **ordered emission** — results reach ``on_result`` in submission
+  order (completions are buffered and released contiguously), so a
+  chaos-ridden campaign that ultimately succeeds is bit-identical to a
+  clean serial run; the determinism audit asserts this;
+* the ``parallel.*`` / ``supervise.*`` metrics and events, through
+  :mod:`repro.obs`.
 
-Determinism stays load-bearing: cells are pure, results are emitted to
-``on_result`` in submission order (completions are buffered and released
-contiguously), so a chaos-ridden campaign that ultimately succeeds is
-bit-identical to a clean serial run — the determinism audit asserts
-this. All recovery actions emit ``supervise.*`` events/counters through
-:mod:`repro.obs`. Worker-fault injection for tests lives in
-:mod:`repro.experiments.chaos`.
+*How* an attempt runs is a small run strategy, picked from the worker
+count, the pool kind, the cell count and the timeout:
 
-``pool="threads"`` (DESIGN.md §12) swaps the process pool for a
-``ThreadPoolExecutor``: no spawn cost, no pickling, and every worker
-shares the in-process ``GLOBAL_STEADY_CACHE`` and ResultStore, so the
-prewarmed solo profiles and phase products serve them all. Retry,
-backoff, quarantine and ordered emission are identical; what threads
-cannot do is crash isolation (a segfault takes the whole process, so
-there is no ``pool_crash``/solo-rerun machinery) or hard preemption — an
-expired ``cell_timeout_s`` *abandons* the future (strike +
-retry/quarantine as usual, late result discarded) but the wedged thread
-occupies its worker slot until it returns. Chaos kinds ``crash`` and
-``hang`` are process-pool-only for the same reasons.
+* **inline** (serial) runs each attempt in the caller's thread, with no
+  future and no ``wait()``. A running cell cannot be preempted, so a
+  ``cell_timeout_s`` is flagged ``supervise.timeout_unenforced``;
+* **threads** (DESIGN.md §12) share the in-process solver caches. An
+  expired deadline *abandons* the future: the cell takes a ``timeout``
+  strike, but the wedged thread holds its worker slot until it returns;
+* **processes** isolate crashes. An expired deadline kills the pool, and
+  a ``BrokenProcessPool`` costs only the in-flight cells one
+  (re-)attempt: the pool is drained and rebuilt, a sole in-flight cell
+  takes a counted ``crash`` strike, and with several in flight every
+  suspect re-runs *solo* (uncounted ``pool_crash`` strike) so the
+  repeat crash is exactly attributed. Innocent bystanders are never
+  quarantined for a neighbour's segfault.
+
+Inline and threads prewarm the shared solo profiles and phase products
+before the first cell; process workers start cold. Worker-fault
+injection for tests lives in :mod:`repro.experiments.chaos`; chaos
+kinds ``crash`` and ``hang`` need the process strategy.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.policies import Policy
@@ -171,10 +167,10 @@ def backoff_schedule(config: SuperviseConfig) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One attempt at one cell, successful or not."""
+    """One failed attempt at one cell (a successful one resolves the cell)."""
 
     attempt: int  #: 1-based attempt number.
-    outcome: str  #: ok | error | timeout | crash | garbage | pool_crash | pool_lost
+    outcome: str  #: error | timeout | crash | garbage | pool_crash | pool_lost
     error_type: str = ""
     message: str = ""
     traceback: str = ""
@@ -202,7 +198,7 @@ class FailedCell:
     def last_error(self) -> AttemptRecord | None:
         """The final counted failure (what actually condemned the cell)."""
         for record in reversed(self.attempts):
-            if record.counted and record.outcome != "ok":
+            if record.counted:
                 return record
         return self.attempts[-1] if self.attempts else None
 
@@ -376,7 +372,10 @@ def _prewarm_phase_products(
 
 
 def _supervised_worker(payload: tuple) -> PairResult:
-    """Run one cell in a worker, under the process's chaos config."""
+    """Run one attempt of a cell under the process's chaos config.
+
+    The unit of work every run strategy submits.
+    """
     platform, cell, run_kwargs, index1, attempt = payload
     garbage = maybe_inject(index1, attempt)
     if garbage is not None:
@@ -401,15 +400,216 @@ class _CellState:
         return len(self.attempts) + 1
 
 
+# -- run strategies -----------------------------------------------------------
+#
+# A strategy decides how an attempt is submitted, how an expired deadline
+# is enforced and what a broken pool means. ``poll`` returns the finished
+# attempts as ``(index, result, exc)`` and the attempts lost without a
+# result as ``(index, kind, exc, solo)`` strikes; ``expire`` is handed the
+# cells past their deadline and returns the strikes it settles at once.
+
+
+class _Inline:
+    """Serial: each attempt runs in the caller's thread as it is submitted."""
+
+    name = "serial"
+    workers = 1
+    prewarm = True
+    enforces_timeout = False
+    wedged = False
+
+    def __init__(self) -> None:
+        self._done: list[tuple[int, object, BaseException | None]] = []
+
+    def has_slot(self, running: int) -> bool:
+        return not self._done
+
+    def submit(self, index: int, payload: tuple) -> None:
+        try:
+            self._done.append((index, _supervised_worker(payload), None))
+        except Exception as exc:
+            self._done.append((index, None, exc))
+
+    def poll(self, timeout: float) -> tuple[list, list]:
+        done, self._done = self._done, []
+        return done, []
+
+    def close(self) -> None:
+        pass
+
+
+class _FuturePool:
+    """Shared future bookkeeping of the two executor-backed strategies."""
+
+    enforces_timeout = True
+    wedged = False
+    timeout_detail: dict = {}
+
+    def __init__(self, workers: int, timeout_s: float | None) -> None:
+        self.workers = workers
+        self.timeout_s = timeout_s
+        self._futures: dict[Future, int] = {}
+        self._pool = self._new_pool()
+
+    def has_slot(self, running: int) -> bool:
+        return running < self.workers
+
+    def submit(self, index: int, payload: tuple) -> None:
+        self._futures[self._pool.submit(_supervised_worker, payload)] = index
+
+    def _take(self, fut: Future) -> tuple[int, object, BaseException | None]:
+        index = self._futures.pop(fut)
+        exc = fut.exception()
+        return index, (fut.result() if exc is None else None), exc
+
+    def close(self) -> None:
+        try:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+
+
+class _Threads(_FuturePool):
+    """A thread pool sharing the in-process caches; timeouts abandon."""
+
+    name = "threads"
+    prewarm = True
+    timeout_detail = {"enforcement": "abandoned"}
+
+    def __init__(self, workers: int, timeout_s: float | None) -> None:
+        #: Futures struck for timeout whose threads still run: they hold
+        #: worker slots, and their late results are discarded.
+        self._abandoned: set[Future] = set()
+        super().__init__(workers, timeout_s)
+
+    def _new_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="supervise"
+        )
+
+    @property
+    def wedged(self) -> bool:
+        return bool(self._abandoned)
+
+    def has_slot(self, running: int) -> bool:
+        # Submitting past the pool width would only queue work behind the
+        # wedged threads.
+        return running + len(self._abandoned) < self.workers
+
+    def poll(self, timeout: float) -> tuple[list, list]:
+        self._abandoned = {fut for fut in self._abandoned if not fut.done()}
+        # With every slot wedged, block on the abandoned threads instead
+        # of spinning until one returns.
+        done, _ = wait(
+            set(self._futures) or self._abandoned,
+            timeout=timeout,
+            return_when=FIRST_COMPLETED,
+        )
+        return [self._take(fut) for fut in done if fut in self._futures], []
+
+    def expire(self, indices: set[int]) -> list:
+        lost = []
+        for fut, index in list(self._futures.items()):
+            if index in indices and not fut.done():
+                del self._futures[fut]
+                self._abandoned.add(fut)
+                exc = TimeoutError(
+                    f"cell exceeded {self.timeout_s}s "
+                    f"(thread abandoned, not killed)"
+                )
+                lost.append((index, "timeout", exc, False))
+        return lost
+
+
+class _Processes(_FuturePool):
+    """Crash-isolated worker processes; timeouts kill the pool."""
+
+    name = "processes"
+    prewarm = False
+
+    def __init__(self, workers: int, timeout_s: float | None) -> None:
+        #: Cells whose expired deadline made us kill the pool.
+        self._killed: set[int] = set()
+        super().__init__(workers, timeout_s)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers)
+
+    def poll(self, timeout: float) -> tuple[list, list]:
+        done, _ = wait(
+            set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
+        )
+        finished: list = []
+        broken: list[int] = []
+        while done:
+            for fut in done:
+                index, result, exc = self._take(fut)
+                if isinstance(exc, BrokenProcessPool):
+                    broken.append(index)
+                else:
+                    finished.append((index, result, exc))
+            if not broken or not self._futures:
+                break
+            # The pool is dead: every remaining future is doomed. Drain
+            # them all now so one break is one rebuild (a completion that
+            # raced the break is still honoured as a normal result).
+            done, _ = wait(set(self._futures), timeout=10.0)
+        return finished, self._attribute(broken)
+
+    def _attribute(self, broken: list[int]) -> list:
+        if not broken:
+            return []
+        if self._killed:
+            # We killed the pool over a timeout: the culprits are known,
+            # bystanders are innocent.
+            killed, self._killed = self._killed, set()
+            return [
+                (i, "timeout", TimeoutError(f"cell exceeded {self.timeout_s}s"), False)
+                if i in killed
+                else (i, "pool_lost", None, False)
+                for i in broken
+            ]
+        if len(broken) == 1:
+            # Exactly one cell was running: attribution is certain.
+            exc = BrokenProcessPool("worker process died while running this cell")
+            return [(broken[0], "crash", exc, False)]
+        # Unknown culprit: every suspect re-runs solo so the next crash is
+        # exactly attributed; these strikes are recorded but uncounted.
+        return [(i, "pool_crash", None, True) for i in broken]
+
+    def expire(self, indices: set[int]) -> list:
+        # Kill the pool under a wedged worker; the resulting break is
+        # attributed in the next poll.
+        expired = {
+            index
+            for fut, index in self._futures.items()
+            if index in indices and not fut.done()
+        }
+        if expired:
+            self._killed |= expired
+            processes = getattr(self._pool, "_processes", None) or {}
+            for proc in list(processes.values()):
+                proc.kill()
+        return []
+
+    def rebuild(self) -> None:
+        try:
+            self._pool.shutdown(wait=False)
+        except Exception:
+            pass
+        self._pool = self._new_pool()
+
+
 class SupervisedExecutor:
-    """Fan campaign cells out over crash-isolated worker processes.
+    """Run campaign cells under one supervisor loop: retry, quarantine, order.
 
     Parameters
     ----------
     n_workers:
-        Worker process count. ``None``/``0`` auto-detects from the CPU
-        count; ``1`` runs serially in-process (retry/quarantine still
-        apply, but crashes and hangs cannot be isolated).
+        Worker count. ``None``/``0`` auto-detects from the CPU count;
+        ``1`` (or a single cell without a timeout) runs inline in the
+        caller's thread — retry, backoff and quarantine still apply, but
+        crashes and hangs cannot be isolated.
     config:
         The :class:`SuperviseConfig` retry/timeout/failure policy
         (default: strict — no retries, abort on first failure).
@@ -419,11 +619,10 @@ class SupervisedExecutor:
         (campaign-queue workers) stay attributable in one shared
         telemetry stream.
     pool:
-        ``"processes"`` (default) fans out over crash-isolated worker
-        processes; ``"threads"`` over a thread pool sharing the
-        in-process solver caches — same retry/timeout/quarantine
-        semantics minus crash attribution and hard preemption (see the
-        module docstring).
+        With more than one worker: ``"processes"`` (default) runs cells in
+        crash-isolated worker processes; ``"threads"`` in a thread pool
+        sharing the in-process solver caches — the same loop minus crash
+        attribution and hard preemption (see the module docstring).
     """
 
     #: Hard cap on pool rebuilds, as a termination backstop: every
@@ -470,26 +669,35 @@ class SupervisedExecutor:
         byte-identical across worker counts and chaos schedules.
         """
         cells = list(cells)
+        timeout = self.config.cell_timeout_s
         registry = get_registry()
         t0 = time.perf_counter() if registry.enabled else 0.0
-        use_pool = self.n_workers > 1 and (
-            len(cells) > 1 or self.config.cell_timeout_s is not None
-        )
-        if use_pool:
-            workers_used = min(self.n_workers, max(1, len(cells)))
-            if self.pool == "threads":
-                outcome = self._run_threads(
-                    cells, platform, run_kwargs, on_result, workers_used
-                )
-            else:
-                outcome = self._run_pool(
-                    cells, platform, run_kwargs, on_result, workers_used
-                )
+        if self.n_workers > 1 and (len(cells) > 1 or timeout is not None):
+            workers = min(self.n_workers, max(1, len(cells)))
+            strategy_cls = _Threads if self.pool == "threads" else _Processes
+            strategy = strategy_cls(workers, timeout)
         else:
-            workers_used = 1
-            outcome = self._run_serial(cells, platform, run_kwargs, on_result)
+            strategy = _Inline()
+        if timeout is not None and not strategy.enforces_timeout:
+            log = get_event_log()
+            if log.enabled:
+                log.emit(
+                    "supervise.timeout_unenforced",
+                    timeout_s=timeout,
+                    reason="serial in-process execution cannot be preempted",
+                )
+        if strategy.prewarm:
+            # Solo profiles and (fast precision) the fused phase-product
+            # batch are solved once up front, so every in-process attempt
+            # starts from a hot memo instead of cold-solving its own.
+            _prewarm_solo_profiles(platform, cells, run_kwargs)
+            _prewarm_phase_products(platform, cells, run_kwargs)
+        outcome = self._supervise(
+            cells, platform, run_kwargs, on_result, strategy
+        )
         if registry.enabled and cells:
             elapsed = time.perf_counter() - t0
+            workers_used = strategy.workers
             registry.histogram("parallel.batch_seconds").observe(elapsed)
             registry.gauge("parallel.n_workers").set(workers_used)
             throughput = len(cells) / elapsed if elapsed > 0 else 0.0
@@ -504,7 +712,7 @@ class SupervisedExecutor:
                     "campaign.batch",
                     cells=len(cells),
                     workers=workers_used,
-                    pool=self.pool if use_pool else "serial",
+                    pool=strategy.name,
                     seconds=round(elapsed, 6),
                     cells_per_second=round(throughput, 3),
                     retries=outcome.n_retries,
@@ -570,119 +778,36 @@ class SupervisedExecutor:
                 **payload,
             )
 
-    # -- serial path ---------------------------------------------------------
+    # -- the supervisor loop -------------------------------------------------
 
-    def _run_serial(
+    def _supervise(
         self,
         cells: list,
         platform: PlatformConfig,
         run_kwargs: dict | None,
         on_result,
+        strategy,
     ) -> CampaignOutcome:
         config = self.config
+        timeout = config.cell_timeout_s
         registry = get_registry()
-        if config.cell_timeout_s is not None:
-            log = get_event_log()
-            if log.enabled:
-                log.emit(
-                    "supervise.timeout_unenforced",
-                    timeout_s=config.cell_timeout_s,
-                    reason="serial in-process execution cannot be preempted",
-                )
-        _prewarm_solo_profiles(platform, cells, run_kwargs)
-        # Fast-mode campaigns additionally fuse every cell's phase-product
-        # operating points into one wide batch up front (no-op for exact).
-        _prewarm_phase_products(platform, cells, run_kwargs)
-        outcome = CampaignOutcome(results=[None] * len(cells))
-        for index, cell in enumerate(cells):
-            state = _CellState(index, cell)
-            while True:
-                attempt_t0 = time.perf_counter()
-                try:
-                    if registry.enabled:
-                        with registry.histogram("parallel.cell_seconds").time():
-                            result = maybe_inject(index + 1, state.next_attempt)
-                            if result is None:
-                                result = run_cell(platform, cell, run_kwargs)
-                    else:
-                        result = maybe_inject(index + 1, state.next_attempt)
-                        if result is None:
-                            result = run_cell(platform, cell, run_kwargs)
-                    error: BaseException | None = None
-                except Exception as caught:
-                    error = caught
-                    result = None
-                duration = time.perf_counter() - attempt_t0
-
-                if error is None and isinstance(result, PairResult):
-                    self._record_attempt(state, "ok", duration_s=duration)
-                    registry.counter("parallel.cells").inc()
-                    registry.counter("supervise.cells_ok").inc()
-                    outcome.results[index] = result
-                    if on_result is not None:
-                        on_result(index, cell, result)
-                    break
-
-                kind = "error" if error is not None else "garbage"
-                self._record_attempt(
-                    state, kind, exc=error, duration_s=duration
-                )
-                if state.counted <= config.max_retries:
-                    outcome.n_retries += 1
-                    delay = config.backoff_delay(state.counted)
-                    self._emit_recovery(
-                        "retry", state, outcome=kind, delay_s=delay
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-
-                failure = self._failed_cell(state, run_kwargs)
-                self._emit_recovery("quarantine", state, outcome=kind)
-                if config.on_failure == "abort":
-                    raise CampaignError(
-                        f"campaign aborted: cell {failure.describe()}",
-                        failure=failure,
-                        cause=error,
-                    ) from error
-                outcome.failures.append(failure)
-                break
-        return outcome
-
-    # -- pool path -----------------------------------------------------------
-
-    def _run_pool(
-        self,
-        cells: list,
-        platform: PlatformConfig,
-        run_kwargs: dict | None,
-        on_result,
-        workers: int,
-    ) -> CampaignOutcome:
-        config = self.config
-        registry = get_registry()
-        states = [_CellState(i, cell) for i, cell in enumerate(cells)]
+        # A cell's state exists from its first submit until it resolves.
+        states: list[_CellState | None] = [None] * len(cells)
         resolved: list = [_PENDING] * len(cells)
         outcome = CampaignOutcome(results=[None] * len(cells))
         next_emit = 0
         unresolved = len(cells)
         max_rebuilds = self._MAX_REBUILDS_BASE + 2 * len(cells)
 
-        # Scheduling structures: indices eligible now (normal / solo), and
-        # a delay heap of (not_before, index) entries serving backoff.
+        # Scheduling structures: indices eligible now (normal / solo; a
+        # sorted list is already a heap), a delay heap of
+        # (not_before, index) entries serving backoff, and the submit time
+        # of every running attempt.
         ready: list[int] = list(range(len(cells)))
-        heapq.heapify(ready)
         solo_ready: list[int] = []
         delayed: list[tuple[float, int]] = []
-
-        inflight: dict[Future, int] = {}
-        deadlines: dict[Future, float] = {}
-        submit_times: dict[Future, float] = {}
-        timed_out_pending: set[int] = set()
-        deliberate_kill = False
+        running: dict[int, float] = {}
         abort: CampaignError | None = None
-
-        pool = ProcessPoolExecutor(max_workers=workers)
 
         def emit_ready() -> None:
             nonlocal next_emit
@@ -697,23 +822,21 @@ class SupervisedExecutor:
         def flush_completed() -> None:
             # Abort path: everything resolved-ok but buffered behind a gap
             # still reaches on_result (in index order) before the raise.
-            nonlocal next_emit
             for index in range(next_emit, len(cells)):
                 value = resolved[index]
                 if isinstance(value, PairResult):
                     outcome.results[index] = value
                     if on_result is not None:
                         on_result(index, cells[index], value)
-            next_emit = len(cells)
 
-        def resolve_ok(state: _CellState, result: PairResult, duration: float) -> None:
+        def resolve_ok(index: int, result: PairResult, duration: float) -> None:
             nonlocal unresolved
-            self._record_attempt(state, "ok", duration_s=duration)
             registry.counter("parallel.cells").inc()
             registry.counter("supervise.cells_ok").inc()
             if registry.enabled:
                 registry.histogram("parallel.cell_seconds").observe(duration)
-            resolved[state.index] = result
+            resolved[index] = result
+            states[index] = None
             unresolved -= 1
             emit_ready()
 
@@ -734,6 +857,7 @@ class SupervisedExecutor:
                 return
             outcome.failures.append(failure)
             resolved[state.index] = failure
+            states[state.index] = None
             unresolved -= 1
             emit_ready()
 
@@ -744,19 +868,24 @@ class SupervisedExecutor:
                 heapq.heappush(
                     delayed, (time.monotonic() + delay, state.index)
                 )
-            elif state.solo:
-                heapq.heappush(solo_ready, state.index)
             else:
-                heapq.heappush(ready, state.index)
+                heapq.heappush(solo_ready if state.solo else ready, state.index)
 
         def strike(
-            state: _CellState,
+            index: int,
             kind: str,
-            *,
             exc: BaseException | None = None,
-            duration: float = 0.0,
             solo: bool = False,
         ) -> None:
+            state = states[index]
+            duration = time.monotonic() - running.pop(index)
+            if kind == "timeout":
+                self._emit_recovery(
+                    "timeout", state, timeout_s=timeout,
+                    **strategy.timeout_detail,
+                )
+            elif kind == "crash":
+                registry.counter("supervise.crashes").inc()
             record = self._record_attempt(
                 state, kind, exc=exc, duration_s=duration
             )
@@ -774,22 +903,34 @@ class SupervisedExecutor:
                 return
             quarantine(state, exc)
 
-        def submit(state: _CellState) -> None:
-            payload = (
-                platform,
-                state.cell,
-                run_kwargs,
-                state.index + 1,
-                state.next_attempt,
+        def finish(index: int, result, exc: BaseException | None) -> None:
+            if exc is not None:
+                registry.counter("supervise.errors").inc()
+                strike(index, "error", exc)
+            elif isinstance(result, PairResult):
+                resolve_ok(index, result, time.monotonic() - running.pop(index))
+            else:
+                registry.counter("supervise.garbage").inc()
+                strike(
+                    index,
+                    "garbage",
+                    TypeError(
+                        f"worker returned {type(result).__name__!s}, "
+                        f"not PairResult"
+                    ),
+                )
+
+        def submit(index: int) -> None:
+            state = states[index]
+            if state is None:
+                state = states[index] = _CellState(index, cells[index])
+            running[index] = time.monotonic()
+            strategy.submit(
+                index,
+                (platform, state.cell, run_kwargs, index + 1, state.next_attempt),
             )
-            fut = pool.submit(_supervised_worker, payload)
-            inflight[fut] = state.index
-            submit_times[fut] = time.monotonic()
-            if config.cell_timeout_s is not None:
-                deadlines[fut] = time.monotonic() + config.cell_timeout_s
 
         def rebuild_pool() -> None:
-            nonlocal pool
             outcome.n_pool_rebuilds += 1
             if outcome.n_pool_rebuilds > max_rebuilds:
                 raise CampaignError(
@@ -802,438 +943,71 @@ class SupervisedExecutor:
                 log.emit(
                     "supervise.pool_rebuild",
                     rebuilds=outcome.n_pool_rebuilds,
-                    workers=workers,
+                    workers=strategy.workers,
                 )
-            try:
-                pool.shutdown(wait=False)
-            except Exception:
-                pass
-            pool = ProcessPoolExecutor(max_workers=workers)
-
-        def handle_broken(broken: list[int]) -> None:
-            nonlocal deliberate_kill
-            if deliberate_kill:
-                # We killed the pool ourselves over a timeout: the
-                # culprit(s) are known, bystanders are innocent.
-                for index in broken:
-                    state = states[index]
-                    if index in timed_out_pending:
-                        self._emit_recovery(
-                            "timeout",
-                            state,
-                            timeout_s=config.cell_timeout_s,
-                        )
-                        strike(
-                            state,
-                            "timeout",
-                            exc=TimeoutError(
-                                f"cell exceeded {config.cell_timeout_s}s"
-                            ),
-                        )
-                    else:
-                        strike(state, "pool_lost")
-                deliberate_kill = False
-            elif len(broken) == 1:
-                # Exactly one cell was running: attribution is certain.
-                state = states[broken[0]]
-                registry.counter("supervise.crashes").inc()
-                strike(
-                    state,
-                    "crash",
-                    exc=BrokenProcessPool(
-                        "worker process died while running this cell"
-                    ),
-                )
-            else:
-                # Unknown culprit: every suspect re-runs solo so the
-                # next crash is exactly attributed; these strikes are
-                # recorded but uncounted.
-                for index in broken:
-                    strike(states[index], "pool_crash", solo=True)
-            timed_out_pending.clear()
-            if abort is None:
-                rebuild_pool()
+            strategy.rebuild()
 
         try:
             while unresolved and abort is None:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
-                    _due, index = heapq.heappop(delayed)
-                    if states[index].solo:
-                        heapq.heappush(solo_ready, index)
-                    else:
-                        heapq.heappush(ready, index)
+                    index = heapq.heappop(delayed)[1]
+                    heapq.heappush(
+                        solo_ready if states[index].solo else ready, index
+                    )
 
-                # Refill: normal cells fill the pool; a solo suspect only
-                # launches when nothing else is in flight, and blocks
-                # further submissions until it resolves.
-                solo_inflight = any(
-                    states[i].solo for i in inflight.values()
-                )
-                while not solo_inflight:
-                    if ready and len(inflight) < workers:
-                        submit(states[heapq.heappop(ready)])
-                    elif solo_ready and not inflight:
-                        submit(states[heapq.heappop(solo_ready)])
-                        solo_inflight = True
+                # Refill: normal cells fill the free slots; a solo suspect
+                # only launches when nothing else runs, and blocks further
+                # submissions until it resolves.
+                solo_running = any(states[i].solo for i in running)
+                while not solo_running:
+                    if ready and strategy.has_slot(len(running)):
+                        submit(heapq.heappop(ready))
+                    elif solo_ready and not running:
+                        submit(heapq.heappop(solo_ready))
+                        solo_running = True
                     else:
                         break
 
-                if not inflight:
-                    if delayed:
-                        time.sleep(
-                            min(0.05, max(0.0, delayed[0][0] - time.monotonic()))
-                        )
-                        continue
-                    if ready or solo_ready:
-                        continue  # submission blocked only transiently
-                    break  # nothing left anywhere
-
-                tick = 0.25
-                if deadlines:
-                    tick = min(
-                        tick,
-                        max(0.0, min(deadlines.values()) - time.monotonic()),
+                if not running and not strategy.wedged:
+                    if not delayed:
+                        break  # nothing left anywhere
+                    time.sleep(
+                        min(0.05, max(0.0, delayed[0][0] - time.monotonic()))
                     )
-                if delayed:
-                    tick = min(
-                        tick, max(0.0, delayed[0][0] - time.monotonic())
-                    )
-                done, _pending = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-
-                broken: list[int] = []
-
-                def consume(fut: Future) -> None:
-                    index = inflight.pop(fut)
-                    deadlines.pop(fut, None)
-                    duration = time.monotonic() - submit_times.pop(fut)
-                    state = states[index]
-                    exc = fut.exception()
-                    if exc is None:
-                        result = fut.result()
-                        if isinstance(result, PairResult):
-                            resolve_ok(state, result, duration)
-                        else:
-                            registry.counter("supervise.garbage").inc()
-                            strike(
-                                state,
-                                "garbage",
-                                exc=TypeError(
-                                    f"worker returned "
-                                    f"{type(result).__name__!s}, "
-                                    f"not PairResult"
-                                ),
-                                duration=duration,
-                            )
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken.append(index)
-                    else:
-                        registry.counter("supervise.errors").inc()
-                        strike(state, "error", exc=exc, duration=duration)
-
-                for fut in done:
-                    consume(fut)
-                if broken:
-                    # The pool is dead: every remaining in-flight future
-                    # is doomed. Drain them all now so one break is one
-                    # rebuild (a completion that raced the break is
-                    # still honoured as a normal result).
-                    while inflight:
-                        leftovers, _ = wait(set(inflight), timeout=10.0)
-                        if not leftovers:
-                            break
-                        for fut in leftovers:
-                            consume(fut)
-                    handle_broken(broken)
                     continue
 
-                # Deadline sweep: kill the pool under a wedged worker.
-                if deadlines:
-                    now = time.monotonic()
-                    expired = [
-                        fut
-                        for fut, deadline in deadlines.items()
-                        if now >= deadline and not fut.done()
-                    ]
-                    if expired:
-                        deliberate_kill = True
-                        for fut in expired:
-                            timed_out_pending.add(inflight[fut])
-                        processes = getattr(pool, "_processes", None) or {}
-                        for proc in list(processes.values()):
-                            proc.kill()
-        finally:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-
-        if abort is not None:
-            flush_completed()
-            if abort.cause is not None:
-                raise abort from abort.cause
-            raise abort
-        return outcome
-
-    # -- thread path ---------------------------------------------------------
-
-    def _run_threads(
-        self,
-        cells: list,
-        platform: PlatformConfig,
-        run_kwargs: dict | None,
-        on_result,
-        workers: int,
-    ) -> CampaignOutcome:
-        """GIL-sharing variant of :meth:`_run_pool` (DESIGN.md §12).
-
-        Same supervisor loop minus everything that needs process
-        isolation: no ``BrokenProcessPool`` handling, no solo-rerun crash
-        attribution, no pool rebuilds. Timeouts are *soft* — an expired
-        future is abandoned (struck and retried/quarantined exactly like
-        a pool-mode timeout, its eventual result discarded), but the
-        wedged thread keeps occupying a worker slot until it returns, so
-        a campaign full of genuine hangs degrades to serial throughput
-        rather than being killed. Worker threads share the process's
-        solver caches, which is the point: the prewarmed
-        ``GLOBAL_STEADY_CACHE`` serves every thread with no spawn or
-        pickling cost.
-        """
-        config = self.config
-        registry = get_registry()
-        states = [_CellState(i, cell) for i, cell in enumerate(cells)]
-        resolved: list = [_PENDING] * len(cells)
-        outcome = CampaignOutcome(results=[None] * len(cells))
-        next_emit = 0
-        unresolved = len(cells)
-
-        # Shared-cache prewarm (the serial path does the same): solo
-        # profiles and fused phase products are solved once up front in
-        # the supervisor thread, so worker threads start from a hot
-        # in-process memo instead of racing each other on cold points.
-        _prewarm_solo_profiles(platform, cells, run_kwargs)
-        _prewarm_phase_products(platform, cells, run_kwargs)
-
-        ready: list[int] = list(range(len(cells)))
-        heapq.heapify(ready)
-        delayed: list[tuple[float, int]] = []
-
-        inflight: dict[Future, int] = {}
-        deadlines: dict[Future, float] = {}
-        submit_times: dict[Future, float] = {}
-        #: Futures struck for timeout whose threads are still running;
-        #: their late results (or errors) are discarded on completion.
-        abandoned: set[Future] = set()
-        abort: CampaignError | None = None
-
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="supervise"
-        )
-
-        def work(index1: int, attempt: int, cell) -> PairResult:
-            garbage = maybe_inject(index1, attempt)
-            if garbage is not None:
-                return garbage
-            return run_cell(platform, cell, run_kwargs)
-
-        def emit_ready() -> None:
-            nonlocal next_emit
-            while next_emit < len(cells) and resolved[next_emit] is not _PENDING:
-                value = resolved[next_emit]
-                if isinstance(value, PairResult):
-                    outcome.results[next_emit] = value
-                    if on_result is not None:
-                        on_result(next_emit, cells[next_emit], value)
-                next_emit += 1
-
-        def flush_completed() -> None:
-            nonlocal next_emit
-            for index in range(next_emit, len(cells)):
-                value = resolved[index]
-                if isinstance(value, PairResult):
-                    outcome.results[index] = value
-                    if on_result is not None:
-                        on_result(index, cells[index], value)
-            next_emit = len(cells)
-
-        def resolve_ok(state: _CellState, result: PairResult, duration: float) -> None:
-            nonlocal unresolved
-            self._record_attempt(state, "ok", duration_s=duration)
-            registry.counter("parallel.cells").inc()
-            registry.counter("supervise.cells_ok").inc()
-            if registry.enabled:
-                registry.histogram("parallel.cell_seconds").observe(duration)
-            resolved[state.index] = result
-            unresolved -= 1
-            emit_ready()
-
-        def quarantine(state: _CellState, exc: BaseException | None) -> None:
-            nonlocal unresolved, abort
-            failure = self._failed_cell(state, run_kwargs)
-            self._emit_recovery(
-                "quarantine",
-                state,
-                outcome=failure.last_error.outcome if failure.last_error else "?",
-            )
-            if config.on_failure == "abort":
-                abort = CampaignError(
-                    f"campaign aborted: cell {failure.describe()}",
-                    failure=failure,
-                    cause=exc,
-                )
-                return
-            outcome.failures.append(failure)
-            resolved[state.index] = failure
-            unresolved -= 1
-            emit_ready()
-
-        def strike(
-            state: _CellState,
-            kind: str,
-            *,
-            exc: BaseException | None = None,
-            duration: float = 0.0,
-        ) -> None:
-            self._record_attempt(state, kind, exc=exc, duration_s=duration)
-            if state.counted <= config.max_retries:
-                outcome.n_retries += 1
-                delay = config.backoff_delay(state.counted)
-                self._emit_recovery(
-                    "retry", state, outcome=kind, delay_s=delay
-                )
-                if delay > 0:
-                    heapq.heappush(
-                        delayed, (time.monotonic() + delay, state.index)
-                    )
-                else:
-                    heapq.heappush(ready, state.index)
-                return
-            quarantine(state, exc)
-
-        def submit(state: _CellState) -> None:
-            fut = pool.submit(
-                work, state.index + 1, state.next_attempt, state.cell
-            )
-            inflight[fut] = state.index
-            submit_times[fut] = time.monotonic()
-            if config.cell_timeout_s is not None:
-                deadlines[fut] = time.monotonic() + config.cell_timeout_s
-
-        def consume(fut: Future) -> None:
-            index = inflight.pop(fut)
-            deadlines.pop(fut, None)
-            duration = time.monotonic() - submit_times.pop(fut)
-            state = states[index]
-            exc = fut.exception()
-            if exc is None:
-                result = fut.result()
-                if isinstance(result, PairResult):
-                    resolve_ok(state, result, duration)
-                else:
-                    registry.counter("supervise.garbage").inc()
-                    strike(
-                        state,
-                        "garbage",
-                        exc=TypeError(
-                            f"worker returned "
-                            f"{type(result).__name__!s}, not PairResult"
-                        ),
-                        duration=duration,
-                    )
-            else:
-                registry.counter("supervise.errors").inc()
-                strike(state, "error", exc=exc, duration=duration)
-
-        try:
-            while unresolved and abort is None:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _due, index = heapq.heappop(delayed)
-                    heapq.heappush(ready, index)
-
-                # Refill. Abandoned futures still hold worker slots, so
-                # count them against capacity: submitting past the pool
-                # width would only queue work behind the wedged threads.
-                while ready and len(inflight) + len(abandoned) < workers:
-                    submit(states[heapq.heappop(ready)])
-
-                if not inflight:
-                    if abandoned and unresolved:
-                        # Every worker slot is wedged: nothing can make
-                        # progress until one of them returns. Block on
-                        # the abandoned set rather than spinning.
-                        done, _ = wait(set(abandoned), timeout=0.25)
-                        abandoned.difference_update(done)
-                        continue
-                    if delayed:
-                        time.sleep(
-                            min(0.05, max(0.0, delayed[0][0] - time.monotonic()))
-                        )
-                        continue
-                    if ready:
-                        continue
-                    break
-
                 tick = 0.25
-                if deadlines:
-                    tick = min(
-                        tick,
-                        max(0.0, min(deadlines.values()) - time.monotonic()),
-                    )
+                if timeout is not None and running:
+                    first_deadline = min(running.values()) + timeout
+                    tick = min(tick, max(0.0, first_deadline - time.monotonic()))
                 if delayed:
                     tick = min(
                         tick, max(0.0, delayed[0][0] - time.monotonic())
                     )
-                done, _pending = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-                for fut in done:
-                    consume(fut)
+                finished, lost = strategy.poll(tick)
+                for index, result, exc in finished:
+                    finish(index, result, exc)
+                if lost:
+                    # Only a broken process pool loses attempts in poll.
+                    for index, kind, exc, solo in lost:
+                        strike(index, kind, exc, solo)
+                    if abort is None:
+                        rebuild_pool()
+                    continue
 
-                # Reap any abandoned threads that have since returned
-                # (their results are discarded — the strike already
-                # resolved the cell's fate).
-                abandoned.difference_update(
-                    {fut for fut in abandoned if fut.done()}
-                )
-
-                # Deadline sweep: soft timeout — abandon the future and
-                # strike the cell; the thread cannot be killed.
-                if deadlines:
+                if timeout is not None and strategy.enforces_timeout:
                     now = time.monotonic()
-                    expired = [
-                        fut
-                        for fut, deadline in deadlines.items()
-                        if now >= deadline and not fut.done()
-                    ]
-                    for fut in expired:
-                        index = inflight.pop(fut)
-                        deadlines.pop(fut, None)
-                        duration = time.monotonic() - submit_times.pop(fut)
-                        abandoned.add(fut)
-                        state = states[index]
-                        self._emit_recovery(
-                            "timeout",
-                            state,
-                            timeout_s=config.cell_timeout_s,
-                            enforcement="abandoned",
-                        )
-                        strike(
-                            state,
-                            "timeout",
-                            exc=TimeoutError(
-                                f"cell exceeded {config.cell_timeout_s}s "
-                                f"(thread abandoned, not killed)"
-                            ),
-                            duration=duration,
-                        )
+                    expired = {
+                        index
+                        for index, started in running.items()
+                        if now - started >= timeout
+                    }
+                    if expired:
+                        for index, kind, exc, solo in strategy.expire(expired):
+                            strike(index, kind, exc, solo)
         finally:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+            strategy.close()
 
         if abort is not None:
             flush_completed()
@@ -1241,23 +1015,3 @@ class SupervisedExecutor:
                 raise abort from abort.cause
             raise abort
         return outcome
-
-
-def strict_config() -> SuperviseConfig:
-    """The pre-supervision semantics: no retries, abort on first failure."""
-    return SuperviseConfig()
-
-
-def resilient_config(
-    *,
-    max_retries: int = 2,
-    cell_timeout_s: float | None = None,
-    on_failure: str = "abort",
-) -> SuperviseConfig:
-    """The CLI's campaign defaults (see ``--max-retries`` and friends)."""
-    return replace(
-        SuperviseConfig(),
-        max_retries=max_retries,
-        cell_timeout_s=cell_timeout_s,
-        on_failure=on_failure,
-    )

@@ -3,7 +3,9 @@
 The fuzz class (marked ``chaos``, excluded from the quick tier-1 run) is
 the executor's analogue of the RDT fault-injection suite: random
 crash/hang/raise/garbage schedules must never wedge a campaign, and
-every surviving cell must stay bit-identical to a clean serial run.
+every surviving cell must stay bit-identical to a clean serial run —
+under the process strategy, and with raise/garbage schedules under the
+thread and inline strategies too.
 """
 
 import os
@@ -132,13 +134,16 @@ def _cells():
 # One (kind, persistent) entry per scheduled cell. ``hang`` is included:
 # the supervisor runs with a cell timeout, so a wedged worker must be
 # killed and either retried or quarantined, never waited on.
-_entries = st.tuples(
-    st.sampled_from(["crash", "raise", "garbage", "hang"]),
-    st.booleans(),
-)
-_schedules = st.dictionaries(
-    st.integers(min_value=1, max_value=6), _entries, max_size=2
-)
+def _schedules(kinds):
+    entries = st.tuples(st.sampled_from(kinds), st.booleans())
+    return st.dictionaries(
+        st.integers(min_value=1, max_value=6), entries, max_size=2
+    )
+
+
+# ``crash`` and ``hang`` need process isolation: in-process (serial or
+# threads) a crash exits the test process and a hang cannot be preempted.
+_IN_PROCESS_KINDS = ["raise", "garbage"]
 
 
 @pytest.mark.chaos
@@ -156,9 +161,7 @@ class TestSupervisorFuzz:
             ).results
         return cls._clean
 
-    @given(schedule=_schedules)
-    @settings(max_examples=6, deadline=None, derandomize=True)
-    def test_any_schedule_terminates_and_matches_serial(self, schedule):
+    def _check(self, schedule, n_workers, pool="processes"):
         cells = _cells()
         clean = self.clean_results()
         env = chaos_env(
@@ -174,9 +177,8 @@ class TestSupervisorFuzz:
         )
         os.environ[CHAOS_ENV_VAR] = env
         try:
-            outcome = SupervisedExecutor(2, config=config).run(
-                cells, TABLE1_PLATFORM
-            )
+            executor = SupervisedExecutor(n_workers, config=config, pool=pool)
+            outcome = executor.run(cells, TABLE1_PLATFORM)
         finally:
             os.environ.pop(CHAOS_ENV_VAR, None)
 
@@ -190,3 +192,18 @@ class TestSupervisorFuzz:
                 assert result is None
             else:
                 assert result == clean[index]
+
+    @given(schedule=_schedules(["crash", "raise", "garbage", "hang"]))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_any_schedule_terminates_and_matches_serial(self, schedule):
+        self._check(schedule, 2)
+
+    @given(schedule=_schedules(_IN_PROCESS_KINDS))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_threads_schedule_terminates_and_matches_serial(self, schedule):
+        self._check(schedule, 3, pool="threads")
+
+    @given(schedule=_schedules(_IN_PROCESS_KINDS))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_inline_schedule_terminates_and_matches_serial(self, schedule):
+        self._check(schedule, 1)

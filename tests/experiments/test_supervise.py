@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.core.policies import CacheTakeoverPolicy, UnmanagedPolicy
+from repro.experiments import supervise
 from repro.experiments.chaos import CHAOS_ENV_VAR, ChaosInjected, chaos_env
 from repro.experiments.supervise import (
     CampaignError,
@@ -89,41 +90,51 @@ class TestConfig:
         assert SuperviseConfig().backoff_delay(0) == 0.0
 
 
-class TestSerialSupervision:
+#: (n_workers, pool) of each run strategy the supervisor loop drives:
+#: serial runs inline in the caller's thread. Threads come last, so a
+#: process pool never forks right after an aborted thread campaign whose
+#: leftover workers may still hold an in-process lock.
+_MODES = {
+    "serial": (1, "processes"),
+    "processes": (2, "processes"),
+    "threads": (3, "threads"),
+}
+
+
+@pytest.mark.parametrize("mode", list(_MODES))
+class TestSupervisionContract:
+    """Retry, quarantine, abort and ordered emission under every strategy."""
+
     CELLS = _cells(2)  # 8 cells
 
-    def test_transient_raise_is_retried(self, monkeypatch):
+    def _run(self, mode, config, on_result=None):
+        n_workers, pool = _MODES[mode]
+        return SupervisedExecutor(n_workers, config=config, pool=pool).run(
+            self.CELLS, TABLE1_PLATFORM, on_result=on_result
+        )
+
+    def test_raise_retried(self, mode, monkeypatch):
         clean = _clean_serial(self.CELLS)
-        monkeypatch.setenv(
-            CHAOS_ENV_VAR, chaos_env(schedule={2: "raise"})
-        )
-        outcome = SupervisedExecutor(1, config=_fast()).run(
-            self.CELLS, TABLE1_PLATFORM
-        )
+        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={2: "raise"}))
+        outcome = self._run(mode, _fast())
         assert outcome.ok
         assert outcome.n_retries == 1
         assert outcome.results == clean
 
-    def test_garbage_return_is_detected_and_retried(self, monkeypatch):
+    def test_garbage_retried(self, mode, monkeypatch):
         clean = _clean_serial(self.CELLS)
-        monkeypatch.setenv(
-            CHAOS_ENV_VAR, chaos_env(schedule={3: "garbage"})
-        )
-        outcome = SupervisedExecutor(1, config=_fast()).run(
-            self.CELLS, TABLE1_PLATFORM
-        )
+        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={3: "garbage"}))
+        outcome = self._run(mode, _fast())
         assert outcome.ok
+        assert outcome.n_retries == 1
         assert outcome.results == clean
 
-    def test_poison_cell_quarantined_in_skip_mode(self, monkeypatch):
+    def test_poison_quarantined(self, mode, monkeypatch):
         clean = _clean_serial(self.CELLS)
         monkeypatch.setenv(
-            CHAOS_ENV_VAR,
-            chaos_env(schedule={1: "raise"}, persistent=[1]),
+            CHAOS_ENV_VAR, chaos_env(schedule={1: "raise"}, persistent=[1])
         )
-        outcome = SupervisedExecutor(1, config=_fast(max_retries=1)).run(
-            self.CELLS, TABLE1_PLATFORM
-        )
+        outcome = self._run(mode, _fast(max_retries=1))
         assert not outcome.ok
         assert outcome.results[0] is None
         assert outcome.results[1:] == clean[1:]
@@ -135,6 +146,76 @@ class TestSerialSupervision:
         assert failure.last_error.outcome == "error"
         assert failure.last_error.error_type == "ChaosInjected"
         assert "after 2 attempt(s)" in failure.describe()
+
+    def test_quarantine_parity(self, mode, monkeypatch, tmp_path):
+        # One persistent garbage cell and one persistent raise cell: the
+        # failure records and the supervise.* counters are the same
+        # whichever strategy ran them.
+        monkeypatch.setenv(
+            CHAOS_ENV_VAR,
+            chaos_env(schedule={2: "garbage", 5: "raise"}, persistent=[2, 5]),
+        )
+        registry, _log = obs.enable(tmp_path / "events.jsonl", run_id="t")
+        outcome = self._run(mode, _fast(max_retries=0))
+        obs.disable()
+        failures = sorted(outcome.failures, key=lambda f: f.index)
+        assert [
+            (f.index, f.last_error.outcome, f.last_error.error_type)
+            for f in failures
+        ] == [(1, "garbage", "TypeError"), (4, "error", "ChaosInjected")]
+        assert failures[0].last_error.message == (
+            "worker returned str, not PairResult"
+        )
+        counters = {
+            name: registry.counter(f"supervise.{name}").value
+            for name in ("cells_ok", "garbage", "errors", "quarantine")
+        }
+        assert counters == {
+            "cells_ok": 6, "garbage": 1, "errors": 1, "quarantine": 2,
+        }
+        # One duration per successful attempt, measured the same way.
+        assert registry.histogram("parallel.cell_seconds").count == 6
+
+    def test_abort_flushes_in_order(self, mode, monkeypatch):
+        clean = _clean_serial(self.CELLS)
+        monkeypatch.setenv(
+            CHAOS_ENV_VAR, chaos_env(schedule={4: "raise"}, persistent=[4])
+        )
+        seen = {}
+        with pytest.raises(CampaignError) as err:
+            self._run(
+                mode,
+                SuperviseConfig(on_failure="abort"),
+                on_result=lambda i, cell, r: seen.setdefault(i, r),
+            )
+        assert isinstance(err.value.cause, ChaosInjected)
+        assert err.value.__cause__ is err.value.cause
+        assert err.value.failure.index == 3
+        # Cell 3 starts only once a worker slot frees, so at least one
+        # cell completed before the raise; every completed cell reached
+        # on_result, in index order, with its clean result.
+        assert seen
+        assert 3 not in seen
+        assert list(seen) == sorted(seen)
+        assert all(r == clean[i] for i, r in seen.items())
+
+    def test_on_result_order(self, mode, monkeypatch):
+        monkeypatch.setenv(
+            CHAOS_ENV_VAR, chaos_env(schedule={2: "raise", 5: "garbage"})
+        )
+        seen = []
+        outcome = self._run(
+            mode,
+            _fast(max_retries=1),
+            on_result=lambda i, cell, r: seen.append(i),
+        )
+        assert outcome.ok
+        assert outcome.n_retries == 2
+        assert seen == list(range(len(self.CELLS)))
+
+
+class TestSerialSupervision:
+    CELLS = _cells(2)  # 8 cells
 
     def test_abort_mode_raises_with_cause_after_flushing(self, monkeypatch):
         monkeypatch.setenv(
@@ -153,6 +234,32 @@ class TestSerialSupervision:
         assert isinstance(err.value.cause, ChaosInjected)
         assert err.value.failure.index == 2
         assert seen == [0, 1]  # completed cells were emitted before the raise
+
+    def test_next_ready_cell_runs_during_backoff(self, monkeypatch):
+        clean = _clean_serial(self.CELLS)
+        ran = []
+        real_run_cell = supervise.run_cell
+
+        def record(platform, cell, run_kwargs=None):
+            ran.append(self.CELLS.index(cell))
+            return real_run_cell(platform, cell, run_kwargs)
+
+        monkeypatch.setattr(supervise, "run_cell", record)
+        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={1: "raise"}))
+        seen = []
+        outcome = SupervisedExecutor(
+            1, config=SuperviseConfig(max_retries=1, backoff_base_s=0.2)
+        ).run(
+            self.CELLS,
+            TABLE1_PLATFORM,
+            on_result=lambda i, cell, r: seen.append(i),
+        )
+        assert outcome.ok
+        assert outcome.results == clean
+        # Cell 0 waits out its backoff while cell 1 runs; emission keeps
+        # submission order regardless.
+        assert ran[0] == 1
+        assert seen == list(range(len(self.CELLS)))
 
     def test_serial_timeout_is_flagged_unenforced(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -19,7 +19,6 @@ from repro.experiments import supervise
 from repro.experiments.chaos import CHAOS_ENV_VAR, ChaosInjected, chaos_env
 from repro.experiments.supervise import (
     CampaignError,
-    FailedCell,
     SupervisedExecutor,
     SuperviseConfig,
 )
@@ -133,42 +132,11 @@ class TestThreadPoolDeterminism:
 
 
 class TestThreadPoolSupervision:
+    """Thread-only behaviour; the retry/quarantine/abort/order contract
+    shared with the other strategies is ``TestSupervisionContract`` in
+    ``test_supervise.py``."""
+
     CELLS = _cells(2)  # 8 cells
-
-    def test_transient_raise_is_retried(self, monkeypatch):
-        clean = _clean_serial(self.CELLS)
-        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={2: "raise"}))
-        outcome = SupervisedExecutor(3, pool="threads", config=_fast()).run(
-            self.CELLS, TABLE1_PLATFORM
-        )
-        assert outcome.ok
-        assert outcome.n_retries == 1
-        assert outcome.results == clean
-
-    def test_garbage_return_is_detected_and_retried(self, monkeypatch):
-        clean = _clean_serial(self.CELLS)
-        monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={3: "garbage"}))
-        outcome = SupervisedExecutor(3, pool="threads", config=_fast()).run(
-            self.CELLS, TABLE1_PLATFORM
-        )
-        assert outcome.ok
-        assert outcome.results == clean
-
-    def test_poison_cell_quarantined_in_skip_mode(self, monkeypatch):
-        clean = _clean_serial(self.CELLS)
-        monkeypatch.setenv(
-            CHAOS_ENV_VAR, chaos_env(schedule={1: "raise"}, persistent=[1])
-        )
-        outcome = SupervisedExecutor(
-            3, pool="threads", config=_fast(max_retries=1)
-        ).run(self.CELLS, TABLE1_PLATFORM)
-        assert not outcome.ok
-        assert outcome.results[0] is None
-        assert outcome.results[1:] == clean[1:]
-        [failure] = outcome.failures
-        assert isinstance(failure, FailedCell)
-        assert failure.index == 0
-        assert failure.last_error.error_type == "ChaosInjected"
 
     def test_timeout_abandons_the_future_and_retries(
         self, tmp_path, monkeypatch
