@@ -48,9 +48,11 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.sim.llc import (
-    effective_ways,
+    _effective_ways,
+    _pressure_weights,
+    _reduce_sum,
+    _waterfill,
     effective_ways_batch,
-    waterfill,
     waterfill_batch,
 )
 from repro.sim.membus import MemoryLink
@@ -280,19 +282,24 @@ def _point_params(
     return cpi_exe, apki, blocking, bytes_per_miss, caps, throttle
 
 
-def _initial_ways(partition: PartitionSpec, caps: np.ndarray) -> np.ndarray:
+def _initial_ways(partition: PartitionSpec, caps: list[float]) -> list[float]:
     """Cold-start iterate: equal split per group plus the shared zone.
 
     The shared zone is distributed once across ALL cores, not once per
     group, or the guess double-counts it and the damped path can carry the
     surplus into the converged allocation.
     """
-    ways = np.zeros(partition.n_cores)
+    ways = [0.0] * partition.n_cores
     for group in partition.groups:
-        idx = list(group.cores)
-        ways[idx] = group.ways / len(idx)
-    ways += partition.shared_ways / partition.n_cores
-    return np.minimum(ways, caps)
+        share = group.ways / len(group.cores)
+        for core in group.cores:
+            ways[core] = share
+    zone = partition.shared_ways / partition.n_cores
+    out = []
+    for w, cap in zip(ways, caps):
+        w += zone
+        out.append(cap if cap < w else w)
+    return out
 
 
 def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> float:
@@ -416,29 +423,30 @@ def solve_steady_state(
 
     link = MemoryLink.from_platform(platform)
     freq = platform.freq_hz
-
-    def mrc_eval(ways: np.ndarray) -> np.ndarray:
-        return np.array([p.mrc(w) for p, w in zip(phases, ways)])
-
+    theta = platform.pressure_theta
     lat_floor = link.base_latency_cycles
     lat_ceil = link.max_latency_cycles
 
-    # Loop-invariant setup for solve_latency, hoisted out of the outer
-    # fixed-point loop: only ``mpi`` changes between calls, so the per-core
-    # parameter lists and the link-curve constants are built exactly once.
-    # The per-element products below keep the original NumPy evaluation
-    # order ((mpi*blocking)/throttle, (freq*mpi)*bytes_per_miss) so results
-    # stay bit-identical to the vectorised form.
+    # The iteration runs on Python float lists: for at most ten cores,
+    # float loops beat NumPy's per-call dispatch several times over. Every
+    # per-element expression keeps the NumPy evaluation order of the
+    # vectorised form ((mpi*blocking)*(latency/throttle),
+    # (freq*ipc)*mpi, ...), and sums that can reach 8 terms stay NumPy
+    # reductions, so results are bit-identical to it (and to the exact
+    # batch kernel). NumPy builds the parameters and the SteadyState.
+    curves = [p.mrc for p in phases]
+    apki_list = apki.tolist()
     blocking_list = blocking.tolist()
     throttle_list = throttle.tolist()
     bytes_per_miss_list = bytes_per_miss.tolist()
     cpi_exe_list = cpi_exe.tolist()
+    caps_list = caps.tolist()
     inv_capacity = 1.0 / link.capacity_bytes
     u_cap = link.utilisation_cap
     gain = link.queue_gain
     q_exp = link.queue_exponent
 
-    def solve_latency(mpi: np.ndarray, guess: float) -> float:
+    def solve_latency(mpi: list[float], guess: float) -> float:
         """Inner 1-D fixed point: latency consistent with its own demand.
 
         For fixed per-core miss rates, the map
@@ -448,13 +456,12 @@ def solve_steady_state(
         found by :func:`_illinois_root` warm-started near ``guess`` (across
         outer iterations the latency barely moves).
         """
-        # Pure-Python accumulation with the link curve inlined: for ~10
-        # cores, float loops beat NumPy's per-call dispatch overhead by ~5x,
-        # and excess() dominates the solver's profile.
+        # The link curve is inlined: excess() dominates the solver's
+        # profile.
         triples = [
             (freq * m * b, e, m * s / t)
             for m, b, e, s, t in zip(
-                mpi.tolist(),
+                mpi,
                 bytes_per_miss_list,
                 cpi_exe_list,
                 blocking_list,
@@ -476,40 +483,57 @@ def solve_steady_state(
     # Initial iterate; a warm start replaces the cold guess with the
     # caller's previous iterate (clamped into the feasible region).
     if warm_start is None:
-        ways = _initial_ways(partition, caps)
-        latency = link.base_latency_cycles
+        ways = _initial_ways(partition, caps_list)
+        latency = lat_floor
     else:
         warm_ways, warm_latency = warm_start
-        ways = np.asarray(warm_ways, dtype=float).copy()
-        if ways.shape != (n,):
+        warm = np.asarray(warm_ways, dtype=float)
+        if warm.shape != (n,):
             raise ValueError(
-                f"warm_start ways must have length {n}, got {ways.shape}"
+                f"warm_start ways must have length {n}, got {warm.shape}"
             )
-        ways = np.clip(ways, 0.0, np.minimum(caps, float(partition.total_ways)))
+        ways = np.clip(
+            warm, 0.0, np.minimum(caps, float(partition.total_ways))
+        ).tolist()
         latency = min(max(float(warm_latency), lat_floor), lat_ceil)
 
     step = damping
     max_iter_budget = max_iter
     prev_delta = float("inf")
+    delta_tol = tol * platform.llc_ways
     iterations = 0
     while iterations < max_iter_budget:
         iterations += 1
-        mr = mrc_eval(ways)
-        mpi = apki * mr  # misses per instruction
+        mpi = [  # misses per instruction
+            a * mrc(w) for a, mrc, w in zip(apki_list, curves, ways)
+        ]
         latency = solve_latency(mpi, latency)
-        ipc = 1.0 / (cpi_exe + mpi * blocking * (latency / throttle))
 
         # Insertion pressure: under LRU only MISSES insert lines (hits
         # refresh recency and protect the resident set), so steady-state
-        # occupancy tracks each competitor's miss rate, not its access rate.
-        pressure = freq * ipc * mpi
-        ways_target = effective_ways(
-            partition, pressure, caps, platform.pressure_theta
+        # occupancy tracks each competitor's miss rate, not its access
+        # rate. pressure = freq * ipc * mpi.
+        pressure = [
+            freq * (1.0 / (e + m * b * (latency / t))) * m
+            for m, e, b, t in zip(
+                mpi, cpi_exe_list, blocking_list, throttle_list
+            )
+        ]
+        ways_target = _effective_ways(
+            partition, _pressure_weights(pressure, theta), caps_list
         )
-        ways_next = (1 - step) * ways + step * ways_target
-        ways_delta = float(np.max(np.abs(ways_next - ways)))
+        # Damped update and max |ways_next - ways| (NaN-sticky, as np.max).
+        keep = 1 - step
+        ways_next = []
+        ways_delta = 0.0
+        for w, target in zip(ways, ways_target):
+            nxt = keep * w + step * target
+            d = abs(nxt - w)
+            if d > ways_delta or d != d:
+                ways_delta = d
+            ways_next.append(nxt)
         ways = ways_next
-        if ways_delta < tol * platform.llc_ways:
+        if ways_delta < delta_tol:
             break
         # Adaptive damping: near mr(0)=1 the pressure feedback is steep
         # (fewer ways -> more misses -> more insertion pressure -> more
@@ -534,42 +558,56 @@ def solve_steady_state(
     # Final consistent evaluation at the converged operating point. The
     # damped iterate can sit an epsilon above an occupancy cap (it converges
     # onto the cap from above); clamp so the invariant holds exactly.
-    ways = np.minimum(ways, caps)
-    mr = mrc_eval(ways)
-    mpi = apki * mr
+    ways = [c if c < w else w for w, c in zip(ways, caps_list)]
+    mr = [mrc(w) for mrc, w in zip(curves, ways)]
+    mpi = [a * m for a, m in zip(apki_list, mr)]
     latency = solve_latency(mpi, latency)
-    cpi = cpi_exe + mpi * blocking * (latency / throttle)
-    ipc = 1.0 / cpi
-    bw = freq * ipc * mpi * bytes_per_miss
-
-    # Bandwidth rationing. The latency curve is capped (utilisation_cap), so
-    # under extreme overload the latency equilibrium alone can leave
-    # aggregate demand above the physical link capacity. When that happens
-    # the link becomes a throughput bottleneck: achieved bandwidth is
-    # rationed *equal-share* across demanders (light consumers keep their
-    # full demand, heavy ones split the remainder — approximating the
-    # fairness of FR-FCFS memory scheduling), and each throttled core's IPC
-    # drops in proportion to its granted fraction.
-    demand = float(bw.sum())
+    ipc = [
+        1.0 / (e + m * b * (latency / t))
+        for m, e, b, t in zip(mpi, cpi_exe_list, blocking_list, throttle_list)
+    ]
+    bw = [
+        freq * i * m * q for i, m, q in zip(ipc, mpi, bytes_per_miss_list)
+    ]
+    ipc_a = np.array(ipc)
+    bw_a = np.array(bw)
+    demand = _reduce_sum(bw)
     if demand > link.capacity_bytes:
-        granted = waterfill(
-            link.capacity_bytes, np.ones(n), np.asarray(bw, dtype=float)
-        )
-        scale = np.where(bw > 0.0, granted / np.maximum(bw, 1e-30), 1.0)
-        ipc = ipc * scale
-        bw = granted
+        ipc_a, bw_a = _ration_bandwidth(ipc_a, bw_a, link.capacity_bytes)
+        demand = float(bw_a.sum())
 
     return SteadyState(
-        ipc=ipc,
-        ways=ways,
-        miss_ratio=mr,
-        bw_bytes=bw,
+        ipc=ipc_a,
+        ways=np.array(ways),
+        miss_ratio=np.array(mr),
+        bw_bytes=bw_a,
         latency_cycles=float(latency),
         # True achieved utilisation (rationing guarantees <= 1); the capped
         # MemoryLink.utilisation is only for the latency curve's domain.
-        utilisation=float(bw.sum()) / link.capacity_bytes,
+        utilisation=demand / link.capacity_bytes,
         iterations=iterations,
     )
+
+
+def _ration_bandwidth(
+    ipc: np.ndarray, bw: np.ndarray, capacity: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bandwidth rationing when demand exceeds the link's capacity.
+
+    The latency curve is capped (utilisation_cap), so under extreme
+    overload the latency equilibrium alone can leave aggregate demand
+    above the physical link capacity. When that happens the link becomes a
+    throughput bottleneck: achieved bandwidth is rationed *equal-share*
+    across demanders (light consumers keep their full demand, heavy ones
+    split the remainder — approximating the fairness of FR-FCFS memory
+    scheduling), and each throttled core's IPC drops in proportion to its
+    granted fraction. Returns the rationed ``(ipc, bw)``.
+    """
+    granted = np.array(
+        _waterfill(float(capacity), [1.0] * bw.size, bw.tolist())
+    )
+    scale = np.where(bw > 0.0, granted / np.maximum(bw, 1e-30), 1.0)
+    return ipc * scale, granted
 
 
 def _illinois_root_batch(excess_b, guess, lat_floor, lat_ceil, gap_rtol=1e-7):
@@ -844,7 +882,7 @@ def _solve_batch_exact(
         bpm2[i, :k] = bytes_per_miss
         caps2[i, :k] = caps
         thr2[i, :k] = throttle
-        ways2[i, :k] = _initial_ways(partition, caps)
+        ways2[i, :k] = _initial_ways(partition, caps.tolist())
 
     link = MemoryLink.from_platform(platform)
     freq = platform.freq_hz
@@ -942,8 +980,10 @@ def _solve_batch_exact(
         target_a = np.empty_like(ways_a)
         for row, i in enumerate(act):
             nc = int(n_cores[i])
-            target_a[row, :nc] = effective_ways(
-                parsed[i][1], pressure_a[row, :nc], caps2[i, :nc], theta
+            target_a[row, :nc] = _effective_ways(
+                parsed[i][1],
+                _pressure_weights(pressure_a[row, :nc].tolist(), theta),
+                caps2[i, :nc].tolist(),
             )
             target_a[row, nc:] = ways_a[row, nc:]
         step_a = step[act]
@@ -1005,14 +1045,8 @@ def _solve_batch_exact(
         bw = bw2[i, :nc].copy()
         # Bandwidth rationing under extreme overload — per lane, exactly
         # as the scalar epilogue (see solve_steady_state).
-        demand = float(bw.sum())
-        if demand > link.capacity_bytes:
-            granted = waterfill(
-                link.capacity_bytes, np.ones(nc), np.asarray(bw, dtype=float)
-            )
-            scale = np.where(bw > 0.0, granted / np.maximum(bw, 1e-30), 1.0)
-            ipc = ipc * scale
-            bw = granted
+        if float(bw.sum()) > link.capacity_bytes:
+            ipc, bw = _ration_bandwidth(ipc, bw, link.capacity_bytes)
         out.append(
             SteadyState(
                 ipc=ipc,

@@ -11,7 +11,9 @@ example ends up holding ~26 % of the LLC despite a flat miss-ratio curve).
 :func:`waterfill` implements pressure-proportional sharing with per-app
 occupancy caps; :func:`effective_ways` applies it across a full
 :class:`~repro.sim.partition.PartitionSpec`, including the optional shared
-(overlapping) zone.
+(overlapping) zone. Both validate their array inputs once and wrap
+unvalidated float-list cores (:func:`_waterfill`, :func:`_effective_ways`),
+which the exact solvers call directly once per group per iteration.
 """
 
 from __future__ import annotations
@@ -28,6 +30,111 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+
+def _pressure_weights(pressures: list[float], theta: float) -> list[float]:
+    """``np.power(np.maximum(pressures, 0.0), theta)`` as a float list.
+
+    ``pow(x, 1)`` is exact, so at ``theta == 1`` the clamp alone carries
+    the bits (``np.maximum`` keeps NaN and maps ``-0.0`` to ``0.0``, as
+    the comprehension does). Any other exponent keeps ``np.power``: its
+    SIMD path does not match Python's ``**`` in the last ulp.
+    """
+    if theta == 1.0:
+        return [p if p > 0.0 or p != p else 0.0 for p in pressures]
+    return np.power(np.maximum(np.array(pressures), 0.0), theta).tolist()
+
+
+def _reduce_sum(values: list[float]) -> float:
+    """``np.add.reduce`` of ``values``, bit for bit.
+
+    Below 8 terms NumPy adds sequentially from ``0.0``, which a Python
+    loop reproduces; from 8 terms up it sums pairwise, so the reduction
+    stays in NumPy.
+    """
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return float(np.add.reduce(np.array(values)))
+
+
+def _waterfill(
+    total_ways: float, weights: list[float], caps: list[float]
+) -> list[float]:
+    """Unvalidated float-list core of :func:`waterfill`.
+
+    The scalar solver calls it once per group per iteration on at most
+    ten competitors, where float loops beat NumPy's per-call dispatch.
+    """
+    n = len(weights)
+    result = [0.0] * n
+    active = [i for i in range(n) if weights[i] > _EPS and caps[i] > _EPS]
+    remaining = total_ways
+
+    # Each pass either finishes or permanently retires >= 1 competitor, so
+    # at most n passes run.
+    for _ in range(n):
+        if remaining <= _EPS or not active:
+            break
+        weight_sum = 0.0
+        for i in active:
+            weight_sum += weights[i]
+        capped = []
+        uncapped = []
+        for i in active:
+            share = remaining * weights[i] / weight_sum
+            if result[i] + share >= caps[i] - 1e-9:
+                capped.append(i)
+            else:
+                uncapped.append(i)
+        if not capped:
+            for i in active:
+                result[i] += remaining * weights[i] / weight_sum
+            break
+        granted = 0.0
+        for i in capped:
+            granted += caps[i] - result[i]
+            result[i] = caps[i]
+        active = uncapped
+        remaining -= granted
+    return result
+
+
+def _effective_ways(
+    partition: PartitionSpec, weights: list[float], caps: list[float]
+) -> list[float]:
+    """Unvalidated float-list core of :func:`effective_ways`.
+
+    Takes the pressure *weights* (see :func:`_pressure_weights`); every
+    sum that can reach 8 terms goes through :func:`_reduce_sum`.
+    """
+    groups = partition.groups
+    zone_share = [0.0] * len(groups)
+    shared_ways = partition.shared_ways
+    if shared_ways > _EPS:
+        group_weight = [
+            _reduce_sum([weights[c] for c in g.cores]) for g in groups
+        ]
+        total_weight = _reduce_sum(group_weight)
+        if total_weight > _EPS:
+            zone_share = [
+                shared_ways * gw / total_weight for gw in group_weight
+            ]
+
+    out = [0.0] * partition.n_cores
+    for group, zone in zip(groups, zone_share):
+        cores = group.cores
+        capacity = group.ways + zone
+        group_caps = []
+        for c in cores:
+            cap = caps[c]
+            group_caps.append(capacity if capacity < cap else cap)
+        shares = _waterfill(capacity, [weights[c] for c in cores], group_caps)
+        for c, share in zip(cores, shares):
+            out[c] = share
+    return out
 
 
 def waterfill(
@@ -48,53 +155,18 @@ def waterfill(
     caps = np.asarray(caps, dtype=float)
     if weights.shape != caps.shape:
         raise ValueError("weights and caps must have the same shape")
+    if np.isnan(weights).any() or np.isnan(caps).any():
+        raise ValueError("weights and caps must not be NaN")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     if np.any(caps < 0):
         raise ValueError("caps must be non-negative")
-    if total_ways < 0:
+    if not total_ways >= 0:
         raise ValueError("total_ways must be non-negative")
-
-    # Pure-Python implementation: this runs once per solver iteration on
-    # ~10-element inputs, where float loops are several times faster than
-    # boolean-mask NumPy (see the solver's profiling notes).
-    n = weights.size
-    w_list = weights.tolist()
-    cap_list = caps.tolist()
-    result = [0.0] * n
-    active = [w > _EPS and c > _EPS for w, c in zip(w_list, cap_list)]
-    remaining = float(total_ways)
-
-    # Each pass either finishes or permanently retires >= 1 competitor, so
-    # at most n passes run.
-    for _ in range(n):
-        if remaining <= _EPS or not any(active):
-            break
-        weight_sum = sum(w for w, a in zip(w_list, active) if a)
-        overflow = False
-        for i in range(n):
-            if not active[i]:
-                continue
-            share = remaining * w_list[i] / weight_sum
-            if result[i] + share >= cap_list[i] - 1e-9:
-                overflow = True
-        if not overflow:
-            for i in range(n):
-                if active[i]:
-                    result[i] += remaining * w_list[i] / weight_sum
-            remaining = 0.0
-            break
-        granted = 0.0
-        for i in range(n):
-            if not active[i]:
-                continue
-            share = remaining * w_list[i] / weight_sum
-            if result[i] + share >= cap_list[i] - 1e-9:
-                granted += cap_list[i] - result[i]
-                result[i] = cap_list[i]
-                active[i] = False
-        remaining -= granted
-    return np.asarray(result)
+    shares = _waterfill(
+        float(total_ways), weights.ravel().tolist(), caps.ravel().tolist()
+    )
+    return np.asarray(shares, dtype=float)
 
 
 def effective_ways(
@@ -116,30 +188,18 @@ def effective_ways(
     """
     pressures = np.asarray(pressures, dtype=float)
     caps = np.asarray(caps, dtype=float)
-    if pressures.size != partition.n_cores:
-        raise ValueError(
-            f"expected {partition.n_cores} pressures, got {pressures.size}"
-        )
-    weights = np.power(np.maximum(pressures, 0.0), theta)
-
-    # Split the shared zone between groups by aggregate pressure weight.
-    zone_share = {g.name: 0.0 for g in partition.groups}
-    if partition.shared_ways > _EPS:
-        group_weight = np.array(
-            [weights[list(g.cores)].sum() for g in partition.groups]
-        )
-        total_weight = group_weight.sum()
-        if total_weight > _EPS:
-            for g, gw in zip(partition.groups, group_weight):
-                zone_share[g.name] = partition.shared_ways * gw / total_weight
-
-    out = np.zeros(partition.n_cores)
-    for group in partition.groups:
-        idx = np.fromiter(group.cores, dtype=int)
-        capacity = group.ways + zone_share[group.name]
-        group_caps = np.minimum(caps[idx], capacity)
-        out[idx] = waterfill(capacity, weights[idx], group_caps)
-    return out
+    n = partition.n_cores
+    if pressures.size != n:
+        raise ValueError(f"expected {n} pressures, got {pressures.size}")
+    if caps.size != n:
+        raise ValueError(f"expected {n} caps, got {caps.size}")
+    if np.isnan(pressures).any():
+        raise ValueError("pressures must not be NaN")
+    if np.isnan(caps).any() or np.any(caps < 0):
+        raise ValueError("caps must be non-negative and not NaN")
+    weights = _pressure_weights(pressures.ravel().tolist(), theta)
+    shares = _effective_ways(partition, weights, caps.ravel().tolist())
+    return np.asarray(shares, dtype=float)
 
 
 def waterfill_batch(

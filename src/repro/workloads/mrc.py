@@ -441,6 +441,10 @@ class TabulatedMRC(MissRatioCurve):
         r = np.asarray(ratios, dtype=float)
         if w.size != r.size or w.size < 2:
             raise ValueError("need >= 2 matching (ways, ratio) points")
+        # NaN slips through both range checks below (every comparison
+        # with it is False), so reject non-finite points explicitly.
+        if not (np.isfinite(w).all() and np.isfinite(r).all()):
+            raise ValueError("ways and ratios must be finite")
         if np.any(np.diff(w) <= 0):
             raise ValueError("ways must be strictly increasing")
         if np.any((r < 0) | (r > 1)):

@@ -32,6 +32,23 @@ class TestWaterfill:
         assert w == pytest.approx([2.0, 3.0])
         assert w.sum() < 10.0
 
+    @pytest.mark.parametrize(
+        "weights,caps",
+        [
+            ([np.nan, 1.0], [np.inf, np.inf]),
+            ([1.0, 1.0], [np.nan, 3.0]),
+        ],
+    )
+    def test_nan_inputs_rejected(self, weights, caps):
+        # A NaN weight used to fall out of the active set and get a zero
+        # share without complaint.
+        with pytest.raises(ValueError, match="NaN"):
+            waterfill(10.0, np.array(weights), np.array(caps))
+
+    def test_nan_total_rejected(self):
+        with pytest.raises(ValueError, match="total_ways"):
+            waterfill(np.nan, np.array([1.0]), np.array([np.inf]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             waterfill(1.0, np.array([1.0]), np.array([1.0, 2.0]))
@@ -123,6 +140,38 @@ class TestEffectiveWays:
         part = PartitionSpec.unmanaged(2, 20)
         with pytest.raises(ValueError):
             effective_ways(part, np.array([1.0]), np.array([np.inf]), 1.0)
+
+    @pytest.mark.parametrize("n_caps", [1, 3])
+    def test_caps_length_validated(self, n_caps):
+        # A short caps array used to raise a raw IndexError and a long one
+        # was silently truncated.
+        part = PartitionSpec.unmanaged(2, 20)
+        with pytest.raises(ValueError, match="expected 2 caps"):
+            effective_ways(
+                part, np.array([1.0, 2.0]), np.full(n_caps, np.inf), 1.0
+            )
+
+    def test_nan_pressure_rejected(self):
+        part = PartitionSpec.unmanaged(2, 20)
+        with pytest.raises(ValueError, match="pressures"):
+            effective_ways(
+                part, np.array([np.nan, 2.0]), np.full(2, np.inf), 1.0
+            )
+
+    @pytest.mark.parametrize("bad_cap", [np.nan, -1.0])
+    def test_bad_caps_rejected(self, bad_cap):
+        part = PartitionSpec.hp_be(4, 2, 20)
+        with pytest.raises(ValueError, match="caps"):
+            effective_ways(
+                part, np.array([1.0, 2.0]), np.array([np.inf, bad_cap]), 1.0
+            )
+
+    def test_negative_pressure_counts_as_zero(self):
+        part = PartitionSpec.unmanaged(2, 20)
+        w = effective_ways(
+            part, np.array([-5.0, 2.0]), np.full(2, np.inf), 1.0
+        )
+        assert w.tolist() == [0.0, 20.0]
 
     @given(
         st.integers(min_value=2, max_value=10),

@@ -165,6 +165,22 @@ class TestTabulated:
         with pytest.raises(ValueError):
             TabulatedMRC([1, 2], [0.5, 1.4])
 
+    @pytest.mark.parametrize(
+        "ways,ratios",
+        [
+            ([0, 4, 8, 20], [1.0, math.nan, 0.3, 0.2]),
+            ([0, 4, 8, 20], [math.nan, 0.5, 0.3, 0.2]),
+            ([0, math.nan, 8, 20], [1.0, 0.5, 0.3, 0.2]),
+            ([0, 4, 8, math.inf], [1.0, 0.5, 0.3, 0.2]),
+            ([-math.inf, 4, 8, 20], [1.0, 0.5, 0.3, 0.2]),
+        ],
+    )
+    def test_non_finite_points_rejected(self, ways, ratios):
+        # NaN passed the monotonicity and [0, 1] checks, and the exact
+        # solver then "converged" with a NaN IPC.
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedMRC(ways, ratios)
+
     def test_min_ways_for_miss_ratio(self):
         mrc = TabulatedMRC([0, 10], [1.0, 0.0])
         assert mrc.min_ways_for_miss_ratio(0.5, 20) == 5.0
