@@ -49,11 +49,11 @@ import numpy as np
 from repro.obs import get_registry
 from repro.sim.llc import (
     _effective_ways,
+    _effective_ways_layout,
     _pressure_weights,
     _reduce_sum,
     _waterfill,
-    effective_ways_batch,
-    waterfill_batch,
+    _waterfill_batch,
 )
 from repro.sim.membus import MemoryLink
 from repro.sim.partition import PartitionSpec
@@ -109,6 +109,9 @@ SOLVER_COUNTERS: dict[str, int] = {
     "fast_solves": 0,
     "fast_points": 0,
     "fast_iterations": 0,
+    # Sharing-step calls made by the fast kernel: one per core-group
+    # layout with live lanes per iteration.
+    "fast_sharing_calls": 0,
     # _PARAMS_MEMO parse-cache effectiveness (bounded LRU, see below).
     "params_memo_hits": 0,
     "params_memo_misses": 0,
@@ -706,20 +709,15 @@ def _illinois_root_batch(excess_b, guess, lat_floor, lat_ceil, gap_rtol=1e-7):
     return out
 
 
-#: Module-level memo of :func:`_point_params` arrays, keyed
-#: ``(platform, phases, mba, prefetch)``. The arrays are construction-identical on
-#: every rebuild and never mutated downstream (both kernels already share
-#: them across lanes within a call), so cross-call reuse cannot change a
-#: single bit of any solve. Bounded by wholesale clearing at the cap —
-#: campaign working sets (one entry per distinct phase combination) sit
-#: orders of magnitude below it.
-#: Bounded LRU over per-point parameter arrays, keyed ``(platform,
-#: phases, mba, prefetch)``. Long-running queue workers revisit phase tuples across
-#: thousands of solver calls; LRU eviction (oldest entry out, counted in
-#: ``solver_counters()["params_memo_evictions"]``) keeps the cache from
-#: growing without limit while preserving the hot working set — the old
-#: wholesale ``clear()`` at the cap threw the entire working set away.
-#: The lock makes concurrent access safe under ``pool="threads"``.
+#: Bounded LRU over :func:`_point_params` arrays, keyed ``(platform,
+#: phases, mba, prefetch)``. The arrays are construction-identical on
+#: every rebuild and never mutated downstream (both kernels share them
+#: across lanes within a call), so cross-call reuse cannot change a
+#: single bit of any solve. Long-running queue workers revisit phase
+#: tuples across thousands of solver calls; at the cap the oldest entry
+#: goes (counted in ``solver_counters()["params_memo_evictions"]``), so
+#: the cache stays bounded and keeps its hot working set. The lock makes
+#: concurrent access safe under ``pool="threads"``.
 _PARAMS_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
 _PARAMS_MEMO_MAX = 100_000
 _PARAMS_MEMO_LOCK = threading.Lock()
@@ -1142,6 +1140,82 @@ def _assert_fast_contract(
             )
 
 
+def _layout_lanes(
+    parsed: list[tuple], caps2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
+    """The fast kernel's cold-start iterate and its sharing-step groups.
+
+    Lanes sharing a core-group layout (core count plus each group's
+    cores) run their pressure-sharing step as one batched call.
+    Campaigns have few layouts (UM and HP/BE per core count) across
+    thousands of lanes; the rungs of a DICER ladder, CT-k and overlap
+    variants of one split differ only in their way counts, which the
+    sharing step gathers per lane. Returns the ``(lanes, width)``
+    cold-start ways; each lane's distinct-partition index; the group
+    ways (one zero-padded row per distinct partition) and shared ways
+    tables it indexes; and one ``(group cores, n_cores, lanes)`` tuple
+    per layout, lanes in ascending order.
+
+    Partitions are deduplicated by key (id first: batches reuse
+    partition objects) into one row each of group ways, shared ways and
+    cold-start iterate: equal split per group plus the shared zone, as
+    :func:`_initial_ways` builds it, with pad columns at exactly 0.0.
+    The rows are gathered per lane and clamped by ``caps2`` in place.
+    """
+    slot_of_id: dict[int, int] = {}
+    slot_of_key: dict[tuple, int] = {}
+    parts: list[PartitionSpec] = []
+    pidx = np.empty(len(parsed), dtype=np.int64)
+    for i, (_phases, partition, _mba, _params) in enumerate(parsed):
+        j = slot_of_id.get(id(partition))
+        if j is None:
+            j = slot_of_key.setdefault(partition.key(), len(parts))
+            if j == len(parts):
+                parts.append(partition)
+            slot_of_id[id(partition)] = j
+        pidx[i] = j
+    # Rows are built as float lists (Python float arithmetic is the same
+    # IEEE double arithmetic NumPy would do) and converted once.
+    width = caps2.shape[1]
+    n_groups = max(len(p.groups) for p in parts)
+    group_ways_rows = []
+    start_rows = []
+    layout_of: dict[tuple, int] = {}
+    part_layout = []
+    for partition in parts:
+        nc = partition.n_cores
+        layout = (nc, tuple(g.cores for g in partition.groups))
+        part_layout.append(layout_of.setdefault(layout, len(layout_of)))
+        ways = [g.ways for g in partition.groups]
+        group_ways_rows.append(ways + [0.0] * (n_groups - len(ways)))
+        start = [0.0] * width
+        for group in partition.groups:
+            share = group.ways / len(group.cores)
+            for core in group.cores:
+                start[core] = share
+        zone = partition.shared_ways / nc
+        for core in range(nc):
+            start[core] += zone
+        start_rows.append(start)
+    ways2 = np.array(start_rows)[pidx]
+    np.minimum(ways2, caps2, out=ways2)
+
+    u_group_ways = np.array(group_ways_rows)
+    u_shared = np.array([p.shared_ways for p in parts])
+    if len(layout_of) == 1:  # ladders and serve warm-ups: skip the sort
+        layout_rows = [np.arange(len(parsed))]
+    else:
+        lane_layout = np.array(part_layout)[pidx]
+        layout_rows = np.split(
+            np.argsort(lane_layout, kind="stable"),
+            np.cumsum(np.bincount(lane_layout))[:-1],
+        )
+    layouts = [
+        (cores, nc, rows) for ((nc, cores), rows) in zip(layout_of, layout_rows)
+    ]
+    return ways2, pidx, u_group_ways, u_shared, layouts
+
+
 def _solve_batch_fast(
     platform: PlatformConfig,
     parsed: list[tuple],
@@ -1156,9 +1230,14 @@ def _solve_batch_fast(
     the parity shackles off: MRC curves evaluate through their vectorised
     ``eval_many_fast`` paths, the queue-curve power tail is a single
     ``np.power`` call instead of a Python-float loop, and the
-    pressure-sharing step runs lane-batched
-    (:func:`~repro.sim.llc.effective_ways_batch`, grouped by partition)
-    instead of one Python call per lane per iteration. No masked-scalar
+    pressure-sharing step runs lane-batched instead of one Python call per
+    lane per iteration. Lanes are grouped by core-group layout (core count
+    plus each group's cores), not by partition: the layout core
+    :func:`~repro.sim.llc._effective_ways_layout` takes each lane's group
+    ways and shared ways as arrays, so a k-rung DICER ladder makes one
+    sharing call per iteration, not k (counted in
+    ``solver_counters()["fast_sharing_calls"]``). The cold-start iterate
+    is built once per distinct partition and gathered. No masked-scalar
     tail remains on the hot path.
 
     Lane purity (load-bearing for memoisation and the serial-vs-parallel
@@ -1353,29 +1432,10 @@ def _solve_batch_fast(
 
         return excess_b
 
-    # Lanes sharing a PartitionSpec run their pressure-sharing step as one
-    # batched call; campaigns have few distinct partitions (UM, CT-k, the
-    # controller's step ladder) across thousands of lanes.
-    part_slots: dict[tuple, tuple[PartitionSpec, list[int]]] = {}
-    for i, (_phases, partition, _mba, _params) in enumerate(parsed):
-        entry = part_slots.setdefault(partition.key(), (partition, []))
-        entry[1].append(i)
-    part_groups = [
-        (partition, np.array(rows)) for partition, rows in part_slots.values()
-    ]
-
-    # Cold-start iterate, vectorised per partition group: equal split per
-    # group plus the shared zone, clamped by caps — elementwise-identical
-    # to _initial_ways per lane. Pad columns stay at exactly 0.0.
-    ways2 = np.zeros((n_points, width))
-    for partition, rows in part_groups:
-        nc = partition.n_cores
-        base = np.zeros(nc)
-        for group in partition.groups:
-            idx = list(group.cores)
-            base[idx] = group.ways / len(idx)
-        base += partition.shared_ways / nc
-        ways2[rows, :nc] = np.minimum(base[None, :], caps2[rows, :nc])
+    ways2, part_of, group_ways, shared_ways, layouts = _layout_lanes(
+        parsed, caps2
+    )
+    sharing_calls = 0
 
     latency = np.full(n_points, lat_floor)
     step = np.full(n_points, damping)
@@ -1412,22 +1472,27 @@ def _solve_batch_fast(
         latency[act] = lat_a
         ipc_a = 1.0 / (cpi_a + mpi_a * blk_a * (lat_a[:, None] / thr_a))
 
-        # Insertion pressure (see the scalar loop), shared lane-batched per
-        # partition group. Pad slots keep their current ways so the damped
-        # update leaves them at exactly 0.0.
-        pressure_a = freq * ipc_a * mpi_a
+        # Insertion pressure (see the scalar loop) as sharing weights,
+        # shared lane-batched per core-group layout. Pad slots keep their
+        # current ways so the damped update leaves them at exactly 0.0.
+        weights_a = np.power(np.maximum(freq * ipc_a * mpi_a, 0.0), theta)
         ways_a = ways2[act]
         target_a = ways_a.copy()
         row_of[act] = np.arange(act.size)
-        for partition, rows in part_groups:
+        for cores, nc, rows in layouts:
             sel = rows[active[rows]]
             if sel.size == 0:
                 continue
+            p = part_of[sel]
             r = row_of[sel]
-            nc = partition.n_cores
-            target_a[r, :nc] = effective_ways_batch(
-                partition, pressure_a[r, :nc], caps2[sel, :nc], theta
+            target_a[r, :nc] = _effective_ways_layout(
+                cores,
+                group_ways[p, : len(cores)],
+                shared_ways[p],
+                weights_a[r, :nc],
+                caps2[sel, :nc],
             )
+            sharing_calls += 1
         step_a = step[act]
         ways_next = (1 - step_a[:, None]) * ways_a + step_a[:, None] * target_a
         delta_a = np.max(np.abs(ways_next - ways_a), axis=1)
@@ -1479,7 +1544,7 @@ def _solve_batch_fast(
         for nc in np.unique(n_cores[over]):
             sel = over[n_cores[over] == nc]
             bw_sel = bw2[sel, :nc]
-            granted = waterfill_batch(
+            granted = _waterfill_batch(
                 link.capacity_bytes, np.ones((sel.size, nc)), bw_sel
             )
             scale = np.where(
@@ -1495,6 +1560,7 @@ def _solve_batch_fast(
     SOLVER_COUNTERS["fast_solves"] += 1
     SOLVER_COUNTERS["fast_points"] += n_points
     SOLVER_COUNTERS["fast_iterations"] += int(iterations.sum())
+    SOLVER_COUNTERS["fast_sharing_calls"] += sharing_calls
 
     # Per-lane link utilisation from the fixed-order demand sums above
     # (post-rationing): trailing pad columns add exactly 0.0, so the value
@@ -1504,23 +1570,19 @@ def _solve_batch_fast(
     util_list = util.tolist()
     iter_list = iterations.tolist()
 
-    # One bulk copy per plane, row-sliced into per-point views: tens of
-    # thousands of tiny .copy() calls collapse into four memcpys. The
-    # views pin their (n_points, width) base arrays, which is at most a
-    # few MB per batch and dies with the returned states.
-    ipc_c = ipc2.copy()
-    ways_c = ways2.copy()
-    mr_c = mr2.copy()
-    bw_c = bw2.copy()
+    # Each plane is row-sliced into per-point views, not copied: the
+    # kernel owns the planes and never touches them again. The views pin
+    # their (n_points, width) base arrays, which is at most a few MB per
+    # batch and dies with the returned states.
     out = []
     for i, (_phases, partition, _mba, _params) in enumerate(parsed):
         nc = partition.n_cores
         out.append(
             SteadyState(
-                ipc=ipc_c[i, :nc],
-                ways=ways_c[i, :nc],
-                miss_ratio=mr_c[i, :nc],
-                bw_bytes=bw_c[i, :nc],
+                ipc=ipc2[i, :nc],
+                ways=ways2[i, :nc],
+                miss_ratio=mr2[i, :nc],
+                bw_bytes=bw2[i, :nc],
                 latency_cycles=lat_list[i],
                 utilisation=util_list[i],
                 iterations=iter_list[i],

@@ -14,6 +14,10 @@ occupancy caps; :func:`effective_ways` applies it across a full
 (overlapping) zone. Both validate their array inputs once and wrap
 unvalidated float-list cores (:func:`_waterfill`, :func:`_effective_ways`),
 which the exact solvers call directly once per group per iteration.
+:func:`waterfill_batch` and :func:`effective_ways_batch` are the
+lane-batched forms, validated the same way around unvalidated NumPy cores
+(:func:`_waterfill_batch`, :func:`_effective_ways_layout`) that the fast
+solver calls once per core-group layout per iteration.
 """
 
 from __future__ import annotations
@@ -202,35 +206,18 @@ def effective_ways(
     return np.asarray(shares, dtype=float)
 
 
-def waterfill_batch(
-    total_ways: np.ndarray | float,
-    weights: np.ndarray,
-    caps: np.ndarray,
+def _waterfill_batch(
+    total_ways: np.ndarray | float, weights: np.ndarray, caps: np.ndarray
 ) -> np.ndarray:
-    """Lane-batched :func:`waterfill`: row ``i`` splits ``total_ways[i]``.
+    """Unvalidated core of :func:`waterfill_batch`.
 
-    ``weights`` and ``caps`` are ``(lanes, k)``; ``total_ways`` broadcasts
-    over lanes. Each lane walks exactly the scalar water-filling decision
-    sequence (proportional shares, overflow detection with the same
-    ``1e-9`` cap slack, pin-and-redistribute), with every reduction
-    accumulated in fixed competitor order — so a lane's result depends
-    only on that lane's inputs, never on which other lanes share the
-    batch. This is the ``precision="fast"`` solver's sharing step; the
-    scalar function stays the bitwise-exact path.
+    The fast solver calls it once per group per sharing step (and once
+    per core count when it rations bandwidth).
     """
-    weights = np.asarray(weights, dtype=float)
-    caps = np.asarray(caps, dtype=float)
-    if weights.ndim != 2 or weights.shape != caps.shape:
-        raise ValueError("weights and caps must share a (lanes, k) shape")
-    if np.any(weights < 0) or np.any(caps < 0):
-        raise ValueError("weights and caps must be non-negative")
     n_lanes, k = weights.shape
     remaining = np.broadcast_to(
         np.asarray(total_ways, dtype=float), (n_lanes,)
     ).copy()
-    if np.any(remaining < 0):
-        raise ValueError("total_ways must be non-negative")
-
     result = np.zeros((n_lanes, k))
     active = (weights > _EPS) & (caps > _EPS)
     # Each pass either finishes a lane or permanently retires >= 1 of its
@@ -268,59 +255,137 @@ def waterfill_batch(
     return result
 
 
+def _effective_ways_layout(
+    group_cores: tuple[tuple[int, ...], ...],
+    group_ways: np.ndarray,
+    shared_ways: np.ndarray,
+    weights: np.ndarray,
+    caps: np.ndarray,
+) -> np.ndarray:
+    """Unvalidated lane-batched core of :func:`effective_ways_batch`.
+
+    Every lane shares one core-group *layout* — ``group_cores`` lists each
+    group's cores, in partition order — but not its way counts:
+    ``group_ways`` is ``(lanes, groups)`` and ``shared_ways`` is
+    ``(lanes,)``. So the rungs of a DICER ladder, CT-k and an overlap
+    variant of the same HP/BE split share one call. ``weights`` are the
+    pressure weights (``max(pressure, 0) ** theta``) and ``caps`` the
+    occupancy caps, both ``(lanes, n_cores)``.
+    """
+    n_lanes = weights.shape[0]
+
+    # Split the shared zone between groups by aggregate pressure weight,
+    # per lane (fixed-order sums over each group's member cores). Lanes
+    # without a zone take exactly 0.0, as if the split never ran.
+    zone_share = [0.0] * len(group_cores)
+    has_zone = shared_ways > _EPS
+    if has_zone.any():
+        group_weight = []
+        for cores in group_cores:
+            gw = np.zeros(n_lanes)
+            for core in cores:
+                gw = gw + weights[:, core]
+            group_weight.append(gw)
+        total_weight = np.zeros(n_lanes)
+        for gw in group_weight:
+            total_weight = total_weight + gw
+        live = has_zone & (total_weight > _EPS)
+        safe = np.where(live, total_weight, 1.0)
+        zone_share = [
+            np.where(live, shared_ways * gw / safe, 0.0)
+            for gw in group_weight
+        ]
+
+    out = np.zeros(weights.shape)
+    for g, cores in enumerate(group_cores):
+        idx = list(cores)
+        capacity = group_ways[:, g] + zone_share[g]
+        group_caps = np.minimum(caps[:, idx], capacity[:, None])
+        out[:, idx] = _waterfill_batch(capacity, weights[:, idx], group_caps)
+    return out
+
+
+def waterfill_batch(
+    total_ways: np.ndarray | float,
+    weights: np.ndarray,
+    caps: np.ndarray,
+) -> np.ndarray:
+    """Lane-batched :func:`waterfill`: row ``i`` splits ``total_ways[i]``.
+
+    ``weights`` and ``caps`` are ``(lanes, k)``; ``total_ways`` is a
+    scalar or one value per lane. Each lane walks exactly the scalar
+    water-filling decision sequence (proportional shares, overflow
+    detection with the same ``1e-9`` cap slack, pin-and-redistribute),
+    with every reduction accumulated in fixed competitor order — so a
+    lane's result depends only on that lane's inputs, never on which
+    other lanes share the batch. Inputs are validated as
+    :func:`waterfill` validates them; the fast solver calls the
+    unvalidated :func:`_waterfill_batch` directly.
+    """
+    weights = np.asarray(weights, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    if weights.shape != caps.shape:
+        raise ValueError("weights and caps must have the same shape")
+    if weights.ndim != 2:
+        raise ValueError("weights and caps must be (lanes, k) arrays")
+    if np.isnan(weights).any() or np.isnan(caps).any():
+        raise ValueError("weights and caps must not be NaN")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    if np.any(caps < 0):
+        raise ValueError("caps must be non-negative")
+    total = np.asarray(total_ways, dtype=float)
+    n_lanes = weights.shape[0]
+    if total.ndim > 1 or total.size not in (1, n_lanes):
+        raise ValueError(
+            f"expected a scalar or {n_lanes} total_ways, got {total.shape}"
+        )
+    if not np.all(total >= 0):
+        raise ValueError("total_ways must be non-negative")
+    return _waterfill_batch(total, weights, caps)
+
+
 def effective_ways_batch(
     partition: PartitionSpec,
     pressures: np.ndarray,
     caps: np.ndarray,
     theta: float,
 ) -> np.ndarray:
-    """Lane-batched :func:`effective_ways` under ONE shared ``partition``.
+    """Lane-batched :func:`effective_ways` under one ``partition``.
 
-    ``pressures``/``caps`` are ``(lanes, n_cores)`` (``caps`` may also be
-    a single ``(n_cores,)`` row, broadcast over lanes). All lanes share
-    the partition — the fast solver groups its batch by partition key and
-    calls this once per group. Per-lane semantics mirror the scalar
-    function decision-for-decision with fixed-order reductions, so lane
-    results are independent of batch composition.
+    ``pressures`` is ``(lanes, n_cores)``; ``caps`` is the same or a
+    single ``(n_cores,)`` row, broadcast over lanes. Inputs are validated
+    as :func:`effective_ways` validates them, then the call runs the
+    layout core :func:`_effective_ways_layout` with the partition's way
+    counts repeated on every lane. The fast solver calls that core
+    directly, once per core-group layout per iteration, so lanes under
+    different partitions of one layout share it. Per-lane semantics mirror
+    the scalar function decision for decision with fixed-order
+    reductions, so lane results are independent of batch composition.
     """
     pressures = np.asarray(pressures, dtype=float)
+    caps = np.asarray(caps, dtype=float)
     n = partition.n_cores
     if pressures.ndim != 2 or pressures.shape[1] != n:
         raise ValueError(
             f"expected (lanes, {n}) pressures, got {pressures.shape}"
         )
     n_lanes = pressures.shape[0]
-    caps = np.asarray(caps, dtype=float)
-    if caps.ndim == 1:
-        caps = np.broadcast_to(caps, (n_lanes, n))
-    weights = np.power(np.maximum(pressures, 0.0), theta)
-
-    # Split the shared zone between groups by aggregate pressure weight,
-    # per lane (fixed-order sums over each group's member cores).
-    zone_share = {g.name: np.zeros(n_lanes) for g in partition.groups}
-    if partition.shared_ways > _EPS:
-        group_weight = []
-        for g in partition.groups:
-            gw = np.zeros(n_lanes)
-            for core in g.cores:
-                gw = gw + weights[:, core]
-            group_weight.append(gw)
-        total_weight = np.zeros(n_lanes)
-        for gw in group_weight:
-            total_weight = total_weight + gw
-        live = total_weight > _EPS
-        safe = np.where(live, total_weight, 1.0)
-        for g, gw in zip(partition.groups, group_weight):
-            zone_share[g.name] = np.where(
-                live, partition.shared_ways * gw / safe, 0.0
-            )
-
-    out = np.zeros((n_lanes, n))
-    for group in partition.groups:
-        idx = np.fromiter(group.cores, dtype=int)
-        capacity = group.ways + zone_share[group.name]
-        group_caps = np.minimum(caps[:, idx], capacity[:, None])
-        out[:, idx] = waterfill_batch(
-            capacity, weights[:, idx], group_caps
+    if caps.ndim == 1 and caps.size != n:
+        raise ValueError(f"expected {n} caps, got {caps.size}")
+    if caps.ndim != 1 and caps.shape != pressures.shape:
+        raise ValueError(
+            f"expected {n} or ({n_lanes}, {n}) caps, got {caps.shape}"
         )
-    return out
+    if np.isnan(pressures).any():
+        raise ValueError("pressures must not be NaN")
+    if np.isnan(caps).any() or np.any(caps < 0):
+        raise ValueError("caps must be non-negative and not NaN")
+    groups = partition.groups
+    return _effective_ways_layout(
+        tuple(g.cores for g in groups),
+        np.tile([g.ways for g in groups], (n_lanes, 1)),
+        np.full(n_lanes, partition.shared_ways),
+        np.power(np.maximum(pressures, 0.0), theta),
+        np.broadcast_to(caps, (n_lanes, n)),
+    )
