@@ -1,6 +1,6 @@
 # Convenience targets for the DICER reproduction.
 
-.PHONY: all install lint test fastmath chaos conformance coverage golden bench bench-quick bench-json bench-full bench-fast bench-fast-quick queue-smoke serve serve-smoke examples clean
+.PHONY: all install lint test fastmath chaos conformance coverage golden bench bench-quick bench-full bench-fast bench-fast-quick queue-smoke serve serve-smoke examples clean
 
 .DEFAULT_GOAL := all
 
@@ -43,23 +43,17 @@ coverage:         ## pytest-cov with a line floor on the controller core; skippe
 bench:            ## quick-mode campaign (truncated populations)
 	pytest benchmarks/ --benchmark-only
 
-bench-quick:      ## quick-mode campaign + autosave + >25% regression gate + perf artefact
+bench-quick:      ## quick-mode campaign + autosave + >25% regression gate
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only --benchmark-autosave
-	python benchmarks/compare_saves.py --threshold 0.25 \
-		--bench-json benchmarks/results/BENCH_headline.json
-
-bench-json:       ## refresh + report benchmarks/results/BENCH_headline.json only
-	PYTHONPATH=src pytest benchmarks/bench_headline.py --benchmark-only
-	python benchmarks/compare_saves.py \
-		--bench-json benchmarks/results/BENCH_headline.json
+	python benchmarks/compare_saves.py --threshold 0.25
 
 bench-full:       ## paper-scale campaign (3481 pairs, 120-workload grid)
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
 
-bench-fast:       ## fast-math speedup gate: full 3481-pair grid, exact vs fast, floor 5x
+bench-fast:       ## fast-math speedup gate: full 3481-pair grid, exact vs fast, floor 9.6x
 	PYTHONPATH=src python benchmarks/bench_fast.py
 
-bench-fast-quick: ## fast-math speedup gate on the truncated population (floor 3x)
+bench-fast-quick: ## fast-math speedup gate on the truncated population (floor 4.9x)
 	PYTHONPATH=src python benchmarks/bench_fast.py --quick
 
 queue-smoke:      ## serial/threads/processes pools + two-worker shared queue, digest-checked against serial

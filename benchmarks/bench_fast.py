@@ -1,24 +1,25 @@
 #!/usr/bin/env python
 """Fast-math solver speedup gate (``make bench-fast``).
 
-Times the steady-state solver kernel over the paper-scale operating-point
+Times the steady-state solver over the paper-scale operating-point
 population — every pair of the 59-app catalog (the Figure 1 / CT
 classification sweep's 3481 mixes) under the unmanaged partition and four
-HP/BE splits — once with the bitwise-exact kernel and once with the
-tolerance-contracted fast kernel (DESIGN.md §10), both as one fused batch
-per mode, exactly how fast-mode campaigns submit work.
+HP/BE splits — once at exact precision (the scalar solver, one point at
+a time, as the library runs it) and once with the tolerance-contracted
+fast kernel (DESIGN.md §10) as one fused batch, exactly how fast-mode
+campaigns submit work.
 
-Reports ``fast_speedup = exact_wall / fast_wall`` (best-of-N per mode),
-verifies the fast results against the exact ones with the runtime accuracy
-contract, merges the numbers into ``BENCH_headline.json`` (top-level
-``fast_speedup`` plus a ``fast`` detail block), and exits non-zero when the
-speedup lands below ``--min-speedup`` (default 5.0; quick mode relaxes the
-floor because narrow populations amortise the batch setup worse).
+Reports ``speedup = exact_wall / fast_wall`` (best-of-N per mode) and the
+microseconds per point of each mode, verifies the fast results against
+the exact ones with the runtime accuracy contract, and exits non-zero
+when the speedup lands below ``--min-speedup`` (default 9.6; quick mode
+has a lower floor because narrow populations amortise the batch setup
+worse).
 
 Usage::
 
     python benchmarks/bench_fast.py                  # full 3481-pair gate
-    python benchmarks/bench_fast.py --quick          # truncated, floor 3.0
+    python benchmarks/bench_fast.py --quick          # truncated, floor 4.9
     python benchmarks/bench_fast.py --min-speedup 4
 """
 
@@ -26,22 +27,22 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 import time
 from pathlib import Path
-
-#: Default artefact the speedup is merged into.
-DEFAULT_BENCH_JSON = Path(__file__).parent / "results" / "BENCH_headline.json"
 
 #: HP way splits sampled per pair (plus the unmanaged partition) — the
 #: corners of DICER's sampling grid on the Table-1 platform.
 HP_WAY_SPLITS = (5, 9, 13, 17)
 
-#: Acceptance floors. Quick mode shrinks the population ~8x, so per-batch
-#: setup overhead weighs heavier and the floor relaxes accordingly.
-MIN_SPEEDUP_FULL = 5.0
-MIN_SPEEDUP_QUICK = 3.0
+#: Acceptance floors. They were 5x (full) and 3x (quick) against the
+#: exact batch kernel the library used to have; the scalar solver that
+#: replaced it is slower on these populations (1.91x full, 1.62x quick,
+#: medians of 5 runs on a 2-vCPU Xeon VM), so the floors were scaled by
+#: those factors and rounded up to stay no looser. Quick mode shrinks the
+#: population ~8x, so per-batch setup overhead weighs heavier.
+MIN_SPEEDUP_FULL = 9.6
+MIN_SPEEDUP_QUICK = 4.9
 
 
 def build_population(limit: int | None = None) -> list[tuple]:
@@ -71,7 +72,7 @@ def build_population(limit: int | None = None) -> list[tuple]:
 
 
 def time_mode(points: list[tuple], precision: str, rounds: int) -> tuple:
-    """(best wall seconds, results) for one fused batch in ``precision``."""
+    """(best wall seconds, results) of one batch call in ``precision``."""
     from repro.sim.contention import solve_steady_state_batch
     from repro.sim.platform import TABLE1_PLATFORM
 
@@ -105,20 +106,6 @@ def check_contract(fast, exact) -> tuple[int, float]:
     return violations, worst
 
 
-def merge_artefact(path: Path, fast_block: dict) -> None:
-    """Fold the speedup into BENCH_headline.json (create it if absent)."""
-    payload: dict = {"schema": 1}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            pass  # keep the artefact usable even over a torn previous write
-    payload["fast_speedup"] = fast_block["speedup"]
-    payload["fast"] = fast_block
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -141,13 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         default=3,
         help="timing rounds per mode; the best round counts (default 3)",
     )
-    parser.add_argument(
-        "--bench-json",
-        type=Path,
-        default=DEFAULT_BENCH_JSON,
-        metavar="PATH",
-        help="BENCH_headline.json to merge fast_speedup into",
-    )
     args = parser.parse_args(argv)
     floor = args.min_speedup
     if floor is None:
@@ -166,29 +146,16 @@ def main(argv: list[str] | None = None) -> int:
     speedup = t_exact / t_fast
     violations, worst = check_contract(fast, exact)
 
+    us = 1e6 / len(points)
     print(
-        f"  exact: {t_exact:.3f}s   fast: {t_fast:.3f}s   "
+        f"  exact: {t_exact:.3f}s ({t_exact * us:.1f} us/point)   "
+        f"fast: {t_fast:.3f}s ({t_fast * us:.1f} us/point)   "
         f"speedup: {speedup:.2f}x (floor {floor}x)"
     )
     print(
         f"  accuracy contract: {violations} violation(s), "
         f"worst |ipc rel err| {worst:.3e}"
     )
-
-    merge_artefact(
-        args.bench_json,
-        {
-            "speedup": round(speedup, 3),
-            "exact_wall_s": round(t_exact, 4),
-            "fast_wall_s": round(t_fast, 4),
-            "n_points": len(points),
-            "quick": args.quick,
-            "rounds": args.rounds,
-            "contract_violations": violations,
-            "worst_ipc_rel_err": float(f"{worst:.6e}"),
-        },
-    )
-    print(f"  merged into {args.bench_json}")
 
     if violations:
         print(f"FAIL: {violations} point(s) broke the accuracy contract")

@@ -1,12 +1,9 @@
 """The paper's headline claims (abstract / Section 4.2) vs this
 reproduction: SLO-80 share, SLO-90 share, full-server EFU, CT-T share."""
 
-import time
+from conftest import LIMIT, publish
 
-from conftest import LIMIT, SESSION_PERF, publish
-
-from repro.experiments.ablation import sweep_classification_threshold  # noqa: F401
-from repro.experiments.classify import CT_F_THRESHOLD, classify_all
+from repro.experiments.classify import classify_all
 from repro.experiments.headline import evaluate_headlines, render_headlines
 from repro.workloads.catalog import app_names
 
@@ -18,7 +15,5 @@ def bench_headline(benchmark, store, grid):
         ctt = sum(1 for c in classes if not c.ct_favoured) / len(classes)
         return evaluate_headlines(grid, ctt_fraction=ctt)
 
-    t0 = time.perf_counter()
     claims = benchmark.pedantic(run, rounds=1, iterations=1)
-    SESSION_PERF["headline_wall_s"] = time.perf_counter() - t0
     publish("headline", render_headlines(claims))

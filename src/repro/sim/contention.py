@@ -15,27 +15,26 @@ ranges (latency rises when IPC rises, which pushes IPC back down); damping
 makes it robust near the saturation knee. Tests assert convergence across
 the entire catalog pair population.
 
-:func:`solve_steady_state_batch` advances B operating points through the
-same iteration simultaneously with masked NumPy lanes (see DESIGN.md §7):
-converged lanes freeze, stragglers keep iterating, and every elementwise
-operation reproduces the scalar solver's op sequence so each lane's result
-is byte-identical to a scalar cold solve of the same point.
+:func:`solve_steady_state_batch` solves many operating points in one call.
 
 Both solvers take ``precision`` (DESIGN.md §10). ``"exact"`` (the library
-default) is the bitwise contract above. ``"fast"`` trades it for a
-*tolerance* contract — results agree with the exact kernel to within
-:data:`FAST_REL_TOL` / :data:`FAST_WAYS_ATOL` — in exchange for a fully
-vectorised kernel: ``np.power`` queue tails, vectorised transcendental MRC
-evaluation, and lane-batched pressure sharing, with no masked-scalar tail.
-Fast results are still *pure per lane*: a lane's bits depend only on its
-own operating point, never on batch composition, so fused cross-cell
-batches, memoisation and the serial-vs-parallel determinism audit all keep
-working. Set ``REPRO_FAST_CHECK=1`` to shadow every fast solve with an
-exact solve and assert the contract at runtime.
+default) runs this scalar solver, one point at a time, so every exact
+result is bit-reproducible. ``"fast"`` trades that for a *tolerance*
+contract — results agree with the exact solver to within
+:data:`FAST_REL_TOL` / :data:`FAST_WAYS_ATOL` — in exchange for a
+vectorised batch kernel that advances B points through the same iteration
+with masked NumPy lanes (see DESIGN.md §7): ``np.power`` queue tails,
+vectorised transcendental MRC evaluation, and lane-batched pressure
+sharing. Fast results are still *pure per lane*: a lane's bits depend only
+on its own operating point, never on batch composition, so fused
+cross-cell batches, memoisation and the serial-vs-parallel determinism
+audit all keep working. Set ``REPRO_FAST_CHECK=1`` to shadow every fast
+solve with an exact solve and assert the contract at runtime.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -92,20 +91,15 @@ FAST_REL_TOL = 1e-3
 FAST_WAYS_ATOL = 0.05
 
 #: Process-wide solver instrumentation, always on (plain dict increments are
-#: ~free next to a solve). ``scalar_solves`` counts calls into the Python
-#: solver, ``batch_points`` counts operating points that went through the
-#: bitwise-exact vectorised kernel, ``fast_points`` the points solved by
-#: the tolerance-contracted fast kernel; ``scalar + batch + fast`` points
-#: over Python-level calls says how much solver work each Python-level call
-#: carries. The benchmark reports the same split per layer as the
-#: ``sim.solver.*`` metrics of ``bench/`` (calls, points, iterations and
-#: us_per_point for each precision and singleton/batch path).
+#: ~free next to a solve). ``scalar_solves`` counts exact points, each
+#: solved by the scalar solver; ``fast_solves`` counts calls into the
+#: fast kernel and ``fast_points`` the points they carried. The benchmark
+#: reports the same split per layer as the ``sim.solver.*`` metrics of
+#: ``bench/`` (calls, points, iterations and us_per_point for each
+#: precision and singleton/batch path).
 SOLVER_COUNTERS: dict[str, int] = {
     "scalar_solves": 0,
     "scalar_iterations": 0,
-    "batch_solves": 0,
-    "batch_points": 0,
-    "batch_iterations": 0,
     "fast_solves": 0,
     "fast_points": 0,
     "fast_iterations": 0,
@@ -127,6 +121,26 @@ def _check_precision(precision: str) -> str:
     return precision
 
 
+def _check_iteration(tol: float, max_iter: int, damping: float) -> None:
+    """Reject iteration settings the fixed point cannot honour.
+
+    ``damping=0`` freezes the iterate, so the cold start would come back
+    as "converged" after one iteration; a damping outside ``(0, 1]`` or a
+    non-positive or NaN ``tol`` fails deep in the sharing step or burns
+    the whole budget before saying so.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must be in (0, 1], got {damping!r}")
+    if (
+        isinstance(max_iter, bool)
+        or not isinstance(max_iter, (int, np.integer))
+        or max_iter < 1
+    ):
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+
+
 #: Active point recorder (see :func:`record_solver_points`); ``None`` when
 #: recording is off.
 _POINT_RECORDER: list | None = None
@@ -137,13 +151,11 @@ def record_solver_points():
     """Capture every cold operating point the solvers see while active.
 
     Yields a list that accumulates ``(phases, partition, mba_scale,
-    prefetch)`` tuples — one per point entering
-    :func:`solve_steady_state` or a batch kernel (memo hits are not
-    recorded; they never reach the kernels). Recorded tuples feed straight
-    back into :func:`solve_steady_state_batch` as points.
-    Benchmarks use this to harvest a campaign's exact solve population and
-    re-solve it under both precision modes for an apples-to-apples kernel
-    speedup (``make bench-fast``).
+    prefetch)`` tuples — one per point entering the scalar solver or the
+    fast kernel (memo hits are not recorded; they never reach a solver).
+    Recorded tuples feed straight back into
+    :func:`solve_steady_state_batch` as points, so a campaign's solve
+    population can be re-solved under both precision modes.
     """
     global _POINT_RECORDER
     previous = _POINT_RECORDER
@@ -175,18 +187,17 @@ def solver_counters() -> dict:
     """A snapshot of the process-wide solver call/iteration counters.
 
     The flat keys are the raw counters. ``by_kernel`` is a derived view
-    attributing work to the solver that did it (``exact`` combines the
-    scalar and exact-batch paths; ``fast`` is the vectorised
-    tolerance-contracted solver), so ``report --metrics`` and bench
-    artefacts can say which precision solved what.
+    attributing work to the solver that did it (``exact`` is the scalar
+    solver, one solve per point; ``fast`` is the vectorised
+    tolerance-contracted kernel), so ``report --metrics`` can say which
+    precision solved what.
     """
     snap: dict = dict(SOLVER_COUNTERS)
     snap["by_kernel"] = {
         "exact": {
-            "solves": snap["scalar_solves"] + snap["batch_solves"],
-            "points": snap["scalar_solves"] + snap["batch_points"],
-            "iterations": snap["scalar_iterations"]
-            + snap["batch_iterations"],
+            "solves": snap["scalar_solves"],
+            "points": snap["scalar_solves"],
+            "iterations": snap["scalar_iterations"],
         },
         "fast": {
             "solves": snap["fast_solves"],
@@ -239,12 +250,12 @@ def _point_params(
 ) -> tuple[np.ndarray, ...]:
     """Per-core parameter arrays for one operating point.
 
-    Shared by the scalar and batched solvers so both see bit-identical
+    Shared by the scalar solver and the fast kernel so both see the same
     inputs (same construction, same op order). The prefetch-throttle axis
     folds into the parameter arrays here — effective blocking grows by the
     re-exposed stall, bytes-per-miss shrinks by the suppressed waste — so
-    the scalar, exact-batch and fast solvers pick it up without any
-    change to their iteration bodies. ``prefetch=None`` skips the
+    both solvers pick it up without any change to their iteration
+    bodies. ``prefetch=None`` skips the
     transform entirely, and a level of exactly ``0.0`` multiplies by
     ``1.0`` (a bitwise identity), so unthrottled points stay byte-for-byte
     what they were before the axis existed.
@@ -411,12 +422,14 @@ def solve_steady_state(
         function of the operating point (``warm_start`` is ignored), so
         they stay safe to memoise.
     """
+    _check_iteration(tol, max_iter, damping)
     if _check_precision(precision) == "fast":
-        parsed = _parse_points(
-            platform, [(phases, partition, mba_scale, prefetch)]
-        )
-        return _solve_batch_fast(
-            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
+        return _solve_fast(
+            platform,
+            [(phases, partition, mba_scale, prefetch)],
+            tol=tol,
+            max_iter=max_iter,
+            damping=damping,
         )[0]
     n = partition.n_cores
     cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = _point_params(
@@ -435,8 +448,8 @@ def solve_steady_state(
     # per-element expression keeps the NumPy evaluation order of the
     # vectorised form ((mpi*blocking)*(latency/throttle),
     # (freq*ipc)*mpi, ...), and sums that can reach 8 terms stay NumPy
-    # reductions, so results are bit-identical to it (and to the exact
-    # batch kernel). NumPy builds the parameters and the SteadyState.
+    # reductions, so results are bit-identical to it. NumPy builds the
+    # parameters and the SteadyState.
     curves = [p.mrc for p in phases]
     apki_list = apki.tolist()
     blocking_list = blocking.tolist()
@@ -625,9 +638,9 @@ def _illinois_root_batch(excess_b, guess, lat_floor, lat_ceil, gap_rtol=1e-7):
     dropped from the index sets and their state freezes.
 
     ``gap_rtol`` is the relative bracket-gap stop; the default matches the
-    scalar root finder (callers on the exact path must not override it).
-    The fast kernel loosens it for *intermediate* fixed-point iterations
-    only — the final consistency root always runs at full precision.
+    scalar root finder. The fast kernel loosens it for *intermediate*
+    fixed-point iterations only — the final consistency root always runs
+    at full precision.
     """
     n_lanes = guess.size
     out = np.empty(n_lanes)
@@ -711,7 +724,7 @@ def _illinois_root_batch(excess_b, guess, lat_floor, lat_ceil, gap_rtol=1e-7):
 
 #: Bounded LRU over :func:`_point_params` arrays, keyed ``(platform,
 #: phases, mba, prefetch)``. The arrays are construction-identical on
-#: every rebuild and never mutated downstream (both kernels share them
+#: every rebuild and never mutated downstream (the fast kernel shares them
 #: across lanes within a call), so cross-call reuse cannot change a
 #: single bit of any solve. Long-running queue workers revisit phase
 #: tuples across thousands of solver calls; at the cap the oldest entry
@@ -723,13 +736,30 @@ _PARAMS_MEMO_MAX = 100_000
 _PARAMS_MEMO_LOCK = threading.Lock()
 
 
+def _split_point(point: Sequence) -> tuple:
+    """``(phases, partition, mba_scale, prefetch)`` of one batch point.
+
+    A point is ``(phases, partition[, mba_scale[, prefetch]])``; the
+    missing trailing fields are ``None``.
+    """
+    if len(point) == 4:
+        return tuple(point)
+    if len(point) == 3:
+        return (*point, None)
+    if len(point) == 2:
+        return (*point, None, None)
+    raise ValueError(
+        "points must be (phases, partition[, mba_scale[, prefetch]]) tuples"
+    )
+
+
 def _parse_points(
     platform: PlatformConfig, points: Sequence[tuple]
 ) -> list[tuple]:
     """Normalise batch points into ``(phases, partition, mba, params)``.
 
-    Shared by both batch kernels so each sees identically validated
-    inputs; also feeds the active :func:`record_solver_points` recorder.
+    The fast kernel's input; also feeds the active
+    :func:`record_solver_points` recorder.
     Parameter arrays are memoised per ``(platform, phases, mba, prefetch)``
     in a bounded module-level cache — campaign populations reuse one phase
     tuple across many partitions and many solver calls, so most points
@@ -750,18 +780,7 @@ def _parse_points(
     recorder = _POINT_RECORDER
     parsed_append = parsed.append
     for point in points:
-        prefetch = None
-        if len(point) == 2:
-            (phases, partition), mba = point, None
-        elif len(point) == 3:
-            phases, partition, mba = point
-        elif len(point) == 4:
-            phases, partition, mba, prefetch = point
-        else:
-            raise ValueError(
-                "points must be (phases, partition[, mba_scale"
-                "[, prefetch]]) tuples"
-            )
+        phases, partition, mba, prefetch = _split_point(point)
         phases = tuple(phases)
         mba = None if mba is None else tuple(float(x) for x in mba)
         prefetch = (
@@ -812,251 +831,73 @@ def solve_steady_state_batch(
     damping: float = 0.5,
     precision: str = "exact",
 ) -> list[SteadyState]:
-    """Solve B operating points simultaneously with masked NumPy lanes.
+    """Solve many operating points in one call.
 
     ``points`` is a sequence of ``(phases, partition)``, ``(phases,
     partition, mba_scale)`` or ``(phases, partition, mba_scale,
     prefetch)`` tuples sharing one ``platform``; one
-    :class:`SteadyState` is returned per point, in order. Points may have
-    different core counts — lanes are padded to the widest point with
-    neutral parameters (zero access rate, zero bytes per miss) that
-    contribute exactly ``0.0`` to shared-link demand.
+    :class:`SteadyState` is returned per point, in order.
 
-    Parity guarantee under ``precision="exact"`` (DESIGN.md §7): each lane
-    reproduces the scalar solver's floating-point op sequence — per-core
-    demand accumulated in core order, the queue-curve power tail computed
-    with Python floats, MRC lookups deduplicated but evaluated with
-    ``__call__``-identical arithmetic — so lane ``i`` is byte-identical to
-    ``solve_steady_state(platform, *points[i])``, including the iteration
-    count. Converged lanes freeze (their rows stop updating) while
-    stragglers keep iterating under per-lane adaptive damping and budget
-    escalation, exactly as the scalar loop would.
+    ``precision="exact"`` solves each point with the scalar
+    :func:`solve_steady_state`, so result ``i`` is byte-identical to
+    ``solve_steady_state(platform, *points[i])``; a point that does not
+    converge raises ``ConvergenceError("lane i: ...")``.
 
-    ``precision="fast"`` swaps in the tolerance-contracted kernel
-    (DESIGN.md §10): results agree with exact lanes to within
-    :data:`FAST_REL_TOL`/:data:`FAST_WAYS_ATOL` and remain pure per lane,
-    but are not bitwise-reproducible against the scalar solver.
+    ``precision="fast"`` runs the tolerance-contracted vectorised kernel
+    (DESIGN.md §10) over all points at once. Points may have different
+    core counts — lanes are padded to the widest point with neutral
+    parameters (zero access rate, zero bytes per miss) that contribute
+    exactly ``0.0`` to shared-link demand. Results agree with exact
+    solves to within :data:`FAST_REL_TOL`/:data:`FAST_WAYS_ATOL` and
+    remain pure per lane, but are not bitwise-reproducible against the
+    scalar solver.
     """
     _check_precision(precision)
+    _check_iteration(tol, max_iter, damping)
     if len(points) == 0:
         return []
-    parsed = _parse_points(platform, points)
     if precision == "fast":
-        return _solve_batch_fast(
-            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
+        return _solve_fast(
+            platform, points, tol=tol, max_iter=max_iter, damping=damping
         )
-    return _solve_batch_exact(
-        platform, parsed, tol=tol, max_iter=max_iter, damping=damping
-    )
+    states = []
+    split = [_split_point(point) for point in points]
+    for i, (phases, partition, mba, prefetch) in enumerate(split):
+        try:
+            states.append(
+                solve_steady_state(
+                    platform, phases, partition, mba_scale=mba,
+                    prefetch=prefetch, tol=tol, max_iter=max_iter,
+                    damping=damping,
+                )
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"lane {i}: {exc}") from None
+    return states
 
 
-def _solve_batch_exact(
+def _solve_fast(
     platform: PlatformConfig,
-    parsed: list[tuple],
+    points: Sequence[tuple],
     *,
     tol: float,
     max_iter: int,
     damping: float,
 ) -> list[SteadyState]:
-    """Bitwise-exact batch kernel (see :func:`solve_steady_state_batch`)."""
-    n_points = len(parsed)
-    n_cores = np.array([partition.n_cores for _, partition, _, _ in parsed])
-    width = int(n_cores.max())
-
-    # Pad ragged points to (B, width) with neutral parameters.
-    cpi2 = np.ones((n_points, width))
-    apki2 = np.zeros((n_points, width))
-    blk2 = np.zeros((n_points, width))
-    bpm2 = np.zeros((n_points, width))
-    caps2 = np.full((n_points, width), np.inf)
-    thr2 = np.ones((n_points, width))
-    ways2 = np.zeros((n_points, width))
-    for i, (phases, partition, _mba, params) in enumerate(parsed):
-        cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = params
-        k = partition.n_cores
-        cpi2[i, :k] = cpi_exe
-        apki2[i, :k] = apki
-        blk2[i, :k] = blocking
-        bpm2[i, :k] = bytes_per_miss
-        caps2[i, :k] = caps
-        thr2[i, :k] = throttle
-        ways2[i, :k] = _initial_ways(partition, caps.tolist())
-
-    link = MemoryLink.from_platform(platform)
-    freq = platform.freq_hz
-    lat_floor = link.base_latency_cycles
-    lat_ceil = link.max_latency_cycles
-    inv_capacity = 1.0 / link.capacity_bytes
-    u_cap = link.utilisation_cap
-    gain = link.queue_gain
-    q_exp = link.queue_exponent
-    theta = platform.pressure_theta
-    delta_tol = tol * platform.llc_ways
-
-    # Group identical MRC objects across all lanes so each distinct
-    # (curve, ways) pair is evaluated once per sweep: BE clones share
-    # curve objects and sweep lanes share whole apps, so a 10-core lane
-    # batch typically needs a handful of curve evaluations per pass.
-    curve_slots: dict[int, tuple] = {}
-    for i, (phases, _partition, _mba, _params) in enumerate(parsed):
-        for j, phase in enumerate(phases):
-            entry = curve_slots.setdefault(id(phase.mrc), (phase.mrc, [], []))
-            entry[1].append(i)
-            entry[2].append(j)
-    curve_groups = [
-        (curve, np.array(rows), np.array(cols))
-        for curve, rows, cols in curve_slots.values()
-    ]
-
-    mr2 = np.zeros((n_points, width))
-
-    def eval_mrc(lane_mask: np.ndarray) -> None:
-        """mr2[i, j] = mrc_ij(ways2[i, j]) for every lane with lane_mask[i]."""
-        for curve, rows, cols in curve_groups:
-            take = lane_mask[rows]
-            r = rows[take]
-            if r.size == 0:
-                continue
-            c = cols[take]
-            uniq, inverse = np.unique(ways2[r, c], return_inverse=True)
-            mr2[r, c] = curve.eval_many(uniq)[inverse]
-
-    def make_excess(c2, e2, s2):
-        """Batched excess() over rows of the given parameter matrices."""
-
-        def excess_b(lat: np.ndarray, sub: np.ndarray) -> np.ndarray:
-            cs, es, ss = c2[sub], e2[sub], s2[sub]
-            demand = np.zeros(lat.size)
-            # Column loop: accumulate per-core demand in core order so the
-            # float additions match the scalar excess() loop bit-for-bit
-            # (a sum() reduction would reassociate them).
-            for j in range(width):
-                demand = demand + cs[:, j] / (es[:, j] + ss[:, j] * lat)
-            u = demand * inv_capacity
-            u = np.minimum(u, u_cap)
-            ratio = u / (1.0 - u)
-            # Array ** is not guaranteed bit-identical to Python float **;
-            # route the power tail through Python floats to match the
-            # scalar path exactly. O(active lanes) per evaluation.
-            powed = np.array([r**q_exp for r in ratio.tolist()])
-            return lat_floor * (1.0 + gain * powed) - lat
-
-        return excess_b
-
-    latency = np.full(n_points, lat_floor)
-    step = np.full(n_points, damping)
-    budget = np.full(n_points, max_iter, dtype=np.int64)
-    prev_delta = np.full(n_points, np.inf)
-    iterations = np.zeros(n_points, dtype=np.int64)
-    active = np.ones(n_points, dtype=bool)
-
-    while True:
-        act = np.nonzero(active)[0]
-        if act.size == 0:
-            break
-        iterations[act] += 1
-        eval_mrc(active)
-        mpi_a = apki2[act] * mr2[act]
-        blk_a = blk2[act]
-        thr_a = thr2[act]
-        cpi_a = cpi2[act]
-        excess_b = make_excess(
-            (freq * mpi_a) * bpm2[act], cpi_a, (mpi_a * blk_a) / thr_a
-        )
-        lat_a = _illinois_root_batch(
-            excess_b, latency[act], lat_floor, lat_ceil
-        )
-        latency[act] = lat_a
-        ipc_a = 1.0 / (cpi_a + mpi_a * blk_a * (lat_a[:, None] / thr_a))
-
-        # Insertion pressure (see the scalar loop): steady-state occupancy
-        # tracks each competitor's miss rate. The pressure-sharing step is
-        # per-lane (partitions differ across lanes); pad slots carry their
-        # current ways so the damped update leaves them at exactly 0.0.
-        pressure_a = freq * ipc_a * mpi_a
-        ways_a = ways2[act]
-        target_a = np.empty_like(ways_a)
-        for row, i in enumerate(act):
-            nc = int(n_cores[i])
-            target_a[row, :nc] = _effective_ways(
-                parsed[i][1],
-                _pressure_weights(pressure_a[row, :nc].tolist(), theta),
-                caps2[i, :nc].tolist(),
-            )
-            target_a[row, nc:] = ways_a[row, nc:]
-        step_a = step[act]
-        ways_next = (1 - step_a[:, None]) * ways_a + step_a[:, None] * target_a
-        delta_a = np.max(np.abs(ways_next - ways_a), axis=1)
-        ways2[act] = ways_next
-
-        conv = delta_a < delta_tol
-        ncv = ~conv
-        # Per-lane adaptive damping, mirroring the scalar rules: a
-        # non-shrinking delta tightens the step; at the floor step the
-        # lane gets the 10x budget instead.
-        worse = ncv & (delta_a >= prev_delta[act])
-        shrink = worse & (step_a > 0.021)
-        floored = worse & ~shrink
-        new_step = step_a.copy()
-        new_step[shrink] = np.maximum(step_a[shrink] * 0.7, 0.02)
-        step[act] = new_step
-        if floored.any():
-            budget[act[floored]] = max_iter * 10
-        pd = prev_delta[act]
-        pd[ncv] = delta_a[ncv]
-        prev_delta[act] = pd
-        active[act[conv]] = False
-        # Deliberately NOT masked with ncv: the scalar solver raises
-        # whenever the loop exits with iterations >= budget, even for a
-        # lane that converged on exactly the last allowed iteration.
-        blown = iterations[act] >= budget[act]
-        if blown.any():
-            i = int(act[np.nonzero(blown)[0][0]])
-            raise ConvergenceError(
-                f"lane {i}: no convergence after {int(iterations[i])} "
-                f"iterations (latency={latency[i]:.1f} cy)"
-            )
-
-    # Final consistent evaluation at each converged operating point,
-    # vectorised across all lanes (identical elementwise op sequence).
-    ways2 = np.minimum(ways2, caps2)
-    eval_mrc(np.ones(n_points, dtype=bool))
-    mpi2 = apki2 * mr2
-    excess_b = make_excess(
-        (freq * mpi2) * bpm2, cpi2, (mpi2 * blk2) / thr2
+    """Fast-kernel solve of raw points, shadowed under REPRO_FAST_CHECK."""
+    states = _solve_batch_fast(
+        platform,
+        _parse_points(platform, points),
+        tol=tol,
+        max_iter=max_iter,
+        damping=damping,
     )
-    latency = _illinois_root_batch(excess_b, latency, lat_floor, lat_ceil)
-    cpi_tot = cpi2 + mpi2 * blk2 * (latency[:, None] / thr2)
-    ipc2 = 1.0 / cpi_tot
-    bw2 = freq * ipc2 * mpi2 * bpm2
-
-    SOLVER_COUNTERS["batch_solves"] += 1
-    SOLVER_COUNTERS["batch_points"] += n_points
-    SOLVER_COUNTERS["batch_iterations"] += int(iterations.sum())
-
-    out = []
-    for i, (_phases, partition, _mba, _params) in enumerate(parsed):
-        nc = partition.n_cores
-        ways = ways2[i, :nc].copy()
-        mr = mr2[i, :nc].copy()
-        ipc = ipc2[i, :nc].copy()
-        bw = bw2[i, :nc].copy()
-        # Bandwidth rationing under extreme overload — per lane, exactly
-        # as the scalar epilogue (see solve_steady_state).
-        if float(bw.sum()) > link.capacity_bytes:
-            ipc, bw = _ration_bandwidth(ipc, bw, link.capacity_bytes)
-        out.append(
-            SteadyState(
-                ipc=ipc,
-                ways=ways,
-                miss_ratio=mr,
-                bw_bytes=bw,
-                latency_cycles=float(latency[i]),
-                utilisation=float(bw.sum()) / link.capacity_bytes,
-                iterations=int(iterations[i]),
-            )
+    if _fast_check_enabled():
+        _assert_fast_contract(
+            platform, points, states,
+            tol=tol, max_iter=max_iter, damping=damping,
         )
-    return out
+    return states
 
 
 class FastContractError(AssertionError):
@@ -1120,16 +961,16 @@ def _fast_contract_violations(
 
 def _assert_fast_contract(
     platform: PlatformConfig,
-    parsed: list[tuple],
+    points: Sequence[tuple],
     fast_states: list[SteadyState],
     *,
     tol: float,
     max_iter: int,
     damping: float,
 ) -> None:
-    """REPRO_FAST_CHECK shadow: exact-solve the batch, assert the contract."""
-    exact_states = _solve_batch_exact(
-        platform, parsed, tol=tol, max_iter=max_iter, damping=damping
+    """REPRO_FAST_CHECK shadow: exact-solve the points, assert the contract."""
+    exact_states = solve_steady_state_batch(
+        platform, points, tol=tol, max_iter=max_iter, damping=damping
     )
     for i, (fast, exact) in enumerate(zip(fast_states, exact_states)):
         problems = _fast_contract_violations(fast, exact)
@@ -1226,13 +1067,15 @@ def _solve_batch_fast(
 ) -> list[SteadyState]:
     """Tolerance-contracted vectorised kernel behind ``precision="fast"``.
 
-    Same damped fixed point + Illinois structure as the exact batch, with
-    the parity shackles off: MRC curves evaluate through their vectorised
-    ``eval_many_fast`` paths, the queue-curve power tail is a single
-    ``np.power`` call instead of a Python-float loop, and the
-    pressure-sharing step runs lane-batched instead of one Python call per
-    lane per iteration. Lanes are grouped by core-group layout (core count
-    plus each group's cores), not by partition: the layout core
+    Same damped fixed point + Illinois structure as the scalar solver,
+    over masked NumPy lanes: converged lanes freeze, stragglers keep
+    iterating under per-lane adaptive damping and budget escalation. MRC
+    curves evaluate through their vectorised ``eval_many_fast`` paths,
+    the queue-curve power tail is a single ``np.power`` call instead of a
+    Python-float loop, and the pressure-sharing step runs lane-batched
+    instead of one Python call per lane per iteration. Lanes are grouped
+    by core-group layout (core count plus each group's cores), not by
+    partition: the layout core
     :func:`~repro.sim.llc._effective_ways_layout` takes each lane's group
     ways and shared ways as arrays, so a k-rung DICER ladder makes one
     sharing call per iteration, not k (counted in
@@ -1500,7 +1343,7 @@ def _solve_batch_fast(
 
         conv = delta_a < delta_tol
         ncv = ~conv
-        # Per-lane adaptive damping, same rules as the exact kernel.
+        # Per-lane adaptive damping, same rules as the scalar solver.
         worse = ncv & (delta_a >= prev_delta[act])
         shrink = worse & (step_a > 0.021)
         floored = worse & ~shrink
@@ -1588,10 +1431,6 @@ def _solve_batch_fast(
                 iterations=iter_list[i],
             )
         )
-    if _fast_check_enabled():
-        _assert_fast_contract(
-            platform, parsed, out, tol=tol, max_iter=max_iter, damping=damping
-        )
     return out
 
 
@@ -1654,9 +1493,8 @@ class SteadyStateCache:
     ) -> tuple:
         """Hashable identity of one operating point under one contract.
 
-        ``prefetch=None`` produces the same key shape older callers built
-        (with a trailing ``None``), so pre-axis cache entries and new
-        unthrottled requests share entries.
+        ``mba_scale`` and ``prefetch`` enter as tuples, ``None`` when
+        absent.
         """
         return (
             tuple(phases),
@@ -1743,9 +1581,8 @@ class SteadyStateCache:
           Fast lanes are pure per lane, so a fast memo entry is a pure
           function of its key no matter which call path inserted it.
         * ``precision="exact"``: one scalar :func:`solve_steady_state`
-          per point. The scalar solver is cheaper per point than the exact
-          batch kernel below a few hundred points, and every memo entry is
-          a cold scalar solve of its key by construction.
+          per point, so every memo entry is a cold scalar solve of its
+          key by construction.
 
         Duplicate points are solved once; the duplicates (and any point
         already memoised) count as hits, the distinct cold points as
@@ -1755,13 +1592,7 @@ class SteadyStateCache:
         registry = get_registry()
         normalised = []
         for point in points:
-            prefetch = None
-            if len(point) == 2:
-                (phases, partition), mba = point, None
-            elif len(point) == 3:
-                phases, partition, mba = point
-            else:
-                phases, partition, mba, prefetch = point
+            phases, partition, mba, prefetch = _split_point(point)
             normalised.append((tuple(phases), partition, mba, prefetch))
         keys = [
             self.make_key(

@@ -468,9 +468,9 @@ class Server:
         points are solved on demand, and the error surfaces only if the
         run reaches the point that cannot converge.
 
-        A no-op under ``precision="exact"`` — the scalar solver is cheaper
-        per point than the exact batch kernel at every size a prefetch
-        sends (DESIGN.md §7) — and under warm-start semantics (warm-started
+        A no-op under ``precision="exact"`` — exact points are solved one
+        at a time by the scalar solver, so there is nothing to batch
+        (DESIGN.md §7) — and under warm-start semantics (warm-started
         solves depend on the caller's history and must not be
         pre-computed). Every partition's shape is checked either way.
         Returns the number of points actually solved.

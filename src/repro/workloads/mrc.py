@@ -72,41 +72,25 @@ class MissRatioCurve(ABC):
         # Numerical guard: parametric forms can under/overshoot by epsilon.
         return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
-    def eval_many(self, ways: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`__call__` over an array of way counts.
-
-        The batched steady-state solver funnels every MRC lookup through
-        this method. The contract is *bitwise* agreement with
-        ``__call__``: for every element ``w``, ``eval_many([w])[0]`` must
-        carry the exact bits of ``self(w)`` — the batch solver's parity
-        guarantee rests on it. The base implementation simply loops;
-        subclasses may override with a vectorised fast path **only** when
-        the vector arithmetic is guaranteed bit-identical to the scalar
-        path (affine/interpolation forms — not transcendental ones, where
-        ``np.exp`` may differ from ``math.exp`` in the last ulp).
-        """
-        ways = np.asarray(ways, dtype=float)
-        return np.array([self(w) for w in ways], dtype=float)
-
     def eval_many_fast(self, ways: np.ndarray) -> np.ndarray:
         """Vectorised evaluation under the *tolerance* contract.
 
-        The ``precision="fast"`` solver mode funnels MRC lookups through
-        this method instead of :meth:`eval_many`. The contract is relaxed
-        from bitwise to elementwise-tolerance: each element must agree
-        with ``self(w)`` to within a few ulp (``np.exp`` vs ``math.exp``
-        differences), but may use transcendental vector kernels that the
-        bitwise contract forbids. Two properties are still REQUIRED:
+        The ``precision="fast"`` solver funnels MRC lookups it cannot fuse
+        (see :meth:`fused_fast_params`) through this method. Each element
+        must agree with ``self(w)`` to within a few ulp (``np.exp`` vs
+        ``math.exp`` differences), so transcendental vector kernels are
+        allowed. Two properties are still REQUIRED:
 
         * element ``i`` of the result depends only on ``ways[i]`` — never
           on the other array elements or the array length (fast-mode memo
           entries must not depend on batch composition);
         * the same clamping/sub-way-ramp semantics as ``__call__``.
 
-        The base implementation falls back to the bitwise :meth:`eval_many`
-        (always a valid fast path); transcendental curves override it.
+        The base implementation loops ``__call__``, so it is bitwise
+        equal to it; subclasses override it with vectorised paths.
         """
-        return self.eval_many(ways)
+        ways = np.asarray(ways, dtype=float)
+        return np.array([self(w) for w in ways], dtype=float)
 
     def fused_fast_params(self) -> tuple | None:
         """Parameters for the fast solver's fused curve kernel, or ``None``.
@@ -173,11 +157,11 @@ class ConstantMRC(MissRatioCurve):
         """See :meth:`MissRatioCurve.footprint_ways`."""
         return 1.0  # Extra ways are useless; claim the minimum.
 
-    def eval_many(self, ways: np.ndarray) -> np.ndarray:
-        """Vectorised fast path; bit-identical to ``__call__`` per element.
+    def eval_many_fast(self, ways: np.ndarray) -> np.ndarray:
+        """Vectorised path; bit-identical to ``__call__`` per element.
 
-        Safe to vectorise: the sub-way ramp is a single multiply-add and
-        the plateau is a constant, both IEEE-identical elementwise.
+        The sub-way ramp is a single multiply-add and the plateau is a
+        constant, both IEEE-identical elementwise.
         """
         ways = np.asarray(ways, dtype=float)
         if ways.size and float(ways.min()) < 0:
@@ -471,12 +455,12 @@ class TabulatedMRC(MissRatioCurve):
         close = np.nonzero(self._ratios <= final + 0.02)[0]
         return float(self._ways[close[0]])
 
-    def eval_many(self, ways: np.ndarray) -> np.ndarray:
-        """Vectorised fast path; bit-identical to ``__call__`` per element.
+    def eval_many_fast(self, ways: np.ndarray) -> np.ndarray:
+        """Vectorised path; bit-identical to ``__call__`` per element.
 
-        Safe to vectorise: ``np.interp`` runs the same compiled
-        interpolation per element whether called with a scalar or an
-        array, and the sub-way ramp is a multiply-add.
+        ``np.interp`` runs the same compiled interpolation per element
+        whether called with a scalar or an array, and the sub-way ramp is
+        a multiply-add.
         """
         ways = np.asarray(ways, dtype=float)
         if ways.size and float(ways.min()) < 0:

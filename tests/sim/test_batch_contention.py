@@ -1,12 +1,14 @@
-"""Batch solver parity: ``solve_steady_state_batch`` vs the scalar solver.
+"""``solve_steady_state_batch``: API, edge cases and validation.
 
-The batch kernel's contract is *bitwise* lane-for-lane agreement with
-:func:`repro.sim.contention.solve_steady_state` (DESIGN.md §7) — not
-approximate agreement — because batch-solved results flow into the
-process-wide memo, whose invariant is that every entry equals a cold
-scalar solve of its key. These tests enforce the contract exhaustively
-over the catalog and on the edge cases (ragged core counts, MBA
-throttles, non-default tolerances, convergence failures).
+At ``precision="exact"`` the batch entry point solves each point with the
+scalar :func:`repro.sim.contention.solve_steady_state`, so every lane must
+be byte-identical to a scalar solve of its point (DESIGN.md §7) — batch
+results flow into the process-wide memo, whose invariant is that every
+entry equals a cold scalar solve of its key. These tests pin that over
+the catalog and on the edge cases (ragged core counts, MBA throttles,
+non-default tolerances, convergence failures). They also cover the
+solver counters, the rejection of iteration settings the fixed point
+cannot honour, and ``SteadyStateCache.solve_many``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,12 @@ def solve_point_scalar(point):
 
 
 class TestCatalogParity:
-    """Exhaustive parity: every catalog pair x every quick-grid partition."""
+    """Every catalog pair x every quick-grid partition, batch ≡ scalar.
+
+    The exact batch is a loop over the scalar solver, so this pins the
+    public contract (exact batch lanes are cold scalar solves) rather
+    than a second kernel.
+    """
 
     @pytest.mark.parametrize("hp_name", app_names())
     def test_parity_for_all_be_partners(self, hp_name):
@@ -138,10 +145,12 @@ class TestBatchEdgeCases:
         apps = catalog()
         phases = (apps[app_names()[0]].phases[0],) * 10
         part = PartitionSpec.unmanaged(10, 20)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as scalar:
             solve_steady_state(PLAT, phases, part, max_iter=1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as batch:
             solve_steady_state_batch(PLAT, [(phases, part)], max_iter=1)
+        # The batch names the failing lane, then the scalar message.
+        assert str(batch.value) == f"lane 0: {scalar.value}"
 
     def test_bad_point_shape_rejected(self):
         apps = catalog()
@@ -178,12 +187,12 @@ class TestBatchEdgeCases:
         before = solver_counters()
         states = solve_steady_state_batch(PLAT, [(phases, part)] * 3)
         after = solver_counters()
-        assert after["batch_solves"] == before["batch_solves"] + 1
-        assert after["batch_points"] == before["batch_points"] + 3
-        assert after["batch_iterations"] - before["batch_iterations"] == sum(
+        # Each exact point is one scalar solve.
+        assert after["scalar_solves"] == before["scalar_solves"] + 3
+        assert after["scalar_iterations"] - before["scalar_iterations"] == sum(
             s.iterations for s in states
         )
-        assert after["scalar_solves"] == before["scalar_solves"]
+        assert after["fast_solves"] == before["fast_solves"]
 
     def test_by_kernel_rows_attribute_work_per_precision(self):
         apps = catalog()
@@ -200,9 +209,72 @@ class TestBatchEdgeCases:
         assert by_kernel["exact"]["points"] == before["exact"]["points"] + 2
         assert by_kernel["fast"]["points"] == before["fast"]["points"] + 2
         assert by_kernel["fast"]["solves"] == after["fast_solves"]
-        assert by_kernel["exact"]["solves"] == (
-            after["scalar_solves"] + after["batch_solves"]
-        )
+        assert by_kernel["exact"]["solves"] == after["scalar_solves"]
+        assert by_kernel["exact"]["iterations"] == after["scalar_iterations"]
+
+
+def _omnetpp_lbm_point():
+    apps = catalog()
+    phases = (apps["omnetpp1"].phases[0],) + (apps["lbm1"].phases[0],) * 9
+    return phases, PartitionSpec.unmanaged(10, 20)
+
+
+def _solve_one(precision, **kwargs):
+    return solve_steady_state(
+        PLAT, *_omnetpp_lbm_point(), precision=precision, **kwargs
+    )
+
+
+def _solve_batch(precision, **kwargs):
+    return solve_steady_state_batch(
+        PLAT, [_omnetpp_lbm_point()], precision=precision, **kwargs
+    )
+
+
+ENTRY_POINTS = {"scalar": _solve_one, "batch": _solve_batch}
+
+
+class TestIterationSettings:
+    """Both entry points reject settings the fixed point cannot honour.
+
+    With ``damping=0`` the iterate never moves, so the cold start would
+    come back "converged" after one iteration (HP IPC 20 % above the real
+    fixed point on this point); a non-positive or NaN ``tol`` would burn
+    the whole budget, and a damping outside (0, 1] fails deep in the
+    sharing step.
+    """
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, float("nan")])
+    def test_bad_damping_rejected(self, entry, precision, damping):
+        with pytest.raises(ValueError, match="damping must be in"):
+            ENTRY_POINTS[entry](precision, damping=damping)
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "tol", [0.0, -1e-6, float("nan"), float("inf")]
+    )
+    def test_bad_tol_rejected(self, entry, precision, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            ENTRY_POINTS[entry](precision, tol=tol)
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+    def test_bad_max_iter_rejected(self, entry, precision, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an int"):
+            ENTRY_POINTS[entry](precision, max_iter=max_iter)
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    def test_full_damping_accepted(self, precision):
+        state = _solve_one(precision, damping=1.0)
+        assert state.iterations >= 1
+
+    def test_empty_batch_still_validates(self):
+        with pytest.raises(ValueError, match="damping must be in"):
+            solve_steady_state_batch(PLAT, [], damping=0.0)
 
 
 class TestSolveMany:
@@ -253,9 +325,9 @@ class TestSolveMany:
         states = cache.solve_many(PLAT, [point] * 4)
         after = solver_counters()
         assert cache.misses == 1 and cache.hits == 3
-        # One distinct exact point -> one scalar solve, no batch.
+        # One distinct exact point -> one scalar solve.
         assert after["scalar_solves"] == before["scalar_solves"] + 1
-        assert after["batch_solves"] == before["batch_solves"]
+        assert after["fast_solves"] == before["fast_solves"]
         assert all(s is states[0] for s in states)
 
     @pytest.mark.parametrize("n", [1, 3, 16, 64])
@@ -268,8 +340,7 @@ class TestSolveMany:
         assert after["scalar_solves"] == before["scalar_solves"] + len(
             {cache.make_key(PLAT, ph, part, None) for ph, part in points}
         )
-        assert after["batch_solves"] == before["batch_solves"]
-        assert after["batch_points"] == before["batch_points"]
+        assert after["fast_solves"] == before["fast_solves"]
 
     def test_results_survive_tiny_cache_eviction(self, clean_caches):
         points = self.make_points(5)

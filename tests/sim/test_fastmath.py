@@ -22,7 +22,7 @@ from repro.sim.contention import (
     FastContractError,
     _assert_fast_contract,
     _fast_contract_violations,
-    _parse_points,
+    solve_steady_state,
     solve_steady_state_batch,
 )
 from repro.sim.partition import PartitionSpec
@@ -183,10 +183,34 @@ class TestFastCheckMode:
         from dataclasses import replace
 
         corrupted = [replace(fast[0], ipc=fast[0].ipc * 1.01)]
-        parsed = _parse_points(PLAT, points)
         with pytest.raises(FastContractError, match="tolerance contract"):
             _assert_fast_contract(
-                PLAT, parsed, corrupted, tol=1e-6, max_iter=800, damping=0.5
+                PLAT, points, corrupted, tol=1e-6, max_iter=800, damping=0.5
+            )
+
+    def test_shadow_solves_the_prefetch_level(self, monkeypatch):
+        # Throttling the BEs' prefetchers moves the operating point well
+        # outside the contract band, so a shadow that dropped the level
+        # would flag this clean solve.
+        apps = catalog()
+        phases = (apps["omnetpp1"].phases[0],) + (apps["milc1"].phases[0],) * 9
+        part = PartitionSpec.hp_be(12, 10, PLAT.llc_ways)
+        prefetch = (0.0,) + (1.0,) * 9
+        points = [(phases, part, None, prefetch)]
+        unthrottled = solve_steady_state(PLAT, phases, part)
+        monkeypatch.setenv("REPRO_FAST_CHECK", "1")
+        [fast] = solve_steady_state_batch(PLAT, points, precision="fast")
+        single = solve_steady_state(
+            PLAT, phases, part, prefetch=prefetch, precision="fast"
+        )
+        assert_states_bitwise(fast, single)
+        assert _fast_contract_violations(fast, unthrottled)
+        from dataclasses import replace
+
+        corrupted = [replace(fast, ways=fast.ways + 0.2)]
+        with pytest.raises(FastContractError, match="lane 0"):
+            _assert_fast_contract(
+                PLAT, points, corrupted, tol=1e-6, max_iter=800, damping=0.5
             )
 
     def test_fast_contract_error_is_assertion_error(self):
