@@ -9,11 +9,12 @@ all: lint test chaos serve conformance queue-smoke serve-smoke bench-fast-quick
 install:
 	pip install -e .
 
-lint:             ## ruff, if installed (config in .ruff.toml); skipped otherwise
+lint:             ## ruff, if installed (config in .ruff.toml); else the stdlib unused-import check
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src/ tests/ benchmarks/ examples/; \
+		ruff check src/ tests/ benchmarks/ examples/ tools/; \
 	else \
-		echo "lint: ruff not installed, skipping (pip install ruff)"; \
+		echo "lint: ruff not installed, skipping ruff (pip install ruff); unused imports only:"; \
+		python tools/unused_imports.py src/ tests/ benchmarks/ examples/ tools/ && echo "lint: unused imports OK"; \
 	fi
 
 test:

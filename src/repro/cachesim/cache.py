@@ -18,7 +18,7 @@ CAT semantics implemented faithfully:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.validation import check_positive_int
 

@@ -9,7 +9,7 @@ resampling cooldown guard).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.platform import gbps_to_bytes
 from repro.util.validation import (

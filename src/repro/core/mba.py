@@ -15,7 +15,7 @@ quiet period. The cache-partitioning state machine is inherited unchanged.
 from __future__ import annotations
 
 from repro.core.allocation import Allocation
-from repro.core.config import DicerConfig, TABLE1_DICER_CONFIG
+from repro.core.config import DicerConfig
 from repro.core.dicer import ControllerMode, DicerController, sample_fault
 from repro.core.policies import DicerPolicy
 from repro.rdt.sample import PeriodSample

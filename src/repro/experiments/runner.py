@@ -16,11 +16,12 @@ from repro.metrics.efu import efu
 from repro.rdt.simulated import SimulatedRdt
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
-from repro.sim.server import Server
+from repro.sim.server import Server, StaticOutcome, claim_static_outcome
 from repro.sim.solo import solo_profile
 from repro.workloads.mix import MultiHpMix, WorkloadMix
 
 __all__ = [
+    "MAX_TIME_S",
     "PairResult",
     "run_pair",
     "CustomResult",
@@ -28,6 +29,10 @@ __all__ = [
     "MultiResult",
     "run_multi",
 ]
+
+
+#: Simulated-time budget of one run unless the caller passes its own.
+MAX_TIME_S = 4000.0
 
 
 def _wire_prefetch(policy: Policy, rdt: SimulatedRdt, precision: str) -> None:
@@ -77,7 +82,7 @@ def run_pair(
     policy: Policy,
     platform: PlatformConfig = TABLE1_PLATFORM,
     *,
-    max_time_s: float = 4000.0,
+    max_time_s: float = MAX_TIME_S,
     record_timeline: bool = False,
     precision: str = "exact",
 ) -> PairResult:
@@ -86,7 +91,10 @@ def run_pair(
     ``precision`` selects the steady-state solver mode for every solve in
     the run — event loop, prefetches, and solo baselines alike ("exact" =
     bitwise-reproducible scalar parity, "fast" = tolerance-contracted
-    vectorised kernel; DESIGN.md §10).
+    vectorised kernel; DESIGN.md §10). A fast static run a campaign
+    prewarm already stepped to completion
+    (:func:`~repro.sim.server.claim_static_outcome`) takes that outcome
+    instead of running its own Server; the metrics are the same bits.
     """
     apps = mix.apps()
     n_cores = len(apps)
@@ -98,6 +106,10 @@ def run_pair(
         if allocation is not None
         else PartitionSpec.unmanaged(n_cores, platform.llc_ways)
     )
+    if not policy.dynamic and not record_timeline and precision == "fast":
+        outcome = claim_static_outcome(platform, apps, partition, max_time_s)
+        if outcome is not None:
+            return _pair_result(mix, policy.name, platform, precision, outcome)
     server = Server(
         platform,
         apps,
@@ -136,20 +148,39 @@ def run_pair(
         server.prefetch_phase_product()
         server.run_until_all_complete(max_time_s=max_time_s)
 
+    hp = server.apps[0]
+    outcome = StaticOutcome(
+        time=server.time,
+        total_instructions=tuple(a.total_instructions for a in server.apps),
+        hp_completions=hp.completions,
+        hp_run_times=tuple(hp.run_times),
+    )
+    return _pair_result(mix, policy.name, platform, precision, outcome, trace)
+
+
+def _pair_result(
+    mix: WorkloadMix,
+    policy_name: str,
+    platform: PlatformConfig,
+    precision: str,
+    outcome: StaticOutcome,
+    trace: tuple[DecisionRecord, ...] = (),
+) -> PairResult:
+    """The paper's metrics of one finished run (its Server's or staged)."""
     solo_hp = solo_profile(mix.hp, platform, precision=precision)
     solo_be = solo_profile(mix.be, platform, precision=precision)
-    duration = server.time
+    duration = outcome.time
     freq = platform.freq_hz
 
-    hp = server.apps[0]
-    hp_norm = hp.total_instructions / (freq * duration) / solo_hp.avg_ipc
+    hp_total, *be_totals = outcome.total_instructions
+    hp_norm = hp_total / (freq * duration) / solo_hp.avg_ipc
     be_norms = [
-        a.total_instructions / (freq * duration) / solo_be.avg_ipc
-        for a in server.apps[1:]
+        total / (freq * duration) / solo_be.avg_ipc for total in be_totals
     ]
+    hp_run_times = outcome.hp_run_times
     hp_slowdown = (
-        sum(hp.run_times) / len(hp.run_times) / solo_hp.time_s
-        if hp.run_times
+        sum(hp_run_times) / len(hp_run_times) / solo_hp.time_s
+        if hp_run_times
         else float("inf")
     )
 
@@ -157,13 +188,13 @@ def run_pair(
         hp_name=mix.hp.name,
         be_name=mix.be.name,
         n_be=mix.n_be,
-        policy=policy.name,
+        policy=policy_name,
         hp_norm_ipc=hp_norm,
         be_norm_ipc=sum(be_norms) / len(be_norms),
         hp_slowdown=hp_slowdown,
         efu=efu([hp_norm] + be_norms),
         duration_s=duration,
-        hp_completions=hp.completions,
+        hp_completions=outcome.hp_completions,
         trace=trace,
     )
 

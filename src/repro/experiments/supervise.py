@@ -49,6 +49,7 @@ from __future__ import annotations
 import heapq
 import time
 import traceback as _traceback
+from collections import Counter
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -62,7 +63,7 @@ from typing import Callable, Iterable
 
 from repro.core.policies import Policy
 from repro.experiments.chaos import maybe_inject
-from repro.experiments.runner import PairResult, run_pair
+from repro.experiments.runner import MAX_TIME_S, PairResult, run_pair
 from repro.obs import get_event_log, get_registry
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 from repro.workloads.mix import make_mix
@@ -334,7 +335,10 @@ def _prewarm_phase_products(
     vectorised fast kernel one wide fused batch instead of hundreds of
     narrow ones, which is where its throughput comes from (DESIGN.md §10).
     :func:`~repro.sim.server.stage_phase_products` keeps each cell's solved
-    product for the cell's Server to claim, so no cell builds it twice.
+    product for the cell's Server to claim, so no cell builds it twice,
+    and (without a timeline) steps the static cells to completion in one
+    pass, so their ``run_pair`` needs no Server at all (DESIGN.md §7).
+    Every copy of a repeated cell gets its own claim.
 
     A no-op for ``precision="exact"`` (the scalar-parity path keeps its
     historical per-cell solve pattern) and for cells whose mix or policy
@@ -344,19 +348,24 @@ def _prewarm_phase_products(
     from repro.sim.partition import PartitionSpec
     from repro.sim.server import stage_phase_products
 
-    if (run_kwargs or {}).get("precision", "exact") != "fast":
+    run_kwargs = run_kwargs or {}
+    if run_kwargs.get("precision", "exact") != "fast":
         return 0
 
     def runs():
-        seen: set[tuple] = set()
+        # Local to the generator, so it is gone before the fused solve.
+        copies = Counter(
+            (hp_name, be_name, n_be, policy.name)
+            for hp_name, be_name, n_be, policy in cells
+        )
         for hp_name, be_name, n_be, policy in cells:
-            cell_key = (hp_name, be_name, n_be, policy.name)
-            if cell_key in seen:
+            n_copies = copies.pop((hp_name, be_name, n_be, policy.name), 0)
+            if not n_copies:
                 continue
-            seen.add(cell_key)
             try:
                 models = make_mix(hp_name, be_name, n_be=n_be).apps()
-                allocation = policy.fresh().setup(platform.llc_ways)
+                fresh = policy.fresh()
+                allocation = fresh.setup(platform.llc_ways)
                 partition = (
                     allocation.to_partition(len(models))
                     if allocation is not None
@@ -366,9 +375,19 @@ def _prewarm_phase_products(
                 )
             except Exception:
                 continue
-            yield models, partition
+            for _ in range(n_copies):
+                yield models, partition, not fresh.dynamic
 
-    return stage_phase_products(platform, runs(), max_points_per_cell)
+    return stage_phase_products(
+        platform,
+        runs(),
+        max_points_per_cell,
+        max_time_s=(
+            None
+            if run_kwargs.get("record_timeline", False)
+            else run_kwargs.get("max_time_s", MAX_TIME_S)
+        ),
+    )
 
 
 def _supervised_worker(payload: tuple) -> PairResult:

@@ -173,6 +173,14 @@ def render_metrics_summary(summary: dict[str, object]) -> str:
             f"prefetch used/points: {used:.0f}/{prefetched:.0f} "
             f"({used / prefetched:.0%})"
         )
+    staged = counters.get("server.static.staged", 0.0)
+    if staged:
+        # Did the static pass pay off? Runs it stepped to completion
+        # against the ones a run_pair took instead of running a Server.
+        claimed = counters.get("server.static.claimed", 0.0)
+        sections.append(
+            f"static outcomes staged/claimed: {staged:.0f}/{claimed:.0f}"
+        )
     if "store.checkpoints" in counters:
         # Does a checkpoint grow with the campaign? Rows built against the
         # rows the engine wrote (sqlite: the new ones; file: all of them).

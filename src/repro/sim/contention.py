@@ -39,7 +39,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,7 +71,6 @@ __all__ = [
     "GLOBAL_STEADY_CACHE",
     "solver_counters",
     "reset_solver_counters",
-    "record_solver_points",
 ]
 
 #: The solver's precision modes (DESIGN.md §10).
@@ -139,48 +137,6 @@ def _check_iteration(tol: float, max_iter: int, damping: float) -> None:
         or max_iter < 1
     ):
         raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
-
-
-#: Active point recorder (see :func:`record_solver_points`); ``None`` when
-#: recording is off.
-_POINT_RECORDER: list | None = None
-
-
-@contextmanager
-def record_solver_points():
-    """Capture every cold operating point the solvers see while active.
-
-    Yields a list that accumulates ``(phases, partition, mba_scale,
-    prefetch)`` tuples — one per point entering the scalar solver or the
-    fast kernel (memo hits are not recorded; they never reach a solver).
-    Recorded tuples feed straight back into
-    :func:`solve_steady_state_batch` as points, so a campaign's solve
-    population can be re-solved under both precision modes.
-    """
-    global _POINT_RECORDER
-    previous = _POINT_RECORDER
-    _POINT_RECORDER = [] if previous is None else previous
-    try:
-        yield _POINT_RECORDER
-    finally:
-        _POINT_RECORDER = previous
-
-
-def _record_point(
-    phases: tuple,
-    partition: PartitionSpec,
-    mba_scale,
-    prefetch=None,
-) -> None:
-    if _POINT_RECORDER is not None:
-        _POINT_RECORDER.append(
-            (
-                phases,
-                partition,
-                None if mba_scale is None else tuple(mba_scale),
-                None if prefetch is None else tuple(prefetch),
-            )
-        )
 
 
 def solver_counters() -> dict:
@@ -435,7 +391,6 @@ def solve_steady_state(
     cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = _point_params(
         platform, phases, partition, mba_scale, prefetch
     )
-    _record_point(tuple(phases), partition, mba_scale, prefetch)
 
     link = MemoryLink.from_platform(platform)
     freq = platform.freq_hz
@@ -758,12 +713,11 @@ def _parse_points(
 ) -> list[tuple]:
     """Normalise batch points into ``(phases, partition, mba, params)``.
 
-    The fast kernel's input; also feeds the active
-    :func:`record_solver_points` recorder.
-    Parameter arrays are memoised per ``(platform, phases, mba, prefetch)``
-    in a bounded module-level cache — campaign populations reuse one phase
-    tuple across many partitions and many solver calls, so most points
-    share already-built (never-mutated) arrays. The prefetch axis lives
+    The fast kernel's input. Parameter arrays are memoised per
+    ``(platform, phases, mba, prefetch)`` in a bounded module-level cache
+    — campaign populations reuse one phase tuple across many partitions
+    and many solver calls, so most points share already-built
+    (never-mutated) arrays. The prefetch axis lives
     entirely inside the params (see :func:`_point_params`), so parsed
     tuples stay 4-long and the kernel bodies never see it.
     """
@@ -777,7 +731,6 @@ def _parse_points(
     # fallback for equal-but-distinct tuples.
     id_memo: dict[tuple, tuple] = {}
     id_memo_get = id_memo.get
-    recorder = _POINT_RECORDER
     parsed_append = parsed.append
     for point in points:
         phases, partition, mba, prefetch = _split_point(point)
@@ -816,8 +769,6 @@ def _parse_points(
                     f"expected {partition.n_cores} phases, got {len(phases)}"
                 )
             id_memo[(id(phases), mba, prefetch)] = (phases, params)
-        if recorder is not None:
-            recorder.append((phases, partition, mba, prefetch))
         parsed_append((phases, partition, mba, params))
     return parsed
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.util.validation import (
-    check_fraction,
     check_in_range,
     check_positive,
     check_positive_int,

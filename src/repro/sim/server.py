@@ -15,6 +15,7 @@ under full contention.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -38,6 +39,8 @@ __all__ = [
     "Server",
     "TimelinePoint",
     "SimulationTimeout",
+    "StaticOutcome",
+    "claim_static_outcome",
     "phase_product_points",
     "stage_phase_products",
 ]
@@ -102,8 +105,33 @@ def phase_product_points(
 #: keys, states]``. Unthrottled points with prefetchers fully on, all on
 #: ``_staged_platform``.
 _STAGED: dict[tuple, list] = {}
+#: Static runs :func:`stage_phase_products` stepped to completion, waiting
+#: for their ``run_pair``: staging key + ``(max_time_s,)`` -> ``[claims
+#: left, StaticOutcome]``, on ``_staged_platform`` too.
+_OUTCOMES: dict[tuple, list] = {}
 _staged_platform: PlatformConfig | None = None
 _STAGED_LOCK = threading.Lock()
+
+#: The factor :meth:`Server.advance` snaps a retire onto a boundary by.
+_SNAP = 1.0 - _BOUNDARY_RTOL
+#: Static runs stepped together: keeps the pass's arrays small (peak
+#: RSS) at no measurable cost in time.
+_STATIC_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class StaticOutcome:
+    """What :meth:`Server.run_until_all_complete` leaves for the metrics.
+
+    One finished static run: its simulated time, each app's retired
+    instructions and the HP's completions and run times, as the event
+    loop would have left them on its :class:`RunningApp` list.
+    """
+
+    time: float
+    total_instructions: tuple[float, ...]
+    hp_completions: int
+    hp_run_times: tuple[float, ...]
 
 
 def _staged_key(
@@ -115,43 +143,77 @@ def _staged_key(
 
 def stage_phase_products(
     platform: PlatformConfig,
-    runs: Iterable[tuple[Sequence[AppModel], PartitionSpec]],
+    runs: Iterable[tuple[Sequence[AppModel], PartitionSpec, bool]],
     max_points: int = 64,
+    *,
+    max_time_s: float | None = None,
 ) -> int:
     """Solve the phase products of many upcoming runs in one fast batch.
 
-    ``runs`` yields one ``(models, partition)`` per run: the apps and the
-    initial partition of a Server about to start unthrottled with
-    prefetchers fully on. Their :func:`phase_product_points` go to the
-    fast kernel as ONE fused batch (DESIGN.md §10), and each run's memo
-    keys and states are staged until a Server running the same phases
-    under that partition claims them in
-    :meth:`Server.prefetch_phase_product` — so each run's product and
-    keys are built once, here. Runs whose product exceeds ``max_points``
-    are staged empty. Equal partitions share one object, so the memo
-    keys of thousands of runs share a handful of partition keys.
-    Replaces whatever an earlier call staged; a stage nobody claims
-    lives until the next call. Returns the number of points submitted.
+    ``runs`` yields one ``(models, partition, static)`` per run: the apps
+    and the initial partition of a Server about to start unthrottled with
+    prefetchers fully on, and whether the run keeps that partition to the
+    end. Their :func:`phase_product_points` go to the fast kernel as ONE
+    fused batch (DESIGN.md §10), and each run's memo keys and states are
+    staged until a Server running the same phases under that partition
+    claims them in :meth:`Server.prefetch_phase_product` — so each run's
+    product and keys are built once, here. Runs whose product exceeds
+    ``max_points`` are staged empty. Equal partitions share one object,
+    so the memo keys of thousands of runs share a handful of partition
+    keys.
+
+    Given ``max_time_s``, the static runs are then stepped to completion
+    together (:func:`_step_static_runs`) and each finished one is staged
+    as a :class:`StaticOutcome` for :func:`claim_static_outcome`, in place
+    of its phase product. A run that would time out, leave its product or
+    hit an error is staged as a product only: its Server's event loop
+    shows what happens.
+
+    Replaces whatever an earlier call staged; a stage nobody claims lives
+    until the next call. Returns the number of points submitted.
     """
     global _staged_platform
     partitions: dict[tuple, PartitionSpec] = {}
     points: list[tuple] = []
-    spans: dict[tuple, list[int]] = {}  # key -> [claims, start, stop]
-    for models, partition in runs:
+    # key -> [claims, start, stop, static claims]
+    spans: dict[tuple, list[int]] = {}
+    for models, partition, static in runs:
         partition = partitions.setdefault(partition.key(), partition)
         key = _staged_key(models, partition.key(), max_points)
         span = spans.get(key)
-        if span is not None:
-            span[0] += 1
-            continue
-        start = len(points)
-        points += phase_product_points(models, partition, None, max_points)
-        spans[key] = [1, start, len(points)]
+        if span is None:
+            start = len(points)
+            points += phase_product_points(models, partition, None, max_points)
+            span = spans[key] = [0, start, len(points), 0]
+        span[0] += 1
+        span[3] += static
     states = (
         GLOBAL_STEADY_CACHE.solve_many(platform, points, precision="fast")
         if points
         else []
     )
+    outcomes: dict[tuple, list] = {}
+    if max_time_s is not None:
+        # A key holds its run's phase lists, one per core, after the
+        # partition key and max_points.
+        static = [
+            (key, key[2:], states[start:stop])
+            for key, (_claims, start, stop, n_static) in spans.items()
+            if n_static and stop > start and len(key) - 2 <= platform.n_cores
+        ]
+        for first in range(0, len(static), _STATIC_CHUNK):
+            chunk = static[first : first + _STATIC_CHUNK]
+            for key, outcome in _step_static_runs(
+                platform, chunk, max_time_s
+            ).items():
+                span = spans[key]
+                outcomes[(*key, max_time_s)] = [span[3], outcome]
+                span[0] -= span[3]  # no Server will claim this product
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("server.static.staged").inc(
+                sum(claims for claims, _outcome in outcomes.values())
+            )
     staged = {
         key: [
             claims,
@@ -163,13 +225,30 @@ def stage_phase_products(
             ),
             tuple(states[start:stop]),
         ]
-        for key, (claims, start, stop) in spans.items()
+        for key, (claims, start, stop, _static) in spans.items()
+        if claims
     }
     with _STAGED_LOCK:
         _STAGED.clear()
         _STAGED.update(staged)
+        _OUTCOMES.clear()
+        _OUTCOMES.update(outcomes)
         _staged_platform = platform
     return len(points)
+
+
+def _take_claim(
+    table: dict[tuple, list], key: tuple, platform: PlatformConfig
+) -> list | None:
+    """Take one claim on ``table[key]`` (``None``: nothing staged there)."""
+    with _STAGED_LOCK:
+        entry = table.get(key)
+        if entry is None or _staged_platform != platform:
+            return None
+        entry[0] -= 1
+        if not entry[0]:
+            del table[key]
+    return entry
 
 
 def _claim_staged(
@@ -182,14 +261,226 @@ def _claim_staged(
     if not _STAGED:
         return None
     key = _staged_key(models, partition.key(), max_points)
-    with _STAGED_LOCK:
-        entry = _STAGED.get(key)
-        if entry is None or _staged_platform != platform:
-            return None
-        entry[0] -= 1
-        if not entry[0]:
-            del _STAGED[key]
-    return entry[1], entry[2]
+    entry = _take_claim(_STAGED, key, platform)
+    return None if entry is None else (entry[1], entry[2])
+
+
+def claim_static_outcome(
+    platform: PlatformConfig,
+    models: Sequence[AppModel],
+    partition: PartitionSpec,
+    max_time_s: float,
+    max_points: int = 64,
+) -> StaticOutcome | None:
+    """Take one claim on a staged static run (``None``: none staged).
+
+    The outcome is the one a fast, unthrottled, timeline-free Server over
+    ``models`` would reach with :meth:`Server.prefetch_phase_product`
+    and :meth:`Server.run_until_all_complete` under the fixed
+    ``partition``, bit for bit (DESIGN.md §7).
+    """
+    if not _OUTCOMES:
+        return None
+    key = (*_staged_key(models, partition.key(), max_points), max_time_s)
+    entry = _take_claim(_OUTCOMES, key, platform)
+    if entry is None:
+        return None
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("server.static.claimed").inc()
+    return entry[1]
+
+
+def _phase_at(
+    position: np.ndarray, instructions: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`AppModel.phase_at` on every core at once.
+
+    ``instructions[k]`` holds each core's phase-``k`` budget (NaN past its
+    last phase). Returns the phase indices, the instructions left in
+    those phases and where a phase was found (``phase_at`` raises
+    elsewhere). The same sequential subtraction, so the same bits.
+    """
+    remaining = position
+    index = np.zeros(position.shape, dtype=np.intp)
+    left = np.zeros(position.shape)
+    found = np.zeros(position.shape, dtype=bool)
+    for k, budget in enumerate(instructions):
+        hit = remaining < budget - 0.5
+        hit &= ~found
+        index[hit] = k
+        left = np.where(hit, budget - remaining, left)
+        found |= hit
+        remaining = remaining - budget
+    return index, left, found
+
+
+def _step_static_runs(
+    platform: PlatformConfig,
+    runs: list[tuple[tuple, tuple[tuple[Phase, ...], ...], list]],
+    max_time_s: float,
+) -> dict[tuple, StaticOutcome]:
+    """Step many static runs to completion in one lock-step NumPy pass.
+
+    ``runs`` holds ``(key, phase lists, states)``: a run's phases, one
+    tuple per core, and the solved states of its phase product, in
+    :func:`phase_product_points` order. Each round is one
+    :meth:`Server.advance` of every live run over (run x core) arrays —
+    the same ``+ - * /``, ``min`` and comparisons, which NumPy rounds
+    exactly as Python floats do — and a run leaves the arrays when every
+    app has completed once. Returns the finished runs' outcomes by key.
+    A run is left out, for the event loop to replay, when it reaches
+    ``max_time_s``, enters a phase combination outside its product
+    (clones of one model in different phases), runs at a non-positive or
+    non-finite rate, takes a step too small to move its clock, or its
+    position leaves a run.
+    """
+    if not runs:
+        return {}
+    n_runs = len(runs)
+    width = max(len(cores) for _key, cores, _states in runs)
+    # Distinct phase lists; list 0 pads narrower runs to ``width`` cores
+    # with one endless phase that never bounds a step. Clones share their
+    # model's phase tuple, so most lookups hit by identity before hashing.
+    list_of: dict[tuple, int] = {}
+    list_of_id: dict[int, int] = {}
+    phase_lists: list[tuple[Phase, ...]] = [()]
+    totals: list[float] = [math.inf]
+    ids = np.zeros((n_runs, width), dtype=np.intp)
+    base = np.zeros(n_runs, dtype=np.intp)
+    n_rows = 0
+    for r, (_key, cores, states) in enumerate(runs):
+        row = []
+        for phases in cores:
+            i = list_of_id.get(id(phases))
+            if i is None:
+                i = list_of.get(phases)
+                if i is None:
+                    i = list_of[phases] = len(phase_lists)
+                    phase_lists.append(phases)
+                    # AppModel.total_instructions, summed the same way.
+                    totals.append(sum(p.instructions for p in phases) - 1.0)
+                list_of_id[id(phases)] = i
+            row.append(i)
+        ids[r, : len(row)] = row
+        base[r] = n_rows
+        n_rows += len(states)
+    depth = max(len(phases) for phases in phase_lists)
+    budget_of = np.full((len(phase_lists), depth), np.nan)
+    boundary_of = np.full((len(phase_lists), depth), np.nan)
+    budget_of[0, 0] = math.inf
+    for i, phases in enumerate(phase_lists[1:], 1):
+        budget_of[i, : len(phases)] = [p.instructions for p in phases]
+        # RunningApp.advance's snap target, summed the same way.
+        boundary_of[i, : len(phases)] = [
+            float(sum(p.instructions for p in phases[: k + 1]))
+            for k in range(len(phases))
+        ]
+    n_phases = np.array([max(len(p), 1) for p in phase_lists])
+
+    # Phase product index: the distinct phase lists of a run in order of
+    # first core, the last one varying fastest; each list's first core
+    # carries its stride, and clones must sit in that core's phase.
+    first_of = (ids[:, :, None] == ids[:, None, :]).argmax(axis=2)
+    is_first = first_of == np.arange(width)
+    size = np.where(is_first, n_phases[ids], 1)
+    after = np.cumprod(size[:, ::-1], axis=1)[:, ::-1]
+    stride = np.zeros_like(size)
+    stride[:, :-1] = after[:, 1:]
+    stride[:, -1] = 1
+    stride[~is_first] = 0
+
+    ipc = np.ones((n_rows, width))
+    row = 0
+    for _key, cores, states in runs:
+        n = len(cores)
+        for state in states:
+            ipc[row, :n] = state.ipc
+            row += 1
+    # Server._steady's rates: the state's IPCs times the clock.
+    rate_of = ipc * platform.freq_hz
+    bad_row = ~(np.isfinite(rate_of) & (rate_of > 0.0)).all(axis=1)
+    good = np.add.reduceat(bad_row, base) == 0
+
+    live = np.flatnonzero(good)
+    ids, base = ids[live], base[live]
+    first_of, stride = first_of[live], stride[live]
+    threshold = np.array(totals)[ids]
+    time = np.zeros(live.size)
+    position = np.zeros(ids.shape)
+    retired_total = np.zeros(ids.shape)
+    completions = (ids == 0).astype(np.intp)  # pad cores never hold a run
+    hp_start = np.zeros(live.size)
+    hp_times: dict[int, list[float]] = {}
+
+    def budgets(ids):
+        return [budget_of[ids, k] for k in range(depth)]
+
+    index, left, found = _phase_at(position, budgets(ids))
+    finished = np.zeros(live.size, dtype=bool)
+    moved = np.ones(live.size, dtype=bool)
+    outcomes: dict[tuple, StaticOutcome] = {}
+    while live.size:
+        # Server.run_until_all_complete's loop top, then Server._steady.
+        # A step too small to move the clock would repeat forever.
+        keep = moved & ~finished
+        keep &= time < max_time_s
+        keep &= (index == np.take_along_axis(index, first_of, 1)).all(axis=1)
+        keep &= found.all(axis=1)
+        if not keep.all():
+            (live, ids, base, first_of, stride, threshold, time, position,
+             retired_total, completions, hp_start, index, left) = (
+                a[keep] for a in (
+                    live, ids, base, first_of, stride, threshold, time,
+                    position, retired_total, completions, hp_start, index,
+                    left,
+                )
+            )
+            if not live.size:
+                break
+        rate = rate_of[base + (index * stride).sum(axis=1)]
+        # Server.advance.
+        dt = np.minimum(max_time_s - time, (left / rate).min(axis=1))
+        before = time
+        time = time + dt
+        moved = time > before
+        retired = rate * dt[:, None]
+        retired_total += retired
+        retired = np.where(retired >= left * _SNAP, left, retired)
+        # RunningApp.advance.
+        position = position + retired
+        done = position >= threshold
+        if done.any():
+            completions += done
+            for r in np.flatnonzero(done[:, 0]).tolist():
+                hp_times.setdefault(int(live[r]), []).append(
+                    float(time[r] - hp_start[r])
+                )
+                hp_start[r] = time[r]
+            position[done] = 0.0
+        b = budgets(ids)
+        index, left, found = _phase_at(position, b)
+        snap = left <= 1.0
+        snap &= ~done
+        if snap.any():
+            position = np.where(snap, boundary_of[ids, index], position)
+            index2, left2, found2 = _phase_at(position, b)
+            index = np.where(snap, index2, index)
+            left = np.where(snap, left2, left)
+            found = np.where(snap, found2, found)
+        finished = (completions > 0).all(axis=1)
+        for r in np.flatnonzero(finished & found.all(axis=1)).tolist():
+            run = int(live[r])
+            key, cores, _states = runs[run]
+            outcomes[key] = StaticOutcome(
+                time=float(time[r]),
+                total_instructions=tuple(
+                    retired_total[r, : len(cores)].tolist()
+                ),
+                hp_completions=int(completions[r, 0]),
+                hp_run_times=tuple(hp_times.get(run, ())),
+            )
+    return outcomes
 
 
 @dataclass

@@ -11,7 +11,6 @@ real hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.workloads.mrc import MissRatioCurve
 from repro.util.validation import (

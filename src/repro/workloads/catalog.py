@@ -29,7 +29,7 @@ from repro.workloads.archetypes import (
     phased_app,
     streaming_app,
 )
-from repro.workloads.mrc import BlendedMRC, ConstantMRC, ExponentialMRC
+from repro.workloads.mrc import ConstantMRC, ExponentialMRC
 
 __all__ = ["catalog", "app_names", "get_app", "CATALOG_SIZE"]
 

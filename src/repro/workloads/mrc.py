@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.util.validation import check_fraction, check_non_negative, check_positive
+from repro.util.validation import check_fraction, check_positive
 
 __all__ = [
     "MissRatioCurve",

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
-from repro.rdt.masks import ways_to_cbm
 
 LINE = 64
 

@@ -26,9 +26,9 @@ def clean_caches():
 
     For tests that reason about cold-vs-memoised solves: empties the solo
     profile caches, the process-wide steady-state solver memo and any
-    phase products a fast campaign staged but no run claimed, on entry
-    and on exit (so the rest of the suite keeps its warm caches semantics
-    but never sees this test's entries).
+    phase products or static outcomes a fast campaign staged but no run
+    claimed, on entry and on exit (so the rest of the suite keeps its
+    warm caches semantics but never sees this test's entries).
     """
     from repro.sim.contention import GLOBAL_STEADY_CACHE
     from repro.sim.server import stage_phase_products

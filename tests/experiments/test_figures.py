@@ -1,8 +1,6 @@
 """Smoke + behaviour tests for the figure campaigns (truncated populations
 keep them fast; the full campaigns are the benchmark harness's job)."""
 
-import math
-
 import pytest
 
 from repro.experiments.fig1 import render_fig1, run_fig1

@@ -1,7 +1,5 @@
 """Tests for the operator recommendation API."""
 
-import pytest
-
 from repro.experiments.recommend import recommend, render_recommendation
 from repro.metrics.slo import slo_achieved
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.experiments.cli import (
     _monitor_telemetry,
     _render_serve_status,

@@ -160,3 +160,16 @@ class TestRender:
         assert "checkpoint rows" not in render_metrics_summary(
             summarise_metrics([])
         )
+
+    def test_static_outcomes_rendered(self):
+        records = [
+            {"kind": "metric", "type": "counter",
+             "name": "server.static.staged", "value": 6962.0},
+            {"kind": "metric", "type": "counter",
+             "name": "server.static.claimed", "value": 6960.0},
+        ]
+        text = render_metrics_summary(summarise_metrics(records))
+        assert "static outcomes staged/claimed: 6962/6960" in text
+        assert "static outcomes" not in render_metrics_summary(
+            summarise_metrics([])
+        )

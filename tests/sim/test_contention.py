@@ -4,7 +4,7 @@ invariants, and directional behaviour."""
 import numpy as np
 import pytest
 
-from repro.sim.contention import ConvergenceError, solve_steady_state
+from repro.sim.contention import solve_steady_state
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM
 from repro.workloads.app import Phase

@@ -1,12 +1,23 @@
 """Guardrails for the repository's build/lint tooling.
 
 The lint gate must stay part of the default make flow, and must degrade
-to a skip (not a failure) on machines without ruff installed.
+to a skip (not a failure) on machines without ruff installed. Without
+ruff it still checks unused imports with ``tools/unused_imports.py``.
 """
 
+import importlib.util
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports_module():
+    spec = importlib.util.spec_from_file_location(
+        "unused_imports", REPO / "tools" / "unused_imports.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestMakefile:
@@ -23,9 +34,63 @@ class TestMakefile:
         assert "command -v ruff" in text
         assert "skipping" in text  # absent ruff is a skip, not an error
 
+    def test_lint_without_ruff_checks_unused_imports(self):
+        assert "tools/unused_imports.py" in self._text()
+
 
 class TestRuffConfig:
     def test_config_present_and_plausible(self):
         config = (REPO / ".ruff.toml").read_text()
         assert 'target-version = "py310"' in config
         assert '"F"' in config  # pyflakes rules are the core of the gate
+
+
+class TestUnusedImports:
+    def test_flags_an_unused_import(self):
+        found = _unused_imports_module().unused_imports(
+            "import os\nimport sys\n"
+            "from math import pi, tau\nprint(sys, tau)\n"
+        )
+        assert found == [(1, "os"), (3, "pi")]
+
+    def test_dotted_import_binds_its_root(self):
+        check = _unused_imports_module().unused_imports
+        assert check("import os.path\nos.getcwd()\n") == []
+        assert check("import os.path as p\n") == [(1, "p")]
+
+    def test_all_noqa_future_and_string_annotations_count_as_used(self):
+        source = (
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING\n"
+            "from a import exported\n"
+            "from b import kept  # noqa: F401\n"
+            "from c import (  # noqa\n    also_kept,\n)\n"
+            "from d import other  # noqa: E402\n"
+            "if TYPE_CHECKING:\n    from e import Hint\n"
+            "__all__ = ['exported']\n"
+            "def f() -> 'list[Hint]': ...\n"
+        )
+        assert _unused_imports_module().unused_imports(source) == [
+            (8, "other")
+        ]
+
+    def test_init_files_and_ruff_exemptions_are_skipped(self, tmp_path):
+        module = _unused_imports_module()
+        (tmp_path / ".ruff.toml").write_text(
+            '[lint.per-file-ignores]\n"pkg/exempt.py" = ["F4"]\n'
+            '"pkg/other.py" = ["F403"]\n'
+        )
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        for name in ("__init__.py", "exempt.py", "other.py"):
+            (pkg / name).write_text("import os\n")
+        assert module.check([pkg], root=tmp_path) == [
+            "pkg/other.py:1: os imported but unused"
+        ]
+
+    def test_repository_has_no_unused_imports(self):
+        paths = [
+            REPO / d
+            for d in ("src", "tests", "benchmarks", "examples", "tools")
+        ]
+        assert _unused_imports_module().check(paths) == []

@@ -1,7 +1,5 @@
 """Unit + property tests for repro.util.stats."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
