@@ -14,7 +14,9 @@ real CLI:
 then fail (exit 1) unless the interrupted chaos run's terminal placement
 digest is byte-identical to the clean run's, and no job was dropped —
 every submission is either placed, pending, departed, or explicitly
-rejected by admission. ``make serve-smoke`` wires this into ``make
+rejected by admission. The snapshot the killed daemon leaves must be
+version 2 and carry the admission memo the restarted process resumes
+with; its size in bytes is printed. ``make serve-smoke`` wires this into ``make
 all``.
 
 Usage::
@@ -147,11 +149,26 @@ def main(argv: list[str] | None = None) -> int:
             f"killed daemon at applied_seq={state['applied_seq']} "
             f"of {n_chaos_events - 1}"
         )
+        version = json.loads(snap.read_bytes()).get("version")
+        memo = state.get("admission", {}).get("max_bes", [])
+        if version != 2 or not memo:
+            print(
+                f"FAIL: phase-1 snapshot is version {version} with "
+                f"{len(memo)} admission answers (want version 2, non-empty)"
+            )
+            return 1
+        print(
+            f"phase-1 snapshot: version {version}, {len(memo)} admission "
+            f"answers, {snap.stat().st_size} bytes"
+        )
 
         # Phase 2: restart on the same snapshot; it must resume and drain.
         out = _run(run_args, env)
         if "resumed from snapshot" not in out:
             print("FAIL: restarted daemon did not resume from the snapshot")
+            return 1
+        if f"({len(memo)} admission answers)" not in out:
+            print("FAIL: restarted daemon did not adopt the admission memo")
             return 1
         chaos_summary = json.loads((tmpdir / "chaos1.json").read_text())
 

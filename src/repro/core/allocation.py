@@ -16,6 +16,7 @@ on ``to_partition`` so both shapes flow through unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.sim.partition import CacheGroup, PartitionSpec
@@ -94,8 +95,13 @@ class Allocation:
 
     # -- conversions -------------------------------------------------------
 
+    @functools.lru_cache(maxsize=256, typed=True)
     def to_partition(self, n_cores: int) -> PartitionSpec:
-        """The simulator-side partition this allocation denotes."""
+        """The simulator-side partition this allocation denotes.
+
+        Memoised per (allocation, ``n_cores``): both are frozen, so
+        equal allocations share one validated spec.
+        """
         return PartitionSpec.hp_be(
             self.hp_ways,
             n_cores,

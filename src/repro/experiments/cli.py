@@ -859,14 +859,18 @@ def _render_serve_status(
     zero elapsed time renders "-" for throughput and ETA instead of
     dividing by zero, and failures render right beside throughput so a
     fleet "progressing" by failing placements is visible at a glance.
+    Reads both snapshot versions: version 1 lists every job under
+    ``jobs``; version 2 lists the live ones under ``live`` and only the
+    ids of rejected and departed jobs.
     """
     counters = state.get("counters", {})
     applied = int(counters.get("events_applied", 0))
     elapsed = float(state.get("elapsed_s", 0.0))
     throughput = applied / elapsed if applied > 0 and elapsed > 0 else None
-    by_status = Counter(
-        job.get("status", "?") for job in state.get("jobs", [])
-    )
+    jobs = state["jobs"] if "jobs" in state else state.get("live", [])
+    by_status = Counter(job.get("status", "?") for job in jobs)
+    for status in ("rejected", "departed"):
+        by_status[status] += len(state.get(status, []))
     rows = [
         ["applied_seq", state.get("applied_seq", -1)],
         ["events applied", applied],
@@ -899,7 +903,7 @@ def _render_serve_status(
 
     node_jobs: Counter = Counter(
         job["node_id"]
-        for job in state.get("jobs", [])
+        for job in jobs
         if job.get("status") == "placed" and job.get("node_id")
     )
     node_rows = [
@@ -1060,9 +1064,11 @@ def _serve_main(argv: list[str]) -> int:
             )
         )
         if daemon.resumed:
+            memo = daemon.plane.admission.memo_state()["max_bes"]
             print(
                 f"serve run: resumed from snapshot at "
-                f"applied_seq={daemon.plane.applied_seq}"
+                f"applied_seq={daemon.plane.applied_seq} "
+                f"({len(memo)} admission answers)"
             )
         summary = asyncio.run(daemon.run())
         if args.summary:

@@ -14,7 +14,9 @@ a checksummed atomic snapshot (:mod:`repro.serve.snapshot`), SIGTERM
 triggers a final checkpoint, and a restarted daemon loads the snapshot
 (or replays from scratch if it is missing/corrupt) and skips every event
 with ``seq <= applied_seq`` — resuming exactly where it stopped, with a
-terminal state identical to an uninterrupted run.
+terminal state identical to an uninterrupted run. The snapshot carries
+the plane's admission answers too, so the restarted daemon does not
+repeat the searches behind them.
 
 Actuation failures degrade gracefully: a transient fault (armed by the
 chaos stream) is absorbed by ``max_retries`` deterministic backoff

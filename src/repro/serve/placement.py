@@ -34,11 +34,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.admission import find_max_bes
 from repro.obs import get_event_log, get_registry
 from repro.serve.events import ServeEvent
+from repro.sim.contention import _check_precision
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 
 __all__ = [
@@ -118,6 +119,13 @@ class PlaneConfig:
             raise ValueError("node ids must be unique")
         if not 0.0 < self.slo <= 1.0:
             raise ValueError(f"slo must be in (0, 1], got {self.slo}")
+        # The same checks (and messages) find_max_bes applies at the
+        # first HP submit; a snapshot's admission memo is keyed by both.
+        # Local import: the policy zoo imports back into this package.
+        from repro.experiments.queue import policy_from_name
+
+        policy_from_name(self.policy)
+        _check_precision(self.precision)
 
     @classmethod
     def for_nodes(cls, n_nodes: int, **kwargs) -> "PlaneConfig":
@@ -171,6 +179,35 @@ class AdmissionCache:
         self.platform = platform
         self.precision = precision
         self._max_bes: dict[tuple[str, str], int] = {}
+
+    def memo_key(self) -> dict:
+        """What every memoised answer depends on besides (HP, BE)."""
+        return {
+            "policy": self.policy,
+            "slo": self.slo,
+            "precision": self.precision,
+            "platform": asdict(self.platform),
+        }
+
+    def memo_state(self) -> dict:
+        """The memo as a snapshot entry, sorted so its bytes do not
+        depend on the order the searches ran in."""
+        return {
+            "key": self.memo_key(),
+            "max_bes": [
+                [hp, be, n] for (hp, be), n in sorted(self._max_bes.items())
+            ],
+        }
+
+    def load_memo(self, raw: dict | None) -> None:
+        """Adopt the answers of a :meth:`memo_state` entry.
+
+        An entry written under another policy, SLO, precision or
+        platform is dropped whole: its answers are not this cache's.
+        """
+        if raw and raw.get("key") == self.memo_key():
+            for hp, be, n in raw["max_bes"]:
+                self._max_bes.setdefault((hp, be), int(n))
 
     def max_bes(self, hp_app: str | None, be_app: str) -> int:
         """Admissible BE count for ``be_app`` on a node hosting ``hp_app``.
@@ -335,9 +372,15 @@ class ControlPlane:
             platform=platform,
             precision=config.precision,
         )
+        #: The job table: accepted, not yet departed jobs in arrival
+        #: order. A job that reaches a terminal status leaves it.
         self.jobs: dict[str, Job] = {}
-        #: Accepted, not yet departed jobs in arrival order.
-        self._live: dict[str, Job] = {}
+        #: Terminal jobs keep only their ids, in insertion-ordered dicts
+        #: used as sets: rejected ids in arrival order (the digest lists
+        #: them) and departed ids in departure order. With the job table
+        #: they make every id ever submitted, for duplicate detection.
+        self.rejected_ids: dict[str, None] = {}
+        self.departed_ids: dict[str, None] = {}
         #: Cached greedy folds keyed by node tuple (see :meth:`_fold_for`).
         self._folds: dict[tuple[str, ...], _Fold] = {}
         self.nodes: dict[str, _NodeEntry] = {
@@ -351,13 +394,9 @@ class ControlPlane:
 
     # -- derived views ---------------------------------------------------
 
-    def jobs_in_order(self) -> list[Job]:
-        """Every job ever submitted, in arrival order."""
-        return sorted(self.jobs.values(), key=lambda j: j.seq)
-
     def live_jobs(self) -> list[Job]:
         """Accepted jobs still in the system, in arrival order."""
-        return list(self._live.values())
+        return list(self.jobs.values())
 
     def healthy_nodes(self) -> list[str]:
         """Roster order, healthy only."""
@@ -376,7 +415,7 @@ class ControlPlane:
         out: dict[str, tuple[Job | None, list[Job]]] = {
             nid: (None, []) for nid in self.config.node_ids
         }
-        for job in self._live.values():
+        for job in self.jobs.values():
             if job.status != "placed":
                 continue
             hp, bes = out[job.node_id]
@@ -450,7 +489,7 @@ class ControlPlane:
     def _reconcile(self) -> dict[str, int]:
         assignment = self._fold_for(tuple(self.healthy_nodes())).assignment
         migrations = drains = placements = 0
-        for job in self._live.values():
+        for job in self.jobs.values():
             new = assignment.get(job.job_id)
             old = job.node_id if job.status == "placed" else None
             if new != old:
@@ -541,7 +580,11 @@ class ControlPlane:
             raise ValueError(f"malformed submit event: {event}")
         if event.app not in _catalog_names():
             raise ValueError(f"unknown catalog app {event.app!r}")
-        if event.job_id in self.jobs:
+        if (
+            event.job_id in self.jobs
+            or event.job_id in self.rejected_ids
+            or event.job_id in self.departed_ids
+        ):
             raise ValueError(f"duplicate job id {event.job_id!r}")
 
     def _on_submit(self, event: ServeEvent) -> dict:
@@ -558,25 +601,21 @@ class ControlPlane:
         if self._admits(job):
             job.status = "pending"  # reconcile() promotes to placed
             self.jobs[job.job_id] = job
-            self._live[job.job_id] = job
             self.counters["accepted"] += 1
             registry.counter("serve.accepted").inc()
             return {"job_id": job.job_id, "outcome": "accepted"}
-        job.status = "rejected"
-        self.jobs[job.job_id] = job
+        self.rejected_ids[job.job_id] = None
         self.counters["rejected"] += 1
         registry.counter("serve.rejected").inc()
         return {"job_id": job.job_id, "outcome": "rejected"}
 
     def _on_depart(self, event: ServeEvent) -> dict:
-        job = self.jobs.get(event.job_id or "")
-        if job is None or job.status not in ("placed", "pending"):
+        job = self.jobs.pop(event.job_id or "", None)
+        if job is None:
             # Departure of an unknown/rejected/already-gone job: a no-op
             # (the load generator does not track admission outcomes).
             return {"job_id": event.job_id, "outcome": "noop"}
-        job.status = "departed"
-        job.node_id = None
-        del self._live[job.job_id]
+        self.departed_ids[job.job_id] = None
         self.counters["departed"] += 1
         get_registry().counter("serve.departed").inc()
         return {"job_id": job.job_id, "outcome": "departed"}
@@ -646,9 +685,9 @@ class ControlPlane:
 
         Everything here is a pure function of the applied job history:
         per-node assignments, the admission queue, rejected ids and the
-        job accounting. Path-dependent observables (migration counts,
-        node restarts, elapsed time) are deliberately excluded — see
-        :meth:`digest`.
+        job accounting (terminal statuses counted from the id sets).
+        Path-dependent observables (migration counts, node restarts,
+        elapsed time) are deliberately excluded — see :meth:`digest`.
         """
         nodes = {
             nid: {
@@ -660,18 +699,16 @@ class ControlPlane:
         by_status = {status: 0 for status in JOB_STATUSES}
         for job in self.jobs.values():
             by_status[job.status] += 1
+        by_status["rejected"] = len(self.rejected_ids)
+        by_status["departed"] = len(self.departed_ids)
         return {
             "nodes": nodes,
             "pending": [
                 [j.job_id, j.kind, j.app]
-                for j in self._live.values()
+                for j in self.jobs.values()
                 if j.status == "pending"
             ],
-            "rejected": [
-                j.job_id
-                for j in self.jobs_in_order()
-                if j.status == "rejected"
-            ],
+            "rejected": list(self.rejected_ids),
             "jobs": by_status,
             "submitted": self.counters["submitted"],
         }
@@ -711,16 +748,23 @@ class ControlPlane:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Full serializable state (the snapshot payload)."""
+        """Full serializable state (the version-2 snapshot payload).
+
+        Sized by the live jobs: a terminal job is one id string, and the
+        admission memo is bounded by the (HP, BE) pairings seen.
+        """
         return {
             "config": self.config.to_dict(),
             "applied_seq": self.applied_seq,
-            "jobs": [j.to_dict() for j in self.jobs_in_order()],
+            "live": [j.to_dict() for j in self.jobs.values()],
+            "rejected": list(self.rejected_ids),
+            "departed": list(self.departed_ids),
             "nodes": {
                 nid: entry.to_dict() for nid, entry in self.nodes.items()
             },
             "counters": dict(self.counters),
             "elapsed_s": self.elapsed_s,
+            "admission": self.admission.memo_state(),
         }
 
     @classmethod
@@ -731,21 +775,33 @@ class ControlPlane:
         admission: AdmissionCache | None = None,
         platform: PlatformConfig = TABLE1_PLATFORM,
     ) -> "ControlPlane":
-        """Rebuild a plane from :meth:`snapshot_state` output."""
+        """Rebuild a plane from :meth:`snapshot_state` output.
+
+        A version-1 state (every job ever submitted, under ``"jobs"``)
+        loads to the same plane and digest, with an empty admission memo.
+        """
         plane = cls(
             PlaneConfig.from_dict(state["config"]),
             admission=admission,
             platform=platform,
         )
         plane.applied_seq = int(state["applied_seq"])
-        plane.jobs = {
-            raw["job_id"]: Job.from_dict(raw) for raw in state["jobs"]
-        }
-        plane._live = {
-            j.job_id: j
-            for j in plane.jobs_in_order()
-            if j.status in ("placed", "pending")
-        }
+        if "jobs" in state:  # version 1
+            live = []
+            for raw in sorted(state["jobs"], key=lambda r: int(r["seq"])):
+                job = Job.from_dict(raw)
+                if job.status == "rejected":
+                    plane.rejected_ids[job.job_id] = None
+                elif job.status == "departed":
+                    plane.departed_ids[job.job_id] = None
+                else:
+                    live.append(job)
+        else:
+            live = [Job.from_dict(raw) for raw in state["live"]]
+            plane.rejected_ids = dict.fromkeys(state["rejected"])
+            plane.departed_ids = dict.fromkeys(state["departed"])
+            plane.admission.load_memo(state.get("admission"))
+        plane.jobs = {j.job_id: j for j in live}
         for nid, raw in state.get("nodes", {}).items():
             if nid in plane.nodes:
                 plane.nodes[nid] = _NodeEntry.from_dict(raw)

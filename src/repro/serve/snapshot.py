@@ -7,6 +7,13 @@ fsynced, atomically renamed over the target, parent directory fsynced.
 A reader therefore sees either the previous snapshot or the new one,
 never a torn hybrid.
 
+The state is serialised once, canonically (sorted keys, no spaces); the
+SHA-256 is taken over those bytes and the same bytes are spliced into
+the file, so a save costs one ``json.dumps`` of a state that, from
+version 2 on, is sized by the live jobs (DESIGN.md §14). Versions 1 and
+2 share the checksum rule and both load; any other version is
+quarantined like a checksum mismatch.
+
 Unlike the result cache, a snapshot has a second source of truth — the
 events file. A corrupt snapshot is quarantined (``<name>.corrupt.N``)
 and :func:`load_snapshot` returns ``None``; the daemon then rebuilds by
@@ -27,31 +34,48 @@ from repro.obs import get_event_log, get_registry
 
 __all__ = ["SNAPSHOT_VERSION", "load_snapshot", "save_snapshot"]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+#: Versions :func:`load_snapshot` reads (the plane tells their states
+#: apart, see :meth:`ControlPlane.from_snapshot`).
+_READABLE = (1, 2)
 
 _log = logging.getLogger(__name__)
 
 
-def _state_digest(state: dict) -> str:
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _canonical(state: dict) -> bytes:
+    return json.dumps(
+        state, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 def save_snapshot(path: Path | str, state: dict) -> None:
-    """Atomically persist ``state`` (a ``snapshot_state()`` dict)."""
+    """Atomically persist ``state`` (a ``snapshot_state()`` dict).
+
+    A failed write leaves the previous snapshot in place and no temp
+    file behind.
+    """
     path = Path(path)
-    payload = {
-        "version": SNAPSHOT_VERSION,
-        "sha256": _state_digest(state),
-        "state": state,
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        body = _canonical(state)
+        digest = hashlib.sha256(body).hexdigest()
+        # The payload's keys in sorted order, so the file is itself
+        # canonical JSON.
+        data = b'{"sha256":"%s","state":%s,"version":%d}' % (
+            digest.encode("ascii"),
+            body,
+            SNAPSHOT_VERSION,
+        )
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     try:
         dir_fd = os.open(path.parent, os.O_RDONLY)
         try:
@@ -104,9 +128,10 @@ def load_snapshot(path: Path | str) -> dict | None:
     """Load and verify a snapshot; ``None`` means "replay from scratch".
 
     ``None`` covers both the benign case (no snapshot yet) and the
-    corrupt one (bad JSON, missing state, checksum mismatch — the
-    artefact is quarantined first). Callers never need to distinguish:
-    event replay reconstructs the exact same plane either way.
+    corrupt one (bad JSON, missing state, missing or unknown version,
+    checksum mismatch — the artefact is quarantined first). Callers
+    never need to distinguish: event replay reconstructs the exact same
+    plane either way.
     """
     path = Path(path)
     try:
@@ -128,8 +153,12 @@ def load_snapshot(path: Path | str) -> dict | None:
     if not isinstance(state, dict):
         _quarantine(path, raw, "no state object")
         return None
+    version = payload.get("version")
+    if type(version) is not int or version not in _READABLE:
+        _quarantine(path, raw, f"unknown snapshot version {version!r}")
+        return None
     recorded = payload.get("sha256")
-    actual = _state_digest(state)
+    actual = hashlib.sha256(_canonical(state)).hexdigest()
     if recorded != actual:
         _quarantine(
             path, raw, f"checksum mismatch ({recorded} recorded, {actual})"

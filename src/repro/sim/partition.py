@@ -14,6 +14,7 @@ cores — the simulator-side analogue of a set of CAT classes of service
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.util.validation import check_non_negative, check_positive_int
@@ -91,8 +92,13 @@ class PartitionSpec:
     # -- factories -------------------------------------------------------
 
     @classmethod
+    @functools.lru_cache(maxsize=256, typed=True)
     def unmanaged(cls, n_cores: int, total_ways: int) -> "PartitionSpec":
-        """UM: every core competes for the whole LLC."""
+        """UM: every core competes for the whole LLC.
+
+        Memoised: the spec is frozen, so every caller with the same
+        arguments shares one validated instance.
+        """
         group = CacheGroup(
             name="ALL", cores=tuple(range(n_cores)), ways=float(total_ways)
         )

@@ -8,6 +8,8 @@ full ``serve run`` round trip is covered by the serve-marked suites and
 from __future__ import annotations
 
 import json
+import re
+import shutil
 
 from repro.experiments.cli import (
     _monitor_telemetry,
@@ -15,7 +17,10 @@ from repro.experiments.cli import (
     main,
 )
 from repro.serve.events import read_events
-from repro.serve.snapshot import save_snapshot
+from repro.serve.snapshot import load_snapshot, save_snapshot
+
+from tests.serve.conftest import make_plane
+from tests.serve.test_snapshot_format import V1_FIXTURE, v1_fixture_events
 
 
 class TestServeLoadgenAndChaos:
@@ -96,6 +101,22 @@ class TestServeMonitor:
         assert main(["serve", "monitor", str(snap)]) == 0
         out = capsys.readouterr().out
         assert "Serve fleet" in out and "node00" in out
+
+    def test_v1_and_v2_snapshots_render_identical_tables(self, tmp_path):
+        v1 = tmp_path / "v1.json"
+        shutil.copy(V1_FIXTURE, v1)
+        plane = make_plane()
+        for event in v1_fixture_events():
+            plane.apply_event(event)
+        v2 = tmp_path / "v2.json"
+        save_snapshot(v2, plane.snapshot_state())
+        old, new = load_snapshot(v1), load_snapshot(v2)
+        assert "jobs" in old and "live" in new
+        out = _render_serve_status(old, total_events=200)
+        assert out == _render_serve_status(new, total_events=200)
+        for status, count in (("placed", 17), ("pending", 4),
+                              ("rejected", 5), ("departed", 61)):
+            assert re.search(rf"jobs {status} \|\s+{count}$", out, re.M)
 
     def test_monitor_without_snapshot_says_so(self, tmp_path, capsys):
         assert main(["serve", "monitor", str(tmp_path / "none.json")]) == 0

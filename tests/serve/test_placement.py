@@ -42,7 +42,8 @@ class TestAdmissionAndPlacement:
     def test_fourth_hp_on_three_nodes_is_rejected(self, plane):
         for i, app in enumerate(["namd1", "povray1", "gamess1", "h264ref1"]):
             submit(plane, i, f"h{i}", app, kind="hp")
-        assert plane.jobs["h3"].status == "rejected"
+        assert list(plane.rejected_ids) == ["h3"]
+        assert "h3" not in plane.jobs
         assert plane.counters["rejected"] == 1
 
     def test_unknown_app_raises(self, plane):
@@ -53,6 +54,19 @@ class TestAdmissionAndPlacement:
         submit(plane, 0, "a", "bzip22")
         with pytest.raises(ValueError, match="duplicate"):
             submit(plane, 1, "a", "bzip22")
+
+    def test_terminal_ids_stay_taken(self, plane):
+        """A rejected or departed job leaves the job table, but its id
+        can never be submitted again."""
+        for i, app in enumerate(["namd1", "povray1", "gamess1", "h264ref1"]):
+            submit(plane, i, f"h{i}", app, kind="hp")
+        plane.apply_event(ServeEvent(seq=4, kind="depart", job_id="h0"))
+        assert list(plane.rejected_ids) == ["h3"]
+        assert list(plane.departed_ids) == ["h0"]
+        assert sorted(plane.jobs) == ["h1", "h2"]
+        for seq, job_id in ((5, "h3"), (6, "h0")):
+            with pytest.raises(ValueError, match="duplicate"):
+                submit(plane, seq, job_id, "bzip22")
 
     def test_stale_seq_raises(self, plane):
         submit(plane, 5, "a", "bzip22")
@@ -204,6 +218,15 @@ class TestDigest:
         assert restored.config.node_ids == ("other00",)
 
 
+class NoScanIds(dict):
+    """An id set that allows membership tests and inserts, not walks."""
+
+    def _scan(self, *args):
+        raise AssertionError("per-event work scanned the job history")
+
+    __iter__ = keys = values = items = _scan
+
+
 class CountingAdmission(AdmissionCache):
     """An admission memo that counts ``max_bes`` lookups."""
 
@@ -262,17 +285,27 @@ class TestWorkBounds:
                                                monkeypatch):
         plane, seq = warm_fleet(admission, n_nodes=3)
         submit(plane, seq, "extra", "namd1", kind="hp")  # rejected: 3 HPs
-        assert plane.jobs["extra"].status == "rejected"
-
-        def scan():
-            raise AssertionError("per-event work scanned every job")
-
-        monkeypatch.setattr(plane, "jobs_in_order", scan)
-        submit(plane, seq + 1, "late", "bzip22")
-        plane.apply_event(ServeEvent(seq=seq + 2, kind="depart", job_id="b0"))
+        assert list(plane.rejected_ids)[-1] == "extra"
+        plane.apply_event(ServeEvent(seq=seq + 1, kind="depart", job_id="b1"))
+        # The history is the terminal id sets; per-event work may add to
+        # them and test membership, never walk them.
+        monkeypatch.setattr(plane, "rejected_ids",
+                            NoScanIds(plane.rejected_ids))
+        monkeypatch.setattr(plane, "departed_ids",
+                            NoScanIds(plane.departed_ids))
+        submit(plane, seq + 2, "late", "bzip22")
+        submit(plane, seq + 3, "extra2", "namd1", kind="hp")  # rejected
+        plane.apply_event(ServeEvent(seq=seq + 4, kind="depart", job_id="b0"))
         plane.apply_event(
-            ServeEvent(seq=seq + 3, kind="depart", job_id="late")
+            ServeEvent(seq=seq + 5, kind="depart", job_id="late")
         )
+        with pytest.raises(ValueError, match="duplicate"):
+            plane.validate_event(
+                ServeEvent(seq=seq + 6, kind="submit", job_id="extra",
+                           job_kind="be", app="bzip22")
+            )
+        assert "extra2" in plane.rejected_ids
+        assert "late" in plane.departed_ids
 
     def test_live_index_survives_a_snapshot(self, admission):
         plane, seq = warm_fleet(admission, n_nodes=3)
@@ -283,14 +316,14 @@ class TestWorkBounds:
         restored = ControlPlane.from_snapshot(
             plane.snapshot_state(), admission=admission
         )
-        expected = [
-            j for j in restored.jobs_in_order()
-            if j.status in ("placed", "pending")
-        ]
-        assert restored.live_jobs() == expected
-        assert [j.job_id for j in expected] == [
+        live = restored.live_jobs()
+        assert live == sorted(live, key=lambda j: j.seq)
+        assert all(j.status in ("placed", "pending") for j in live)
+        assert [j.job_id for j in live] == [
             j.job_id for j in plane.live_jobs()
         ]
+        assert list(restored.departed_ids) == ["b1", "h2", "b7"]
+        assert restored.rejected_ids == plane.rejected_ids
         assert restored.assignments() == plane.assignments()
 
 
@@ -326,6 +359,19 @@ class TestConfig:
     def test_config_round_trip(self):
         config = PlaneConfig.for_nodes(2, policy="LFOC", slo=0.85)
         assert PlaneConfig.from_dict(config.to_dict()) == config
+
+    def test_unknown_policy_or_precision_is_refused(self):
+        """Refused at construction with find_max_bes's own messages,
+        not at the first HP submit, and never written to a snapshot."""
+        for field, value, message in (
+            ("policy", "bogus", "cannot rebuild policy"),
+            ("precision", "bogus", "precision must be one of"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                PlaneConfig.for_nodes(2, **{field: value})
+            raw = {**PlaneConfig.for_nodes(2).to_dict(), field: value}
+            with pytest.raises(ValueError, match=message):
+                PlaneConfig.from_dict(raw)
 
     def test_retired_kernel_key_is_ignored(self):
         config = PlaneConfig.for_nodes(2, policy="LFOC", slo=0.85)

@@ -94,3 +94,21 @@ class TestPartitionSpec:
         part = PartitionSpec.unmanaged(2, 20)
         with pytest.raises(KeyError):
             part.group_of(7)
+
+    def test_factories_share_one_instance_per_argument_tuple(self):
+        from repro.core.allocation import Allocation
+
+        um = PartitionSpec.unmanaged(10, 20)
+        assert PartitionSpec.unmanaged(10, 20) is um
+        assert PartitionSpec.unmanaged(9, 20) is not um
+        ct = Allocation.cache_takeover(20)
+        assert ct.to_partition(10) is Allocation(19, 20).to_partition(10)
+        assert ct.to_partition(10) is not ct.to_partition(9)
+        assert ct.to_partition(10) == PartitionSpec.hp_be(19, 10, 20)
+        # A refused argument is refused every time, never memoised.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                PartitionSpec.unmanaged(0, 20)
+        # typed: a float core count is not served the int's spec.
+        with pytest.raises((TypeError, ValueError)):
+            PartitionSpec.unmanaged(10.0, 20)
