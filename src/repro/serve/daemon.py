@@ -326,7 +326,8 @@ class ServeDaemon:
 
         Returns :meth:`summary`. Always exits through a checkpoint, so
         a SIGTERM'd run can be resumed by constructing a new daemon on
-        the same paths.
+        the same paths. A stop requested before the call goes straight
+        to that checkpoint without reading the events file.
         """
         self._install_signal_handlers()
         supervisor_tasks = self._start_supervisors()
@@ -337,20 +338,8 @@ class ServeDaemon:
         self._replaying = True
         t0 = time.monotonic()
         try:
-            async with self._external_lock:
-                events = read_events(self.config.events_path)
-                for event in events:
-                    if event.seq <= self.plane.applied_seq:
-                        continue  # already applied before the restart
-                    if self._stop:
-                        break
-                    await self.apply_event(event)
-                    if self.config.throttle_s > 0:
-                        await asyncio.sleep(self.config.throttle_s)
-                else:
-                    # Drained without an early stop: every file event is
-                    # applied, so external seqs are collision-free again.
-                    self._replaying = False
+            if not self._stop:
+                await self._replay()
         finally:
             self.plane.elapsed_s += time.monotonic() - t0
             self._snapshot()
@@ -367,6 +356,22 @@ class ServeDaemon:
                 digest=self.plane.digest(),
             )
         return self.summary()
+
+    async def _replay(self) -> None:
+        """Apply the events file's unapplied events, stopping on request."""
+        async with self._external_lock:
+            for event in read_events(self.config.events_path):
+                if event.seq <= self.plane.applied_seq:
+                    continue  # already applied before the restart
+                if self._stop:
+                    break
+                await self.apply_event(event)
+                if self.config.throttle_s > 0:
+                    await asyncio.sleep(self.config.throttle_s)
+            else:
+                # Drained without an early stop: every file event is
+                # applied, so external seqs are collision-free again.
+                self._replaying = False
 
     async def apply_external(self, kind: str, **fields) -> dict:
         """Admit an event from outside the replay stream (the REST API).

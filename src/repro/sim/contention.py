@@ -25,10 +25,11 @@ contract — results agree with the exact solver to within
 vectorised batch kernel that advances B points through the same iteration
 with masked NumPy lanes (see DESIGN.md §7): ``np.power`` queue tails,
 vectorised transcendental MRC evaluation, and lane-batched pressure
-sharing. Fast results are still *pure per lane*: a lane's bits depend only
-on its own operating point, never on batch composition, so fused
-cross-cell batches, memoisation and the serial-vs-parallel determinism
-audit all keep working. Set ``REPRO_FAST_CHECK=1`` to shadow every fast
+sharing. Small batches run the same per-lane arithmetic as a loop on
+Python floats, bit for bit. Fast results are still *pure per lane*: a
+lane's bits depend only on its own operating point, never on batch
+composition, so fused cross-cell batches, memoisation and the
+serial-vs-parallel determinism audit all keep working. Set ``REPRO_FAST_CHECK=1`` to shadow every fast
 solve with an exact solve and assert the contract at runtime.
 """
 
@@ -49,13 +50,13 @@ from repro.sim.llc import (
     _effective_ways,
     _effective_ways_layout,
     _pressure_weights,
-    _reduce_sum,
     _waterfill,
     _waterfill_batch,
 )
 from repro.sim.membus import MemoryLink
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig
+from repro.util.stats import _reduce_sum
 from repro.workloads.app import Phase
 
 __all__ = [
@@ -91,7 +92,9 @@ FAST_WAYS_ATOL = 0.05
 #: Process-wide solver instrumentation, always on (plain dict increments are
 #: ~free next to a solve). ``scalar_solves`` counts exact points, each
 #: solved by the scalar solver; ``fast_solves`` counts calls into the
-#: fast kernel and ``fast_points`` the points they carried. The benchmark
+#: fast kernel and ``fast_points`` the points they carried, whether the
+#: vectorised kernel or the per-lane loop for small batches solved them
+#: (``fast_lane_points`` counts the latter's share). The benchmark
 #: reports the same split per layer as the ``sim.solver.*`` metrics of
 #: ``bench/`` (calls, points, iterations and us_per_point for each
 #: precision and singleton/batch path).
@@ -101,9 +104,12 @@ SOLVER_COUNTERS: dict[str, int] = {
     "fast_solves": 0,
     "fast_points": 0,
     "fast_iterations": 0,
-    # Sharing-step calls made by the fast kernel: one per core-group
-    # layout with live lanes per iteration.
+    # Sharing-step calls made by the vectorised fast kernel: one per
+    # core-group layout with live lanes per iteration.
     "fast_sharing_calls": 0,
+    # Fast points solved by the per-lane loop for small batches (also
+    # counted in fast_points).
+    "fast_lane_points": 0,
     # _PARAMS_MEMO parse-cache effectiveness (bounded LRU, see below).
     "params_memo_hits": 0,
     "params_memo_misses": 0,
@@ -144,9 +150,9 @@ def solver_counters() -> dict:
 
     The flat keys are the raw counters. ``by_kernel`` is a derived view
     attributing work to the solver that did it (``exact`` is the scalar
-    solver, one solve per point; ``fast`` is the vectorised
-    tolerance-contracted kernel), so ``report --metrics`` can say which
-    precision solved what.
+    solver, one solve per point; ``fast`` is the tolerance-contracted
+    fast kernel, vectorised or per-lane), so ``report --metrics`` can
+    say which precision solved what.
     """
     snap: dict = dict(SOLVER_COUNTERS)
     snap["by_kernel"] = {
@@ -272,7 +278,13 @@ def _initial_ways(partition: PartitionSpec, caps: list[float]) -> list[float]:
     return out
 
 
-def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> float:
+def _illinois_root(
+    excess,
+    guess: float,
+    lat_floor: float,
+    lat_ceil: float,
+    gap_rtol: float = 1e-7,
+) -> float:
     """Root of a strictly decreasing ``excess`` on ``[lat_floor, lat_ceil]``.
 
     Brackets the root around ``guess`` by geometric expansion, then closes
@@ -280,7 +292,9 @@ def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> f
     superlinear in practice (~6-10 evaluations vs ~50 for plain bisection).
     The expansion loops carry the previously evaluated endpoint forward, so
     no point is ever evaluated twice (the pre-refactor code re-evaluated
-    ``excess`` at the step before the sign flip).
+    ``excess`` at the step before the sign flip). ``gap_rtol`` is the
+    relative bracket-gap stop, as in :func:`_illinois_root_batch`, whose
+    per-lane decision sequence this is.
     """
     if excess(lat_floor) <= 0.0:
         return lat_floor
@@ -311,7 +325,7 @@ def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> f
 
     # Illinois regula falsi on the strictly decreasing excess().
     for _ in range(60):
-        if hi - lo < 1e-7 * hi:
+        if hi - lo < gap_rtol * hi:
             break
         mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < mid < hi:
@@ -827,6 +841,12 @@ def solve_steady_state_batch(
     return states
 
 
+#: Largest batch the fast solver runs as a per-lane loop on Python floats
+#: (:func:`_solve_lanes_fast`) instead of the vectorised kernel; the
+#: measured crossover is in DESIGN.md §10.
+_FAST_LANE_CAP = 24
+
+
 def _solve_fast(
     platform: PlatformConfig,
     points: Sequence[tuple],
@@ -835,8 +855,18 @@ def _solve_fast(
     max_iter: int,
     damping: float,
 ) -> list[SteadyState]:
-    """Fast-kernel solve of raw points, shadowed under REPRO_FAST_CHECK."""
-    states = _solve_batch_fast(
+    """Fast-kernel solve of raw points, shadowed under REPRO_FAST_CHECK.
+
+    Batches of at most :data:`_FAST_LANE_CAP` points run the per-lane
+    float loop, larger ones the vectorised kernel; both give the same
+    bits for every lane (DESIGN.md §10).
+    """
+    kernel = (
+        _solve_lanes_fast
+        if len(points) <= _FAST_LANE_CAP
+        else _solve_batch_fast
+    )
+    states = kernel(
         platform,
         _parse_points(platform, points),
         tol=tol,
@@ -1383,6 +1413,235 @@ def _solve_batch_fast(
             )
         )
     return out
+
+
+def _ordered_sum(values: list[float]) -> float:
+    """Sum in list order from ``0.0``: the fast kernel's fixed-order sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+#: Curve coefficients of a slot the fused expression cannot evaluate, as
+#: the vectorised kernel pads them: (floor, span, blend, scale, knee,
+#: sharpness, at_one). The slot's own ``eval_many_fast`` overwrites it.
+_UNFUSED_SLOT = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def _lane_spec(phases: tuple, params: tuple) -> tuple:
+    """One lane's parameters as float lists, for :func:`_solve_lanes_fast`.
+
+    Returns the six parameter lists of :func:`_point_params`, the fused
+    curve coefficients as seven per-core lists (the zones of the
+    vectorised kernel's curve plane) and the ``(core, curve)`` slots
+    whose curve cannot be fused.
+    """
+    cols: tuple[list, ...] = ([], [], [], [], [], [], [])
+    unfused = []
+    for core, phase in enumerate(phases):
+        fp = phase.mrc.fused_fast_params()
+        if fp is None:
+            unfused.append((core, phase.mrc))
+            fp = _UNFUSED_SLOT
+        for col, value in zip(cols, fp):
+            col.append(value)
+    return (*(a.tolist() for a in params), cols, unfused)
+
+
+def _lane_miss_ratios(
+    ways: list[float], curves: tuple[list, ...], unfused: list
+) -> list[float]:
+    """The vectorised kernel's fused curve expression on one lane's row.
+
+    Every operation repeats ``eval_mrc``'s per-element order on Python
+    floats (``np.clip`` and ``np.where`` as comparisons, so NaN and
+    ``-0.0`` pass through as they do there). Both exponentials go through
+    one ``np.exp`` call: ``math.exp`` differs from it in the last ulp.
+    """
+    floor, span, blend, scale, knee, sharp, at_one = curves
+    z = [(w - k) / s for w, k, s in zip(ways, knee, sharp)]
+    args = [-(-40.0 if x < -40.0 else 40.0 if x > 40.0 else x) for x in z]
+    args += [-w / c for w, c in zip(ways, scale)]
+    ex = np.exp(np.array(args)).tolist()
+    n = len(ways)
+    out = []
+    for c in range(n):
+        x = z[c]
+        if x > 40.0:
+            kp = 0.0
+        elif x < -40.0:
+            kp = 1.0
+        else:
+            kp = 1.0 - 1.0 / (1.0 + ex[c])
+        b = blend[c]
+        value = floor[c] + span[c] * (b * ex[n + c] + (1.0 - b) * kp)
+        w = ways[c]
+        if w < 1.0:
+            value = 1.0 + (at_one[c] - 1.0) * w
+        out.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
+    for c, curve in unfused:
+        out[c] = float(curve.eval_many_fast(np.array([ways[c]]))[0])
+    return out
+
+
+def _solve_lanes_fast(
+    platform: PlatformConfig,
+    parsed: list[tuple],
+    *,
+    tol: float,
+    max_iter: int,
+    damping: float,
+) -> list[SteadyState]:
+    """The fast kernel for small batches: one lane at a time on floats.
+
+    :func:`_solve_batch_fast` pays about a dozen NumPy dispatches per
+    latency evaluation whatever its lane count, which dominates batches
+    of a few points (DESIGN.md §10). This loop solves each lane alone
+    with the vectorised kernel's per-lane operation order on Python
+    floats, so every lane is bit-identical to it: the scalar solver's
+    :func:`_illinois_root` (the batch root's decision sequence, at the
+    kernel's ``gap_rtol``), :func:`_initial_ways`, :func:`_waterfill` and
+    :func:`_effective_ways` with fixed-order sums. ``exp`` and ``power``
+    stay NumPy calls on the lane's values, since ``math.exp`` and ``**``
+    differ from NumPy's SIMD kernels in the last ulp.
+
+    A lane that overruns its budget raises the vectorised kernel's
+    message for the same lane: the one that overruns in the earliest
+    round, the lowest index on a tie. Once a lane has overrun, later
+    lanes run only as long as they could still overrun first.
+    """
+    link = MemoryLink.from_platform(platform)
+    freq = platform.freq_hz
+    theta = platform.pressure_theta
+    lat_floor = link.base_latency_cycles
+    lat_ceil = link.max_latency_cycles
+    capacity = link.capacity_bytes
+    inv_capacity = 1.0 / capacity
+    u_cap = link.utilisation_cap
+    gain = link.queue_gain
+    q_exp = link.queue_exponent
+    power = np.power
+    delta_tol = tol * platform.llc_ways
+
+    def solve_latency(mpi, cpi, blk, bpm, thr, guess, gap_rtol):
+        # make_excess's planes, one lane's row: (freq*mpi)*bpm, cpi and
+        # (mpi*blk)/thr, summed in core order.
+        triples = [
+            (freq * m * q, e, m * b / t)
+            for m, q, e, b, t in zip(mpi, bpm, cpi, blk, thr)
+        ]
+
+        def excess(lat: float) -> float:
+            demand = 0.0
+            for c, e, s in triples:
+                demand += c / (e + s * lat)
+            u = demand * inv_capacity
+            if u > u_cap:
+                u = u_cap
+            tail = float(power(u / (1.0 - u), q_exp))
+            return lat_floor * (1.0 + gain * tail) - lat
+
+        return _illinois_root(excess, guess, lat_floor, lat_ceil, gap_rtol)
+
+    specs: dict[int, tuple] = {}
+    fail = None  # (round, lane, latency) of the earliest budget overrun
+    states = []
+    total_iterations = 0
+    for lane, (phases, partition, _mba, params) in enumerate(parsed):
+        spec = specs.get(id(params))
+        if spec is None:
+            spec = specs[id(params)] = _lane_spec(phases, params)
+        cpi, apki, blk, bpm, caps, thr, curves, unfused = spec
+        ways = _initial_ways(partition, caps)
+        latency = lat_floor
+        step = damping
+        budget = max_iter
+        prev_delta = math.inf
+        iterations = 0
+        while True:
+            iterations += 1
+            mr = _lane_miss_ratios(ways, curves, unfused)
+            mpi = [a * m for a, m in zip(apki, mr)]
+            # Intermediate roots at the kernel's loosened bracket gap.
+            latency = solve_latency(mpi, cpi, blk, bpm, thr, latency, 1e-4)
+            pressure = [
+                freq * (1.0 / (e + m * b * (latency / t))) * m
+                for m, e, b, t in zip(mpi, cpi, blk, thr)
+            ]
+            target = _effective_ways(
+                partition, _pressure_weights(pressure, theta), caps,
+                _ordered_sum,
+            )
+            keep = 1 - step
+            ways_next = []
+            delta = 0.0
+            for w, t in zip(ways, target):
+                nxt = keep * w + step * t
+                d = abs(nxt - w)
+                if d > delta or d != d:  # NaN-sticky, as np.max
+                    delta = d
+                ways_next.append(nxt)
+            ways = ways_next
+            converged = delta < delta_tol
+            if not converged:
+                if delta >= prev_delta:
+                    if step > 0.021:
+                        step = max(step * 0.7, 0.02)
+                    else:
+                        budget = max_iter * 10
+                prev_delta = delta
+            if iterations >= budget:
+                if fail is None or iterations < fail[0]:
+                    fail = (iterations, lane, latency)
+                break
+            if converged or (fail is not None and iterations >= fail[0]):
+                break
+        if fail is not None:
+            continue  # the batch raises: skip the epilogue
+        total_iterations += iterations
+
+        # Final consistent evaluation, as the kernel's epilogue.
+        ways = [c if c < w else w for w, c in zip(ways, caps)]
+        mr = _lane_miss_ratios(ways, curves, unfused)
+        mpi = [a * m for a, m in zip(apki, mr)]
+        latency = solve_latency(mpi, cpi, blk, bpm, thr, latency, 1e-7)
+        ipc = [
+            1.0 / (e + m * b * (latency / t))
+            for m, e, b, t in zip(mpi, cpi, blk, thr)
+        ]
+        bw = [freq * i * m * q for i, m, q in zip(ipc, mpi, bpm)]
+        demand = _ordered_sum(bw)
+        if demand > capacity:
+            granted = _waterfill(capacity, [1.0] * len(bw), bw)
+            ipc = [
+                i * (g / (b if b > 1e-30 else 1e-30) if b > 0.0 else 1.0)
+                for i, g, b in zip(ipc, granted, bw)
+            ]
+            bw = granted
+            demand = _ordered_sum(bw)
+        states.append(
+            SteadyState(
+                ipc=np.array(ipc),
+                ways=np.array(ways),
+                miss_ratio=np.array(mr),
+                bw_bytes=np.array(bw),
+                latency_cycles=latency,
+                utilisation=demand / capacity,
+                iterations=iterations,
+            )
+        )
+    if fail is not None:
+        rounds, lane, latency = fail
+        raise ConvergenceError(
+            f"fast lane {lane}: no convergence after {rounds} "
+            f"iterations (latency={latency:.1f} cy, precision=fast)"
+        )
+    SOLVER_COUNTERS["fast_solves"] += 1
+    SOLVER_COUNTERS["fast_points"] += len(parsed)
+    SOLVER_COUNTERS["fast_iterations"] += total_iterations
+    SOLVER_COUNTERS["fast_lane_points"] += len(parsed)
+    return states
 
 
 class SteadyStateCache:

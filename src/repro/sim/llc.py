@@ -13,7 +13,8 @@ occupancy caps; :func:`effective_ways` applies it across a full
 :class:`~repro.sim.partition.PartitionSpec`, including the optional shared
 (overlapping) zone. Both validate their array inputs once and wrap
 unvalidated float-list cores (:func:`_waterfill`, :func:`_effective_ways`),
-which the exact solvers call directly once per group per iteration.
+which the exact solver and the fast solver's per-lane loop call directly
+once per group per iteration.
 :func:`waterfill_batch` and :func:`effective_ways_batch` are the
 lane-batched forms, validated the same way around unvalidated NumPy cores
 (:func:`_waterfill_batch`, :func:`_effective_ways_layout`) that the fast
@@ -22,9 +23,12 @@ solver calls once per core-group layout per iteration.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.sim.partition import PartitionSpec
+from repro.util.stats import _reduce_sum
 
 __all__ = [
     "waterfill",
@@ -47,21 +51,6 @@ def _pressure_weights(pressures: list[float], theta: float) -> list[float]:
     if theta == 1.0:
         return [p if p > 0.0 or p != p else 0.0 for p in pressures]
     return np.power(np.maximum(np.array(pressures), 0.0), theta).tolist()
-
-
-def _reduce_sum(values: list[float]) -> float:
-    """``np.add.reduce`` of ``values``, bit for bit.
-
-    Below 8 terms NumPy adds sequentially from ``0.0``, which a Python
-    loop reproduces; from 8 terms up it sums pairwise, so the reduction
-    stays in NumPy.
-    """
-    if len(values) < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    return float(np.add.reduce(np.array(values)))
 
 
 def _waterfill(
@@ -107,21 +96,27 @@ def _waterfill(
 
 
 def _effective_ways(
-    partition: PartitionSpec, weights: list[float], caps: list[float]
+    partition: PartitionSpec,
+    weights: list[float],
+    caps: list[float],
+    sum_terms: Callable[[list[float]], float] = _reduce_sum,
 ) -> list[float]:
     """Unvalidated float-list core of :func:`effective_ways`.
 
-    Takes the pressure *weights* (see :func:`_pressure_weights`); every
-    sum that can reach 8 terms goes through :func:`_reduce_sum`.
+    Takes the pressure *weights* (see :func:`_pressure_weights`).
+    ``sum_terms`` adds the group and total weights of the shared-zone
+    split: :func:`_reduce_sum` (NumPy's pairwise order, the exact
+    solver's) by default; the fast solver's lane loop passes the
+    fixed-order sequential sum of :func:`_effective_ways_layout`.
     """
     groups = partition.groups
     zone_share = [0.0] * len(groups)
     shared_ways = partition.shared_ways
     if shared_ways > _EPS:
         group_weight = [
-            _reduce_sum([weights[c] for c in g.cores]) for g in groups
+            sum_terms([weights[c] for c in g.cores]) for g in groups
         ]
-        total_weight = _reduce_sum(group_weight)
+        total_weight = sum_terms(group_weight)
         if total_weight > _EPS:
             zone_share = [
                 shared_ways * gw / total_weight for gw in group_weight

@@ -56,13 +56,60 @@ def geomean_with_zeros(values: Iterable[float], floor: float = 1e-4) -> float:
 
 
 def hmean(values: Iterable[float]) -> float:
-    """Harmonic mean of strictly positive values."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    """Harmonic mean of strictly positive values.
+
+    Bit-identical to ``n / np.sum(1.0 / values)``; EFU (Equation 1) takes
+    it once per campaign cell on about ten values, where NumPy's per-call
+    dispatch would cost more than the arithmetic.
+    """
+    floats = [float(v) for v in values]
+    if not floats:
         raise ValueError("hmean of empty sequence")
-    if np.any(arr <= 0.0):
-        raise ValueError("hmean requires strictly positive values")
-    return float(arr.size / np.sum(1.0 / arr))
+    for v in floats:
+        if v <= 0.0:
+            raise ValueError("hmean requires strictly positive values")
+    return len(floats) / _reduce_sum([1.0 / v for v in floats])
+
+
+#: Terms up to which :func:`_reduce_sum` adds in Python (NumPy's pairwise
+#: block size); longer sums stay a NumPy reduction.
+_PAIRWISE_BLOCK = 128
+
+
+def _reduce_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a float list, bit for bit.
+
+    NumPy adds a pairwise sum of the terms to the identity ``0.0``. Below
+    8 terms the pairwise sum is sequential. Up to 128 terms it runs eight
+    strided accumulators, combines them as ``((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7))`` and adds the remaining ``n % 8`` terms in
+    order. Both are reproduced here; above 128 terms NumPy recurses on
+    halves, and the sum stays a NumPy call.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > _PAIRWISE_BLOCK:
+        return float(np.add.reduce(np.array(values, dtype=float)))
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, n):
+        total += values[i]
+    # The identity start: maps a -0.0 pairwise sum to 0.0.
+    return 0.0 + total
 
 
 def cdf_points(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

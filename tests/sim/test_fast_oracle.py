@@ -647,8 +647,8 @@ class TestFastKernelOracle:
 
 def _sharing_calls(points) -> tuple[int, list[SteadyState]]:
     before = solver_counters()["fast_sharing_calls"]
-    states = solve_steady_state_batch(
-        TABLE1_PLATFORM, points, precision="fast"
+    states = _solve_batch_fast(
+        TABLE1_PLATFORM, _parse_points(TABLE1_PLATFORM, points), **SOLVE
     )
     return solver_counters()["fast_sharing_calls"] - before, states
 

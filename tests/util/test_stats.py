@@ -14,6 +14,7 @@ from repro.util.stats import (
     hmean,
     percentile,
 )
+from repro.util.stats import _reduce_sum
 
 positive_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=50
@@ -89,6 +90,49 @@ class TestHmean:
     def test_at_most_geomean(self, values):
         # AM-GM-HM inequality: HM <= GM.
         assert hmean(values) <= geomean(values) * (1 + 1e-9)
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1,
+                    max_size=200))
+    def test_bitwise_equal_to_numpy(self, values):
+        arr = np.asarray(values, dtype=float)
+        assert hmean(values).hex() == float(arr.size / np.sum(1.0 / arr)).hex()
+
+
+def _hex(x: float) -> str:
+    return "nan" if x != x else float(x).hex()
+
+
+#: Terms that exercise rounding, cancellation, signed zeros and the IEEE
+#: specials, at very different magnitudes.
+sum_terms = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300)),
+)
+
+
+class TestReduceSum:
+    @given(st.lists(sum_terms, max_size=200))
+    def test_bitwise_equal_to_numpy(self, values):
+        # Overflow to inf and inf - inf are part of what is compared.
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.add.reduce(np.array(values, dtype=float)))
+            assert _hex(_reduce_sum(values)) == _hex(expected)
+
+    def test_every_length_up_to_200(self):
+        # Each branch: sequential (< 8), the 8-accumulator block (<= 128)
+        # and NumPy's own recursion above it.
+        rng = np.random.default_rng(0)
+        for n in range(201):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            expected = float(np.add.reduce(values))
+            assert _hex(_reduce_sum(values.tolist())) == _hex(expected), n
+
+    @pytest.mark.parametrize("n", (1, 7, 8, 9, 16, 127, 128, 129))
+    def test_negative_zeros_sum_to_positive_zero(self, n):
+        assert _hex(_reduce_sum([-0.0] * n)) == _hex(
+            float(np.add.reduce(np.full(n, -0.0)))
+        )
 
 
 class TestCdf:
