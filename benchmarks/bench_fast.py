@@ -9,8 +9,11 @@ a time, as the library runs it) and once with the tolerance-contracted
 fast kernel (DESIGN.md §10) as one fused batch, exactly how fast-mode
 campaigns submit work.
 
-Reports ``speedup = exact_wall / fast_wall`` (best-of-N per mode) and the
-microseconds per point of each mode, verifies the fast results against
+Runs the two modes in alternating rounds (exact, fast, exact, fast, ...)
+and reports each round's ``exact_wall / fast_wall`` ratio and the
+microseconds per point of each mode; the speedup is the median of the
+per-round ratios, so a slow spell of the host that covers one round
+moves one ratio, not the gate. It verifies the fast results against
 the exact ones with the runtime accuracy contract, and exits non-zero
 when the speedup lands below ``--min-speedup`` (default 9.6; quick mode
 has a lower floor because narrow populations amortise the batch setup
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -71,21 +75,25 @@ def build_population(limit: int | None = None) -> list[tuple]:
     return points
 
 
-def time_mode(points: list[tuple], precision: str, rounds: int) -> tuple:
-    """(best wall seconds, results) of one batch call in ``precision``."""
+def time_modes(points: list[tuple], rounds: int) -> tuple:
+    """(per-round walls by precision, results by precision).
+
+    The rounds alternate exact, fast, exact, fast, ... so a slow spell
+    of the host lands on both modes instead of on one mode's rounds.
+    """
     from repro.sim.contention import solve_steady_state_batch
     from repro.sim.platform import TABLE1_PLATFORM
 
-    best = None
-    results = None
+    walls: dict[str, list[float]] = {"exact": [], "fast": []}
+    results = {}
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        results = solve_steady_state_batch(
-            TABLE1_PLATFORM, points, precision=precision
-        )
-        wall = time.perf_counter() - t0
-        best = wall if best is None else min(best, wall)
-    return best, results
+        for precision in walls:
+            t0 = time.perf_counter()
+            results[precision] = solve_steady_state_batch(
+                TABLE1_PLATFORM, points, precision=precision
+            )
+            walls[precision].append(time.perf_counter() - t0)
+    return walls, results
 
 
 def check_contract(fast, exact) -> tuple[int, float]:
@@ -125,8 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rounds",
         type=int,
-        default=3,
-        help="timing rounds per mode; the best round counts (default 3)",
+        default=5,
+        help="alternating exact/fast timing rounds; the median of the "
+        "per-round exact/fast ratios counts (default 5)",
     )
     args = parser.parse_args(argv)
     floor = args.min_speedup
@@ -141,17 +150,22 @@ def main(argv: list[str] | None = None) -> int:
         f"{'quick' if args.quick else 'full'} population)"
     )
 
-    t_exact, exact = time_mode(points, "exact", args.rounds)
-    t_fast, fast = time_mode(points, "fast", args.rounds)
-    speedup = t_exact / t_fast
-    violations, worst = check_contract(fast, exact)
+    walls, results = time_modes(points, args.rounds)
+    ratios = [e / f for e, f in zip(walls["exact"], walls["fast"])]
+    speedup = statistics.median(ratios)
+    violations, worst = check_contract(results["fast"], results["exact"])
 
     us = 1e6 / len(points)
-    print(
-        f"  exact: {t_exact:.3f}s ({t_exact * us:.1f} us/point)   "
-        f"fast: {t_fast:.3f}s ({t_fast * us:.1f} us/point)   "
-        f"speedup: {speedup:.2f}x (floor {floor}x)"
-    )
+    for i, (t_exact, t_fast, ratio) in enumerate(
+        zip(walls["exact"], walls["fast"], ratios)
+    ):
+        print(
+            f"  round {i}: exact {t_exact:.3f}s ({t_exact * us:.1f} us/point)"
+            f"   fast {t_fast:.3f}s ({t_fast * us:.1f} us/point)"
+            f"   ratio {ratio:.2f}x"
+        )
+    print(f"  speedup: {speedup:.2f}x median of {len(ratios)} rounds "
+          f"(floor {floor}x)")
     print(
         f"  accuracy contract: {violations} violation(s), "
         f"worst |ipc rel err| {worst:.3e}"

@@ -181,6 +181,16 @@ def render_metrics_summary(summary: dict[str, object]) -> str:
         sections.append(
             f"static outcomes staged/claimed: {staged:.0f}/{claimed:.0f}"
         )
+    extends = counters.get("serve.placement.extends", 0.0)
+    rebuilds = counters.get("serve.placement.rebuilds", 0.0)
+    if extends or rebuilds:
+        # Does the plane reuse its cached placement fold? Reuses against
+        # from-scratch builds, and the jobs departures rewound.
+        rewound = counters.get("serve.placement.rewound", 0.0)
+        sections.append(
+            f"placement folds extended/rebuilt: {extends:.0f}/{rebuilds:.0f}"
+            f" (jobs rewound: {rewound:.0f})"
+        )
     if "store.checkpoints" in counters:
         # Does a checkpoint grow with the campaign? Rows built against the
         # rows the engine wrote (sqlite: the new ones; file: all of them).

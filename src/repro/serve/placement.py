@@ -3,11 +3,13 @@
 The plane is **declarative**: after every applied event it reconciles
 the fleet to the *canonical placement* — a pure function of (live jobs
 in arrival order, healthy node set). The greedy placement is a left fold
-in arrival order, so the plane computes it by extending a cached fold
-with the jobs that arrived since, and rebuilds it from scratch through
-:meth:`ControlPlane.canonical_placement` only when a job departs or the
-node set changes; both paths share :class:`_Fold`, so the result is the
-same function either way. That one design choice buys the whole
+in arrival order, so the plane keeps a cached fold per node set: a
+submit extends it with the new job, and a departure rewinds it (an undo
+log, one record per job) to the departed job and re-adds the jobs that
+arrived after. It is built from scratch through
+:meth:`ControlPlane.canonical_placement` only for a node set without a
+cached fold; both paths share :class:`_Fold`, so the result is the same
+function either way. That one design choice buys the whole
 robustness story:
 
 * a node going down is just "reconcile over the survivors": its jobs
@@ -242,6 +244,9 @@ class _Fold:
     judging a BE job is one ``max_bes`` lookup per node. The greedy rule:
     most remaining admissible slots wins (load balancing keeps the SLO
     safety margin widest), node order breaking ties.
+
+    Every :meth:`add` pushes one undo record, so :meth:`rewind` can take
+    the fold back to any shorter prefix exactly.
     """
 
     def __init__(
@@ -259,6 +264,10 @@ class _Fold:
         self.job_ids: list[str] = []
         self.assignment: dict[str, str] = {}
         self.overflow: list[str] = []
+        #: One record per folded job: ``(job, node, the node's previous
+        #: cap_on, whether the job's BE type was new on the node)``;
+        #: ``node`` is None for an overflowed job.
+        self._undo: list[tuple[Job, str | None, int, bool]] = []
 
     def _hp_cap(self, hp_app: str, types) -> int:
         """BE slots under ``hp_app`` with resident BE types ``types``."""
@@ -295,19 +304,41 @@ class _Fold:
         self.job_ids.append(job.job_id)
         if nid is None:
             self.overflow.append(job.job_id)
+            self._undo.append((job, None, 0, False))
             return
         self.assignment[job.job_id] = nid
+        cap = self.cap_on[nid]
         if job.kind == "hp":
+            self._undo.append((job, nid, cap, False))
             self.hp_on[nid] = job.app
             self.cap_on[nid] = self._hp_cap(job.app, self.types_on[nid])
         else:
+            types = self.types_on[nid]
+            self._undo.append((job, nid, cap, job.app not in types))
             self.n_be[nid] += 1
-            self.types_on[nid].add(job.app)
+            types.add(job.app)
             hp = self.hp_on[nid]
             if hp is not None:
                 self.cap_on[nid] = min(
-                    self.cap_on[nid], self.admission.max_bes(hp, job.app)
+                    cap, self.admission.max_bes(hp, job.app)
                 )
+
+    def rewind(self, k: int) -> None:
+        """Undo :meth:`add` back to the first ``k`` jobs, newest first."""
+        while len(self.job_ids) > k:
+            job_id = self.job_ids.pop()
+            job, nid, cap, new_type = self._undo.pop()
+            if nid is None:
+                self.overflow.pop()
+                continue
+            del self.assignment[job_id]
+            self.cap_on[nid] = cap
+            if job.kind == "hp":
+                self.hp_on[nid] = None
+            else:
+                self.n_be[nid] -= 1
+                if new_type:
+                    self.types_on[nid].discard(job.app)
 
 
 @dataclass
@@ -444,26 +475,38 @@ class ControlPlane:
     def _fold_for(self, node_ids: tuple[str, ...]) -> _Fold:
         """The canonical placement of the live jobs onto ``node_ids``.
 
-        Extends the cached fold when it covers a prefix of the live jobs
-        (only submits happened since); otherwise rebuilds it through
-        :meth:`canonical_placement`. At most two folds are cached: the
-        roster's (admission) and the healthy set's (reconcile).
+        Reuses the cached fold: when its jobs are a prefix of the live
+        jobs (only submits happened since) it is extended; otherwise it
+        is rewound to the longest common prefix (the first departed job)
+        and the rest is re-added. Only a node tuple without a cached fold
+        is built from scratch through :meth:`canonical_placement`. At
+        most two folds are cached: the roster's (admission) and the
+        healthy set's (reconcile).
         """
         live = self.live_jobs()
         fold = self._folds.get(node_ids)
         registry = get_registry()
-        if fold is not None and [
-            j.job_id for j in live[: len(fold.job_ids)]
-        ] == fold.job_ids:
-            for job in live[len(fold.job_ids):]:
-                fold.add(job)
-            registry.counter("serve.placement.extends").inc()
+        if fold is None:
+            fold = self.canonical_placement(live, node_ids)
+            roster = self.config.node_ids
+            self._folds = {
+                k: f for k, f in self._folds.items() if k == roster
+            }
+            self._folds[node_ids] = fold
+            registry.counter("serve.placement.rebuilds").inc()
             return fold
-        fold = self.canonical_placement(live, node_ids)
-        roster = self.config.node_ids
-        self._folds = {k: f for k, f in self._folds.items() if k == roster}
-        self._folds[node_ids] = fold
-        registry.counter("serve.placement.rebuilds").inc()
+        done = fold.job_ids
+        if [j.job_id for j in live[: len(done)]] != done:
+            k = 0
+            for job, job_id in zip(live, done):
+                if job.job_id != job_id:
+                    break
+                k += 1
+            registry.counter("serve.placement.rewound").inc(len(done) - k)
+            fold.rewind(k)
+        for job in live[len(done):]:
+            fold.add(job)
+        registry.counter("serve.placement.extends").inc()
         return fold
 
     def _admits(self, candidate: Job) -> bool:

@@ -173,3 +173,21 @@ class TestRender:
         assert "static outcomes" not in render_metrics_summary(
             summarise_metrics([])
         )
+
+    def test_placement_folds_rendered(self):
+        records = [
+            {"kind": "metric", "type": "counter",
+             "name": "serve.placement.extends", "value": 1211.0},
+            {"kind": "metric", "type": "counter",
+             "name": "serve.placement.rebuilds", "value": 5.0},
+            {"kind": "metric", "type": "counter",
+             "name": "serve.placement.rewound", "value": 9381.0},
+        ]
+        text = render_metrics_summary(summarise_metrics(records))
+        assert (
+            "placement folds extended/rebuilt: 1211/5 (jobs rewound: 9381)"
+            in text
+        )
+        assert "placement folds" not in render_metrics_summary(
+            summarise_metrics([])
+        )

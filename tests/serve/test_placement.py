@@ -4,7 +4,8 @@ The load-bearing properties: placement is a pure function of the live
 job history, node failure drains without dropping, recovery converges
 back to the clean placement, and admission ignores node health. The work
 bounds pin the incremental fold: what an event costs depends on the live
-jobs and the nodes, never on the departed or rejected history.
+jobs and the nodes, never on the departed or rejected history, and a
+departure re-adds only the jobs that arrived after the departed one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve.events import ServeEvent
-from repro.serve.placement import AdmissionCache, ControlPlane, PlaneConfig
+from repro.serve.placement import (
+    AdmissionCache,
+    ControlPlane,
+    PlaneConfig,
+    _Fold,
+)
 
 from tests.serve.conftest import SLO, make_plane
 
@@ -258,28 +264,70 @@ def warm_fleet(admission, n_nodes=30):
     return plane, seq
 
 
+def spy_on_folds(plane, monkeypatch):
+    """Record from-scratch placements (their job counts) and fold adds."""
+    rebuilds, adds = [], []
+    rebuild = plane.canonical_placement
+    add = _Fold.add
+
+    def spy_rebuild(jobs, node_ids):
+        rebuilds.append(len(jobs))
+        return rebuild(jobs, node_ids)
+
+    def spy_add(fold, job):
+        adds.append(job.job_id)
+        return add(fold, job)
+
+    monkeypatch.setattr(plane, "canonical_placement", spy_rebuild)
+    monkeypatch.setattr(_Fold, "add", spy_add)
+    return rebuilds, adds
+
+
 class TestWorkBounds:
     def test_accepted_be_submit_extends_the_fold(self, admission,
                                                  monkeypatch):
         counting = CountingAdmission(admission)
         plane, seq = warm_fleet(counting)
-        rebuilds = []
-        rebuild = plane.canonical_placement
-
-        def spy(jobs, node_ids):
-            rebuilds.append(len(jobs))
-            return rebuild(jobs, node_ids)
-
-        monkeypatch.setattr(plane, "canonical_placement", spy)
+        rebuilds, adds = spy_on_folds(plane, monkeypatch)
         counting.lookups = 0
         outcome = submit(plane, seq, "new", "bzip22")
         assert outcome["outcome"] == "accepted"
         assert rebuilds == []
         n_nodes = len(plane.config.node_ids)
         assert 0 < counting.lookups <= 2 * n_nodes + 1
-        # A depart invalidates the prefix: exactly one rebuild.
+        # A depart rewinds the fold to the departed job and re-adds only
+        # the jobs that arrived after it.
+        live_ids = [j.job_id for j in plane.live_jobs()]
+        i = live_ids.index("b3")
+        adds.clear()
         plane.apply_event(ServeEvent(seq=seq + 1, kind="depart", job_id="b3"))
-        assert rebuilds == [len(plane.live_jobs())]
+        assert rebuilds == []
+        assert adds == live_ids[i + 1:]
+        assert len(adds) == len(plane.live_jobs()) - i
+
+    def test_degraded_depart_and_submit_never_rebuild(self, admission,
+                                                      monkeypatch):
+        plane, seq = warm_fleet(admission, n_nodes=5)
+        plane.apply_event(
+            ServeEvent(seq=seq, kind="node_crash", node_id="node02")
+        )
+        rebuilds, adds = spy_on_folds(plane, monkeypatch)
+        # The depart refreshes only the healthy-set fold; the submit's
+        # admission check catches the stale roster fold up by rewinding.
+        plane.apply_event(ServeEvent(seq=seq + 1, kind="depart", job_id="b5"))
+        submit(plane, seq + 2, "late", "hmmer1")
+        assert rebuilds == []
+        assert adds
+        # Each cached fold equals a from-scratch fold of the live prefix
+        # it covers (the roster's has not seen "late" yet).
+        live = plane.live_jobs()
+        for node_ids in (plane.config.node_ids, tuple(plane.healthy_nodes())):
+            fold = plane._folds[node_ids]
+            covered = live[: len(fold.job_ids)]
+            assert fold.job_ids == [j.job_id for j in covered]
+            oracle = plane.canonical_placement(covered, node_ids)
+            assert fold.assignment == oracle.assignment
+            assert fold.overflow == oracle.overflow
 
     def test_events_never_scan_the_job_history(self, admission,
                                                monkeypatch):
@@ -339,10 +387,11 @@ class TestTelemetry:
             set_registry(previous)
         assert registry.histogram("serve.apply_s").count == 3
         assert registry.histogram("serve.reconcile_s").count == 3
-        # Fresh plane: one rebuild; the depart forces another; every
-        # other admission check and reconcile extends the cached fold.
-        assert registry.counter("serve.placement.rebuilds").value == 2
-        assert registry.counter("serve.placement.extends").value == 3
+        # Fresh plane: one rebuild; every later admission check and
+        # reconcile reuses the cached fold, the depart rewinding one job.
+        assert registry.counter("serve.placement.rebuilds").value == 1
+        assert registry.counter("serve.placement.extends").value == 4
+        assert registry.counter("serve.placement.rewound").value == 1
 
 
 class TestConfig:

@@ -7,9 +7,10 @@ Hypothesis drives the two structural claims the smoke test checks once:
   — for any stream and any split point.
 * **Chaos invariance**: weaving seeded node faults (all recovered before
   the end) into a stream never changes the terminal placement digest.
-* **Incremental ≡ from scratch**: the plane's cached, prefix-extended
-  greedy fold agrees with :meth:`ControlPlane.canonical_placement` run
-  from scratch after every event of a churn + chaos stream.
+* **Incremental ≡ from scratch**: the plane's cached greedy fold
+  (extended on submits, rewound to the departed job on departures)
+  agrees with :meth:`ControlPlane.canonical_placement` run from scratch
+  after every event of a churn + chaos stream.
 
 Streams come from the seeded load generator, so every example is a
 realistic churn history; the admission memo is shared session-wide, so
