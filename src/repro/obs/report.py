@@ -191,6 +191,13 @@ def render_metrics_summary(summary: dict[str, object]) -> str:
             f"placement folds extended/rebuilt: {extends:.0f}/{rebuilds:.0f}"
             f" (jobs rewound: {rewound:.0f})"
         )
+    searches = summary["histograms"].get("serve.admission.search_s")
+    if searches:
+        # What the serve plane's first-use admission searches cost.
+        sections.append(
+            f"admission searches: {searches['count']:.0f} "
+            f"(p50 {searches['p50'] * 1e3:.1f} ms)"
+        )
     if "store.checkpoints" in counters:
         # Does a checkpoint grow with the campaign? Rows built against the
         # rows the engine wrote (sqlite: the new ones; file: all of them).

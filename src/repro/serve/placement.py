@@ -165,7 +165,9 @@ class AdmissionCache:
     running this HP admit under the configured policy and SLO?" — one
     :func:`find_max_bes` binary search on first use, a dict hit after
     (and the underlying solver probes share the global steady-state
-    cache, so even misses are mostly memo traffic).
+    cache, so even misses are mostly memo traffic). Each search counts in
+    ``serve.admission.searches`` and its wall time in the
+    ``serve.admission.search_s`` histogram; hits are not timed.
     """
 
     def __init__(
@@ -222,28 +224,37 @@ class AdmissionCache:
         key = (hp_app, be_app)
         cached = self._max_bes.get(key)
         if cached is None:
-            plan = find_max_bes(
-                hp_app,
-                be_app,
-                self.policy,
-                self.slo,
-                platform=self.platform,
-                precision=self.precision,
-            )
+            registry = get_registry()
+            with registry.histogram("serve.admission.search_s").time():
+                plan = find_max_bes(
+                    hp_app,
+                    be_app,
+                    self.policy,
+                    self.slo,
+                    platform=self.platform,
+                    precision=self.precision,
+                )
             cached = plan.max_bes
             self._max_bes[key] = cached
-            get_registry().counter("serve.admission.searches").inc()
+            registry.counter("serve.admission.searches").inc()
         return cached
 
 
 class _Fold:
     """Greedy placement state after folding a prefix of jobs onto nodes.
 
-    Per node it keeps the HP app, the BE count, the resident BE types and
-    the running BE capacity ``min(phys, min_t max_bes(hp, t))``, so
-    judging a BE job is one ``max_bes`` lookup per node. The greedy rule:
-    most remaining admissible slots wins (load balancing keeps the SLO
-    safety margin widest), node order breaking ties.
+    Per node it keeps the HP app, the BE count, the resident BE types (a
+    frozenset, replaced when a type first arrives or its last instance is
+    rewound away) and the running BE capacity
+    ``min(phys, min_t max_bes(hp, t))``. The greedy rule: most remaining
+    admissible slots wins (load balancing keeps the SLO safety margin
+    widest), node order breaking ties.
+
+    Judging a job is a scan over admission answers the fold has already
+    looked up: per BE app a row ``{hp_app: max_bes}``, and per HP app
+    its capacity by resident type set. Both are pure functions of their
+    keys, so nothing ever invalidates them; a miss reads through
+    :meth:`AdmissionCache.max_bes`, the one place a search starts.
 
     Every :meth:`add` pushes one undo record, so :meth:`rewind` can take
     the fold back to any shorter prefix exactly.
@@ -255,11 +266,13 @@ class _Fold:
         self.admission = admission
         self.phys = phys
         self.node_ids = tuple(node_ids)
+        # The per-node dicts keep node order (values are only ever
+        # reassigned), so a scan can zip their values with node_ids.
         self.hp_on: dict[str, str | None] = dict.fromkeys(self.node_ids)
         self.n_be: dict[str, int] = dict.fromkeys(self.node_ids, 0)
-        self.types_on: dict[str, set[str]] = {
-            nid: set() for nid in self.node_ids
-        }
+        self.types_on: dict[str, frozenset[str]] = dict.fromkeys(
+            self.node_ids, frozenset()
+        )
         self.cap_on: dict[str, int] = dict.fromkeys(self.node_ids, phys)
         self.job_ids: list[str] = []
         self.assignment: dict[str, str] = {}
@@ -268,38 +281,82 @@ class _Fold:
         #: cap_on, whether the job's BE type was new on the node)``;
         #: ``node`` is None for an overflowed job.
         self._undo: list[tuple[Job, str | None, int, bool]] = []
+        #: BE app -> {HP app: max_bes}, filled on first use.
+        self._rows: dict[str, dict[str, int]] = {}
+        #: HP app -> {resident BE types: the HP's BE capacity there}.
+        self._hp_caps: dict[str, dict[frozenset[str], int]] = {}
+
+    def _row(self, be_app: str) -> dict[str, int]:
+        row = self._rows.get(be_app)
+        if row is None:
+            row = self._rows[be_app] = {}
+        return row
 
     def _hp_cap(self, hp_app: str, types) -> int:
         """BE slots under ``hp_app`` with resident BE types ``types``."""
-        max_bes = self.admission.max_bes
-        return min([self.phys, *(max_bes(hp_app, t) for t in types)])
+        cap = self.phys
+        for be_app in types:
+            row = self._row(be_app)
+            n = row.get(hp_app)
+            if n is None:
+                n = row[hp_app] = self.admission.max_bes(hp_app, be_app)
+            if n < cap:
+                cap = n
+        return cap
 
     def best_node(self, job: Job) -> str | None:
-        """Greedy best-headroom node for ``job`` (read-only)."""
+        """Greedy best-headroom node for ``job``.
+
+        Leaves the placement state as it is; only the answer memos fill.
+        """
+        app = job.app
         best = None
-        best_headroom = 0
-        for nid in self.node_ids:
-            hp = self.hp_on[nid]
-            if job.kind == "hp":
+        if job.kind == "hp":
+            caps = self._hp_caps.get(app)
+            if caps is None:
+                caps = self._hp_caps[app] = {}
+            # An HP fits with zero BE slots to spare; below that the
+            # resident BEs are inadmissible under it.
+            best_headroom = -1
+            for nid, hp, types, n in zip(
+                self.node_ids,
+                self.hp_on.values(),
+                self.types_on.values(),
+                self.n_be.values(),
+            ):
                 if hp is not None:
                     continue
-                headroom = self._hp_cap(job.app, self.types_on[nid])
-                headroom -= self.n_be[nid]
-                if headroom < 0:
-                    continue  # resident BEs inadmissible under this HP
-            else:
-                cap = self.cap_on[nid]
-                if hp is not None:
-                    cap = min(cap, self.admission.max_bes(hp, job.app))
-                headroom = cap - self.n_be[nid]
-                if headroom < 1:
-                    continue
-            if best is None or headroom > best_headroom:
-                best, best_headroom = nid, headroom
+                cap = caps.get(types)
+                if cap is None:
+                    cap = caps[types] = self._hp_cap(app, types)
+                if cap - n > best_headroom:
+                    best, best_headroom = nid, cap - n
+            return best
+        row = self._row(app)
+        max_bes = self.admission.max_bes
+        best_headroom = 0  # a BE needs a free slot
+        for nid, hp, cap, n in zip(
+            self.node_ids,
+            self.hp_on.values(),
+            self.cap_on.values(),
+            self.n_be.values(),
+        ):
+            if hp is not None:
+                m = row.get(hp)
+                if m is None:
+                    m = row[hp] = max_bes(hp, app)
+                if m < cap:
+                    cap = m
+            if cap - n > best_headroom:
+                best, best_headroom = nid, cap - n
         return best
 
     def add(self, job: Job) -> None:
-        """Place ``job`` on :meth:`best_node` and commit it to the state."""
+        """Place ``job`` on :meth:`best_node` and commit it to the state.
+
+        The capacity update reads the memo entry :meth:`best_node` has
+        just filled for the chosen node.
+        """
         nid = self.best_node(job)
         self.job_ids.append(job.job_id)
         if nid is None:
@@ -311,17 +368,17 @@ class _Fold:
         if job.kind == "hp":
             self._undo.append((job, nid, cap, False))
             self.hp_on[nid] = job.app
-            self.cap_on[nid] = self._hp_cap(job.app, self.types_on[nid])
+            self.cap_on[nid] = self._hp_caps[job.app][self.types_on[nid]]
         else:
             types = self.types_on[nid]
-            self._undo.append((job, nid, cap, job.app not in types))
+            new_type = job.app not in types
+            self._undo.append((job, nid, cap, new_type))
             self.n_be[nid] += 1
-            types.add(job.app)
+            if new_type:
+                self.types_on[nid] = types | {job.app}
             hp = self.hp_on[nid]
             if hp is not None:
-                self.cap_on[nid] = min(
-                    cap, self.admission.max_bes(hp, job.app)
-                )
+                self.cap_on[nid] = min(cap, self._rows[job.app][hp])
 
     def rewind(self, k: int) -> None:
         """Undo :meth:`add` back to the first ``k`` jobs, newest first."""
@@ -338,7 +395,7 @@ class _Fold:
             else:
                 self.n_be[nid] -= 1
                 if new_type:
-                    self.types_on[nid].discard(job.app)
+                    self.types_on[nid] = self.types_on[nid] - {job.app}
 
 
 @dataclass

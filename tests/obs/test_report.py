@@ -191,3 +191,14 @@ class TestRender:
         assert "placement folds" not in render_metrics_summary(
             summarise_metrics([])
         )
+
+    def test_admission_searches_rendered(self):
+        records = [
+            _hist_row("serve.admission.search_s", count=24, total=1.2,
+                      lo=0.01, hi=0.2, p50=0.0415, p90=0.1, p99=0.19),
+        ]
+        text = render_metrics_summary(summarise_metrics(records))
+        assert "admission searches: 24 (p50 41.5 ms)" in text
+        assert "admission searches" not in render_metrics_summary(
+            summarise_metrics([])
+        )

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve.api import ServeApi
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.placement import PlaneConfig
@@ -128,6 +130,29 @@ class TestRoutes:
             body["downs_reported"]
         )
         assert "metrics" in body
+
+    def test_telemetry_times_admission_searches(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(
+            "repro.serve.placement.find_max_bes",
+            lambda hp, be, *args, **kwargs: SimpleNamespace(max_bes=3),
+        )
+
+        async def scenario(daemon, api):
+            for job_kind, app in (("hp", "namd1"), ("be", "bzip22")):
+                await request(api.port, "POST", "/submit",
+                              {"job_kind": job_kind, "app": app})
+            return await request(api.port, "GET", "/telemetry")
+
+        previous = set_registry(MetricsRegistry())
+        try:
+            status, body = with_api(tmp_path, scenario)
+        finally:
+            set_registry(previous)
+        assert status == 200
+        rows = {row["name"]: row for row in body["metrics"]}
+        assert rows["serve.admission.search_s"]["count"] == 1
+        assert rows["serve.admission.searches"]["value"] == 1
 
     def test_unknown_route_is_404_and_bad_request_line_400(self, tmp_path):
         async def scenario(daemon, api):

@@ -10,6 +10,8 @@ departure re-adds only the jobs that arrived after the departed one.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -293,8 +295,16 @@ class TestWorkBounds:
         outcome = submit(plane, seq, "new", "bzip22")
         assert outcome["outcome"] == "accepted"
         assert rebuilds == []
-        n_nodes = len(plane.config.node_ids)
-        assert 0 < counting.lookups <= 2 * n_nodes + 1
+        # The fold has judged bzip22 before: its answer row covers every
+        # node, so neither the admission check nor the reconcile looks up.
+        assert counting.lookups == 0
+        # Without the row, each HP app on the fleet costs one lookup.
+        fold = plane._folds[plane.config.node_ids]
+        del fold._rows["bzip22"]
+        hp_apps = {hp for hp in fold.hp_on.values() if hp is not None}
+        submit(plane, seq + 1, "new2", "bzip22")
+        assert counting.lookups == len(hp_apps) > 0
+        seq += 1
         # A depart rewinds the fold to the departed job and re-adds only
         # the jobs that arrived after it.
         live_ids = [j.job_id for j in plane.live_jobs()]
@@ -392,6 +402,29 @@ class TestTelemetry:
         assert registry.counter("serve.placement.rebuilds").value == 1
         assert registry.counter("serve.placement.extends").value == 4
         assert registry.counter("serve.placement.rewound").value == 1
+
+    def test_only_first_use_searches_are_timed(self, monkeypatch):
+        searched = []
+
+        def fake_search(hp, be, *args, **kwargs):
+            searched.append((hp, be))
+            return SimpleNamespace(max_bes=3)
+
+        monkeypatch.setattr(
+            "repro.serve.placement.find_max_bes", fake_search
+        )
+        cache = AdmissionCache(policy="DICER", slo=SLO)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            for hp, be in [("namd1", "bzip22"), ("namd1", "lbm1"),
+                           ("namd1", "bzip22"), (None, "lbm1")]:
+                cache.max_bes(hp, be)
+        finally:
+            set_registry(previous)
+        assert searched == [("namd1", "bzip22"), ("namd1", "lbm1")]
+        assert registry.counter("serve.admission.searches").value == 2
+        assert registry.histogram("serve.admission.search_s").count == 2
 
 
 class TestConfig:
