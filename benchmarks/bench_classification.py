@@ -8,7 +8,7 @@ hardware paper's measurement noise made implicit).
 from conftest import LIMIT, publish
 
 from repro.experiments.ablation import sweep_classification_threshold
-from repro.sim.contention import GLOBAL_STEADY_CACHE
+from repro.sim.contention import solver_counters
 
 
 def bench_classification(benchmark, store):
@@ -17,10 +17,9 @@ def bench_classification(benchmark, store):
         rounds=1,
         iterations=1,
     )
-    cache = GLOBAL_STEADY_CACHE.stats()
+    solver = solver_counters()["by_kernel"]
     print(
-        f"\n[steady-state memo] hits={cache['hits']} "
-        f"misses={cache['misses']} size={cache['size']} | "
+        f"\n[solver] exact={solver['exact']} fast={solver['fast']} | "
         f"[store] workers={store.n_workers} {store.stats()}"
     )
     publish("classification", text)

@@ -32,7 +32,6 @@ from repro.experiments.classify import shootout
 from repro.experiments.grid import zoo_policies
 from repro.experiments.runner import run_multi, run_pair
 from repro.experiments.store import ResultStore
-from repro.sim.contention import GLOBAL_STEADY_CACHE
 from repro.util.tables import format_table
 from repro.workloads.mix import make_mix, make_multi_mix
 
@@ -52,7 +51,6 @@ MULTI_MIXES = (
 
 def _grid_digest(tmpdir: Path, name: str, *, workers: int, pool: str) -> str:
     """Artefact digest of the 1-HP shoot-out under one execution mode."""
-    GLOBAL_STEADY_CACHE.clear()
     path = tmpdir / name
     store = ResultStore(
         cache_path=path,

@@ -88,7 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         # backend and over both execution pools.
         from repro.experiments.grid import build_sample, grid_cells
         from repro.experiments.store import ResultStore
-        from repro.sim.contention import GLOBAL_STEADY_CACHE
 
         references = (
             ("serial.db", 1, "processes"),
@@ -97,9 +96,6 @@ def main(argv: list[str] | None = None) -> int:
             ("processes.json", args.workers, "processes"),
         )
         for name, workers, pool in references:
-            # A cold in-process memo per run, so the thread pool cannot
-            # coast on entries an earlier reference left behind.
-            GLOBAL_STEADY_CACHE.clear()
             store = ResultStore(
                 cache_path=tmpdir / name,
                 n_workers=workers,

@@ -86,7 +86,6 @@ from repro.experiments.grid import build_sample, run_grid
 from repro.experiments.store import ResultStore
 from repro.experiments.supervise import CampaignError, SuperviseConfig
 from repro.experiments.table1 import render_table1
-from repro.sim.contention import GLOBAL_STEADY_CACHE
 from repro.util.tables import format_table
 
 __all__ = ["main"]
@@ -375,21 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         ) from None
     finally:
         if telemetry:
-            registry = obs.get_registry()
-            stats = GLOBAL_STEADY_CACHE.stats()
-            lifetime = stats.pop("lifetime")
-            for key, value in stats.items():
-                registry.gauge(f"steady_cache.{key}").set(value)
-            for key in ("hits", "misses", "hit_rate"):
-                registry.gauge(f"steady_cache.lifetime.{key}").set(
-                    lifetime[key]
-                )
-            for mode, counts in lifetime["by_precision"].items():
-                for key, value in counts.items():
-                    registry.gauge(
-                        f"steady_cache.lifetime.{mode}.{key}"
-                    ).set(value)
-            _emit_solver_gauges(registry)
+            _emit_solver_gauges(obs.get_registry())
             obs.emit("campaign.end", experiment=exp)
             obs.finalise()
     return 0

@@ -708,7 +708,7 @@ class SupervisedExecutor:
         if strategy.prewarm:
             # Solo profiles and (fast precision) the fused phase-product
             # batch are solved once up front, so every in-process attempt
-            # starts from a hot memo instead of cold-solving its own.
+            # finds them staged instead of cold-solving its own.
             _prewarm_solo_profiles(platform, cells, run_kwargs)
             _prewarm_phase_products(platform, cells, run_kwargs)
         outcome = self._supervise(

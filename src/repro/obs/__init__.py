@@ -23,7 +23,7 @@ null implementations absorb the calls::
 
     from repro.obs import get_event_log, get_registry
 
-    get_registry().counter("steady_cache.hits").inc()
+    get_registry().counter("steady_cache.misses").inc()
     log = get_event_log()
     if log.enabled:           # guard only to skip payload construction
         log.emit("dicer.decision", period=7, event="shrink", hp_ways=12)

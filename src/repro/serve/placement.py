@@ -163,11 +163,9 @@ class AdmissionCache:
 
     ``max_bes(hp, be)`` answers "how many BEs of this type can a node
     running this HP admit under the configured policy and SLO?" — one
-    :func:`find_max_bes` binary search on first use, a dict hit after
-    (and the underlying solver probes share the global steady-state
-    cache, so even misses are mostly memo traffic). Each search counts in
-    ``serve.admission.searches`` and its wall time in the
-    ``serve.admission.search_s`` histogram; hits are not timed.
+    :func:`find_max_bes` binary search on first use, a dict hit after.
+    Each search counts in ``serve.admission.searches`` and its wall time
+    in the ``serve.admission.search_s`` histogram; hits are not timed.
     """
 
     def __init__(

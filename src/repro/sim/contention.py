@@ -69,7 +69,6 @@ __all__ = [
     "solve_steady_state",
     "solve_steady_state_batch",
     "SteadyStateCache",
-    "GLOBAL_STEADY_CACHE",
     "solver_counters",
     "reset_solver_counters",
 ]
@@ -352,7 +351,6 @@ def solve_steady_state(
     tol: float = 1e-6,
     max_iter: int = 800,
     damping: float = 0.5,
-    warm_start: tuple[Sequence[float], float] | None = None,
     precision: str = "exact",
 ) -> SteadyState:
     """Solve the contention fixed point for one phase combination.
@@ -376,21 +374,11 @@ def solve_steady_state(
         (bytes-per-miss × ``1 - prefetch_waste*l``) per the phase's
         prefetch parameters; see :class:`~repro.workloads.app.Phase`.
         ``None`` and all-zero levels are bitwise-identical.
-    warm_start:
-        Optional ``(ways, latency_cycles)`` initial iterate, typically the
-        previous monitoring period's converged operating point. Cuts the
-        iteration count substantially when the operating point barely moved,
-        at the price of bit-reproducibility: the converged result can differ
-        from a cold solve in the last few floating-point digits (both sit
-        within ``tol`` of the true fixed point). Leave ``None`` wherever
-        results must be byte-identical across runs. Ignored under
-        ``precision="fast"``.
     precision:
         ``"exact"`` (default) runs the bitwise-reproducible scalar solver;
         ``"fast"`` routes the point through the tolerance-contracted
-        vectorised kernel (DESIGN.md §10). Fast results are a pure
-        function of the operating point (``warm_start`` is ignored), so
-        they stay safe to memoise.
+        vectorised kernel (DESIGN.md §10). Either way the result is a
+        pure function of the operating point, so it is safe to memoise.
     """
     _check_iteration(tol, max_iter, damping)
     if _check_precision(precision) == "fast":
@@ -401,7 +389,6 @@ def solve_steady_state(
             max_iter=max_iter,
             damping=damping,
         )[0]
-    n = partition.n_cores
     cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = _point_params(
         platform, phases, partition, mba_scale, prefetch
     )
@@ -465,22 +452,8 @@ def solve_steady_state(
 
         return _illinois_root(excess, guess, lat_floor, lat_ceil)
 
-    # Initial iterate; a warm start replaces the cold guess with the
-    # caller's previous iterate (clamped into the feasible region).
-    if warm_start is None:
-        ways = _initial_ways(partition, caps_list)
-        latency = lat_floor
-    else:
-        warm_ways, warm_latency = warm_start
-        warm = np.asarray(warm_ways, dtype=float)
-        if warm.shape != (n,):
-            raise ValueError(
-                f"warm_start ways must have length {n}, got {warm.shape}"
-            )
-        ways = np.clip(
-            warm, 0.0, np.minimum(caps, float(partition.total_ways))
-        ).tolist()
-        latency = min(max(float(warm_latency), lat_floor), lat_ceil)
+    ways = _initial_ways(partition, caps_list)
+    latency = lat_floor
 
     step = damping
     max_iter_budget = max_iter
@@ -1644,52 +1617,23 @@ def _solve_lanes_fast(
     return states
 
 
-class SteadyStateCache:
-    """Bounded LRU memo over :func:`solve_steady_state`.
+class SteadyStateCache(dict):
+    """Memo of cold steady-state solves: ``make_key`` -> :class:`SteadyState`.
 
-    One operating point — ``(phases, partition, mba_scale, platform,
-    prefetch)`` — is
-    solved at most once per process; every later request is a dictionary
-    hit. The stepped :class:`~repro.sim.server.Server` path re-requests an
-    identical operating point every monitoring period, and campaign runs
-    revisit the same points across policies (DICER's sampling sweep passes
-    through the CT partition, BE clones share phase tuples), so hit rates
-    are high in exactly the workloads that dominate wall-clock time.
+    Each :class:`~repro.sim.server.Server` keeps one: a run re-requests
+    the same operating point every monitoring period and between events,
+    and re-visits the partitions of DICER's sampling grid and descent
+    ladders. Batch callers (the solo baselines, the campaign prewarm) use
+    a fresh instance for one :meth:`solve_many`, which dedups within the
+    call.
 
-    Only *cold* solves are inserted: a cold solve is a pure function of the
-    key, so a hit is byte-identical to recomputing — campaigns stay
-    bit-reproducible regardless of execution order or worker count. Warm-
-    started solves (whose low-order bits depend on the caller's history)
-    are returned but never shared through the cache.
-
-    Entries are keyed per ``precision`` (DESIGN.md §10): an exact memo hit
-    is always a bitwise cold scalar solve, a fast hit is always a fast-
-    kernel result within the fast tolerance contract — the two never
-    cross. Hit/miss counters are public so benchmarks can report memo
-    effectiveness; :meth:`clear` resets the entries and the per-generation
-    counters, while the ``lifetime`` per-precision counters survive so
-    post-``clear_caches()`` reports still see true process-wide rates.
+    Every entry is a cold solve of its key, a pure function of the
+    operating point, so a hit is byte-identical to re-solving. Keys carry
+    the ``precision`` (DESIGN.md §10): an exact entry is a bitwise scalar
+    solve, a fast one a fast-kernel lane, and the two never cross. Cold
+    solves count ``steady_cache.misses`` and time
+    ``steady_cache.solve_seconds`` (DESIGN.md §6).
     """
-
-    def __init__(self, max_entries: int = 32768) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._data: OrderedDict[tuple, SteadyState] = OrderedDict()
-        # Guards _data and the counters under pool="threads" campaigns.
-        # Held only around lookup/insert bookkeeping — never across a
-        # solve — so concurrent threads still solve in parallel. Entries
-        # are pure functions of their key, so two threads racing the same
-        # cold key at worst solve it twice and insert identical values.
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        # Lifetime per-precision counters (never reset by clear()): BENCH
-        # hit rates must reflect every lookup the process made, not just
-        # the generation since the last clear_caches().
-        self.lifetime: dict[str, dict[str, int]] = {
-            p: {"hits": 0, "misses": 0} for p in PRECISIONS
-        }
 
     @staticmethod
     def make_key(
@@ -1723,52 +1667,32 @@ class SteadyStateCache:
         *,
         mba_scale: Sequence[float] | None = None,
         prefetch: Sequence[float] | None = None,
-        warm_start: tuple[Sequence[float], float] | None = None,
         precision: str = "exact",
+        key: tuple | None = None,
     ) -> SteadyState:
-        """Fetch (or solve and memoise) one operating point."""
-        key = self.make_key(
-            platform, phases, partition, mba_scale, precision,
-            prefetch=prefetch,
-        )
-        registry = get_registry()
-        with self._lock:
-            state = self._data.get(key)
-            if state is not None:
-                self.hits += 1
-                self.lifetime[precision]["hits"] += 1
-                registry.counter("steady_cache.hits").inc()
-                self._data.move_to_end(key)
-                return state
-            self.misses += 1
-            self.lifetime[precision]["misses"] += 1
-        registry.counter("steady_cache.misses").inc()
-        if registry.enabled:
+        """Fetch (or cold-solve and memoise) one operating point.
+
+        ``key`` is the point's :meth:`make_key`, for a caller that has
+        already built it.
+        """
+        if key is None:
+            key = self.make_key(
+                platform, phases, partition, mba_scale, precision,
+                prefetch=prefetch,
+            )
+        state = self.get(key)
+        if state is None:
+            registry = get_registry()
+            registry.counter("steady_cache.misses").inc()
             t0 = time.perf_counter()
             state = solve_steady_state(
                 platform, phases, partition,
-                mba_scale=mba_scale, prefetch=prefetch,
-                warm_start=warm_start, precision=precision,
+                mba_scale=mba_scale, prefetch=prefetch, precision=precision,
             )
             registry.histogram("steady_cache.solve_seconds").observe(
                 time.perf_counter() - t0
             )
-            registry.counter("steady_cache.solve_iterations").inc(
-                state.iterations
-            )
-        else:
-            state = solve_steady_state(
-                platform, phases, partition,
-                mba_scale=mba_scale, prefetch=prefetch,
-                warm_start=warm_start, precision=precision,
-            )
-        if warm_start is None:
-            with self._lock:
-                self._data[key] = state
-                if len(self._data) > self.max_entries:
-                    self._data.popitem(last=False)
-                size = len(self._data)
-            registry.gauge("steady_cache.size").set(size)
+            self[key] = state
         return state
 
     def solve_many(
@@ -1778,69 +1702,43 @@ class SteadyStateCache:
         *,
         precision: str = "exact",
     ) -> list[SteadyState]:
-        """Fetch (or solve and memoise) many operating points.
+        """Fetch (or cold-solve and memoise) many operating points.
 
         ``points`` entries are ``(phases, partition)``, ``(phases,
         partition, mba_scale)`` or ``(phases, partition, mba_scale,
-        prefetch)`` tuples. Memo hits are served directly; the distinct
-        misses go to the kernel that is cheap for their precision
-        (DESIGN.md §7):
+        prefetch)`` tuples. The distinct points not yet memoised go to
+        the kernel that is cheap for their precision (DESIGN.md §7):
 
         * ``precision="fast"``: ONE fast
           :func:`solve_steady_state_batch` call, even for a single point.
-          Fast lanes are pure per lane, so a fast memo entry is a pure
-          function of its key no matter which call path inserted it.
+          Fast lanes are pure per lane, so the entry is the same whichever
+          batch solved it.
         * ``precision="exact"``: one scalar :func:`solve_steady_state`
-          per point, so every memo entry is a cold scalar solve of its
-          key by construction.
+          per point.
 
-        Duplicate points are solved once; the duplicates (and any point
-        already memoised) count as hits, the distinct cold points as
-        misses.
+        A batch that raises memoises nothing. New entries are appended in
+        the order their points first appear.
         """
         _check_precision(precision)
-        registry = get_registry()
-        normalised = []
+        keys = []
+        pending: dict[tuple, tuple] = {}
         for point in points:
             phases, partition, mba, prefetch = _split_point(point)
-            normalised.append((tuple(phases), partition, mba, prefetch))
-        keys = [
-            self.make_key(
+            key = self.make_key(
                 platform, phases, partition, mba, precision,
                 prefetch=prefetch,
             )
-            for phases, partition, mba, prefetch in normalised
-        ]
-
-        results: dict[tuple, SteadyState] = {}
-        pending: dict[tuple, tuple] = {}
-        with self._lock:
-            for key, point in zip(keys, normalised):
-                if key in results or key in pending:
-                    continue
-                state = self._data.get(key)
-                if state is not None:
-                    results[key] = state
-                    self._data.move_to_end(key)
-                else:
-                    pending[key] = point
-
-            hits = len(keys) - len(pending)
-            self.hits += hits
-            self.misses += len(pending)
-            self.lifetime[precision]["hits"] += hits
-            self.lifetime[precision]["misses"] += len(pending)
-        if hits:
-            registry.counter("steady_cache.hits").inc(hits)
+            keys.append(key)
+            if key not in self:
+                pending.setdefault(key, point)
         if pending:
+            registry = get_registry()
             registry.counter("steady_cache.misses").inc(len(pending))
-            cold = list(pending.items())
+            cold = list(pending.values())
             t0 = time.perf_counter()
             if precision == "fast":
                 states = solve_steady_state_batch(
-                    platform,
-                    [point for _key, point in cold],
-                    precision=precision,
+                    platform, cold, precision=precision
                 )
             else:
                 states = [
@@ -1848,81 +1746,15 @@ class SteadyStateCache:
                         platform, phases, partition, mba_scale=mba,
                         prefetch=prefetch, precision=precision,
                     )
-                    for _key, (phases, partition, mba, prefetch) in cold
+                    for phases, partition, mba, prefetch in map(
+                        _split_point, cold
+                    )
                 ]
             if registry.enabled:
-                elapsed = time.perf_counter() - t0
-                registry.histogram("steady_cache.batch_seconds").observe(
-                    elapsed
-                )
-                registry.histogram("steady_cache.batch_size").observe(
-                    len(cold)
-                )
-                # Keep the per-point timing surface (DESIGN.md §6) alive
-                # for batch-solved points: one observation per point at
-                # the batch's amortised cost.
-                per_point = registry.histogram("steady_cache.solve_seconds")
+                # One observation per point at the call's amortised cost.
+                per_point = (time.perf_counter() - t0) / len(cold)
+                histogram = registry.histogram("steady_cache.solve_seconds")
                 for _ in cold:
-                    per_point.observe(elapsed / len(cold))
-                registry.counter("steady_cache.solve_iterations").inc(
-                    sum(s.iterations for s in states)
-                )
-            with self._lock:
-                for (key, _point), state in zip(cold, states):
-                    results[key] = state
-                    self._data[key] = state
-                    if len(self._data) > self.max_entries:
-                        self._data.popitem(last=False)
-                size = len(self._data)
-            registry.gauge("steady_cache.size").set(size)
-        return [results[key] for key in keys]
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the per-generation counters.
-
-        The ``lifetime`` per-precision counters are deliberately NOT
-        reset: they feed BENCH hit-rate reporting, which must cover every
-        lookup the process made even when ``clear_caches()`` runs between
-        campaign stages.
-        """
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict:
-        """Counters for benchmark reports.
-
-        ``hits``/``misses`` describe the current cache generation (reset
-        by :meth:`clear`); the ``lifetime`` block covers the whole
-        process, broken down per precision, with a ready-made
-        ``hit_rate``.
-        """
-        life_hits = sum(c["hits"] for c in self.lifetime.values())
-        lookups = life_hits + sum(
-            c["misses"] for c in self.lifetime.values()
-        )
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._data),
-            "max_entries": self.max_entries,
-            "lifetime": {
-                "hits": life_hits,
-                "misses": lookups - life_hits,
-                "hit_rate": (life_hits / lookups) if lookups else 0.0,
-                "by_precision": {
-                    p: dict(c) for p, c in self.lifetime.items()
-                },
-            },
-        }
-
-
-#: Process-wide solver memo shared by every :class:`~repro.sim.server.
-#: Server` (and hence every campaign run in the process). Bounded, so long
-#: campaigns cannot grow it without limit; cleared by test fixtures that
-#: need cold solves.
-GLOBAL_STEADY_CACHE = SteadyStateCache()
+                    histogram.observe(per_point)
+            self.update(zip(pending, states))
+        return [self[key] for key in keys]

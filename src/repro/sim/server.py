@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.sim.contention import (
-    GLOBAL_STEADY_CACHE,
     ConvergenceError,
     SteadyState,
     SteadyStateCache,
@@ -188,7 +187,7 @@ def stage_phase_products(
         span[0] += 1
         span[3] += static
     states = (
-        GLOBAL_STEADY_CACHE.solve_many(platform, points, precision="fast")
+        SteadyStateCache().solve_many(platform, points, precision="fast")
         if points
         else []
     )
@@ -576,7 +575,6 @@ class Server:
         partition: PartitionSpec | None = None,
         *,
         record_timeline: bool = False,
-        warm_start: bool = False,
         precision: str = "exact",
     ) -> None:
         if len(apps) > platform.n_cores:
@@ -601,14 +599,12 @@ class Server:
         self.prefetch: tuple[float, ...] | None = None
         self.timeline: list[TimelinePoint] = []
         self._record_timeline = record_timeline
-        # Operating points already visited by THIS server (includes warm-
-        # started solves, which the shared process-wide cache refuses).
-        self._memo: dict[tuple, SteadyState] = {}
+        # Operating points this server visited or prefetched.
+        self._memo = SteadyStateCache()
         # Memo keys a prefetch inserted that _steady has not read yet;
         # maintained only while telemetry is enabled (the
         # server.prefetch.points/used counters).
         self._unread_prefetched: set[tuple] = set()
-        self._warm_start = warm_start
         # The held operating point: the state the apps run at, the phases
         # it was resolved for and its per-core rates as Python floats.
         # _steady re-resolves it (memo key, then lookup) only when a key
@@ -716,19 +712,15 @@ class Server:
                     self._unread_prefetched.discard(key)
                     registry.counter("server.prefetch.used").inc()
         if state is None:
-            warm = None
-            if self._warm_start and self._state is not None:
-                warm = (self._state.ways, self._state.latency_cycles)
-            state = GLOBAL_STEADY_CACHE.solve(
+            state = self._memo.solve(
                 self.platform,
                 phases,
                 self.partition,
                 mba_scale=self.mba_scale,
                 prefetch=self.prefetch,
-                warm_start=warm,
                 precision=self.precision,
+                key=key,
             )
-            self._memo[key] = state
         self._state = state
         self._rates = (state.ipc * self.platform.freq_hz).tolist()
         self._bw_bytes = state.bw_bytes.tolist()
@@ -759,11 +751,9 @@ class Server:
         points are solved on demand, and the error surfaces only if the
         run reaches the point that cannot converge.
 
-        A no-op under ``precision="exact"`` — exact points are solved one
+        A no-op under ``precision="exact"``: exact points are solved one
         at a time by the scalar solver, so there is nothing to batch
-        (DESIGN.md §7) — and under warm-start semantics (warm-started
-        solves depend on the caller's history and must not be
-        pre-computed). Every partition's shape is checked either way.
+        (DESIGN.md §7). Every partition's shape is checked either way.
         Returns the number of points actually solved.
         """
         for partition in partitions:
@@ -772,13 +762,15 @@ class Server:
                     f"partition covers {partition.n_cores} cores but "
                     f"{self.n_active} apps are running"
                 )
-        if not self._batches_prefetch:
+        if self.precision != "fast":
             return 0
         phases = tuple(app.current_phase()[0] for app in self.apps)
         try:
             return self._prefetch_points(
-                (phases, partition, self.mba_scale, self.prefetch)
-                for partition in partitions
+                [
+                    (phases, partition, self.mba_scale, self.prefetch)
+                    for partition in partitions
+                ]
             )
         except ConvergenceError:
             return 0
@@ -792,13 +784,13 @@ class Server:
         |HP phases| x |BE phases| points). Solving them all up front in
         one fast batch turns the event loop's per-interval solves into
         memo hits. Skipped when the product exceeds ``max_points``
-        (multi-phase zoos), under ``precision="exact"`` or under
-        warm-start semantics (see :meth:`prefetch_partitions`). When a
-        campaign prewarm already staged this run's product
-        (:func:`stage_phase_products`), its keys and states are claimed
-        instead of rebuilt. Returns the number of points memoised.
+        (multi-phase zoos) and under ``precision="exact"`` (see
+        :meth:`prefetch_partitions`). When a campaign prewarm already
+        staged this run's product (:func:`stage_phase_products`), its keys
+        and states are claimed instead of rebuilt. Returns the number of
+        points memoised.
         """
-        if not self._batches_prefetch:
+        if self.precision != "fast":
             return 0
         models = [app.model for app in self.apps]
         if self.mba_scale is None and self.prefetch is None:
@@ -806,11 +798,11 @@ class Server:
                 self.platform, models, self.partition, max_points
             )
             if staged is not None:
-                keys, states = staged
-                pairs = zip(keys, states)
-                if self._memo:
-                    pairs = (p for p in pairs if p[0] not in self._memo)
-                return self._memoise(list(pairs))
+                # A key already memoised gets the same bits again (fast
+                # lanes are pure per lane) and keeps its place.
+                added = len(self._memo)
+                self._memo.update(zip(*staged))
+                return self._prefetched(len(self._memo) - added)
         return self._prefetch_points(
             phase_product_points(
                 models,
@@ -821,40 +813,24 @@ class Server:
             )
         )
 
-    @property
-    def _batches_prefetch(self) -> bool:
-        return self.precision == "fast" and not self._warm_start
-
-    def _prefetch_points(self, candidates) -> int:
+    def _prefetch_points(self, points: list[tuple]) -> int:
         """Batch-solve the not-yet-memoised points into the memo."""
-        points = []
-        keys = []
-        for phases, partition, mba_scale, prefetch in candidates:
-            key = SteadyStateCache.make_key(
-                self.platform, phases, partition, mba_scale, self.precision,
-                prefetch=prefetch,
-            )
-            if key in self._memo:
-                continue
-            points.append((phases, partition, mba_scale, prefetch))
-            keys.append(key)
         if not points:
             return 0
-        states = GLOBAL_STEADY_CACHE.solve_many(
-            self.platform, points, precision=self.precision
-        )
-        return self._memoise(list(zip(keys, states)))
+        added = len(self._memo)
+        self._memo.solve_many(self.platform, points, precision=self.precision)
+        return self._prefetched(len(self._memo) - added)
 
-    def _memoise(self, pairs: list[tuple[tuple, SteadyState]]) -> int:
-        """Put prefetched ``(memo key, state)`` pairs into the memo."""
-        if not pairs:
-            return 0
-        self._memo.update(pairs)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("server.prefetch.points").inc(len(pairs))
-            self._unread_prefetched.update(key for key, _state in pairs)
-        return len(pairs)
+    def _prefetched(self, added: int) -> int:
+        """Count the ``added`` entries a prefetch appended to the memo."""
+        if added:
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("server.prefetch.points").inc(added)
+                self._unread_prefetched.update(
+                    itertools.islice(reversed(self._memo), added)
+                )
+        return added
 
     @property
     def all_completed(self) -> bool:

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.sim.contention import GLOBAL_STEADY_CACHE, _check_precision
+from repro.sim.contention import (
+    SteadyState,
+    SteadyStateCache,
+    _check_precision,
+)
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig
 from repro.workloads.app import AppModel
@@ -69,16 +73,26 @@ def solo_profile(
     if cached is not None:
         _CACHE.move_to_end(key)
         return cached
-
-    partition = PartitionSpec.unmanaged(1, platform.llc_ways)
-    # One globally memoised request across the app's phases: a fast batch
-    # under "fast", scalar cold solves under "exact" (so exact profiles
-    # carry the same bits they always did).
-    states = GLOBAL_STEADY_CACHE.solve_many(
-        platform,
-        [((phase,), partition) for phase in app.phases],
-        precision=precision,
+    # One request across the app's phases: a fast batch under "fast",
+    # scalar cold solves under "exact" (so exact profiles carry the same
+    # bits they always did).
+    states = SteadyStateCache().solve_many(
+        platform, _solo_points([app], platform.llc_ways), precision=precision
     )
+    return _remember(key, _build_profile(app, platform, states))
+
+
+def _solo_points(apps: Sequence[AppModel], ways: int) -> list[tuple]:
+    """One ``(phases, partition)`` point per phase of each app, alone
+    with ``ways`` LLC ways."""
+    partition = PartitionSpec.unmanaged(1, ways)
+    return [((phase,), partition) for app in apps for phase in app.phases]
+
+
+def _build_profile(
+    app: AppModel, platform: PlatformConfig, states: Sequence[SteadyState]
+) -> SoloProfile:
+    """The profile of ``app`` from its per-phase solo states, in order."""
     total_time = 0.0
     total_instr = 0.0
     phase_ipcs: list[float] = []
@@ -89,14 +103,17 @@ def solo_profile(
         total_time += phase.instructions / (platform.freq_hz * ipc)
         total_instr += phase.instructions
         peak_bw = max(peak_bw, state.total_bw_bytes)
-
-    profile = SoloProfile(
+    return SoloProfile(
         app_name=app.name,
         time_s=total_time,
         avg_ipc=total_instr / (platform.freq_hz * total_time),
         phase_ipcs=tuple(phase_ipcs),
         peak_bw_bytes=peak_bw,
     )
+
+
+def _remember(key: tuple, profile: SoloProfile) -> SoloProfile:
+    """Cache ``profile`` under ``key`` in the bounded profile LRU."""
     _CACHE[key] = profile
     if len(_CACHE) > _MAX_PROFILE_ENTRIES:
         _CACHE.popitem(last=False)
@@ -134,19 +151,10 @@ def solo_ipc_at_ways(
         _WAYS_CACHE.move_to_end(key)
         return cached
 
-    partition = PartitionSpec.unmanaged(1, ways)
-    states = GLOBAL_STEADY_CACHE.solve_many(
-        platform,
-        [((phase,), partition) for phase in app.phases],
-        precision=precision,
+    states = SteadyStateCache().solve_many(
+        platform, _solo_points([app], ways), precision=precision
     )
-    total_time = 0.0
-    total_instr = 0.0
-    for phase, state in zip(app.phases, states):
-        ipc = float(state.ipc[0])
-        total_time += phase.instructions / (platform.freq_hz * ipc)
-        total_instr += phase.instructions
-    result = total_instr / (platform.freq_hz * total_time)
+    result = _build_profile(app, platform, states).avg_ipc
     _WAYS_CACHE[key] = result
     if len(_WAYS_CACHE) > _MAX_WAYS_ENTRIES:
         _WAYS_CACHE.popitem(last=False)
@@ -165,9 +173,10 @@ def prewarm_profiles(
     (phase, full-LLC) operating points across ``apps`` go through ONE
     :meth:`SteadyStateCache.solve_many` call, so the per-phase solves that
     :func:`solo_profile` would otherwise do one at a time land as a single
-    wide batch. Returns the number of profiles actually built (apps whose
-    profile was already cached are skipped; clones sharing phase tuples
-    count once).
+    wide batch, and each profile is built from its slice of the states
+    that call returned. Returns the number of profiles actually built
+    (apps whose profile was already cached are skipped; clones sharing
+    phase tuples count once).
     """
     precision = _check_precision(precision)
     pending: list[AppModel] = []
@@ -180,20 +189,17 @@ def prewarm_profiles(
         pending.append(app)
     if not pending:
         return 0
-    partition = PartitionSpec.unmanaged(1, platform.llc_ways)
-    GLOBAL_STEADY_CACHE.solve_many(
-        platform,
-        [
-            ((phase,), partition)
-            for app in pending
-            for phase in app.phases
-        ],
-        precision=precision,
+    states = SteadyStateCache().solve_many(
+        platform, _solo_points(pending, platform.llc_ways), precision=precision
     )
-    # The per-phase states are now memo hits; building the profiles is
-    # pure arithmetic on top of them.
+    start = 0
     for app in pending:
-        solo_profile(app, platform, precision=precision)
+        stop = start + len(app.phases)
+        _remember(
+            (app.phases, platform, precision),
+            _build_profile(app, platform, states[start:stop]),
+        )
+        start = stop
     return len(pending)
 
 

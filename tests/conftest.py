@@ -25,18 +25,16 @@ def clean_caches():
     """Cold module-level caches before and after a test.
 
     For tests that reason about cold-vs-memoised solves: empties the solo
-    profile caches, the process-wide steady-state solver memo and any
-    phase products or static outcomes a fast campaign staged but no run
-    claimed, on entry and on exit (so the rest of the suite keeps its
-    warm caches semantics but never sees this test's entries).
+    profile caches and any phase products or static outcomes a fast
+    campaign staged but no run claimed, on entry and on exit (so the rest
+    of the suite keeps its warm caches semantics but never sees this
+    test's entries).
     """
-    from repro.sim.contention import GLOBAL_STEADY_CACHE
     from repro.sim.server import stage_phase_products
     from repro.sim.solo import clear_caches
 
     def cold():
         clear_caches()
-        GLOBAL_STEADY_CACHE.clear()
         stage_phase_products(TABLE1_PLATFORM, ())  # stages nothing
 
     cold()

@@ -113,12 +113,6 @@ class TestTelemetry:
     """The ISSUE's acceptance loop: run with --metrics, then report it."""
 
     def test_run_writes_decision_events_and_metrics(self, tmp_path, capsys):
-        # Earlier tests already solved this pair's operating points into
-        # the process-wide memo; drop them so the run below exercises (and
-        # therefore counts) cold solves.
-        from repro.sim.contention import GLOBAL_STEADY_CACHE
-
-        GLOBAL_STEADY_CACHE.clear()
         path = tmp_path / "tel.jsonl"
         assert main([
             "run", "--hp", "milc1", "--be", "gcc_base6",
@@ -149,9 +143,6 @@ class TestTelemetry:
         assert metrics["steady_cache.solve_seconds"]["count"] > 0
 
     def test_report_round_trip(self, tmp_path, capsys):
-        from repro.sim.contention import GLOBAL_STEADY_CACHE
-
-        GLOBAL_STEADY_CACHE.clear()
         path = tmp_path / "tel.jsonl"
         main(["run", "--hp", "milc1", "--be", "gcc_base6",
               "--metrics", str(path)])

@@ -5,7 +5,7 @@ precision actually reaches every solver call a run makes — the event loop,
 the prefetchers, the solo baselines — and if the two modes can never merge
 silently: exact results must stay byte-identical to the historical default,
 and a :class:`~repro.experiments.store.ResultStore` must refuse to mix
-modes in one cache. These tests spy on the global steady-state cache to
+modes in one cache. These tests spy on every steady-state memo solve to
 assert the former and exercise the store/CLI guard rails for the latter.
 """
 
@@ -20,7 +20,7 @@ from repro.experiments.chaos import CHAOS_ENV_VAR, chaos_env
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
 from repro.experiments.supervise import FailedCell, SuperviseConfig
-from repro.sim.contention import GLOBAL_STEADY_CACHE
+from repro.sim.contention import SteadyStateCache
 from repro.sim.platform import TABLE1_PLATFORM
 from repro.sim.solo import clear_caches, prewarm_profiles, solo_profile
 from repro.workloads.catalog import get_app
@@ -31,21 +31,21 @@ PLAT = TABLE1_PLATFORM
 
 @pytest.fixture
 def solver_spy(monkeypatch):
-    """Record the ``precision`` of every global-cache solve, then delegate."""
+    """Record the ``precision`` of every memo solve, then delegate."""
     seen: list[str] = []
-    real_solve = GLOBAL_STEADY_CACHE.solve
-    real_solve_many = GLOBAL_STEADY_CACHE.solve_many
+    real_solve = SteadyStateCache.solve
+    real_solve_many = SteadyStateCache.solve_many
 
-    def spy_solve(*args, **kwargs):
+    def spy_solve(self, *args, **kwargs):
         seen.append(kwargs.get("precision", "exact"))
-        return real_solve(*args, **kwargs)
+        return real_solve(self, *args, **kwargs)
 
-    def spy_solve_many(*args, **kwargs):
+    def spy_solve_many(self, *args, **kwargs):
         seen.append(kwargs.get("precision", "exact"))
-        return real_solve_many(*args, **kwargs)
+        return real_solve_many(self, *args, **kwargs)
 
-    monkeypatch.setattr(GLOBAL_STEADY_CACHE, "solve", spy_solve)
-    monkeypatch.setattr(GLOBAL_STEADY_CACHE, "solve_many", spy_solve_many)
+    monkeypatch.setattr(SteadyStateCache, "solve", spy_solve)
+    monkeypatch.setattr(SteadyStateCache, "solve_many", spy_solve_many)
     clear_caches()  # solo profiles must not short-circuit the spy
     return seen
 

@@ -4,8 +4,8 @@
 phase with a cursor instead of re-deriving both on every call. These tests
 pin that fast path to :class:`_ReferenceServer`, a deliberately naive loop
 kept here: it re-derives every app's phase through ``AppModel.phase_at``,
-rebuilds the operating point and asks the steady-state cache for it on
-every call, and iterates NumPy scalars the way the loop always did.
+rebuilds the operating point and solves it from scratch on every call,
+and iterates NumPy scalars the way the loop always did.
 Random multi-phase apps with BE clones, random interleavings of
 ``advance`` and the three reconfiguration setters, both precisions —
 after every step time, counters, completions, run times and the steady
@@ -29,9 +29,9 @@ from repro.core.policies import DicerPolicy
 from repro.core.lfoc import LfocPolicy
 from repro.experiments.runner import run_pair
 from repro.sim.contention import (
-    GLOBAL_STEADY_CACHE,
     ConvergenceError,
     SteadyStateCache,
+    solve_steady_state,
 )
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM
@@ -113,7 +113,7 @@ class _ReferenceServer:
 
     def steady_state(self):
         phases = tuple(app.current_phase()[0] for app in self.apps)
-        return GLOBAL_STEADY_CACHE.solve(
+        return solve_steady_state(
             PLAT,
             phases,
             self.partition,
@@ -279,7 +279,7 @@ class TestEventLoopMatchesReference:
                 return
 
 
-class _KeyCounter:
+class _KeyCounter(SteadyStateCache):
     """Stands in for ``SteadyStateCache`` inside ``repro.sim.server``."""
 
     calls = 0

@@ -29,8 +29,8 @@ from repro.core.policies import (
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
 from repro.sim.contention import (
-    GLOBAL_STEADY_CACHE,
     ConvergenceError,
+    SteadyStateCache,
     solve_steady_state,
 )
 from repro.sim.partition import PartitionSpec
@@ -83,14 +83,6 @@ class TestPrefetchPartitions:
             assert state.latency_cycles == cold.latency_cycles
             assert state.iterations == cold.iterations
 
-    def test_noop_under_warm_start(self, clean_caches):
-        apps = catalog()
-        models = [apps[name] for name in app_names()[:2]]
-        server = Server(PLAT, models, warm_start=True, precision="fast")
-        parts = [PartitionSpec.hp_be(10, 2, PLAT.llc_ways)]
-        assert server.prefetch_partitions(parts) == 0
-        assert server.prefetch_phase_product() == 0
-
     def test_noop_under_exact(self, clean_caches):
         models = multi_phase_apps(2)
         server = Server(PLAT, models, precision="exact")
@@ -98,7 +90,6 @@ class TestPrefetchPartitions:
         assert server.prefetch_partitions(parts) == 0
         assert server.prefetch_phase_product() == 0
         assert server._memo == {}
-        assert len(GLOBAL_STEADY_CACHE) == 0
 
     def test_rejects_mismatched_partition(self, clean_caches):
         apps = catalog()
@@ -119,7 +110,9 @@ class TestPrefetchPartitions:
         models = [apps[name] for name in app_names()[:2]]
         server = Server(PLAT, models, precision="fast")
         parts = [PartitionSpec.hp_be(w, 2, PLAT.llc_ways) for w in (4, 10)]
-        monkeypatch.setattr(GLOBAL_STEADY_CACHE, "solve_many", refuse)
+        monkeypatch.setattr(
+            contention_mod, "solve_steady_state_batch", refuse
+        )
         assert server.prefetch_partitions(parts) == 0
         assert server._memo == {}
 
@@ -215,7 +208,6 @@ class TestRdtAndControllerHook:
         monkeypatch.setattr(
             runner_mod, "_wire_prefetch", lambda policy, rdt, precision: None
         )
-        GLOBAL_STEADY_CACHE.clear()
         without_hook = run_pair(
             make_mix(*mix), DicerPolicy(), precision="fast"
         )
@@ -231,7 +223,6 @@ class TestRdtAndControllerHook:
         monkeypatch.setattr(
             Server, "prefetch_phase_product", lambda self, max_points=64: 0
         )
-        GLOBAL_STEADY_CACHE.clear()
         for precision in PRECISIONS:
             plain = run_pair(mix, StaticPolicy(4), precision=precision)
             assert prefetched[precision] == plain
@@ -352,7 +343,6 @@ class TestStagedPhaseProducts:
         finally:
             obs.disable()
         assert 0 < used <= points
-        GLOBAL_STEADY_CACHE.clear()
         for (hp, be, n_be, policy), result in zip(cells, staged):
             plain = run_pair(make_mix(hp, be, n_be), policy, precision="fast")
             assert plain == result  # traces included
@@ -387,17 +377,36 @@ class TestPrewarmProfiles:
         clone = model.with_name(f"{model.name}#1")
         assert prewarm_profiles([model, clone], PLAT) == 1
 
-    def test_profiles_match_cold_computation(self, clean_caches):
-        apps = catalog()
-        models = [apps[name] for name in app_names()[:3]]
-        cold = [solo_profile(m, PLAT) for m in models]
-
+    def test_profiles_match_cold_computation(self, clean_caches, monkeypatch):
+        """One solve request builds every profile, equal bit for bit to a
+        cold :func:`solo_profile`, under both precisions."""
         from repro.sim.solo import clear_caches
-        from repro.sim.contention import GLOBAL_STEADY_CACHE
 
-        clear_caches()
-        GLOBAL_STEADY_CACHE.clear()
-        prewarm_profiles(models, PLAT)
-        warm = [solo_profile(m, PLAT) for m in models]
-        for c, w in zip(cold, warm):
-            assert c == w  # frozen dataclass: bitwise float equality
+        apps = catalog()
+        models = [apps[name] for name in app_names()[:4]]
+        models += [m for m in multi_phase_apps(2) if m not in models]
+        requests = []
+
+        def spy(real):
+            def wrapper(self, *args, **kwargs):
+                requests.append(real.__name__)
+                return real(self, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("solve", "solve_many"):
+            monkeypatch.setattr(
+                SteadyStateCache, name, spy(getattr(SteadyStateCache, name))
+            )
+        for precision in PRECISIONS:
+            cold = [solo_profile(m, PLAT, precision=precision) for m in models]
+            clear_caches()
+            requests.clear()
+            assert prewarm_profiles(models, PLAT, precision=precision) == len(
+                models
+            )
+            assert requests == ["solve_many"]
+            warm = [solo_profile(m, PLAT, precision=precision) for m in models]
+            assert requests == ["solve_many"]  # served from the profile cache
+            # repr round-trips every float field: equal bit for bit.
+            assert [repr(w) for w in warm] == [repr(c) for c in cold]

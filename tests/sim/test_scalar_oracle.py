@@ -9,9 +9,9 @@ cannot catch a drift in it on its own; this oracle compares both
 kernels against the frozen NumPy reference.
 
 The strategies cover groups of 8 or more cores, a shared zone, finite
-occupancy caps, MBA throttles, prefetch levels, ``pressure_theta != 1``
-and warm starts; :data:`FEATURE_CASES` pins each of them at least once
-regardless of what hypothesis draws.
+occupancy caps, MBA throttles, prefetch levels and ``pressure_theta !=
+1``; :data:`FEATURE_CASES` pins each of them at least once regardless of
+what hypothesis draws.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def ref_solve(
     tol: float = 1e-6,
     max_iter: int = 800,
     damping: float = 0.5,
-    warm_start=None,
 ) -> SteadyState:
     n = partition.n_cores
     cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = _point_params(
@@ -172,14 +171,8 @@ def ref_solve(
 
         return _illinois_root(excess, guess, lat_floor, lat_ceil)
 
-    if warm_start is None:
-        ways = ref_initial_ways(partition, caps)
-        latency = link.base_latency_cycles
-    else:
-        warm_ways, warm_latency = warm_start
-        ways = np.asarray(warm_ways, dtype=float).copy()
-        ways = np.clip(ways, 0.0, np.minimum(caps, float(partition.total_ways)))
-        latency = min(max(float(warm_latency), lat_floor), lat_ceil)
+    ways = ref_initial_ways(partition, caps)
+    latency = link.base_latency_cycles
 
     step = damping
     max_iter_budget = max_iter
@@ -357,7 +350,7 @@ def sharing_cases(draw):
 
 
 @st.composite
-def solver_points(draw, with_warm_start=True):
+def solver_points(draw):
     partition = draw(partitions())
     n = partition.n_cores
     phases = []
@@ -381,24 +374,12 @@ def solver_points(draw, with_warm_start=True):
     )
     theta = draw(st.sampled_from(THETAS))
     platform = dataclasses.replace(TABLE1_PLATFORM, pressure_theta=theta)
-    warm = None
-    if with_warm_start and draw(st.booleans()):
-        warm = (
-            draw(
-                st.lists(
-                    st.floats(min_value=-1.0, max_value=24.0),
-                    min_size=n,
-                    max_size=n,
-                )
-            ),
-            draw(st.floats(min_value=100.0, max_value=2000.0)),
-        )
-    return platform, tuple(phases), partition, mba, prefetch, warm
+    return platform, tuple(phases), partition, mba, prefetch
 
 
 def _cases_hold(case) -> None:
-    platform, phases, partition, mba, prefetch, warm = case
-    kwargs = dict(mba_scale=mba, prefetch=prefetch, warm_start=warm)
+    platform, phases, partition, mba, prefetch = case
+    kwargs = dict(mba_scale=mba, prefetch=prefetch)
     assert outcome(
         solve_steady_state, platform, phases, partition, **kwargs
     ) == outcome(ref_solve, platform, phases, partition, **kwargs)
@@ -475,13 +456,11 @@ FEATURE_CASES = {
         PartitionSpec.hp_be(4, 10, 20, overlap_ways=3),
         None,
         None,
-        None,
     ),
     "occupancy_caps_theta": (
         dataclasses.replace(TABLE1_PLATFORM, pressure_theta=0.8),
         tuple(p for p in PHASES if p.occupancy_ways is not None)[:6],
         PartitionSpec.unmanaged(6, 20),
-        None,
         None,
         None,
     ),
@@ -491,21 +470,11 @@ FEATURE_CASES = {
         PartitionSpec.hp_be(6, 8, 20),
         (1.0, 0.5, 0.9, 0.3, 1.0, 0.7, 0.5, 1.0),
         (0.0, 1.0, 0.5, 0.25, 0.0, 1.0, 0.75, 0.5),
-        None,
-    ),
-    "warm_start": (
-        TABLE1_PLATFORM,
-        (_CATALOG["omnetpp1"].phases[0],) + (_CATALOG["gcc_base6"].phases[0],) * 4,
-        PartitionSpec.hp_be(8, 5, 20),
-        None,
-        None,
-        ([6.0, 3.0, 3.0, 3.0, 3.0], 260.0),
     ),
     "bandwidth_rationing": (
         TABLE1_PLATFORM,
         (PHASES[-1],) * 10,
         PartitionSpec.unmanaged(10, 20),
-        None,
         None,
         None,
     ),
@@ -532,7 +501,7 @@ class TestSolverOracle:
         _cases_hold(case)
 
     @given(
-        st.lists(solver_points(with_warm_start=False), min_size=1, max_size=3)
+        st.lists(solver_points(), min_size=1, max_size=3)
     )
     @settings(
         max_examples=25,
@@ -542,7 +511,7 @@ class TestSolverOracle:
     def test_exact_batch_kernel_bitwise(self, cases):
         # The batch kernel takes one platform; use the first point's.
         platform = cases[0][0]
-        points = [case[1:5] for case in cases]
+        points = [case[1:] for case in cases]
         expected = [
             outcome(
                 ref_solve, platform, phases, part, mba_scale=mba, prefetch=pf

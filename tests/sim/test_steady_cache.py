@@ -1,12 +1,11 @@
-"""Tests for the bounded steady-state solver memo and warm starts."""
+"""Tests for the per-``Server`` steady-state memo."""
 
 import numpy as np
-import pytest
 
 from repro.sim.contention import (
-    GLOBAL_STEADY_CACHE,
     SteadyStateCache,
     solve_steady_state,
+    solver_counters,
 )
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM
@@ -14,9 +13,12 @@ from repro.sim.server import Server
 from repro.workloads.mix import make_mix
 
 
+def _apps(n_be: int = 3):
+    return make_mix("omnetpp1", "gcc_base3", n_be=n_be).apps()
+
+
 def _phases(n_be: int = 3):
-    apps = make_mix("omnetpp1", "gcc_base3", n_be=n_be).apps()
-    return tuple(app.phases[0] for app in apps)
+    return tuple(app.phases[0] for app in _apps(n_be))
 
 
 def _state_fields(state):
@@ -30,25 +32,37 @@ def _state_fields(state):
     )
 
 
+def _assert_same(a, b):
+    for x, y in zip(_state_fields(a), _state_fields(b)):
+        assert np.array_equal(x, y)
+
+
 class TestSteadyStateCache:
     def test_memo_matches_cold_solve_across_partitions(self):
-        """The memo must be invisible: same SteadyState as a cold solve,
-        for every partition in a sweep."""
+        """The memo must be invisible: a Server's state equals a cold
+        solve for every partition in a sweep, and a repeat is a hit."""
+        apps = _apps()
         phases = _phases()
         n = len(phases)
-        cache = SteadyStateCache(max_entries=64)
+        server = Server(TABLE1_PLATFORM, apps)
         for hp_ways in range(1, 17):
             partition = PartitionSpec.hp_be(
                 hp_ways, n_cores=n, total_ways=TABLE1_PLATFORM.llc_ways
             )
             cold = solve_steady_state(TABLE1_PLATFORM, phases, partition)
-            via_cache = cache.solve(TABLE1_PLATFORM, phases, partition)
-            hit = cache.solve(TABLE1_PLATFORM, phases, partition)
-            for a, b in zip(_state_fields(cold), _state_fields(via_cache)):
-                assert np.array_equal(a, b)
-            assert hit is via_cache  # second request is a pure hit
-        assert cache.misses == 16
-        assert cache.hits == 16
+            server.set_partition(partition)
+            via_memo = server.steady_state()
+            _assert_same(cold, via_memo)
+            key = SteadyStateCache.make_key(
+                TABLE1_PLATFORM, phases, partition, None
+            )
+            assert server._memo[key] is via_memo
+            before = solver_counters()["scalar_solves"]
+            assert server._memo.solve(
+                TABLE1_PLATFORM, phases, partition
+            ) is via_memo  # a pure hit: nothing solved
+            assert solver_counters()["scalar_solves"] == before
+        assert len(server._memo) == 16
 
     def test_distinct_operating_points_distinct_entries(self):
         phases = _phases()
@@ -56,140 +70,41 @@ class TestSteadyStateCache:
         cache = SteadyStateCache()
         um = PartitionSpec.unmanaged(n, TABLE1_PLATFORM.llc_ways)
         ct = PartitionSpec.hp_be(19, n_cores=n, total_ways=20)
+        before = solver_counters()["scalar_solves"]
         cache.solve(TABLE1_PLATFORM, phases, um)
         cache.solve(TABLE1_PLATFORM, phases, ct)
-        cache.solve(TABLE1_PLATFORM, phases, um, mba_scale=[1.0, 0.5, 0.5, 0.5])
-        assert len(cache) == 3
-        assert cache.misses == 3 and cache.hits == 0
-
-    def test_lru_bound_evicts_oldest(self):
-        phases = _phases()
-        n = len(phases)
-        cache = SteadyStateCache(max_entries=4)
-        partitions = [
-            PartitionSpec.hp_be(w, n_cores=n, total_ways=20)
-            for w in range(1, 7)
-        ]
-        for partition in partitions:
-            cache.solve(TABLE1_PLATFORM, phases, partition)
-        assert len(cache) == 4
-        # Oldest entry was evicted: re-requesting it is a miss again.
-        misses_before = cache.misses
-        cache.solve(TABLE1_PLATFORM, phases, partitions[0])
-        assert cache.misses == misses_before + 1
-
-    def test_clear_resets_counters_but_not_lifetime(self):
-        """clear() zeroes the generation counters; the lifetime block
-        (which feeds BENCH hit rates) must survive it."""
-        phases = _phases()
-        cache = SteadyStateCache()
-        partition = PartitionSpec.unmanaged(len(phases), 20)
-        cache.solve(TABLE1_PLATFORM, phases, partition)
-        cache.solve(TABLE1_PLATFORM, phases, partition)
-        cache.clear()
-        assert len(cache) == 0
-        stats = cache.stats()
-        assert stats["hits"] == 0
-        assert stats["misses"] == 0
-        assert stats["size"] == 0
-        assert stats["max_entries"] == cache.max_entries
-        assert stats["lifetime"]["hits"] == 1
-        assert stats["lifetime"]["misses"] == 1
-        assert stats["lifetime"]["hit_rate"] == 0.5
-        assert stats["lifetime"]["by_precision"]["exact"] == {
-            "hits": 1,
-            "misses": 1,
-        }
-        assert stats["lifetime"]["by_precision"]["fast"] == {
-            "hits": 0,
-            "misses": 0,
-        }
-
-    def test_rejects_degenerate_bound(self):
-        with pytest.raises(ValueError):
-            SteadyStateCache(max_entries=0)
-
-
-class TestWarmStart:
-    def test_warm_start_converges_to_same_fixed_point(self):
-        """Warm-started solves land on the same operating point (within
-        solver tolerance) while spending fewer iterations."""
-        phases = _phases()
-        n = len(phases)
-        previous = None
-        for hp_ways in range(1, 17):
-            partition = PartitionSpec.hp_be(hp_ways, n_cores=n, total_ways=20)
-            cold = solve_steady_state(TABLE1_PLATFORM, phases, partition)
-            if previous is not None:
-                warm = solve_steady_state(
-                    TABLE1_PLATFORM,
-                    phases,
-                    partition,
-                    warm_start=(previous.ways, previous.latency_cycles),
-                )
-                np.testing.assert_allclose(warm.ipc, cold.ipc, rtol=1e-3)
-                np.testing.assert_allclose(
-                    warm.ways, cold.ways, atol=1e-3 * 20
-                )
-                assert warm.latency_cycles == pytest.approx(
-                    cold.latency_cycles, rel=1e-3
-                )
-            previous = cold
-
-    def test_warm_start_validates_shape(self):
-        phases = _phases()
-        partition = PartitionSpec.unmanaged(len(phases), 20)
-        with pytest.raises(ValueError, match="warm_start"):
-            solve_steady_state(
-                TABLE1_PLATFORM,
-                phases,
-                partition,
-                warm_start=([1.0, 2.0], 200.0),
-            )
-
-    def test_warm_started_solves_stay_out_of_the_shared_cache(self):
-        """Only pure (history-independent) solves may be shared."""
-        phases = _phases()
-        partition = PartitionSpec.unmanaged(len(phases), 20)
-        cache = SteadyStateCache()
         cache.solve(
-            TABLE1_PLATFORM,
-            phases,
-            partition,
-            warm_start=(np.full(len(phases), 5.0), 200.0),
+            TABLE1_PLATFORM, phases, um, mba_scale=[1.0, 0.5, 0.5, 0.5]
         )
-        assert len(cache) == 0
-        cache.solve(TABLE1_PLATFORM, phases, partition)
-        assert len(cache) == 1
+        cache.solve(TABLE1_PLATFORM, phases, um, precision="fast")
+        assert len(cache) == 4
+        assert solver_counters()["scalar_solves"] == before + 3
 
-
-class TestServerIntegration:
-    def test_servers_share_the_global_cache(self, clean_caches):
-        """A second server over the same operating points re-solves
-        nothing."""
-        apps = make_mix("omnetpp1", "gcc_base3", n_be=3).apps()
-        Server(TABLE1_PLATFORM, apps).run_until_all_complete()
-        misses_after_first = GLOBAL_STEADY_CACHE.misses
-        assert misses_after_first > 0
-
-        server = Server(TABLE1_PLATFORM, apps)
+    def test_server_memo_entries_match_cold_solves(self):
+        """Every entry a run leaves in its memo is a cold solve of its
+        key."""
+        server = Server(TABLE1_PLATFORM, _apps())
         server.run_until_all_complete()
-        assert GLOBAL_STEADY_CACHE.misses == misses_after_first
-        assert GLOBAL_STEADY_CACHE.hits > 0
-
-    def test_warm_start_server_matches_cold_within_tolerance(
-        self, clean_caches
-    ):
-        """A warm-starting server runs the same execution to within solver
-        tolerance (it is NOT bit-identical by design)."""
-        apps = make_mix("omnetpp1", "gcc_base3", n_be=3).apps()
-        cold = Server(TABLE1_PLATFORM, apps)
-        cold.run_until_all_complete()
-        GLOBAL_STEADY_CACHE.clear()  # force the warm server to re-solve
-        warm = Server(TABLE1_PLATFORM, apps, warm_start=True)
-        warm.run_until_all_complete()
-        assert warm.time == pytest.approx(cold.time, rel=1e-3)
-        for a, b in zip(cold.apps, warm.apps):
-            assert b.total_instructions == pytest.approx(
-                a.total_instructions, rel=1e-3
+        assert server._memo
+        for key, state in server._memo.items():
+            phases, _partition_key, mba, platform, precision, prefetch = key
+            assert precision == "exact"
+            cold = solve_steady_state(
+                platform, phases, server.partition, mba_scale=mba,
+                prefetch=prefetch,
             )
+            _assert_same(cold, state)
+
+    def test_each_server_keeps_its_own_memo(self):
+        apps = _apps()
+        first = Server(TABLE1_PLATFORM, apps)
+        first.run_until_all_complete()
+        before = solver_counters()["scalar_solves"]
+        second = Server(TABLE1_PLATFORM, apps)
+        second.run_until_all_complete()
+        assert second._memo is not first._memo
+        assert second._memo.keys() == first._memo.keys()
+        assert (
+            solver_counters()["scalar_solves"] - before == len(second._memo)
+        )
+        assert second.time == first.time
