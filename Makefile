@@ -48,8 +48,9 @@ bench-quick:      ## quick-mode campaign + autosave + >25% regression gate
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only --benchmark-autosave
 	python benchmarks/compare_saves.py --threshold 0.25
 
-bench-full:       ## paper-scale campaign (3481 pairs, 120-workload grid)
+bench-full:       ## paper-scale campaign (3481 pairs, 120-workload grid); fails if a committed artefact drifts
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
+	git diff --exit-code -- benchmarks/results_full
 
 bench-fast:       ## fast-math speedup gate: full 3481-pair grid, exact vs fast, floor 9.6x
 	PYTHONPATH=src python benchmarks/bench_fast.py

@@ -18,19 +18,27 @@ the entire catalog pair population.
 :func:`solve_steady_state_batch` solves many operating points in one call.
 
 Both solvers take ``precision`` (DESIGN.md §10). ``"exact"`` (the library
-default) runs this scalar solver, one point at a time, so every exact
-result is bit-reproducible. ``"fast"`` trades that for a *tolerance*
-contract — results agree with the exact solver to within
-:data:`FAST_REL_TOL` / :data:`FAST_WAYS_ATOL` — in exchange for a
-vectorised batch kernel that advances B points through the same iteration
-with masked NumPy lanes (see DESIGN.md §7): ``np.power`` queue tails,
-vectorised transcendental MRC evaluation, and lane-batched pressure
-sharing. Small batches run the same per-lane arithmetic as a loop on
-Python floats, bit for bit. Fast results are still *pure per lane*: a
+default) solves one point at a time, so every exact result is
+bit-reproducible. ``"fast"`` trades that for a *tolerance* contract —
+results agree with the exact solver to within :data:`FAST_REL_TOL` /
+:data:`FAST_WAYS_ATOL` — in exchange for a vectorised batch kernel that
+advances B points through the same iteration with masked NumPy lanes (see
+DESIGN.md §7): ``np.power`` queue tails, vectorised transcendental MRC
+evaluation, and lane-batched pressure sharing.
+
+One fixed-point loop on Python floats, :func:`_solve_floats`, solves every
+exact point and every lane of a small fast batch. Its ``fast`` flag picks
+the few per-precision choices once per solve: the miss-ratio evaluation
+(curve calls, or the fused ``np.exp`` row of the vectorised kernel), the
+queue-tail power (``**`` or ``np.power``), the intermediate roots'
+bracket gap (1e-7 or 1e-4) and the sum order (NumPy's pairwise order or
+the kernel's fixed core order). In its fast mode a lane is bit-identical
+to the vectorised kernel's. Fast results are still *pure per lane*: a
 lane's bits depend only on its own operating point, never on batch
 composition, so fused cross-cell batches, memoisation and the
-serial-vs-parallel determinism audit all keep working. Set ``REPRO_FAST_CHECK=1`` to shadow every fast
-solve with an exact solve and assert the contract at runtime.
+serial-vs-parallel determinism audit all keep working. Set
+``REPRO_FAST_CHECK=1`` to shadow every fast solve with an exact solve and
+assert the contract at runtime.
 """
 
 from __future__ import annotations
@@ -389,36 +397,103 @@ def solve_steady_state(
             max_iter=max_iter,
             damping=damping,
         )[0]
-    cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = _point_params(
-        platform, phases, partition, mba_scale, prefetch
-    )
+    params = _point_params(platform, phases, partition, mba_scale, prefetch)
+    curves = [p.mrc for p in phases]
 
-    link = MemoryLink.from_platform(platform)
+    def miss_ratios(ways: list[float]) -> list[float]:
+        return [mrc(w) for mrc, w in zip(curves, ways)]
+
+    state, iterations, latency = _solve_floats(
+        platform,
+        MemoryLink.from_platform(platform),
+        partition,
+        tuple(a.tolist() for a in params),
+        miss_ratios,
+        fast=False,
+        tol=tol,
+        max_iter=max_iter,
+        damping=damping,
+    )
+    if state is None:
+        raise ConvergenceError(
+            f"no convergence after {iterations} iterations "
+            f"(latency={latency:.1f} cy)"
+        )
+    SOLVER_COUNTERS["scalar_solves"] += 1
+    SOLVER_COUNTERS["scalar_iterations"] += iterations
+    return state
+
+
+def _ordered_sum(values: list[float]) -> float:
+    """Sum in list order from ``0.0``: the fast kernel's fixed-order sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _solve_floats(
+    platform: PlatformConfig,
+    link: MemoryLink,
+    partition: PartitionSpec,
+    params: tuple[list, ...],
+    miss_ratios,
+    *,
+    fast: bool,
+    tol: float,
+    max_iter: int,
+    damping: float,
+    stop_at: int | None = None,
+) -> tuple[SteadyState | None, int, float]:
+    """The damped fixed point of one operating point on Python floats.
+
+    The exact solver and the fast lane loop share this loop (DESIGN.md
+    §7, §10). ``link`` is the platform's :class:`MemoryLink`, built once
+    per batch; ``params`` are the six per-core lists of
+    :func:`_point_params`; ``miss_ratios(ways)`` is the precision's curve
+    evaluation. ``fast`` picks the rest once, here: the queue-tail power
+    (``**`` or ``np.power``), the intermediate roots' bracket gap (1e-7 or
+    the vectorised kernel's 1e-4) and the sum order of the sharing step
+    and link demand (:func:`_reduce_sum`, NumPy's pairwise order, or the
+    kernel's fixed-order :func:`_ordered_sum`).
+
+    For at most ten cores, float loops beat NumPy's per-call dispatch
+    several times over. Every per-element expression keeps the NumPy
+    evaluation order of the vectorised form ((mpi*blocking)*(latency/
+    throttle), (freq*ipc)*mpi, ...), so results are bit-identical to it.
+
+    Returns ``(state, iterations, latency)``. ``state`` is ``None`` when
+    the iteration overran its budget, or reached round ``stop_at`` first;
+    ``iterations`` and ``latency`` then say where it stopped, and the
+    caller words the failure.
+    """
+    cpi, apki, blk, bpm, caps, thr = params
     freq = platform.freq_hz
     theta = platform.pressure_theta
     lat_floor = link.base_latency_cycles
     lat_ceil = link.max_latency_cycles
-
-    # The iteration runs on Python float lists: for at most ten cores,
-    # float loops beat NumPy's per-call dispatch several times over. Every
-    # per-element expression keeps the NumPy evaluation order of the
-    # vectorised form ((mpi*blocking)*(latency/throttle),
-    # (freq*ipc)*mpi, ...), and sums that can reach 8 terms stay NumPy
-    # reductions, so results are bit-identical to it. NumPy builds the
-    # parameters and the SteadyState.
-    curves = [p.mrc for p in phases]
-    apki_list = apki.tolist()
-    blocking_list = blocking.tolist()
-    throttle_list = throttle.tolist()
-    bytes_per_miss_list = bytes_per_miss.tolist()
-    cpi_exe_list = cpi_exe.tolist()
-    caps_list = caps.tolist()
-    inv_capacity = 1.0 / link.capacity_bytes
+    capacity = link.capacity_bytes
+    inv_capacity = 1.0 / capacity
     u_cap = link.utilisation_cap
     gain = link.queue_gain
     q_exp = link.queue_exponent
+    delta_tol = tol * platform.llc_ways
+    if fast:
+        # np.power, not **: the two differ in the last ulp, and the lane
+        # loop must match the vectorised kernel's power tail bit for bit.
+        power = np.power
 
-    def solve_latency(mpi: list[float], guess: float) -> float:
+        def tail(ratio: float, exponent: float) -> float:
+            return float(power(ratio, exponent))
+
+        gap_rtol = 1e-4
+        sum_terms = _ordered_sum
+    else:
+        tail = pow
+        gap_rtol = 1e-7
+        sum_terms = _reduce_sum
+
+    def solve_latency(mpi: list[float], guess: float, gap: float) -> float:
         """Inner 1-D fixed point: latency consistent with its own demand.
 
         For fixed per-core miss rates, the map
@@ -429,16 +504,10 @@ def solve_steady_state(
         outer iterations the latency barely moves).
         """
         # The link curve is inlined: excess() dominates the solver's
-        # profile.
+        # profile. Demand adds in core order, as make_excess does.
         triples = [
-            (freq * m * b, e, m * s / t)
-            for m, b, e, s, t in zip(
-                mpi,
-                bytes_per_miss_list,
-                cpi_exe_list,
-                blocking_list,
-                throttle_list,
-            )
+            (freq * m * q, e, m * b / t)
+            for m, q, e, b, t in zip(mpi, bpm, cpi, blk, thr)
         ]
 
         def excess(lat: float) -> float:
@@ -448,124 +517,105 @@ def solve_steady_state(
             u = demand * inv_capacity
             if u > u_cap:
                 u = u_cap
-            return lat_floor * (1.0 + gain * (u / (1.0 - u)) ** q_exp) - lat
+            return lat_floor * (1.0 + gain * tail(u / (1.0 - u), q_exp)) - lat
 
-        return _illinois_root(excess, guess, lat_floor, lat_ceil)
+        return _illinois_root(excess, guess, lat_floor, lat_ceil, gap)
 
-    ways = _initial_ways(partition, caps_list)
+    ways = _initial_ways(partition, caps)
     latency = lat_floor
-
     step = damping
-    max_iter_budget = max_iter
-    prev_delta = float("inf")
-    delta_tol = tol * platform.llc_ways
+    budget = max_iter
+    prev_delta = math.inf
     iterations = 0
-    while iterations < max_iter_budget:
+    while True:
         iterations += 1
-        mpi = [  # misses per instruction
-            a * mrc(w) for a, mrc, w in zip(apki_list, curves, ways)
-        ]
-        latency = solve_latency(mpi, latency)
-
+        mpi = [a * m for a, m in zip(apki, miss_ratios(ways))]
+        # Intermediate roots at the precision's bracket gap; the final
+        # root below always runs at full precision.
+        latency = solve_latency(mpi, latency, gap_rtol)
         # Insertion pressure: under LRU only MISSES insert lines (hits
         # refresh recency and protect the resident set), so steady-state
         # occupancy tracks each competitor's miss rate, not its access
         # rate. pressure = freq * ipc * mpi.
         pressure = [
             freq * (1.0 / (e + m * b * (latency / t))) * m
-            for m, e, b, t in zip(
-                mpi, cpi_exe_list, blocking_list, throttle_list
-            )
+            for m, e, b, t in zip(mpi, cpi, blk, thr)
         ]
-        ways_target = _effective_ways(
-            partition, _pressure_weights(pressure, theta), caps_list
+        target = _effective_ways(
+            partition, _pressure_weights(pressure, theta), caps, sum_terms
         )
         # Damped update and max |ways_next - ways| (NaN-sticky, as np.max).
         keep = 1 - step
         ways_next = []
-        ways_delta = 0.0
-        for w, target in zip(ways, ways_target):
-            nxt = keep * w + step * target
+        delta = 0.0
+        for w, t in zip(ways, target):
+            nxt = keep * w + step * t
             d = abs(nxt - w)
-            if d > ways_delta or d != d:
-                ways_delta = d
+            if d > delta or d != d:
+                delta = d
             ways_next.append(nxt)
         ways = ways_next
-        if ways_delta < delta_tol:
+        converged = delta < delta_tol
+        if not converged:
+            # Adaptive damping: near mr(0)=1 the pressure feedback is
+            # steep (fewer ways -> more misses -> more insertion pressure
+            # -> more ways), which limit-cycles at fixed step size. A
+            # non-shrinking delta means we are orbiting the fixed point:
+            # tighten the step.
+            if delta >= prev_delta:
+                if step > 0.021:
+                    step = max(step * 0.7, 0.02)
+                else:
+                    # Already at the floor step: grant a larger budget —
+                    # the remaining error shrinks slowly but monotonically.
+                    budget = max_iter * 10
+            prev_delta = delta
+        if iterations >= budget or iterations == stop_at:
+            return None, iterations, latency
+        if converged:
             break
-        # Adaptive damping: near mr(0)=1 the pressure feedback is steep
-        # (fewer ways -> more misses -> more insertion pressure -> more
-        # ways), which limit-cycles at fixed step size. A non-shrinking
-        # delta means we are orbiting the fixed point: tighten the step.
-        if ways_delta >= prev_delta:
-            if step > 0.021:
-                step = max(step * 0.7, 0.02)
-            else:
-                # Already at the floor step: grant a larger budget — the
-                # remaining error shrinks slowly but monotonically.
-                max_iter_budget = max_iter * 10
-        prev_delta = ways_delta
-    if iterations >= max_iter_budget:
-        raise ConvergenceError(
-            f"no convergence after {iterations} iterations "
-            f"(latency={latency:.1f} cy)"
-        )
-    SOLVER_COUNTERS["scalar_solves"] += 1
-    SOLVER_COUNTERS["scalar_iterations"] += iterations
 
     # Final consistent evaluation at the converged operating point. The
     # damped iterate can sit an epsilon above an occupancy cap (it converges
     # onto the cap from above); clamp so the invariant holds exactly.
-    ways = [c if c < w else w for w, c in zip(ways, caps_list)]
-    mr = [mrc(w) for mrc, w in zip(curves, ways)]
-    mpi = [a * m for a, m in zip(apki_list, mr)]
-    latency = solve_latency(mpi, latency)
+    ways = [c if c < w else w for w, c in zip(ways, caps)]
+    mr = miss_ratios(ways)
+    mpi = [a * m for a, m in zip(apki, mr)]
+    latency = solve_latency(mpi, latency, 1e-7)
     ipc = [
         1.0 / (e + m * b * (latency / t))
-        for m, e, b, t in zip(mpi, cpi_exe_list, blocking_list, throttle_list)
+        for m, e, b, t in zip(mpi, cpi, blk, thr)
     ]
-    bw = [
-        freq * i * m * q for i, m, q in zip(ipc, mpi, bytes_per_miss_list)
-    ]
-    ipc_a = np.array(ipc)
-    bw_a = np.array(bw)
-    demand = _reduce_sum(bw)
-    if demand > link.capacity_bytes:
-        ipc_a, bw_a = _ration_bandwidth(ipc_a, bw_a, link.capacity_bytes)
-        demand = float(bw_a.sum())
-
-    return SteadyState(
-        ipc=ipc_a,
+    bw = [freq * i * m * q for i, m, q in zip(ipc, mpi, bpm)]
+    demand = sum_terms(bw)
+    if demand > capacity:
+        # The latency curve is capped (utilisation_cap), so under extreme
+        # overload the latency equilibrium alone can leave aggregate
+        # demand above the physical link capacity. The link then becomes
+        # a throughput bottleneck: achieved bandwidth is rationed
+        # *equal-share* across demanders (light consumers keep their full
+        # demand, heavy ones split the remainder — approximating the
+        # fairness of FR-FCFS memory scheduling), and each throttled
+        # core's IPC drops in proportion to its granted fraction.
+        granted = _waterfill(capacity, [1.0] * len(bw), bw)
+        ipc = [
+            i * (g / (b if b > 1e-30 else 1e-30) if b > 0.0 else 1.0)
+            for i, g, b in zip(ipc, granted, bw)
+        ]
+        bw = granted
+        demand = sum_terms(bw)
+    state = SteadyState(
+        ipc=np.array(ipc),
         ways=np.array(ways),
         miss_ratio=np.array(mr),
-        bw_bytes=bw_a,
+        bw_bytes=np.array(bw),
         latency_cycles=float(latency),
         # True achieved utilisation (rationing guarantees <= 1); the capped
         # MemoryLink.utilisation is only for the latency curve's domain.
-        utilisation=demand / link.capacity_bytes,
+        utilisation=demand / capacity,
         iterations=iterations,
     )
-
-
-def _ration_bandwidth(
-    ipc: np.ndarray, bw: np.ndarray, capacity: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bandwidth rationing when demand exceeds the link's capacity.
-
-    The latency curve is capped (utilisation_cap), so under extreme
-    overload the latency equilibrium alone can leave aggregate demand
-    above the physical link capacity. When that happens the link becomes a
-    throughput bottleneck: achieved bandwidth is rationed *equal-share*
-    across demanders (light consumers keep their full demand, heavy ones
-    split the remainder — approximating the fairness of FR-FCFS memory
-    scheduling), and each throttled core's IPC drops in proportion to its
-    granted fraction. Returns the rationed ``(ipc, bw)``.
-    """
-    granted = np.array(
-        _waterfill(float(capacity), [1.0] * bw.size, bw.tolist())
-    )
-    scale = np.where(bw > 0.0, granted / np.maximum(bw, 1e-30), 1.0)
-    return ipc * scale, granted
+    return state, iterations, latency
 
 
 def _illinois_root_batch(excess_b, guess, lat_floor, lat_ceil, gap_rtol=1e-7):
@@ -1388,14 +1438,6 @@ def _solve_batch_fast(
     return out
 
 
-def _ordered_sum(values: list[float]) -> float:
-    """Sum in list order from ``0.0``: the fast kernel's fixed-order sums."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 #: Curve coefficients of a slot the fused expression cannot evaluate, as
 #: the vectorised kernel pads them: (floor, span, blend, scale, knee,
 #: sharpness, at_one). The slot's own ``eval_many_fast`` overwrites it.
@@ -1403,12 +1445,18 @@ _UNFUSED_SLOT = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def _lane_spec(phases: tuple, params: tuple) -> tuple:
-    """One lane's parameters as float lists, for :func:`_solve_lanes_fast`.
+    """One lane's float-list parameters and fused miss-ratio function.
 
-    Returns the six parameter lists of :func:`_point_params`, the fused
-    curve coefficients as seven per-core lists (the zones of the
-    vectorised kernel's curve plane) and the ``(core, curve)`` slots
-    whose curve cannot be fused.
+    Returns the six parameter lists of :func:`_point_params` and
+    ``miss_ratios(ways)``, the vectorised kernel's fused curve expression
+    on one lane's row. The fused coefficients sit in seven per-core lists
+    (the zones of the kernel's curve plane); a slot whose curve cannot be
+    fused is padded and overwritten by its own ``eval_many_fast``.
+
+    Every operation repeats ``eval_mrc``'s per-element order on Python
+    floats (``np.clip`` and ``np.where`` as comparisons, so NaN and
+    ``-0.0`` pass through as they do there). Both exponentials go through
+    one ``np.exp`` call: ``math.exp`` differs from it in the last ulp.
     """
     cols: tuple[list, ...] = ([], [], [], [], [], [], [])
     unfused = []
@@ -1419,43 +1467,34 @@ def _lane_spec(phases: tuple, params: tuple) -> tuple:
             fp = _UNFUSED_SLOT
         for col, value in zip(cols, fp):
             col.append(value)
-    return (*(a.tolist() for a in params), cols, unfused)
+    floor, span, blend, scale, knee, sharp, at_one = cols
+    n = len(phases)
 
+    def miss_ratios(ways: list[float]) -> list[float]:
+        z = [(w - k) / s for w, k, s in zip(ways, knee, sharp)]
+        args = [-(-40.0 if x < -40.0 else 40.0 if x > 40.0 else x) for x in z]
+        args += [-w / c for w, c in zip(ways, scale)]
+        ex = np.exp(np.array(args)).tolist()
+        out = []
+        for c in range(n):
+            x = z[c]
+            if x > 40.0:
+                kp = 0.0
+            elif x < -40.0:
+                kp = 1.0
+            else:
+                kp = 1.0 - 1.0 / (1.0 + ex[c])
+            b = blend[c]
+            value = floor[c] + span[c] * (b * ex[n + c] + (1.0 - b) * kp)
+            w = ways[c]
+            if w < 1.0:
+                value = 1.0 + (at_one[c] - 1.0) * w
+            out.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
+        for c, curve in unfused:
+            out[c] = float(curve.eval_many_fast(np.array([ways[c]]))[0])
+        return out
 
-def _lane_miss_ratios(
-    ways: list[float], curves: tuple[list, ...], unfused: list
-) -> list[float]:
-    """The vectorised kernel's fused curve expression on one lane's row.
-
-    Every operation repeats ``eval_mrc``'s per-element order on Python
-    floats (``np.clip`` and ``np.where`` as comparisons, so NaN and
-    ``-0.0`` pass through as they do there). Both exponentials go through
-    one ``np.exp`` call: ``math.exp`` differs from it in the last ulp.
-    """
-    floor, span, blend, scale, knee, sharp, at_one = curves
-    z = [(w - k) / s for w, k, s in zip(ways, knee, sharp)]
-    args = [-(-40.0 if x < -40.0 else 40.0 if x > 40.0 else x) for x in z]
-    args += [-w / c for w, c in zip(ways, scale)]
-    ex = np.exp(np.array(args)).tolist()
-    n = len(ways)
-    out = []
-    for c in range(n):
-        x = z[c]
-        if x > 40.0:
-            kp = 0.0
-        elif x < -40.0:
-            kp = 1.0
-        else:
-            kp = 1.0 - 1.0 / (1.0 + ex[c])
-        b = blend[c]
-        value = floor[c] + span[c] * (b * ex[n + c] + (1.0 - b) * kp)
-        w = ways[c]
-        if w < 1.0:
-            value = 1.0 + (at_one[c] - 1.0) * w
-        out.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
-    for c, curve in unfused:
-        out[c] = float(curve.eval_many_fast(np.array([ways[c]]))[0])
-    return out
+    return tuple(a.tolist() for a in params), miss_ratios
 
 
 def _solve_lanes_fast(
@@ -1471,13 +1510,9 @@ def _solve_lanes_fast(
     :func:`_solve_batch_fast` pays about a dozen NumPy dispatches per
     latency evaluation whatever its lane count, which dominates batches
     of a few points (DESIGN.md §10). This loop solves each lane alone
-    with the vectorised kernel's per-lane operation order on Python
-    floats, so every lane is bit-identical to it: the scalar solver's
-    :func:`_illinois_root` (the batch root's decision sequence, at the
-    kernel's ``gap_rtol``), :func:`_initial_ways`, :func:`_waterfill` and
-    :func:`_effective_ways` with fixed-order sums. ``exp`` and ``power``
-    stay NumPy calls on the lane's values, since ``math.exp`` and ``**``
-    differ from NumPy's SIMD kernels in the last ulp.
+    with :func:`_solve_floats` in its fast mode, which keeps the
+    vectorised kernel's per-lane operation order, so every lane is
+    bit-identical to it.
 
     A lane that overruns its budget raises the vectorised kernel's
     message for the same lane: the one that overruns in the earliest
@@ -1485,125 +1520,31 @@ def _solve_lanes_fast(
     lanes run only as long as they could still overrun first.
     """
     link = MemoryLink.from_platform(platform)
-    freq = platform.freq_hz
-    theta = platform.pressure_theta
-    lat_floor = link.base_latency_cycles
-    lat_ceil = link.max_latency_cycles
-    capacity = link.capacity_bytes
-    inv_capacity = 1.0 / capacity
-    u_cap = link.utilisation_cap
-    gain = link.queue_gain
-    q_exp = link.queue_exponent
-    power = np.power
-    delta_tol = tol * platform.llc_ways
-
-    def solve_latency(mpi, cpi, blk, bpm, thr, guess, gap_rtol):
-        # make_excess's planes, one lane's row: (freq*mpi)*bpm, cpi and
-        # (mpi*blk)/thr, summed in core order.
-        triples = [
-            (freq * m * q, e, m * b / t)
-            for m, q, e, b, t in zip(mpi, bpm, cpi, blk, thr)
-        ]
-
-        def excess(lat: float) -> float:
-            demand = 0.0
-            for c, e, s in triples:
-                demand += c / (e + s * lat)
-            u = demand * inv_capacity
-            if u > u_cap:
-                u = u_cap
-            tail = float(power(u / (1.0 - u), q_exp))
-            return lat_floor * (1.0 + gain * tail) - lat
-
-        return _illinois_root(excess, guess, lat_floor, lat_ceil, gap_rtol)
-
     specs: dict[int, tuple] = {}
     fail = None  # (round, lane, latency) of the earliest budget overrun
     states = []
-    total_iterations = 0
     for lane, (phases, partition, _mba, params) in enumerate(parsed):
         spec = specs.get(id(params))
         if spec is None:
             spec = specs[id(params)] = _lane_spec(phases, params)
-        cpi, apki, blk, bpm, caps, thr, curves, unfused = spec
-        ways = _initial_ways(partition, caps)
-        latency = lat_floor
-        step = damping
-        budget = max_iter
-        prev_delta = math.inf
-        iterations = 0
-        while True:
-            iterations += 1
-            mr = _lane_miss_ratios(ways, curves, unfused)
-            mpi = [a * m for a, m in zip(apki, mr)]
-            # Intermediate roots at the kernel's loosened bracket gap.
-            latency = solve_latency(mpi, cpi, blk, bpm, thr, latency, 1e-4)
-            pressure = [
-                freq * (1.0 / (e + m * b * (latency / t))) * m
-                for m, e, b, t in zip(mpi, cpi, blk, thr)
-            ]
-            target = _effective_ways(
-                partition, _pressure_weights(pressure, theta), caps,
-                _ordered_sum,
-            )
-            keep = 1 - step
-            ways_next = []
-            delta = 0.0
-            for w, t in zip(ways, target):
-                nxt = keep * w + step * t
-                d = abs(nxt - w)
-                if d > delta or d != d:  # NaN-sticky, as np.max
-                    delta = d
-                ways_next.append(nxt)
-            ways = ways_next
-            converged = delta < delta_tol
-            if not converged:
-                if delta >= prev_delta:
-                    if step > 0.021:
-                        step = max(step * 0.7, 0.02)
-                    else:
-                        budget = max_iter * 10
-                prev_delta = delta
-            if iterations >= budget:
-                if fail is None or iterations < fail[0]:
-                    fail = (iterations, lane, latency)
-                break
-            if converged or (fail is not None and iterations >= fail[0]):
-                break
-        if fail is not None:
-            continue  # the batch raises: skip the epilogue
-        total_iterations += iterations
-
-        # Final consistent evaluation, as the kernel's epilogue.
-        ways = [c if c < w else w for w, c in zip(ways, caps)]
-        mr = _lane_miss_ratios(ways, curves, unfused)
-        mpi = [a * m for a, m in zip(apki, mr)]
-        latency = solve_latency(mpi, cpi, blk, bpm, thr, latency, 1e-7)
-        ipc = [
-            1.0 / (e + m * b * (latency / t))
-            for m, e, b, t in zip(mpi, cpi, blk, thr)
-        ]
-        bw = [freq * i * m * q for i, m, q in zip(ipc, mpi, bpm)]
-        demand = _ordered_sum(bw)
-        if demand > capacity:
-            granted = _waterfill(capacity, [1.0] * len(bw), bw)
-            ipc = [
-                i * (g / (b if b > 1e-30 else 1e-30) if b > 0.0 else 1.0)
-                for i, g, b in zip(ipc, granted, bw)
-            ]
-            bw = granted
-            demand = _ordered_sum(bw)
-        states.append(
-            SteadyState(
-                ipc=np.array(ipc),
-                ways=np.array(ways),
-                miss_ratio=np.array(mr),
-                bw_bytes=np.array(bw),
-                latency_cycles=latency,
-                utilisation=demand / capacity,
-                iterations=iterations,
-            )
+        lists, miss_ratios = spec
+        state, iterations, latency = _solve_floats(
+            platform,
+            link,
+            partition,
+            lists,
+            miss_ratios,
+            fast=True,
+            tol=tol,
+            max_iter=max_iter,
+            damping=damping,
+            stop_at=None if fail is None else fail[0],
         )
+        if state is None:
+            if fail is None or iterations < fail[0]:
+                fail = (iterations, lane, latency)
+        else:
+            states.append(state)
     if fail is not None:
         rounds, lane, latency = fail
         raise ConvergenceError(
@@ -1612,7 +1553,7 @@ def _solve_lanes_fast(
         )
     SOLVER_COUNTERS["fast_solves"] += 1
     SOLVER_COUNTERS["fast_points"] += len(parsed)
-    SOLVER_COUNTERS["fast_iterations"] += total_iterations
+    SOLVER_COUNTERS["fast_iterations"] += sum(s.iterations for s in states)
     SOLVER_COUNTERS["fast_lane_points"] += len(parsed)
     return states
 

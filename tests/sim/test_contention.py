@@ -4,12 +4,15 @@ invariants, and directional behaviour."""
 import numpy as np
 import pytest
 
-from repro.sim.contention import solve_steady_state
+from repro.sim.contention import ConvergenceError, solve_steady_state
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM
 from repro.workloads.app import Phase
 from repro.workloads.catalog import app_names, catalog
 from repro.workloads.mrc import ConstantMRC, ExponentialMRC
+
+from tests.sim.test_fast_lanes import _escalating
+from tests.sim.test_scalar_oracle import ref_solve
 
 PLAT = TABLE1_PLATFORM
 
@@ -56,6 +59,20 @@ class TestBasics:
         b = solve_steady_state(*args)
         assert np.array_equal(a.ipc, b.ipc)
         assert a.latency_cycles == b.latency_cycles
+
+    def test_budget_escalation_at_the_floor_step(self):
+        # The step reaches the 0.02 floor, so the budget grows tenfold
+        # (10 -> 100 iterations) before the solve gives up.
+        phases, partition = _escalating()
+        solve = dict(tol=1e-6, max_iter=10, damping=0.02)
+        with pytest.raises(ConvergenceError) as info:
+            solve_steady_state(PLAT, phases, partition, **solve)
+        with pytest.raises(ConvergenceError) as ref:
+            ref_solve(PLAT, phases, partition, **solve)
+        assert str(info.value) == str(ref.value)
+        assert str(info.value) == (
+            "no convergence after 100 iterations (latency=183.2 cy)"
+        )
 
 
 class TestInvariants:
