@@ -189,6 +189,11 @@ class DicerController:
 
     # -- public API ---------------------------------------------------------
 
+    @property
+    def period_s(self) -> float:
+        """Monitoring period T: how long each sample of the loop spans."""
+        return self.config.period_s
+
     def initial_allocation(self) -> Allocation:
         """The allocation to enforce before the first monitoring period."""
         return self.current

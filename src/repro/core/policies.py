@@ -81,6 +81,12 @@ class Policy(ABC):
         """Monitoring period for dynamic policies."""
         return 1.0
 
+    @property
+    def trace(self) -> list:
+        """The live controller's decisions (empty for static policies)."""
+        controller = getattr(self, "controller", None)
+        return [] if controller is None else controller.trace
+
     def fresh(self) -> "Policy":
         """A stateless copy for the next experiment (overridden by DICER)."""
         return self

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from repro.core.dicer import DecisionRecord
 from repro.core.policies import Policy
 from repro.metrics.efu import efu
+from repro.rdt.harness import drive
 from repro.rdt.simulated import SimulatedRdt
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 from repro.sim.server import Server, StaticOutcome, claim_static_outcome
-from repro.sim.solo import solo_profile
+from repro.sim.solo import SoloProfile, solo_profile
+from repro.workloads.app import AppModel
 from repro.workloads.mix import MultiHpMix, WorkloadMix
 
 __all__ = [
@@ -77,6 +79,81 @@ class PairResult:
         return f"{self.hp_name} {self.be_name}"
 
 
+def initial_partition(
+    policy: Policy, n_cores: int, total_ways: int
+) -> PartitionSpec:
+    """The partition a run starts from: ``policy.setup``'s allocation.
+
+    Calls ``setup`` (which builds a dynamic policy's controller); a
+    ``None`` allocation leaves the LLC unmanaged.
+    """
+    allocation = policy.setup(total_ways)
+    if allocation is None:
+        return PartitionSpec.unmanaged(n_cores, total_ways)
+    return allocation.to_partition(n_cores)
+
+
+def _execute(
+    apps: list[AppModel],
+    policy: Policy,
+    platform: PlatformConfig,
+    max_time_s: float,
+    precision: str,
+    record_timeline: bool = False,
+) -> tuple[StaticOutcome, tuple]:
+    """Run ``apps`` under a fresh copy of ``policy``: outcome and trace.
+
+    A fast static run a campaign prewarm already stepped to completion
+    (:func:`~repro.sim.server.claim_static_outcome`) takes that outcome
+    instead of running its own Server; the metrics are the same bits.
+    Otherwise both kinds batch-solve the phase product of the initial
+    partition up front (a no-op under exact precision): a static run
+    then steps its Server to completion, a dynamic one dwells there
+    between decisions while :func:`~repro.rdt.harness.drive` runs the
+    policy's periods.
+    """
+    policy = policy.fresh()
+    partition = initial_partition(policy, len(apps), platform.llc_ways)
+    if not policy.dynamic and not record_timeline and precision == "fast":
+        outcome = claim_static_outcome(platform, apps, partition, max_time_s)
+        if outcome is not None:
+            return outcome, ()
+    server = Server(
+        platform,
+        apps,
+        partition,
+        record_timeline=record_timeline,
+        precision=precision,
+    )
+    server.prefetch_phase_product()
+    trace: tuple = ()
+    if policy.dynamic:
+        rdt = SimulatedRdt(server)
+        _wire_prefetch(policy, rdt, precision)
+        trace = tuple(drive(policy, rdt, max_time_s=max_time_s))
+    else:
+        server.run_until_all_complete(max_time_s=max_time_s)
+    hp = server.apps[0]
+    outcome = StaticOutcome(
+        time=server.time,
+        total_instructions=tuple(a.total_instructions for a in server.apps),
+        hp_completions=hp.completions,
+        hp_run_times=tuple(hp.run_times),
+    )
+    return outcome, trace
+
+
+def _norm_ipcs(
+    outcome: StaticOutcome, solos: list[SoloProfile], platform: PlatformConfig
+) -> list[float]:
+    """Each core's IPC over the run, normalised to its solo profile."""
+    cycles = platform.freq_hz * outcome.time
+    return [
+        total / cycles / solo.avg_ipc
+        for total, solo in zip(outcome.total_instructions, solos)
+    ]
+
+
 def run_pair(
     mix: WorkloadMix,
     policy: Policy,
@@ -91,69 +168,10 @@ def run_pair(
     ``precision`` selects the steady-state solver mode for every solve in
     the run — event loop, prefetches, and solo baselines alike ("exact" =
     bitwise-reproducible scalar parity, "fast" = tolerance-contracted
-    vectorised kernel; DESIGN.md §10). A fast static run a campaign
-    prewarm already stepped to completion
-    (:func:`~repro.sim.server.claim_static_outcome`) takes that outcome
-    instead of running its own Server; the metrics are the same bits.
+    vectorised kernel; DESIGN.md §10).
     """
-    apps = mix.apps()
-    n_cores = len(apps)
-    policy = policy.fresh()
-
-    allocation = policy.setup(platform.llc_ways)
-    partition = (
-        allocation.to_partition(n_cores)
-        if allocation is not None
-        else PartitionSpec.unmanaged(n_cores, platform.llc_ways)
-    )
-    if not policy.dynamic and not record_timeline and precision == "fast":
-        outcome = claim_static_outcome(platform, apps, partition, max_time_s)
-        if outcome is not None:
-            return _pair_result(mix, policy.name, platform, precision, outcome)
-    server = Server(
-        platform,
-        apps,
-        partition,
-        record_timeline=record_timeline,
-        precision=precision,
-    )
-
-    trace: tuple[DecisionRecord, ...] = ()
-    if policy.dynamic:
-        rdt = SimulatedRdt(server)
-        _wire_prefetch(policy, rdt, server.precision)
-        # Batch-solve the phase product of the policy's *initial* partition
-        # (a dynamic controller dwells there between decisions); later
-        # partitions are prefetched through the controller hook. Both are
-        # no-ops under exact precision.
-        server.prefetch_phase_product()
-        while not rdt.finished and server.time < max_time_s:
-            sample = rdt.sample(policy.period_s)
-            new_allocation = policy.update(sample)
-            if new_allocation is not None:
-                rdt.apply(new_allocation)
-            throttle = getattr(policy, "be_throttle", None)
-            if throttle is not None:
-                rdt.apply_be_throttle(throttle)
-            prefetch = getattr(policy, "be_prefetch", None)
-            if prefetch is not None:
-                rdt.apply_be_prefetch(prefetch)
-        controller = getattr(policy, "controller", None)
-        if controller is not None:
-            trace = tuple(controller.trace)
-    else:
-        # Static partition: batch-solve the phase cross product up front
-        # under fast precision (identical results — the solves the event
-        # loop would do one at a time all become memo hits).
-        server.prefetch_phase_product()
-        server.run_until_all_complete(max_time_s=max_time_s)
-
-    hp = server.apps[0]
-    outcome = StaticOutcome(
-        time=server.time,
-        total_instructions=tuple(a.total_instructions for a in server.apps),
-        hp_completions=hp.completions,
-        hp_run_times=tuple(hp.run_times),
+    outcome, trace = _execute(
+        mix.apps(), policy, platform, max_time_s, precision, record_timeline
     )
     return _pair_result(mix, policy.name, platform, precision, outcome, trace)
 
@@ -169,14 +187,9 @@ def _pair_result(
     """The paper's metrics of one finished run (its Server's or staged)."""
     solo_hp = solo_profile(mix.hp, platform, precision=precision)
     solo_be = solo_profile(mix.be, platform, precision=precision)
-    duration = outcome.time
-    freq = platform.freq_hz
-
-    hp_total, *be_totals = outcome.total_instructions
-    hp_norm = hp_total / (freq * duration) / solo_hp.avg_ipc
-    be_norms = [
-        total / (freq * duration) / solo_be.avg_ipc for total in be_totals
-    ]
+    hp_norm, *be_norms = _norm_ipcs(
+        outcome, [solo_hp] + [solo_be] * mix.n_be, platform
+    )
     hp_run_times = outcome.hp_run_times
     hp_slowdown = (
         sum(hp_run_times) / len(hp_run_times) / solo_hp.time_s
@@ -193,7 +206,7 @@ def _pair_result(
         be_norm_ipc=sum(be_norms) / len(be_norms),
         hp_slowdown=hp_slowdown,
         efu=efu([hp_norm] + be_norms),
-        duration_s=duration,
+        duration_s=outcome.time,
         hp_completions=outcome.hp_completions,
         trace=trace,
     )
@@ -218,7 +231,7 @@ def run_custom(
     policy: Policy,
     platform: PlatformConfig = TABLE1_PLATFORM,
     *,
-    max_time_s: float = 4000.0,
+    max_time_s: float = MAX_TIME_S,
     precision: str = "exact",
 ) -> CustomResult:
     """Execute a :class:`~repro.workloads.mix.HeterogeneousMix`.
@@ -227,56 +240,16 @@ def run_custom(
     each BE is normalised against its *own* solo profile.
     """
     apps = mix.apps()
-    n_cores = len(apps)
-    policy = policy.fresh()
-
-    allocation = policy.setup(platform.llc_ways)
-    partition = (
-        allocation.to_partition(n_cores)
-        if allocation is not None
-        else PartitionSpec.unmanaged(n_cores, platform.llc_ways)
-    )
-    server = Server(platform, apps, partition, precision=precision)
-
-    trace: tuple[DecisionRecord, ...] = ()
-    if policy.dynamic:
-        rdt = SimulatedRdt(server)
-        _wire_prefetch(policy, rdt, server.precision)
-        server.prefetch_phase_product()
-        while not rdt.finished and server.time < max_time_s:
-            sample = rdt.sample(policy.period_s)
-            new_allocation = policy.update(sample)
-            if new_allocation is not None:
-                rdt.apply(new_allocation)
-            throttle = getattr(policy, "be_throttle", None)
-            if throttle is not None:
-                rdt.apply_be_throttle(throttle)
-            prefetch = getattr(policy, "be_prefetch", None)
-            if prefetch is not None:
-                rdt.apply_be_prefetch(prefetch)
-        controller = getattr(policy, "controller", None)
-        if controller is not None:
-            trace = tuple(controller.trace)
-    else:
-        server.prefetch_phase_product()
-        server.run_until_all_complete(max_time_s=max_time_s)
-
-    duration = server.time
-    freq = platform.freq_hz
-    norms = []
-    for running, model in zip(server.apps, apps):
-        solo = solo_profile(model, platform, precision=precision)
-        norms.append(
-            running.total_instructions / (freq * duration) / solo.avg_ipc
-        )
-
+    outcome, trace = _execute(apps, policy, platform, max_time_s, precision)
+    solos = [solo_profile(a, platform, precision=precision) for a in apps]
+    norms = _norm_ipcs(outcome, solos, platform)
     return CustomResult(
         label=mix.label,
         policy=policy.name,
         hp_norm_ipc=norms[0],
         be_norm_ipcs=tuple(norms[1:]),
         efu=efu(norms),
-        duration_s=duration,
+        duration_s=outcome.time,
         trace=trace,
     )
 
@@ -309,7 +282,7 @@ def run_multi(
     policy: Policy,
     platform: PlatformConfig = TABLE1_PLATFORM,
     *,
-    max_time_s: float = 4000.0,
+    max_time_s: float = MAX_TIME_S,
     precision: str = "exact",
 ) -> MultiResult:
     """Execute a :class:`~repro.workloads.mix.MultiHpMix`.
@@ -323,51 +296,9 @@ def run_multi(
     deployed on this mix unmodified.
     """
     apps = mix.apps()
-    n_cores = len(apps)
-    policy = policy.fresh()
-
-    allocation = policy.setup(platform.llc_ways)
-    partition = (
-        allocation.to_partition(n_cores)
-        if allocation is not None
-        else PartitionSpec.unmanaged(n_cores, platform.llc_ways)
-    )
-    server = Server(platform, apps, partition, precision=precision)
-
-    trace: tuple = ()
-    if policy.dynamic:
-        rdt = SimulatedRdt(server)
-        _wire_prefetch(policy, rdt, server.precision)
-        server.prefetch_phase_product()
-        while not rdt.finished and server.time < max_time_s:
-            sample = rdt.sample(policy.period_s)
-            new_allocation = policy.update(sample)
-            if new_allocation is not None:
-                rdt.apply(new_allocation)
-            throttle = getattr(policy, "be_throttle", None)
-            if throttle is not None:
-                rdt.apply_be_throttle(throttle)
-            prefetch = getattr(policy, "be_prefetch", None)
-            if prefetch is not None:
-                rdt.apply_be_prefetch(prefetch)
-        controller = getattr(policy, "controller", None)
-        if controller is not None:
-            trace = tuple(controller.trace)
-    else:
-        server.prefetch_phase_product()
-        server.run_until_all_complete(max_time_s=max_time_s)
-
-    duration = server.time
-    freq = platform.freq_hz
-    norms = []
-    for running, model in zip(server.apps, apps):
-        solo = solo_profile(model, platform, precision=precision)
-        norms.append(
-            float(
-                running.total_instructions / (freq * duration) / solo.avg_ipc
-            )
-        )
-
+    outcome, trace = _execute(apps, policy, platform, max_time_s, precision)
+    solos = [solo_profile(a, platform, precision=precision) for a in apps]
+    norms = _norm_ipcs(outcome, solos, platform)
     return MultiResult(
         label=mix.label,
         policy=policy.name,
@@ -375,6 +306,6 @@ def run_multi(
         n_hp=mix.n_hp,
         min_hp_norm_ipc=min(norms[: mix.n_hp]),
         efu=efu(norms),
-        duration_s=duration,
+        duration_s=outcome.time,
         trace=trace,
     )

@@ -63,7 +63,12 @@ from typing import Callable, Iterable
 
 from repro.core.policies import Policy
 from repro.experiments.chaos import maybe_inject
-from repro.experiments.runner import MAX_TIME_S, PairResult, run_pair
+from repro.experiments.runner import (
+    MAX_TIME_S,
+    PairResult,
+    initial_partition,
+    run_pair,
+)
 from repro.obs import get_event_log, get_registry
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 from repro.workloads.mix import make_mix
@@ -345,7 +350,6 @@ def _prewarm_phase_products(
     setup fails — those cells surface their own errors when they run.
     Returns the number of operating points submitted.
     """
-    from repro.sim.partition import PartitionSpec
     from repro.sim.server import stage_phase_products
 
     run_kwargs = run_kwargs or {}
@@ -365,13 +369,8 @@ def _prewarm_phase_products(
             try:
                 models = make_mix(hp_name, be_name, n_be=n_be).apps()
                 fresh = policy.fresh()
-                allocation = fresh.setup(platform.llc_ways)
-                partition = (
-                    allocation.to_partition(len(models))
-                    if allocation is not None
-                    else PartitionSpec.unmanaged(
-                        len(models), platform.llc_ways
-                    )
+                partition = initial_partition(
+                    fresh, len(models), platform.llc_ways
                 )
             except Exception:
                 continue

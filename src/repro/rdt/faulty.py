@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from repro.core.allocation import Allocation
 from repro.obs import get_event_log, get_registry
-from repro.rdt.interface import RdtBackend
+from repro.rdt.interface import RdtBackend, WrappedRdt
 from repro.rdt.sample import PeriodSample
 from repro.util.rng import make_rng
 
@@ -58,7 +58,7 @@ class FaultKind(enum.Enum):
     ZERO_DT = "zero_dt"
 
 
-class FaultyRdt(RdtBackend):
+class FaultyRdt(WrappedRdt):
     """Decorator backend injecting counter-read faults into samples.
 
     Parameters
@@ -88,7 +88,7 @@ class FaultyRdt(RdtBackend):
     ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
-        self._inner = inner
+        super().__init__(inner)
         self._schedule = {
             int(k): FaultKind(v) for k, v in (schedule or {}).items()
         }
@@ -102,27 +102,7 @@ class FaultyRdt(RdtBackend):
         #: Injection log: (1-based sample index, kind) per injected fault.
         self.injected: list[tuple[int, FaultKind]] = []
 
-    # -- RdtBackend ---------------------------------------------------------
-
-    @property
-    def total_ways(self) -> int:
-        """Way count of the wrapped backend."""
-        return self._inner.total_ways
-
-    @property
-    def finished(self) -> bool:
-        """Delegates to the wrapped backend."""
-        return self._inner.finished
-
-    def apply(self, allocation: Allocation) -> None:
-        """Actuation is never faulted; forward as-is."""
-        self._inner.apply(allocation)
-
-    def apply_be_throttle(self, scale: float) -> None:
-        """Forward the MBA throttle when the inner backend supports it."""
-        inner_throttle = getattr(self._inner, "apply_be_throttle", None)
-        if inner_throttle is not None:
-            inner_throttle(scale)
+    # -- RdtBackend (actuation is never faulted) -----------------------------
 
     def sample(self, period_s: float) -> PeriodSample:
         """Sample the inner backend, then maybe corrupt the reading."""
@@ -236,7 +216,7 @@ class NodeFaultKind(enum.Enum):
     PARTITION = "partition"
 
 
-class NodeFaultyRdt(RdtBackend):
+class NodeFaultyRdt(WrappedRdt):
     """Decorator backend injecting *node-level* faults (DESIGN.md §14).
 
     Composes with :class:`FaultyRdt`/:class:`~repro.rdt.noisy.NoisyRdt`
@@ -282,7 +262,7 @@ class NodeFaultyRdt(RdtBackend):
             raise ValueError(
                 f"partition_calls must be >= 1, got {partition_calls}"
             )
-        self._inner = inner
+        super().__init__(inner)
         self._schedule = {
             int(k): NodeFaultKind(v) for k, v in (schedule or {}).items()
         }
@@ -369,33 +349,28 @@ class NodeFaultyRdt(RdtBackend):
             )
         raise RdtUnavailableError(kind)
 
-    # -- RdtBackend ----------------------------------------------------------
-
-    @property
-    def total_ways(self) -> int:
-        """Way count of the wrapped backend."""
-        return self._inner.total_ways
-
-    @property
-    def finished(self) -> bool:
-        """Delegates to the wrapped backend."""
-        return self._inner.finished
-
-    def apply(self, allocation: Allocation) -> None:
-        """Actuation fails while the node is down (crash/hang/partition)."""
+    def _check_up(self) -> None:
+        """Raise :class:`RdtUnavailableError` while the node is down."""
         kind = self.unavailable_kind
         if kind is not None:
             self._raise(kind)
-        self._inner.apply(allocation)
+
+    # -- RdtBackend (actuation fails while the node is down) -----------------
+
+    def apply(self, allocation: Allocation) -> None:
+        """Forward the CAT allocation when the node is reachable."""
+        self._check_up()
+        super().apply(allocation)
 
     def apply_be_throttle(self, scale: float) -> None:
         """Forward the MBA throttle when the node is reachable."""
-        kind = self.unavailable_kind
-        if kind is not None:
-            self._raise(kind)
-        inner_throttle = getattr(self._inner, "apply_be_throttle", None)
-        if inner_throttle is not None:
-            inner_throttle(scale)
+        self._check_up()
+        super().apply_be_throttle(scale)
+
+    def apply_be_prefetch(self, level: float) -> None:
+        """Forward the prefetch throttle when the node is reachable."""
+        self._check_up()
+        super().apply_be_prefetch(level)
 
     def sample(self, period_s: float) -> PeriodSample:
         """Sample the inner backend unless a node fault intervenes."""

@@ -1,8 +1,10 @@
 """The generic control loop: controller × backend.
 
-One function owns the monitor-decide-actuate cycle used everywhere — the
-simulator runner, the hardware path, the examples — so backend-specific
-code never reimplements it (and a bug fix lands once).
+:func:`drive` is the only monitor-decide-actuate loop outside the
+paper-literal oracles: the experiment runner (``run_pair``,
+``run_custom``, ``run_multi``), serve-node evaluations and the noise
+ablation all run their periods through it, so the three knobs reach
+every backend the same way and a bug fix lands once.
 """
 
 from __future__ import annotations
@@ -22,26 +24,41 @@ def drive(
     backend: RdtBackend,
     *,
     max_periods: int | None = None,
+    max_time_s: float | None = None,
 ) -> "list[DecisionRecord]":
-    """Run the control loop until the backend finishes.
+    """Run the control loop until the backend finishes or a bound is hit.
 
-    Applies the controller's initial allocation, then per monitoring
-    period: sample → update → apply (plus the MBA throttle when both sides
-    support it). Returns the decision trace. ``max_periods`` bounds the
-    loop for hardware sessions that have no natural end.
+    A controller's ``initial_allocation`` is applied first (a
+    :class:`~repro.core.policies.Policy` has none: the caller built the
+    backend from its ``setup``). Then per ``controller.period_s``:
+    sample → update → apply a non-``None`` allocation → forward
+    ``be_throttle`` (MBA), then ``be_prefetch``, when both sides have
+    them. ``max_periods`` bounds hardware sessions that have no natural
+    end; ``max_time_s`` stops once ``backend.time_s`` reaches it.
+    Returns the controller's decision trace.
     """
-    backend.apply(controller.initial_allocation())
-    period_s = controller.config.period_s
+    allocation = getattr(controller, "initial_allocation", lambda: None)()
+    if allocation is not None:
+        backend.apply(allocation)
+    period_s = controller.period_s
+    apply_throttle = getattr(backend, "apply_be_throttle", None)
+    apply_prefetch = getattr(backend, "apply_be_prefetch", None)
     periods = 0
     while not backend.finished:
         if max_periods is not None and periods >= max_periods:
             break
-        sample = backend.sample(period_s)
-        allocation = controller.update(sample)
-        backend.apply(allocation)
-        throttle = getattr(controller, "be_throttle", None)
-        apply_throttle = getattr(backend, "apply_be_throttle", None)
-        if throttle is not None and apply_throttle is not None:
-            apply_throttle(throttle)
+        if max_time_s is not None and backend.time_s >= max_time_s:
+            break
+        allocation = controller.update(backend.sample(period_s))
+        if allocation is not None:
+            backend.apply(allocation)
+        if apply_throttle is not None:
+            throttle = getattr(controller, "be_throttle", None)
+            if throttle is not None:
+                apply_throttle(throttle)
+        if apply_prefetch is not None:
+            prefetch = getattr(controller, "be_prefetch", None)
+            if prefetch is not None:
+                apply_prefetch(prefetch)
         periods += 1
     return controller.trace

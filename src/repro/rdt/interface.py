@@ -24,7 +24,7 @@ from repro.rdt.sample import PeriodSample
 if TYPE_CHECKING:  # import cycle guard: core imports this module
     from repro.core.allocation import Allocation
 
-__all__ = ["PeriodSample", "RdtBackend"]
+__all__ = ["PeriodSample", "RdtBackend", "WrappedRdt"]
 
 
 class RdtBackend(ABC):
@@ -52,3 +52,49 @@ class RdtBackend(ABC):
     def finished(self) -> bool:
         """True once the monitored workload has completed (simulator) or
         the harness asked the loop to stop (hardware)."""
+
+
+class WrappedRdt(RdtBackend):
+    """A backend decorating ``inner``: everything it does not override
+    forwards unchanged.
+
+    The noise, counter-fault and node-fault wrappers override
+    :meth:`sample` (and the node boundary gates actuation); both BE
+    knobs — ``apply_be_throttle`` (MBA) and ``apply_be_prefetch`` —
+    forward here when the inner backend has them, so a policy behind
+    any stack of wrappers actuates what the innermost backend supports.
+    """
+
+    def __init__(self, inner: RdtBackend) -> None:
+        self._inner = inner
+
+    @property
+    def total_ways(self) -> int:
+        """Way count of the wrapped backend."""
+        return self._inner.total_ways
+
+    @property
+    def finished(self) -> bool:
+        """Delegates to the wrapped backend."""
+        return self._inner.finished
+
+    @property
+    def time_s(self) -> float:
+        """Delegates to the wrapped backend."""
+        return self._inner.time_s
+
+    def apply(self, allocation: "Allocation") -> None:
+        """Forward the CAT allocation as-is."""
+        self._inner.apply(allocation)
+
+    def apply_be_throttle(self, scale: float) -> None:
+        """Forward the MBA throttle when the inner backend supports it."""
+        inner_throttle = getattr(self._inner, "apply_be_throttle", None)
+        if inner_throttle is not None:
+            inner_throttle(scale)
+
+    def apply_be_prefetch(self, level: float) -> None:
+        """Forward the prefetch throttle when the inner backend supports it."""
+        inner_prefetch = getattr(self._inner, "apply_be_prefetch", None)
+        if inner_prefetch is not None:
+            inner_prefetch(level)

@@ -11,9 +11,8 @@ ablation can sweep noise against alpha.
 
 from __future__ import annotations
 
-from repro.core.allocation import Allocation
 from repro.obs import get_registry
-from repro.rdt.interface import RdtBackend
+from repro.rdt.interface import RdtBackend, WrappedRdt
 from repro.rdt.sample import PeriodSample
 from repro.util.rng import make_rng
 from repro.util.validation import check_fraction
@@ -21,7 +20,7 @@ from repro.util.validation import check_fraction
 __all__ = ["NoisyRdt"]
 
 
-class NoisyRdt(RdtBackend):
+class NoisyRdt(WrappedRdt):
     """Decorator backend: multiplicative Gaussian jitter on measurements.
 
     ``ipc_noise`` / ``bw_noise`` are relative standard deviations (0.03 =
@@ -39,7 +38,7 @@ class NoisyRdt(RdtBackend):
         bw_noise: float = 0.03,
         seed: int | None = None,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._ipc_noise = check_fraction("ipc_noise", ipc_noise)
         self._bw_noise = check_fraction("bw_noise", bw_noise)
         self._rng = make_rng(seed)
@@ -54,27 +53,7 @@ class NoisyRdt(RdtBackend):
         # never go negative (exercised by property tests).
         return max(0.0, 1.0 + draw)
 
-    # -- RdtBackend ---------------------------------------------------------
-
-    @property
-    def total_ways(self) -> int:
-        """Way count of the wrapped backend."""
-        return self._inner.total_ways
-
-    @property
-    def finished(self) -> bool:
-        """Delegates to the wrapped backend."""
-        return self._inner.finished
-
-    def apply(self, allocation: Allocation) -> None:
-        """Actuation is never perturbed; forward as-is."""
-        self._inner.apply(allocation)
-
-    def apply_be_throttle(self, scale: float) -> None:
-        """Forward the MBA throttle when the inner backend supports it."""
-        inner_throttle = getattr(self._inner, "apply_be_throttle", None)
-        if inner_throttle is not None:
-            inner_throttle(scale)
+    # -- RdtBackend (actuation is never perturbed) ---------------------------
 
     def sample(self, period_s: float) -> PeriodSample:
         """Sample the inner backend and jitter the measurements."""

@@ -60,6 +60,11 @@ class SimulatedRdt(RdtBackend):
         """True once every simulated app completed at least once."""
         return self._server.all_completed
 
+    @property
+    def time_s(self) -> float:
+        """Simulated seconds elapsed on the server."""
+        return self._server.time
+
     def apply(self, allocation: Allocation) -> None:
         """Map the allocation onto the simulator's partition spec.
 
@@ -109,10 +114,6 @@ class SimulatedRdt(RdtBackend):
         self._server.set_prefetch_levels(
             None if level <= 0.0 else [0.0] + [level] * (n - 1)
         )
-
-    def apply_prefetch_levels(self, levels) -> None:
-        """Set the full per-core prefetch-throttle vector (None = all on)."""
-        self._server.set_prefetch_levels(levels)
 
     def sample(self, period_s: float) -> PeriodSample:
         """Advance simulated time one period and diff the counters."""

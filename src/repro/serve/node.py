@@ -30,12 +30,13 @@ import asyncio
 from typing import Callable, Sequence
 
 from repro.core.allocation import Allocation
+from repro.core.policies import AnyAllocation, Policy, UnmanagedPolicy
 from repro.obs import get_event_log, get_registry
 from repro.rdt.faulty import NodeFaultKind, NodeFaultyRdt, RdtUnavailableError
+from repro.rdt.harness import drive
 from repro.rdt.interface import PeriodSample, RdtBackend
 from repro.rdt.simulated import SimulatedRdt
 from repro.serve.placement import PlaneConfig
-from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
 from repro.sim.server import Server
 from repro.util.lease import jittered_interval
@@ -74,6 +75,27 @@ class _IdleRdt(RdtBackend):
             total_mem_bytes_s=0.0,
             hp_llc_occupancy_bytes=0.0,
         )
+
+
+class _Evaluated:
+    """The node's policy as an evaluation drives it, keeping the last sample.
+
+    On a node without an HP it drives :class:`UnmanagedPolicy` instead
+    (never updates, LLC unmanaged) at the configured policy's period.
+    Everything else drive reads — knob levels, trace — is the policy's.
+    """
+
+    def __init__(self, policy: Policy, *, managed: bool) -> None:
+        self.policy = policy if managed else UnmanagedPolicy()
+        self.period_s = policy.period_s
+        self.sample: PeriodSample | None = None
+
+    def __getattr__(self, name: str):
+        return getattr(self.policy, name)
+
+    def update(self, sample: PeriodSample) -> AnyAllocation | None:
+        self.sample = sample
+        return self.policy.update(sample)
 
 
 class NodeRuntime:
@@ -178,9 +200,11 @@ class NodeRuntime:
 
         Builds a fresh simulated server for the current assignment,
         rebinds it into the fault boundary, and runs the configured
-        policy's monitor-decide-actuate loop ``periods`` times (static
-        policies just advance time). Returns the last period's headline
-        metrics, or ``None`` for an empty node. Raises
+        policy through :func:`~repro.rdt.harness.drive` for ``periods``
+        periods, all three knobs as in ``run_pair`` (static policies just
+        advance time). No prefetch hook and no phase-product prefetch: a
+        couple of periods would not use them. Returns the last period's
+        headline metrics, or ``None`` for an empty node. Raises
         :class:`RdtUnavailableError` if the boundary fails mid-loop.
         """
         if periods < 1:
@@ -191,36 +215,31 @@ class NodeRuntime:
         if not apps:
             self._dirty = False
             return None
-        # Local import: queue pulls the policy zoo + experiment stack.
+        # Local imports: these pull the policy zoo + experiment stack.
         from repro.experiments.queue import policy_from_name
+        from repro.experiments.runner import initial_partition
 
         policy = policy_from_name(self.config.policy).fresh()
-        managed = self.hp_app is not None
-        allocation = policy.setup(self.platform.llc_ways) if managed else None
-        partition = (
-            allocation.to_partition(len(apps))
-            if allocation is not None
-            else PartitionSpec.unmanaged(len(apps), self.platform.llc_ways)
-        )
+        evaluated = _Evaluated(policy, managed=self.hp_app is not None)
         server = Server(
             self.platform,
             apps,
-            partition,
+            initial_partition(
+                evaluated.policy, len(apps), self.platform.llc_ways
+            ),
             precision=self.config.precision,
         )
         self.boundary.rebind(SimulatedRdt(server))
         try:
-            sample = None
-            for _ in range(periods):
-                if self.boundary.finished or server.time >= max_time_s:
-                    break
-                sample = self.boundary.sample(policy.period_s)
-                if managed and policy.dynamic:
-                    new_allocation = policy.update(sample)
-                    if new_allocation is not None:
-                        self.boundary.apply(new_allocation)
+            drive(
+                evaluated,
+                self.boundary,
+                max_periods=periods,
+                max_time_s=max_time_s,
+            )
         finally:
             self.boundary.rebind(_IdleRdt(self.platform.llc_ways))
+        sample = evaluated.sample
         self.evaluations += 1
         self._dirty = False
         self.last_metrics = (

@@ -158,3 +158,28 @@ class TestRebind:
         assert first.samples == 1
         assert second.samples == 1
         assert boundary.total_ways == second.total_ways
+
+
+class TestKnobs:
+    def test_knobs_fail_while_down_and_forward_when_up(self):
+        from repro.rdt.simulated import SimulatedRdt
+        from repro.sim.partition import PartitionSpec
+        from repro.sim.platform import TABLE1_PLATFORM
+        from repro.sim.server import Server
+        from repro.workloads.mix import make_mix
+
+        apps = make_mix("omnetpp1", "lbm1", n_be=2).apps()
+        server = Server(TABLE1_PLATFORM, apps, PartitionSpec.unmanaged(3, 20))
+        boundary = NodeFaultyRdt(SimulatedRdt(server))
+        boundary.inject("crash")
+        for knob in (boundary.apply_be_throttle, boundary.apply_be_prefetch):
+            with pytest.raises(RdtUnavailableError) as err:
+                knob(0.5)
+            assert err.value.kind is NodeFaultKind.CRASH
+        assert server.mba_scale is None and server.prefetch is None
+        boundary.restore()
+        boundary.apply_be_throttle(0.5)
+        boundary.apply_be_prefetch(0.5)
+        assert server.mba_scale is not None
+        assert server.prefetch[0] == 0.0 and server.prefetch[1] > 0.0
+        assert boundary.time_s == server.time

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.cbp import CbpPolicy
 from repro.core.config import DicerConfig
 from repro.core.dicer import DicerController
 from repro.core.mba import MbaDicerController
+from repro.experiments.runner import initial_partition
+from repro.rdt.faulty import FaultyRdt
 from repro.rdt.harness import drive
 from repro.rdt.noisy import NoisyRdt
 from repro.rdt.simulated import SimulatedRdt
@@ -93,3 +96,44 @@ class TestDrive:
         controller = DicerController(DicerConfig(), 20)
         drive(controller, NoisyRdt(backend, seed=5))
         assert server.all_completed
+
+    def test_time_bound_stops_at_the_budget(self):
+        backend, server = make_backend()
+        controller = DicerController(DicerConfig(), 20)
+        trace = drive(controller, backend, max_time_s=3.5)
+        assert len(trace) == 4  # sampled at t = 0, 1, 2, 3
+        assert server.time == 4.0
+
+
+def _cbp_run(wrap, periods=8):
+    """Server knob state after ``periods`` CBP periods behind ``wrap``."""
+    mix = make_mix("omnetpp1", "lbm1", n_be=5)
+    apps = mix.apps()
+    policy = CbpPolicy().fresh()
+    partition = initial_partition(policy, len(apps), TABLE1_PLATFORM.llc_ways)
+    server = Server(TABLE1_PLATFORM, apps, partition)
+    trace = drive(policy, wrap(SimulatedRdt(server)), max_periods=periods)
+    return server.prefetch, server.mba_scale, [d.event for d in trace]
+
+
+class TestWrappedKnobs:
+    """Every wrapper forwards all three knobs: CBP behind a zero-noise
+    NoisyRdt or a fault-free FaultyRdt ends where the bare backend does."""
+
+    def test_cbp_reaches_the_bare_backend_state(self):
+        bare = _cbp_run(lambda rdt: rdt)
+        prefetch, mba_scale, events = bare
+        assert "throttle_prefetch" in events and "throttle_mba" in events
+        assert prefetch is not None and mba_scale is not None
+        noisy = _cbp_run(
+            lambda rdt: NoisyRdt(rdt, ipc_noise=0.0, bw_noise=0.0, seed=1)
+        )
+        faulty = _cbp_run(lambda rdt: FaultyRdt(rdt, seed=1))
+        assert noisy == bare
+        assert faulty == bare
+
+    @pytest.mark.parametrize("wrapper", [NoisyRdt, FaultyRdt])
+    def test_prefetch_forwarded(self, wrapper):
+        backend, server = make_backend(n_be=2)
+        wrapper(backend).apply_be_prefetch(0.5)
+        assert server.prefetch[0] == 0.0 and server.prefetch[1] > 0.0

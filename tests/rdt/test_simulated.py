@@ -137,13 +137,6 @@ class TestPrefetchKnob:
         with pytest.raises(ValueError):
             backend.apply_be_prefetch(-0.1)
 
-    def test_full_vector_passthrough(self):
-        backend, server = make_backend(n_be=2)
-        backend.apply_prefetch_levels((0.0, 0.5, 1.0))
-        assert server.prefetch == (0.0, 0.5, 1.0)
-        backend.apply_prefetch_levels(None)
-        assert server.prefetch is None
-
 
 class TestPerCoreFields:
     def test_arrays_cover_every_core(self):
