@@ -13,7 +13,7 @@ search over the instance count suffices.
 
 The policy argument accepts any :class:`~repro.core.policies.Policy`
 *or* a zoo policy name (``UM``/``CT``/``DICER``/``LFOC``/``CBP``/
-``S<k>[+<o>o]``, resolved through :func:`repro.experiments.queue.
+``S<k>[+<o>o]``, resolved through :func:`repro.core.policies.
 policy_from_name`), and the HP side accepts either one catalog name or a
 sequence of names — a multi-HP mix judged on its *worst* HP (the
 fairness metric :func:`repro.experiments.runner.run_multi` reports).
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.policies import Policy
+from repro.core.policies import Policy, policy_from_name
 from repro.experiments.runner import (
     MultiResult,
     PairResult,
@@ -58,10 +58,6 @@ def hp_admission_metric(result: PairResult | MultiResult) -> float:
 def _resolve_policy(policy: Policy | str) -> Policy:
     """Accept a live policy or a zoo name (``policy_from_name``)."""
     if isinstance(policy, str):
-        # Local import: queue pulls in the policy zoo, which would be an
-        # import cycle at module scope for some callers.
-        from repro.experiments.queue import policy_from_name
-
         return policy_from_name(policy)
     return policy
 

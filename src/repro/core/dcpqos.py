@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.allocation import Allocation
 from repro.core.config import DicerConfig, TABLE1_DICER_CONFIG
-from repro.core.dicer import DicerController
 from repro.core.policies import DicerPolicy
 
 __all__ = ["DcpQosPolicy"]
@@ -33,15 +31,3 @@ class DcpQosPolicy(DicerPolicy):
 
     def __init__(self, config: DicerConfig = TABLE1_DICER_CONFIG) -> None:
         super().__init__(replace(config, saturation_detection=False))
-
-    def setup(self, total_ways: int) -> Allocation | None:
-        """Build the saturation-blind controller and return CT."""
-        self._controller = DicerController(self.config, total_ways)
-        return self._controller.initial_allocation()
-
-    def fresh(self) -> "DcpQosPolicy":
-        # Re-derive from the (already flag-stripped) config.
-        """Stateless copy for the next experiment."""
-        clone = DcpQosPolicy.__new__(DcpQosPolicy)
-        DicerPolicy.__init__(clone, self.config)
-        return clone

@@ -15,7 +15,7 @@ quiet period. The cache-partitioning state machine is inherited unchanged.
 from __future__ import annotations
 
 from repro.core.allocation import Allocation
-from repro.core.config import DicerConfig
+from repro.core.config import DicerConfig, TABLE1_DICER_CONFIG
 from repro.core.dicer import ControllerMode, DicerController, sample_fault
 from repro.core.policies import DicerPolicy
 from repro.rdt.sample import PeriodSample
@@ -81,18 +81,9 @@ class MbaDicerPolicy(DicerPolicy):
 
     name = "DICER-MBA"
 
-    def setup(self, total_ways: int) -> Allocation | None:
-        """Build an MBA-capable controller and return CT."""
-        self._controller = MbaDicerController(self.config, total_ways)
-        return self._controller.initial_allocation()
-
-    @property
-    def be_throttle(self) -> float:
-        """Current BE MBA level in (0, 1]; 1.0 = unthrottled."""
-        controller = self.controller
-        assert isinstance(controller, MbaDicerController)
-        return controller.be_throttle
-
-    def fresh(self) -> "MbaDicerPolicy":
-        """Stateless copy for the next experiment."""
-        return MbaDicerPolicy(self.config)
+    def __init__(
+        self,
+        config: DicerConfig = TABLE1_DICER_CONFIG,
+        controller_factory=MbaDicerController,
+    ) -> None:
+        super().__init__(config, controller_factory)

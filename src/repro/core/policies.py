@@ -4,8 +4,9 @@ A :class:`Policy` is the runner-facing abstraction: it declares whether the
 LLC is partitioned at all, the initial allocation, and (for dynamic
 policies) a per-period update. UM and CT are the paper's baselines
 (Section 2.2); :class:`StaticPolicy` provides the per-way sweep behind
-Figure 3; :class:`DicerPolicy` adapts every period via
-:class:`~repro.core.dicer.DicerController`.
+Figure 3. Every dynamic policy is a :class:`ControllerPolicy`: a config
+and a controller factory, with :class:`DicerPolicy` adapting every
+period via :class:`~repro.core.dicer.DicerController`.
 
 The policy surface is M-class and three-knob (DESIGN.md "Policy zoo"):
 
@@ -19,12 +20,14 @@ The policy surface is M-class and three-knob (DESIGN.md "Policy zoo"):
 
 :class:`~repro.core.lfoc.LfocPolicy` (fairness clustering over many
 co-equal apps) and :class:`~repro.core.cbp.CbpPolicy` (coordinated
-ways + MBA + prefetch) live in their own modules and are re-exported
-through :func:`repro.experiments.queue.policy_from_name`.
+ways + MBA + prefetch) live in their own modules; :func:`policy_from_name`
+turns a display name back into any of the nameable policies.
 """
 
 from __future__ import annotations
 
+import copy
+import re
 from abc import ABC, abstractmethod
 from typing import Callable, Union
 
@@ -39,7 +42,9 @@ __all__ = [
     "UnmanagedPolicy",
     "CacheTakeoverPolicy",
     "StaticPolicy",
+    "ControllerPolicy",
     "DicerPolicy",
+    "policy_from_name",
 ]
 
 #: What a policy decision may carry: the classic HP/BE split or an
@@ -71,24 +76,18 @@ class Policy(ABC):
         """
         return None
 
-    @property
-    def dynamic(self) -> bool:
-        """Whether the runner must drive a monitoring loop."""
-        return False
-
-    @property
-    def period_s(self) -> float:
-        """Monitoring period for dynamic policies."""
-        return 1.0
+    #: Whether the runner must drive a monitoring loop.
+    dynamic: bool = False
+    #: Monitoring period for dynamic policies.
+    period_s: float = 1.0
 
     @property
     def trace(self) -> list:
         """The live controller's decisions (empty for static policies)."""
-        controller = getattr(self, "controller", None)
-        return [] if controller is None else controller.trace
+        return []
 
     def fresh(self) -> "Policy":
-        """A stateless copy for the next experiment (overridden by DICER)."""
+        """A stateless copy for the next experiment (static: itself)."""
         return self
 
 
@@ -129,7 +128,67 @@ class StaticPolicy(Policy):
         )
 
 
-class DicerPolicy(Policy):
+class ControllerPolicy(Policy):
+    """A dynamic policy: a fresh controller per run, one decision per period.
+
+    ``factory(config, total_ways)`` builds the controller at :meth:`setup`;
+    decisions, trace and the MBA/prefetch knobs are the controller's. A
+    knob exists on the policy only when the controller has it (reading it
+    otherwise raises ``AttributeError``). Adding a controller to the zoo
+    is one subclass: a ``name``, a default config and a factory.
+    """
+
+    dynamic = True
+
+    def __init__(self, config, factory: Callable) -> None:
+        self.config = config
+        self._factory = factory
+        self._controller = None
+
+    @property
+    def period_s(self) -> float:
+        """Monitoring period from the config."""
+        return self.config.period_s
+
+    @property
+    def controller(self):
+        """The live controller (after :meth:`setup`)."""
+        if self._controller is None:
+            raise RuntimeError("setup() has not run yet")
+        return self._controller
+
+    @property
+    def trace(self) -> list:
+        """The live controller's decisions."""
+        return self.controller.trace
+
+    @property
+    def be_throttle(self) -> float:
+        """The controller's MBA level (absent when it has no MBA knob)."""
+        return self.controller.be_throttle
+
+    @property
+    def be_prefetch(self) -> float:
+        """The controller's prefetch level (absent when it has none)."""
+        return self.controller.be_prefetch
+
+    def setup(self, total_ways: int) -> AnyAllocation | None:
+        """Build a fresh controller; its initial allocation."""
+        self._controller = self._factory(self.config, total_ways)
+        return self._controller.initial_allocation()
+
+    def update(self, sample: PeriodSample) -> AnyAllocation | None:
+        """Delegate the period's decision to the controller."""
+        return self.controller.update(sample)
+
+    def fresh(self) -> "ControllerPolicy":
+        """A copy with the same config and factory and no controller."""
+        clone = copy.copy(self)
+        clone._controller = None
+        return clone
+
+
+class DicerPolicy(ControllerPolicy):
     """DICER: dynamic adaptation via the Listings 1-3 state machine.
 
     ``controller_factory`` swaps the controller implementation while
@@ -148,36 +207,42 @@ class DicerPolicy(Policy):
             [DicerConfig, int], DicerController
         ] = DicerController,
     ) -> None:
-        self.config = config
-        self._factory = controller_factory
-        self._controller: DicerController | None = None
+        super().__init__(config, controller_factory)
 
-    @property
-    def dynamic(self) -> bool:
-        """DICER adapts every monitoring period."""
-        return True
+    # Own namespace entry: bench/tracing.py wraps DicerPolicy.__dict__["update"].
+    update = ControllerPolicy.update
 
-    @property
-    def period_s(self) -> float:
-        """Monitoring period from the DICER config."""
-        return self.config.period_s
 
-    @property
-    def controller(self) -> DicerController:
-        """The live controller (after :meth:`setup`)."""
-        if self._controller is None:
-            raise RuntimeError("setup() has not run yet")
-        return self._controller
+_STATIC_NAME = re.compile(r"^S(?P<ways>\d+)(?:\+(?P<overlap>\d+)o)?$")
 
-    def setup(self, total_ways: int) -> Allocation | None:
-        """See :meth:`Policy.setup`."""
-        self._controller = self._factory(self.config, total_ways)
-        return self._controller.initial_allocation()
 
-    def update(self, sample: PeriodSample) -> Allocation | None:
-        """Delegate the period's decision to the controller."""
-        return self.controller.update(sample)
+def policy_from_name(name: str) -> Policy:
+    """Rebuild a :class:`Policy` from its display name.
 
-    def fresh(self) -> "DicerPolicy":
-        """New policy with a fresh controller, same config and factory."""
-        return DicerPolicy(self.config, self._factory)
+    Campaign queues, the serve control plane and ``dicer-repro run`` name
+    policies (``UM``, ``CT``, ``DICER``, ``LFOC``, ``CBP``,
+    ``S<k>[+<o>o]``); this inverts :attr:`Policy.name` for those.
+    Parameterised variants (ablation configs) are process-local and not
+    nameable — they raise here.
+    """
+    if name == "UM":
+        return UnmanagedPolicy()
+    if name == "CT":
+        return CacheTakeoverPolicy()
+    if name == "DICER":
+        return DicerPolicy()
+    if name in ("LFOC", "CBP"):
+        # Local import: the zoo modules import this one.
+        from repro.core.cbp import CbpPolicy
+        from repro.core.lfoc import LfocPolicy
+
+        return LfocPolicy() if name == "LFOC" else CbpPolicy()
+    match = _STATIC_NAME.match(name)
+    if match:
+        return StaticPolicy(
+            int(match.group("ways")), int(match.group("overlap") or 0)
+        )
+    raise ValueError(
+        f"cannot rebuild policy from name {name!r}; queueable policies "
+        "are UM, CT, DICER, LFOC, CBP and S<k>[+<o>o]"
+    )

@@ -74,13 +74,7 @@ from repro.experiments.fig5 import extract_fig5, render_fig5
 from repro.experiments.fig6 import extract_fig6, render_fig6
 from repro.experiments.fig7 import extract_fig7, render_fig7
 from repro.experiments.fig8 import extract_fig8, render_fig8
-from repro.core.cbp import CbpPolicy
-from repro.core.lfoc import LfocPolicy
-from repro.core.policies import (
-    CacheTakeoverPolicy,
-    DicerPolicy,
-    UnmanagedPolicy,
-)
+from repro.core.policies import policy_from_name
 from repro.core.trace_tools import summarise_trace
 from repro.experiments.grid import build_sample, run_grid
 from repro.experiments.store import ResultStore
@@ -116,14 +110,9 @@ EXPERIMENTS = (
     ]
 )
 
-#: Policies selectable for ``dicer-repro run``.
-RUN_POLICIES = {
-    "UM": UnmanagedPolicy,
-    "CT": CacheTakeoverPolicy,
-    "DICER": DicerPolicy,
-    "LFOC": LfocPolicy,
-    "CBP": CbpPolicy,
-}
+#: Policies selectable for ``dicer-repro run`` (built by
+#: :func:`~repro.core.policies.policy_from_name`).
+RUN_POLICIES = ("UM", "CT", "DICER", "LFOC", "CBP")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_single(store: ResultStore, args: argparse.Namespace) -> str:
     """The ``run`` experiment: one consolidation pair, rendered."""
-    policy = RUN_POLICIES[args.policy]()
+    policy = policy_from_name(args.policy)
     try:
         result = store.get(args.hp, args.be, policy, n_be=args.n_be)
     except KeyError as exc:

@@ -55,7 +55,7 @@ def zoo_policies() -> list[Policy]:
     natural static baseline between UM (no partition) and CT (HP takes
     all but one way). LFOC and CBP are the related-work controllers
     (:mod:`repro.core.lfoc`, :mod:`repro.core.cbp`); every name here is
-    queueable through :func:`repro.experiments.queue.policy_from_name`.
+    queueable through :func:`repro.core.policies.policy_from_name`.
     """
     return [
         UnmanagedPolicy(),

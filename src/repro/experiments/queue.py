@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import sqlite3
 import time
 from contextlib import closing
@@ -53,15 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.core.cbp import CbpPolicy
-from repro.core.lfoc import LfocPolicy
-from repro.core.policies import (
-    CacheTakeoverPolicy,
-    DicerPolicy,
-    Policy,
-    StaticPolicy,
-    UnmanagedPolicy,
-)
+from repro.core.policies import Policy, policy_from_name
 from repro.obs import get_event_log, get_registry
 from repro.util.lease import LeaseClock, jittered_interval
 from repro.util.tables import format_table
@@ -104,38 +95,6 @@ _BUSY_TIMEOUT_S = 30.0
 #: but monotonically non-decreasing, so a backwards NTP step can neither
 #: un-expire a peer's lease nor prematurely expire one we are extending.
 LEASE_CLOCK = LeaseClock()
-
-_STATIC_NAME = re.compile(r"^S(?P<ways>\d+)(?:\+(?P<overlap>\d+)o)?$")
-
-
-def policy_from_name(name: str) -> Policy:
-    """Rebuild a :class:`Policy` from its display name.
-
-    The queue stores policy *names* (``UM``, ``CT``, ``DICER``, ``LFOC``,
-    ``CBP``, ``S<k>[+<o>o]``), the cross-process currency the store is
-    keyed by; this inverts :attr:`Policy.name` for the policies campaigns
-    run. Parameterised variants (ablation configs) are process-local and
-    not queueable — they raise here.
-    """
-    if name == "UM":
-        return UnmanagedPolicy()
-    if name == "CT":
-        return CacheTakeoverPolicy()
-    if name == "DICER":
-        return DicerPolicy()
-    if name == "LFOC":
-        return LfocPolicy()
-    if name == "CBP":
-        return CbpPolicy()
-    match = _STATIC_NAME.match(name)
-    if match:
-        return StaticPolicy(
-            int(match.group("ways")), int(match.group("overlap") or 0)
-        )
-    raise ValueError(
-        f"cannot rebuild policy from name {name!r}; queueable policies "
-        "are UM, CT, DICER, LFOC, CBP and S<k>[+<o>o]"
-    )
 
 
 def cell_key(hp_name: str, be_name: str, n_be: int, policy: str) -> str:

@@ -99,7 +99,6 @@ def _execute(
     platform: PlatformConfig,
     max_time_s: float,
     precision: str,
-    record_timeline: bool = False,
 ) -> tuple[StaticOutcome, tuple]:
     """Run ``apps`` under a fresh copy of ``policy``: outcome and trace.
 
@@ -114,17 +113,11 @@ def _execute(
     """
     policy = policy.fresh()
     partition = initial_partition(policy, len(apps), platform.llc_ways)
-    if not policy.dynamic and not record_timeline and precision == "fast":
+    if not policy.dynamic and precision == "fast":
         outcome = claim_static_outcome(platform, apps, partition, max_time_s)
         if outcome is not None:
             return outcome, ()
-    server = Server(
-        platform,
-        apps,
-        partition,
-        record_timeline=record_timeline,
-        precision=precision,
-    )
+    server = Server(platform, apps, partition, precision=precision)
     server.prefetch_phase_product()
     trace: tuple = ()
     if policy.dynamic:
@@ -160,7 +153,6 @@ def run_pair(
     platform: PlatformConfig = TABLE1_PLATFORM,
     *,
     max_time_s: float = MAX_TIME_S,
-    record_timeline: bool = False,
     precision: str = "exact",
 ) -> PairResult:
     """Execute ``mix`` under ``policy`` and compute the paper's metrics.
@@ -171,7 +163,7 @@ def run_pair(
     vectorised kernel; DESIGN.md §10).
     """
     outcome, trace = _execute(
-        mix.apps(), policy, platform, max_time_s, precision, record_timeline
+        mix.apps(), policy, platform, max_time_s, precision
     )
     return _pair_result(mix, policy.name, platform, precision, outcome, trace)
 

@@ -260,15 +260,7 @@ class ResultStore:
         registry = get_registry()
         result = self._results.get(key)
         if result is None:
-            if registry.enabled:
-                with registry.histogram("store.cell_seconds").time():
-                    result = run_pair(
-                        make_mix(hp_name, be_name, n_be=n_be),
-                        policy,
-                        self.platform,
-                        **run_kwargs,
-                    )
-            else:
+            with registry.histogram("store.cell_seconds").time():
                 result = run_pair(
                     make_mix(hp_name, be_name, n_be=n_be),
                     policy,

@@ -341,8 +341,8 @@ def _prewarm_phase_products(
     narrow ones, which is where its throughput comes from (DESIGN.md §10).
     :func:`~repro.sim.server.stage_phase_products` keeps each cell's solved
     product for the cell's Server to claim, so no cell builds it twice,
-    and (without a timeline) steps the static cells to completion in one
-    pass, so their ``run_pair`` needs no Server at all (DESIGN.md §7).
+    and steps the static cells to completion in one pass, so their
+    ``run_pair`` needs no Server at all (DESIGN.md §7).
     Every copy of a repeated cell gets its own claim.
 
     A no-op for ``precision="exact"`` (the scalar-parity path keeps its
@@ -381,11 +381,7 @@ def _prewarm_phase_products(
         platform,
         runs(),
         max_points_per_cell,
-        max_time_s=(
-            None
-            if run_kwargs.get("record_timeline", False)
-            else run_kwargs.get("max_time_s", MAX_TIME_S)
-        ),
+        max_time_s=run_kwargs.get("max_time_s", MAX_TIME_S),
     )
 
 

@@ -43,6 +43,9 @@ def drive(
     period_s = controller.period_s
     apply_throttle = getattr(backend, "apply_be_throttle", None)
     apply_prefetch = getattr(backend, "apply_be_prefetch", None)
+    # Decided once per run: a knob the controller lacks costs no period.
+    throttles = apply_throttle and hasattr(controller, "be_throttle")
+    prefetches = apply_prefetch and hasattr(controller, "be_prefetch")
     periods = 0
     while not backend.finished:
         if max_periods is not None and periods >= max_periods:
@@ -52,13 +55,9 @@ def drive(
         allocation = controller.update(backend.sample(period_s))
         if allocation is not None:
             backend.apply(allocation)
-        if apply_throttle is not None:
-            throttle = getattr(controller, "be_throttle", None)
-            if throttle is not None:
-                apply_throttle(throttle)
-        if apply_prefetch is not None:
-            prefetch = getattr(controller, "be_prefetch", None)
-            if prefetch is not None:
-                apply_prefetch(prefetch)
+        if throttles:
+            apply_throttle(controller.be_throttle)
+        if prefetches:
+            apply_prefetch(controller.be_prefetch)
         periods += 1
     return controller.trace

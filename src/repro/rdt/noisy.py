@@ -63,10 +63,22 @@ class NoisyRdt(WrappedRdt):
         total_scale = self._jitter(self._bw_noise)
         hp_bw = clean.hp_mem_bytes_s * hp_scale
         total_bw = max(clean.total_mem_bytes_s * total_scale, hp_bw)
+        hp_ipc = clean.hp_ipc * self._jitter(self._ipc_noise)
+        # The per-core view rides along; core 0 (the HP) carries the
+        # jittered HP readings, so aggregate and per-core views agree.
+        core_ipcs = clean.core_ipcs
+        core_bw = clean.core_mem_bytes_s
+        if core_ipcs:
+            core_ipcs = (hp_ipc, *core_ipcs[1:])
+        if core_bw:
+            core_bw = (hp_bw, *core_bw[1:])
         return PeriodSample(
             duration_s=clean.duration_s,
-            hp_ipc=clean.hp_ipc * self._jitter(self._ipc_noise),
+            hp_ipc=hp_ipc,
             hp_mem_bytes_s=hp_bw,
             total_mem_bytes_s=total_bw,
             hp_llc_occupancy_bytes=clean.hp_llc_occupancy_bytes,
+            core_ipcs=core_ipcs,
+            core_mem_bytes_s=core_bw,
+            core_occupancy_ways=clean.core_occupancy_ways,
         )

@@ -3,10 +3,10 @@
 The paper runs one DICER controller on one node inside a batch
 experiment; this package runs *fleets*: an asyncio daemon supervising
 many per-node controllers (DICER, or any zoo policy via
-``policy_from_name``), each driving a :class:`~repro.rdt.simulated.
-SimulatedRdt`-backed node, under an admission path that extends
-:mod:`repro.core.admission` to place incoming HP/BE jobs onto nodes by
-predicted SLO headroom.
+:func:`repro.core.policies.policy_from_name`), each driving a
+:class:`~repro.rdt.simulated.SimulatedRdt`-backed node, under an
+admission path that extends :mod:`repro.core.admission` to place
+incoming HP/BE jobs onto nodes by predicted SLO headroom.
 
 Robustness is the architecture, not a feature (DESIGN.md §14):
 

@@ -6,7 +6,8 @@ plane placed there), actuates placements through a persistent
 :class:`~repro.rdt.faulty.NodeFaultyRdt` boundary, and — on demand —
 *evaluates* the assignment by building a fresh simulated server and
 driving it with the configured policy (DICER or any zoo policy via
-``policy_from_name``) for a few monitoring periods.
+:func:`~repro.core.policies.policy_from_name`) for a few monitoring
+periods.
 
 The fault boundary outlives individual evaluations: every simulator the
 runtime builds is rebound into the same :class:`NodeFaultyRdt`, so a
@@ -30,7 +31,13 @@ import asyncio
 from typing import Callable, Sequence
 
 from repro.core.allocation import Allocation
-from repro.core.policies import AnyAllocation, Policy, UnmanagedPolicy
+from repro.core.policies import (
+    AnyAllocation,
+    Policy,
+    UnmanagedPolicy,
+    policy_from_name,
+)
+from repro.experiments.runner import initial_partition
 from repro.obs import get_event_log, get_registry
 from repro.rdt.faulty import NodeFaultKind, NodeFaultyRdt, RdtUnavailableError
 from repro.rdt.harness import drive
@@ -215,10 +222,6 @@ class NodeRuntime:
         if not apps:
             self._dirty = False
             return None
-        # Local imports: these pull the policy zoo + experiment stack.
-        from repro.experiments.queue import policy_from_name
-        from repro.experiments.runner import initial_partition
-
         policy = policy_from_name(self.config.policy).fresh()
         evaluated = _Evaluated(policy, managed=self.hp_app is not None)
         server = Server(

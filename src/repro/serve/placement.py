@@ -39,6 +39,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from repro.core.admission import find_max_bes
+from repro.core.policies import policy_from_name
 from repro.obs import get_event_log, get_registry
 from repro.serve.events import ServeEvent
 from repro.sim.contention import _check_precision
@@ -123,9 +124,6 @@ class PlaneConfig:
             raise ValueError(f"slo must be in (0, 1], got {self.slo}")
         # The same checks (and messages) find_max_bes applies at the
         # first HP submit; a snapshot's admission memo is keyed by both.
-        # Local import: the policy zoo imports back into this package.
-        from repro.experiments.queue import policy_from_name
-
         policy_from_name(self.policy)
         _check_precision(self.precision)
 

@@ -23,7 +23,7 @@ from repro.sim.platform import (
     bytes_to_gbps,
     gbps_to_bytes,
 )
-from repro.sim.server import RunningApp, Server, SimulationTimeout, TimelinePoint
+from repro.sim.server import RunningApp, Server, SimulationTimeout
 from repro.sim.solo import SoloProfile, solo_profile
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "RunningApp",
     "Server",
     "SimulationTimeout",
-    "TimelinePoint",
     "SoloProfile",
     "solo_profile",
 ]

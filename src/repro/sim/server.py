@@ -36,7 +36,6 @@ from repro.workloads.app import AppModel, Phase
 __all__ = [
     "RunningApp",
     "Server",
-    "TimelinePoint",
     "SimulationTimeout",
     "StaticOutcome",
     "claim_static_outcome",
@@ -273,7 +272,7 @@ def claim_static_outcome(
 ) -> StaticOutcome | None:
     """Take one claim on a staged static run (``None``: none staged).
 
-    The outcome is the one a fast, unthrottled, timeline-free Server over
+    The outcome is the one a fast, unthrottled Server over
     ``models`` would reach with :meth:`Server.prefetch_phase_product`
     and :meth:`Server.run_until_all_complete` under the fixed
     ``partition``, bit for bit (DESIGN.md §7).
@@ -553,18 +552,6 @@ class RunningApp:
         return before is None or before[0] != idx
 
 
-@dataclass(frozen=True)
-class TimelinePoint:
-    """One telemetry record (captured at the start of each interval)."""
-
-    time_s: float
-    hp_ways: float
-    hp_ipc: float
-    total_bw_bytes: float
-    latency_cycles: float
-    partition_hp_ways: float | None
-
-
 class Server:
     """A consolidated multicore server running one app per core."""
 
@@ -574,7 +561,6 @@ class Server:
         apps: Sequence[AppModel],
         partition: PartitionSpec | None = None,
         *,
-        record_timeline: bool = False,
         precision: str = "exact",
     ) -> None:
         if len(apps) > platform.n_cores:
@@ -597,8 +583,6 @@ class Server:
             )
         self.mba_scale: tuple[float, ...] | None = None
         self.prefetch: tuple[float, ...] | None = None
-        self.timeline: list[TimelinePoint] = []
-        self._record_timeline = record_timeline
         # Operating points this server visited or prefetched.
         self._memo = SteadyStateCache()
         # Memo keys a prefetch inserted that _steady has not read yet;
@@ -846,7 +830,7 @@ class Server:
         """
         if max_dt <= 0:
             raise ValueError(f"max_dt must be > 0, got {max_dt}")
-        state = self._steady()
+        self._steady()
         rates = self._rates
         cursors = [app.cursor for app in self.apps]
         dt = max_dt
@@ -854,18 +838,6 @@ class Server:
             until_boundary = remaining / rate
             if until_boundary < dt:
                 dt = until_boundary
-
-        if self._record_timeline:
-            self.timeline.append(
-                TimelinePoint(
-                    time_s=self.time,
-                    hp_ways=float(state.ways[0]),
-                    hp_ipc=float(state.ipc[0]),
-                    total_bw_bytes=state.total_bw_bytes,
-                    latency_cycles=state.latency_cycles,
-                    partition_hp_ways=self.partition.hp_ways,
-                )
-            )
 
         self.time += dt
         now = self.time

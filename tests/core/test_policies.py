@@ -3,13 +3,21 @@
 import pytest
 
 from repro.core.allocation import Allocation
+from repro.core.cbp import CbpPolicy
 from repro.core.config import DicerConfig
+from repro.core.dcpqos import DcpQosPolicy
+from repro.core.lfoc import LfocPolicy
+from repro.core.mba import MbaDicerPolicy
 from repro.core.policies import (
     CacheTakeoverPolicy,
+    ControllerPolicy,
     DicerPolicy,
     StaticPolicy,
     UnmanagedPolicy,
+    policy_from_name,
 )
+from repro.experiments.cli import RUN_POLICIES
+from repro.rdt.harness import drive
 from repro.rdt.sample import PeriodSample
 
 
@@ -84,3 +92,83 @@ class TestDicerPolicy:
         assert q.config is p.config
         q.setup(20)
         assert len(q.controller.trace) == 0
+
+
+class _KnobRecorder:
+    """A backend that finishes after ``periods`` samples and records the
+    knob calls :func:`drive` makes."""
+
+    def __init__(self, periods: int) -> None:
+        self.left = periods
+        self.time_s = 0.0
+        self.knobs: list[str] = []
+
+    @property
+    def finished(self) -> bool:
+        return self.left == 0
+
+    def sample(self, period_s: float) -> PeriodSample:
+        self.left -= 1
+        self.time_s += period_s
+        return sample()
+
+    def apply(self, allocation) -> None:
+        pass
+
+    def apply_be_throttle(self, scale: float) -> None:
+        self.knobs.append("mba")
+
+    def apply_be_prefetch(self, level: float) -> None:
+        self.knobs.append("prefetch")
+
+
+#: Every controller policy and the knobs its controller exposes.
+CONTROLLER_POLICIES = {
+    "DICER": (DicerPolicy, ()),
+    "DICER-MBA": (MbaDicerPolicy, ("mba",)),
+    "DCP-QoS": (DcpQosPolicy, ()),
+    "LFOC": (LfocPolicy, ()),
+    "CBP": (CbpPolicy, ("mba", "prefetch")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLLER_POLICIES))
+class TestControllerPolicies:
+    def test_name_and_period(self, name):
+        cls, _ = CONTROLLER_POLICIES[name]
+        policy = cls()
+        assert isinstance(policy, ControllerPolicy)
+        assert policy.name == name
+        assert policy.dynamic is True
+        assert policy.period_s == policy.config.period_s
+
+    def test_fresh_is_an_unset_copy(self, name):
+        cls, _ = CONTROLLER_POLICIES[name]
+        policy = cls()
+        policy.setup(20)
+        clone = policy.fresh()
+        assert type(clone) is cls and clone is not policy
+        assert clone.config is policy.config
+        with pytest.raises(RuntimeError, match="setup"):
+            clone.controller
+        clone.setup(20)
+        assert type(clone.controller) is type(policy.controller)
+        assert clone.controller is not policy.controller
+
+    def test_controller_before_setup_rejected(self, name):
+        cls, _ = CONTROLLER_POLICIES[name]
+        with pytest.raises(RuntimeError, match="setup"):
+            cls().controller
+
+    def test_drive_forwards_exactly_the_controller_knobs(self, name):
+        cls, knobs = CONTROLLER_POLICIES[name]
+        policy = cls().fresh()
+        policy.setup(20)
+        backend = _KnobRecorder(periods=3)
+        drive(policy, backend)
+        assert backend.knobs == list(knobs) * 3
+
+
+@pytest.mark.parametrize("name", RUN_POLICIES)
+def test_run_choices_resolve_by_name(name):
+    assert policy_from_name(name).name == name

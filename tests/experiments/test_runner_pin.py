@@ -2,7 +2,7 @@
 
 ``run_custom`` and ``run_multi`` under every queueable policy family (UM,
 CT, DICER, MBA-DICER, LFOC, CBP) at both precisions, plus ``run_pair``
-with a recorded timeline and with a static ``S<k>`` split. Each pin is
+under DICER and under a static ``S<k>`` split. Each pin is
 the SHA-256 of the result's ``repr`` (floats repr round-trip exactly), so
 any change to the sequence of operations the runner performs on its
 Server — an extra apply, a dropped knob, a reordered normalisation —
@@ -72,7 +72,7 @@ PINS = {
         "d468cd41a368c3f6f2b4127d0e3683d65cf73a490ca124b66d97a86575a80338",
     ("multi", "CBP", "exact"):
         "62a6050c355a41cc709aded4ee3c5674bb82ead17cbc6d33915d3f7e7f84b6e7",
-    ("pair-timeline", "DICER", "exact"):
+    ("pair", "DICER", "exact"):
         "f2c1d1fa6cc453e1e0ffbe9ed022d1d8d6a747e96fcb7e52cd550755258fe84d",
     ("pair", "S6", "exact"):
         "8c8a54986d22d2f69d71134b6adf6c41eb88324a956f60e0daf1301a70b1783d",
@@ -100,7 +100,7 @@ PINS = {
         "97933253da3ecd07eca8f43a83a591a10325f087de94dc6f23f29b8e0ddffc96",
     ("multi", "CBP", "fast"):
         "499e34685f3899c2fb5abbf8a5171c45a9f8e12fbf90b8ed662b1180c45682d8",
-    ("pair-timeline", "DICER", "fast"):
+    ("pair", "DICER", "fast"):
         "8b75fac4c6eae68e1dfca4665598b3c620e1ca3b0abf99f61bceeaefc3304d45",
     ("pair", "S6", "fast"):
         "7a1ec34530c0602f7e7dc79245284ef23f0ba2d9ff398993ebe0b49d266b525e",
@@ -124,11 +124,9 @@ def test_custom_and_multi_pinned(kind, run, mix, policy, precision):
 
 
 @pytest.mark.parametrize("precision", ["exact", "fast"])
-def test_pair_with_timeline_pinned(precision):
-    result = run_pair(
-        PAIR_MIX, DicerPolicy(), record_timeline=True, precision=precision
-    )
-    assert _digest(result) == PINS[("pair-timeline", "DICER", precision)]
+def test_pair_dicer_pinned(precision):
+    result = run_pair(PAIR_MIX, DicerPolicy(), precision=precision)
+    assert _digest(result) == PINS[("pair", "DICER", precision)]
 
 
 @pytest.mark.parametrize("precision", ["exact", "fast"])

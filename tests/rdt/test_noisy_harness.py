@@ -5,6 +5,7 @@ import pytest
 from repro.core.cbp import CbpPolicy
 from repro.core.config import DicerConfig
 from repro.core.dicer import DicerController
+from repro.core.lfoc import LfocPolicy
 from repro.core.mba import MbaDicerController
 from repro.experiments.runner import initial_partition
 from repro.rdt.faulty import FaultyRdt
@@ -52,6 +53,37 @@ class TestNoisyRdt:
             s = noisy.sample(1.0)
             assert s.total_mem_bytes_s >= s.hp_mem_bytes_s
             assert s.hp_ipc > 0
+
+    def test_zero_noise_keeps_the_per_core_view(self):
+        """LFOC classifies from the per-core arrays: behind a zero-noise
+        NoisyRdt it must decide exactly as on the bare backend."""
+
+        def lfoc_trace(wrap):
+            mix = make_mix("omnetpp1", "lbm1", n_be=3)
+            apps = mix.apps()
+            policy = LfocPolicy().fresh()
+            partition = initial_partition(
+                policy, len(apps), TABLE1_PLATFORM.llc_ways
+            )
+            server = Server(TABLE1_PLATFORM, apps, partition)
+            return drive(policy, wrap(SimulatedRdt(server)), max_periods=30)
+
+        bare = lfoc_trace(lambda rdt: rdt)
+        noisy = lfoc_trace(
+            lambda rdt: NoisyRdt(rdt, ipc_noise=0.0, bw_noise=0.0, seed=1)
+        )
+        assert len(bare) == 30
+        assert any(d.event == "cluster" for d in bare)
+        assert noisy == bare
+
+    def test_per_core_hp_entries_carry_the_jitter(self):
+        noisy = NoisyRdt(make_backend()[0], ipc_noise=0.05, bw_noise=0.05, seed=3)
+        s = noisy.sample(1.0)
+        clean = make_backend()[0].sample(1.0)
+        assert s.core_ipcs[0] == s.hp_ipc
+        assert s.core_mem_bytes_s[0] == s.hp_mem_bytes_s
+        assert s.core_ipcs[1:] == clean.core_ipcs[1:]
+        assert s.core_occupancy_ways == clean.core_occupancy_ways
 
     def test_noise_validated(self):
         with pytest.raises(ValueError):

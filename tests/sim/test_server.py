@@ -186,12 +186,3 @@ class TestReconfiguration:
         server.set_mba_scale(None)
         server.set_prefetch_levels([0.0] * 10)
         assert server.steady_state() is squeezed
-
-    def test_timeline_recording(self):
-        mix = make_mix("namd1", "povray1", n_be=2)
-        server = Server(PLAT, mix.apps(), um(3), record_timeline=True)
-        server.advance(1.0)
-        server.advance(1.0)
-        assert len(server.timeline) == 2
-        assert server.timeline[0].time_s == 0.0
-        assert server.timeline[1].time_s > 0.0

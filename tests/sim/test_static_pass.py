@@ -236,10 +236,9 @@ class TestClaims:
         "run_kwargs",
         [
             {"precision": "exact"},
-            {"precision": "fast", "record_timeline": True},
             {"precision": "fast", "max_time_s": MAX_TIME_S / 2},
         ],
-        ids=["exact", "timeline", "other-max-time"],
+        ids=["exact", "other-max-time"],
     )
     def test_other_run_settings_never_claim(self, clean_caches, run_kwargs):
         mix, policy = make_mix(*self.MIX), UnmanagedPolicy()

@@ -3,21 +3,47 @@
 The lint gate must stay part of the default make flow, and must degrade
 to a skip (not a failure) on machines without ruff installed. Without
 ruff it still checks unused imports with ``tools/unused_imports.py``.
+The benchmark tracer's entry points must resolve against the package.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _unused_imports_module():
-    spec = importlib.util.spec_from_file_location(
-        "unused_imports", REPO / "tools" / "unused_imports.py"
-    )
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _unused_imports_module():
+    return _load("unused_imports", REPO / "tools" / "unused_imports.py")
+
+
+def _entry_points():
+    tracing = _load("bench_tracing", REPO / "bench" / "tracing.py")
+    return [(module, attr) for module, attr, *_ in tracing.LAYER_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize(
+    "module_name, attr", _entry_points(), ids=lambda v: str(v)
+)
+def test_traced_entry_point_resolves(module_name, attr):
+    """``bench/run.py --trace 1`` wraps a ``Class.method`` from the class's
+    own namespace and a function by name: a method moved into a base class
+    or a renamed function would crash the traced run, so fail here."""
+    module = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, attr))
 
 
 class TestMakefile:
