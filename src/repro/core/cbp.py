@@ -20,7 +20,8 @@ link traffic vs ``bw_threshold_bytes``, the same signal DICER keys on):
   then relax prefetch — the reverse of the escalation order.
 
 Exactly one event fires per period, which keeps the differential facets
-(:func:`repro.valid.differential.run_cbp_differential`) unambiguous. The
+unambiguous (:func:`repro.valid.differential.run_differential` picks this
+controller for a :class:`CbpConfig` from the ``CONFORMANCE`` table). The
 paper-literal reference oracle is ``ReferenceCbp`` in
 :mod:`repro.valid.reference`.
 """

@@ -12,9 +12,10 @@ can actually use.
 
 This module is the production implementation; the paper-literal reference
 oracle lives in :mod:`repro.valid.reference` (``ReferenceLfoc``) and the
-two are differentially fuzzed against each other
-(:func:`repro.valid.differential.run_lfoc_differential`) — every clustering
-decision here is checkable against an executable spec.
+two are differentially fuzzed against each other through the one
+conformance harness (:func:`repro.valid.differential.run_differential`,
+which picks this controller for an :class:`LfocConfig`) — every
+clustering decision here is checkable against an executable spec.
 
 Classification uses the per-core arrays of
 :class:`~repro.rdt.sample.PeriodSample` (bandwidth, IPC, occupancy-ways),

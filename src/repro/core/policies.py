@@ -135,7 +135,10 @@ class ControllerPolicy(Policy):
     decisions, trace and the MBA/prefetch knobs are the controller's. A
     knob exists on the policy only when the controller has it (reading it
     otherwise raises ``AttributeError``). Adding a controller to the zoo
-    is one subclass: a ``name``, a default config and a factory.
+    is one subclass: a ``name``, a default config and a factory — plus,
+    to check it against a paper-literal oracle, one entry in the
+    conformance table (:data:`repro.valid.differential.CONFORMANCE`,
+    keyed by the config type).
     """
 
     dynamic = True

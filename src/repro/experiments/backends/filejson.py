@@ -3,9 +3,10 @@
 This is the persistence engine :class:`~repro.experiments.store.
 ResultStore` has always had, factored behind the :class:`StoreBackend`
 contract with byte-identical artefacts: a v2 payload carrying a row
-count and a SHA-256 checksum, written to a temporary file, fsynced,
-atomically renamed over the target, and the parent directory fsynced
-(DESIGN.md §9/§11).
+count and a SHA-256 checksum, written by
+:func:`repro.util.durable.write_durably` (temporary file, fsync, atomic
+rename over the target, fsync of the parent directory; DESIGN.md
+§9/§11).
 
 Temporary files are per-process — ``<name>.tmp.<pid>`` — so sibling
 caches like ``grid.json`` and ``grid.jsonl`` no longer collide on one
@@ -31,6 +32,7 @@ from repro.experiments.backends.base import (
     rows_digest,
     salvage_rows,
 )
+from repro.util.durable import temp_path, write_durably
 
 __all__ = ["FileBackend"]
 
@@ -81,7 +83,7 @@ class FileBackend(StoreBackend):
 
     def _tmp_path(self):
         """This process's private temp name (``<name>.tmp.<pid>``)."""
-        return self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
+        return temp_path(self.path)
 
     def _sweep_stale_temps(self) -> int:
         """Remove temp files abandoned by processes that no longer exist.
@@ -112,7 +114,9 @@ class FileBackend(StoreBackend):
         """Atomically rewrite the whole artefact (``dirty`` is ignored).
 
         payload → per-pid temp file → ``fsync`` → ``rename`` over the
-        target → ``fsync`` of the parent directory. The payload embeds a
+        target → ``fsync`` of the parent directory
+        (:func:`~repro.util.durable.write_durably`; a failed write
+        leaves the old artefact and no temp file). The payload embeds a
         row count and SHA-256 checksum that :meth:`load` verifies.
         """
         payload = {
@@ -124,20 +128,7 @@ class FileBackend(StoreBackend):
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._sweep_stale_temps()
-        tmp = self._tmp_path()
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        try:
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - fs without dir fsync
-            pass
+        write_durably(self.path, json.dumps(payload).encode("utf-8"))
 
     # -- loading ---------------------------------------------------------
 

@@ -115,12 +115,8 @@ EXPERIMENTS = (
 RUN_POLICIES = ("UM", "CT", "DICER", "LFOC", "CBP")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dicer-repro",
-        description="Regenerate the DICER paper's tables and figures.",
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags the experiment CLI and ``campaign`` share."""
     parser.add_argument(
         "--limit",
         type=int,
@@ -134,23 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="core counts for grid figures (default: 2..10)",
     )
-    parser.add_argument(
-        "--cache",
-        type=str,
-        default=None,
-        help="file to persist/reuse experiment results (also enables "
-        "mid-campaign checkpointing, so an interrupted run resumes); "
-        "engine chosen by --backend",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "file", "sqlite"),
-        default="auto",
-        help="persistence engine for --cache (DESIGN.md §11): 'file' = "
-        "checksummed atomic-rename JSON, 'sqlite' = WAL database with "
-        "incremental checkpoints, 'auto' (default) = by path suffix / "
-        "file magic",
-    )
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--workers",
         type=int,
@@ -166,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="steady-state solver mode (DESIGN.md §10): 'fast' (default) "
         "uses the tolerance-contracted vectorised solver (<=1e-3 relative "
         "error vs exact), 'exact' keeps bitwise-reproducible scalar "
-        "parity — golden/conformance tooling pins exact",
+        "parity — golden/conformance tooling pins exact; every "
+        "cooperating campaign worker must agree",
     )
     parser.add_argument(
         "--pool",
@@ -176,21 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "isolates crashes, 'threads' shares the in-process solver caches "
         "without spawn/pickling cost; results are digest-identical "
         "either way",
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hp", type=str, default="omnetpp1",
-                        help="HP application (run / recommend)")
-    parser.add_argument("--be", type=str, default="bzip22",
-                        help="BE application (run / recommend)")
-    parser.add_argument("--slo", type=float, default=0.9,
-                        help="HP SLO fraction (recommend)")
-    parser.add_argument("--n-be", type=int, default=9,
-                        help="BE instance count (run / recommend)")
-    parser.add_argument(
-        "--policy",
-        choices=sorted(RUN_POLICIES),
-        default="DICER",
-        help="co-location policy for the 'run' experiment",
     )
     parser.add_argument(
         "--max-retries",
@@ -211,6 +177,56 @@ def _build_parser() -> argparse.ArgumentParser:
         "serial in-process cell cannot be preempted)",
     )
     parser.add_argument(
+        "--metrics",
+        type=str,
+        default=None,
+        metavar="PATH",
+        help="telemetry JSONL file: with 'report' or 'campaign monitor', "
+        "the file to summarise; otherwise enable collection and write "
+        "events + a final metrics snapshot there (campaign workers share "
+        "it, each batch tagged with its worker id; see DESIGN.md §6)",
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dicer-repro",
+        description="Regenerate the DICER paper's tables and figures.",
+    )
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    _add_campaign_flags(parser)
+    parser.add_argument(
+        "--cache",
+        type=str,
+        default=None,
+        help="file to persist/reuse experiment results (also enables "
+        "mid-campaign checkpointing, so an interrupted run resumes); "
+        "engine chosen by --backend",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("auto", "file", "sqlite"),
+        default="auto",
+        help="persistence engine for --cache (DESIGN.md §11): 'file' = "
+        "checksummed atomic-rename JSON, 'sqlite' = WAL database with "
+        "incremental checkpoints, 'auto' (default) = by path suffix / "
+        "file magic",
+    )
+    parser.add_argument("--hp", type=str, default="omnetpp1",
+                        help="HP application (run / recommend)")
+    parser.add_argument("--be", type=str, default="bzip22",
+                        help="BE application (run / recommend)")
+    parser.add_argument("--slo", type=float, default=0.9,
+                        help="HP SLO fraction (recommend)")
+    parser.add_argument("--n-be", type=int, default=9,
+                        help="BE instance count (run / recommend)")
+    parser.add_argument(
+        "--policy",
+        choices=sorted(RUN_POLICIES),
+        default="DICER",
+        help="co-location policy for the 'run' experiment",
+    )
+    parser.add_argument(
         "--on-failure",
         choices=("abort", "skip"),
         default="abort",
@@ -218,15 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'abort' (default) stops with a checkpoint flushed, 'skip' "
         "quarantines the cell into the failure manifest and carries on "
         "with partial results",
-    )
-    parser.add_argument(
-        "--metrics",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="telemetry JSONL file: with 'report', the file to summarise; "
-        "with any other experiment, enable collection and write events + "
-        "a final metrics snapshot there (see DESIGN.md §6)",
     )
     parser.add_argument(
         "--profile",
@@ -521,26 +528,7 @@ def _campaign_parser() -> argparse.ArgumentParser:
         "--store", type=str, default=None, metavar="DB",
         help="shared SQLite result store all workers write to",
     )
-    parser.add_argument("--limit", type=int, default=None,
-                        help="truncate the catalog (same as the main CLI)")
-    parser.add_argument("--cores", type=int, nargs="+", default=None,
-                        help="grid core counts (default: 2..10)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes inside this drainer (default 1)",
-    )
-    parser.add_argument(
-        "--precision", choices=("exact", "fast"), default="fast",
-        help="solver mode; every cooperating worker must agree "
-        "(default: fast)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("processes", "threads"),
-        default="processes",
-        help="execution pool for --workers > 1 inside this drainer",
-    )
+    _add_campaign_flags(parser)
     parser.add_argument(
         "--worker-id", type=str, default=None,
         help="identity for leases/telemetry (default: host-pid)",
@@ -553,16 +541,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
         "--lease", type=float, default=300.0, metavar="SECONDS",
         help="lease duration before an unheartbeated claim is stealable "
         "(default 300)",
-    )
-    parser.add_argument("--max-retries", type=int, default=2, metavar="N")
-    parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS"
-    )
-    parser.add_argument(
-        "--metrics", type=str, default=None, metavar="PATH",
-        help="telemetry JSONL (shared: every worker appends, batches are "
-        "tagged with the worker id; monitor mode reads it for per-worker "
-        "throughput)",
     )
     parser.add_argument(
         "--enqueue-only", action="store_true",

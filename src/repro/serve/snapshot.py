@@ -2,9 +2,9 @@
 
 The daemon checkpoints :meth:`ControlPlane.snapshot_state` with the same
 crash-safety idioms the result store earned in DESIGN.md §9/§11: a
-payload carrying its own SHA-256, written to a per-pid temp file,
-fsynced, atomically renamed over the target, parent directory fsynced.
-A reader therefore sees either the previous snapshot or the new one,
+payload carrying its own SHA-256, written by
+:func:`repro.util.durable.write_durably` (per-pid temp file, fsync,
+atomic rename over the target, fsync of the parent directory). A reader therefore sees either the previous snapshot or the new one,
 never a torn hybrid.
 
 The state is serialised once, canonically (sorted keys, no spaces); the
@@ -27,10 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from pathlib import Path
 
 from repro.obs import get_event_log, get_registry
+from repro.util.durable import write_durably
 
 __all__ = ["SNAPSHOT_VERSION", "load_snapshot", "save_snapshot"]
 
@@ -57,33 +57,15 @@ def save_snapshot(path: Path | str, state: dict) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        body = _canonical(state)
-        digest = hashlib.sha256(body).hexdigest()
-        # The payload's keys in sorted order, so the file is itself
-        # canonical JSON.
-        data = b'{"sha256":"%s","state":%s,"version":%d}' % (
-            digest.encode("ascii"),
-            body,
-            SNAPSHOT_VERSION,
-        )
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - fs without dir fsync
-        pass
+    body = _canonical(state)
+    digest = hashlib.sha256(body).hexdigest()
+    # The payload's keys in sorted order, so the file is itself
+    # canonical JSON.
+    write_durably(
+        path,
+        b'{"sha256":"%s","state":%s,"version":%d}'
+        % (digest.encode("ascii"), body, SNAPSHOT_VERSION),
+    )
     get_registry().counter("serve.snapshot.saves").inc()
     log = get_event_log()
     if log.enabled:

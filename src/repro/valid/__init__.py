@@ -8,9 +8,10 @@ correctness harness that survives refactors:
 * :mod:`repro.valid.reference` — deliberately naive, line-by-line
   transcriptions used as executable oracles: the DICER listings plus the
   policy-zoo controllers (LFOC clustering, CBP coordination);
-* :mod:`repro.valid.differential` — feeds identical synthetic RDT counter
-  streams to both implementations and reports any per-period divergence,
-  dumping replayable JSONL traces for shrunk counterexamples;
+* :mod:`repro.valid.differential` — one table, ``CONFORMANCE``, pairs each
+  controller with its oracle; ``run_differential`` feeds identical
+  synthetic RDT counter streams to both and reports any per-period
+  divergence, dumping replayable JSONL traces for shrunk counterexamples;
 * :mod:`repro.valid.record` — records the golden-trace corpus under
   ``tests/golden/`` (``python -m repro.valid.record`` regenerates it);
 * :class:`~repro.rdt.faulty.FaultyRdt` (re-exported here) — RDT fault
@@ -21,18 +22,14 @@ correctness harness that survives refactors:
 
 from repro.rdt.faulty import FaultKind, FaultyRdt
 from repro.valid.differential import (
+    CONFORMANCE,
     Divergence,
     DifferentialResult,
     ScriptedRdt,
     dump_trace,
-    dump_zoo_trace,
     load_trace,
-    load_zoo_trace,
     replay_trace,
-    replay_zoo_trace,
-    run_cbp_differential,
     run_differential,
-    run_lfoc_differential,
 )
 from repro.valid.reference import (
     ReferenceCbp,
@@ -45,6 +42,7 @@ from repro.valid.reference import (
 )
 
 __all__ = [
+    "CONFORMANCE",
     "Divergence",
     "DifferentialResult",
     "FaultKind",
@@ -58,12 +56,7 @@ __all__ = [
     "ReferenceLfocDecision",
     "ScriptedRdt",
     "dump_trace",
-    "dump_zoo_trace",
     "load_trace",
-    "load_zoo_trace",
     "replay_trace",
-    "replay_zoo_trace",
-    "run_cbp_differential",
     "run_differential",
-    "run_lfoc_differential",
 ]

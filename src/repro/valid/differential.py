@@ -1,18 +1,27 @@
 """Differential conformance driver: controller vs. paper-literal oracle.
 
 Feeds one synthetic RDT telemetry stream — a list of
-:class:`~repro.rdt.sample.PeriodSample` — to both
-:class:`~repro.core.dicer.DicerController` and
-:class:`~repro.valid.reference.ReferenceDicer` and compares every period:
-the chosen allocation (HP way count), the structured ``event``, the
-controller mode, the CT-F/CT-T classification, and the saturation /
-phase-change flags. Any mismatch is a conformance bug in one of the two
-implementations.
+:class:`~repro.rdt.sample.PeriodSample` — to a production controller and
+to its paper-literal oracle in :mod:`repro.valid.reference`, and compares
+every period. One table, :data:`CONFORMANCE`, keyed by config type, says
+which pair to build and which *facets* of a period to compare:
+
+* DICER (:class:`~repro.core.config.DicerConfig`) against
+  ``ReferenceDicer``: HP way count, ``event``, mode, the saturation and
+  phase-change flags, and the CT-F/CT-T classification;
+* LFOC (:class:`~repro.core.lfoc.LfocConfig`) against ``ReferenceLfoc``:
+  event, per-core classes, cluster membership and way split;
+* CBP (:class:`~repro.core.cbp.CbpConfig`) against ``ReferenceCbp``:
+  event, HP way count, both ladder indices and the saturation flag.
+
+Any mismatch is a conformance bug in one of the two implementations.
+Adding a controller is one more table entry.
 
 Divergent streams are dumped as **replayable JSONL traces**: a ``meta``
-line carrying the full :class:`~repro.core.config.DicerConfig` and the
-way count, one ``sample`` line per period, and one ``divergence`` line
-per mismatch. ``replay_trace(path)`` re-runs the exact stream — the
+line carrying the full config, the way count and (except for DICER,
+whose layout predates the other controllers) the entry's ``controller``
+tag, one ``sample`` line per period, and one ``divergence`` line per
+mismatch. ``replay_trace(path)`` re-runs the exact stream — the
 debugging loop for a shrunk hypothesis counterexample is::
 
     result = replay_trace("divergences/abc123.jsonl")
@@ -29,43 +38,142 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.allocation import Allocation
+from repro.core.cbp import CbpConfig, CbpController
 from repro.core.config import DicerConfig, TABLE1_DICER_CONFIG
-from repro.core.dicer import DecisionRecord, DicerController
+from repro.core.dicer import DicerController
+from repro.core.lfoc import LfocConfig, LfocController
 from repro.rdt.interface import RdtBackend
 from repro.rdt.sample import PeriodSample
-from repro.valid.reference import ReferenceDecision, ReferenceDicer
+from repro.valid.reference import ReferenceCbp, ReferenceDicer, ReferenceLfoc
 
 __all__ = [
+    "CONFORMANCE",
+    "Conformance",
     "Divergence",
     "DifferentialResult",
     "ScriptedRdt",
+    "config_from_meta",
     "run_differential",
     "dump_trace",
     "load_trace",
     "replay_trace",
-    "run_lfoc_differential",
-    "run_cbp_differential",
-    "dump_zoo_trace",
-    "load_zoo_trace",
-    "replay_zoo_trace",
-    "zoo_sample_to_dict",
-    "zoo_sample_from_dict",
+    "sample_to_dict",
+    "sample_from_dict",
 ]
 
 #: Trace file schema version (bump on incompatible format changes).
 TRACE_VERSION = 1
 
-#: Sample fields serialised into trace lines, in order.
-_SAMPLE_FIELDS = (
+#: Aggregate sample fields every trace serialises, in order.
+_AGGREGATE_FIELDS = (
     "duration_s",
     "hp_ipc",
     "hp_mem_bytes_s",
     "total_mem_bytes_s",
     "hp_llc_occupancy_bytes",
 )
+
+#: The aggregates plus the per-core arrays the multi-class controllers read.
+_PER_CORE_FIELDS = _AGGREGATE_FIELDS + (
+    "core_ipcs",
+    "core_mem_bytes_s",
+    "core_occupancy_ways",
+)
+
+
+@dataclass(frozen=True)
+class Conformance:
+    """How one controller is checked against its oracle.
+
+    ``controller_facets`` reads the facets of the period just run off the
+    controller (its last trace record, plus any state the record does
+    not carry); ``oracle_facets`` reads the same facets, in the same
+    order, off the oracle's decision. The golden corpus records the
+    controller's facets as each period's ``expect`` block.
+    """
+
+    controller: Callable
+    oracle: Callable
+    #: ``controller`` meta key of traces and golden files (None: absent).
+    tag: str | None
+    #: Sample fields serialised into trace and golden lines, in order.
+    sample_fields: tuple[str, ...]
+    controller_facets: Callable[[object], dict]
+    oracle_facets: Callable[[object], dict]
+
+
+def _dicer_facets(controller: DicerController) -> dict:
+    record = controller.trace[-1]
+    return {
+        "hp_ways": record.allocation.hp_ways,
+        "event": record.event,
+        "mode": record.mode.value,
+        "saturated": record.saturated,
+        "phase_change": record.phase_change,
+        "ct_favoured": controller.ct_favoured,
+    }
+
+
+def _reference_dicer_facets(decision) -> dict:
+    return {
+        "hp_ways": decision.hp_ways,
+        "event": decision.event,
+        "mode": decision.mode,
+        "saturated": decision.saturated,
+        "phase_change": decision.phase_change,
+        "ct_favoured": decision.ct_favoured,
+    }
+
+
+def _lfoc_facets(record) -> dict:
+    return {
+        "event": record.event,
+        "classes": record.classes,
+        "groups": record.groups,
+        "ways": record.ways,
+    }
+
+
+def _cbp_facets(record) -> dict:
+    return {
+        "event": record.event,
+        "hp_ways": record.hp_ways,
+        "mba_idx": record.mba_idx,
+        "prefetch_idx": record.prefetch_idx,
+        "saturated": record.saturated,
+    }
+
+
+#: The conformance table: one entry per controller, keyed by config type.
+CONFORMANCE: dict[type, Conformance] = {
+    DicerConfig: Conformance(
+        controller=DicerController,
+        oracle=ReferenceDicer,
+        tag=None,
+        sample_fields=_AGGREGATE_FIELDS,
+        controller_facets=_dicer_facets,
+        oracle_facets=_reference_dicer_facets,
+    ),
+    LfocConfig: Conformance(
+        controller=LfocController,
+        oracle=ReferenceLfoc,
+        tag="lfoc",
+        sample_fields=_PER_CORE_FIELDS,
+        controller_facets=lambda c: _lfoc_facets(c.trace[-1]),
+        oracle_facets=_lfoc_facets,
+    ),
+    CbpConfig: Conformance(
+        controller=CbpController,
+        oracle=ReferenceCbp,
+        tag="cbp",
+        sample_fields=_PER_CORE_FIELDS,
+        controller_facets=lambda c: _cbp_facets(c.trace[-1]),
+        oracle_facets=_cbp_facets,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -92,8 +200,9 @@ class DifferentialResult:
     divergences: tuple[Divergence, ...]
     #: JSONL trace written for a divergent stream (``None`` otherwise).
     trace_path: Path | None = None
-    controller_trace: tuple[DecisionRecord, ...] = ()
-    reference_trace: tuple[ReferenceDecision, ...] = ()
+    #: The controller's and the oracle's per-period records.
+    controller_trace: tuple = ()
+    reference_trace: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -152,63 +261,45 @@ class ScriptedRdt(RdtBackend):
         return sample
 
 
-def _compare_period(
-    record: DecisionRecord, decision: ReferenceDecision
-) -> list[Divergence]:
-    facets = (
-        ("hp_ways", record.allocation.hp_ways, decision.hp_ways),
-        ("event", record.event, decision.event),
-        ("mode", record.mode.value, decision.mode),
-        ("saturated", record.saturated, decision.saturated),
-        ("phase_change", record.phase_change, decision.phase_change),
-    )
-    return [
-        Divergence(record.period, facet, ours, theirs)
-        for facet, ours, theirs in facets
-        if ours != theirs
-    ]
-
-
 def run_differential(
     samples: Sequence[PeriodSample],
     *,
-    config: DicerConfig = TABLE1_DICER_CONFIG,
+    config=TABLE1_DICER_CONFIG,
     total_ways: int = 20,
     dump_dir: Path | str | None = None,
 ) -> DifferentialResult:
-    """Drive both implementations over ``samples`` and compare per period.
+    """Drive ``config``'s controller and its oracle over ``samples``.
 
-    Also cross-checks the final classification (``ct_favoured``) after the
-    stream. When ``dump_dir`` is given and the stream diverges, a
+    The controller is picked by ``type(config)`` from :data:`CONFORMANCE`
+    and every period's facets are compared. When the oracle states an
+    initial allocation, it must match the controller's before any
+    sample. When ``dump_dir`` is given and the stream diverges, a
     replayable JSONL trace is written there (content-addressed filename)
     and referenced from the result.
     """
-    controller = DicerController(config, total_ways)
-    oracle = ReferenceDicer(config, total_ways)
-    if controller.initial_allocation().hp_ways != oracle.initial_hp_ways():
+    entry = CONFORMANCE[type(config)]
+    controller = entry.controller(config, total_ways)
+    oracle = entry.oracle(config, total_ways)
+    if hasattr(oracle, "initial_hp_ways") and (
+        controller.initial_allocation().hp_ways != oracle.initial_hp_ways()
+    ):
         raise AssertionError("initial allocations differ before any sample")
 
     divergences: list[Divergence] = []
     for sample in samples:
         controller.update(sample)
-        decision = oracle.update(sample)
+        theirs = entry.oracle_facets(oracle.update(sample))
+        period = controller.trace[-1].period
         divergences.extend(
-            _compare_period(controller.trace[-1], decision)
+            Divergence(period, facet, ours, theirs[facet])
+            for facet, ours in entry.controller_facets(controller).items()
+            if ours != theirs[facet]
         )
-        if controller.ct_favoured != oracle.ct_favoured:
-            divergences.append(
-                Divergence(
-                    decision.period,
-                    "ct_favoured",
-                    controller.ct_favoured,
-                    oracle.ct_favoured,
-                )
-            )
 
     trace_path = None
     if divergences and dump_dir is not None:
         trace_path = dump_trace(
-            Path(dump_dir),
+            dump_dir,
             samples,
             config=config,
             total_ways=total_ways,
@@ -226,291 +317,85 @@ def run_differential(
 # -- replayable JSONL traces ------------------------------------------------
 
 
-def sample_to_dict(sample: PeriodSample) -> dict:
-    """Serialise one sample (field order fixed for byte-stable dumps)."""
-    return {name: getattr(sample, name) for name in _SAMPLE_FIELDS}
+def sample_to_dict(sample: PeriodSample, fields: Sequence[str]) -> dict:
+    """Serialise ``fields`` of one sample (tuples as lists, order fixed)."""
+    out = {}
+    for name in fields:
+        value = getattr(sample, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def sample_from_dict(record: dict, fields: Sequence[str]) -> PeriodSample:
+    """Rebuild a sample from ``fields`` of a trace line (lists as tuples)."""
+    missing = [name for name in fields if name not in record]
+    if missing:
+        raise ValueError(f"sample line missing {missing}")
+    return PeriodSample(
+        **{
+            name: tuple(record[name])
+            if isinstance(record[name], list)
+            else record[name]
+            for name in fields
+        }
+    )
+
+
+def config_from_meta(meta: dict):
+    """The config a trace or golden ``meta`` line records.
+
+    The ``controller`` tag picks the config type; every list in the
+    recorded config comes back as a tuple.
+    """
+    tag = meta.get("controller")
+    for config_type, entry in CONFORMANCE.items():
+        if entry.tag == tag:
+            raw = {
+                name: tuple(value) if isinstance(value, list) else value
+                for name, value in meta["config"].items()
+            }
+            return config_type(**raw)
+    raise ValueError(f"unknown controller {tag!r}")
+
+
+def trace_meta(config, total_ways: int, **extra) -> dict:
+    """The ``meta`` line of a trace or golden file for ``config``."""
+    meta = {
+        "kind": "meta",
+        "version": TRACE_VERSION,
+        "total_ways": total_ways,
+        "config": asdict(config),
+        **extra,
+    }
+    tag = CONFORMANCE[type(config)].tag
+    if tag is not None:
+        meta["controller"] = tag
+    return meta
 
 
 def dump_trace(
     dump_dir: Path | str,
     samples: Sequence[PeriodSample],
     *,
-    config: DicerConfig,
+    config,
     total_ways: int,
     divergences: Sequence[Divergence] = (),
 ) -> Path:
     """Write a replayable JSONL trace; returns the file path.
 
-    The filename is the first 12 hex chars of the SHA-256 of the meta +
-    sample lines, so identical counterexamples dedupe naturally.
+    The filename is the entry's tag (if any) and the first 12 hex chars
+    of the SHA-256 of the meta + sample lines, so identical
+    counterexamples dedupe naturally.
     """
-    lines = [
-        json.dumps(
-            {
-                "kind": "meta",
-                "version": TRACE_VERSION,
-                "total_ways": total_ways,
-                "config": asdict(config),
-            },
-            sort_keys=True,
-        )
-    ]
-    for period, sample in enumerate(samples, start=1):
-        lines.append(
-            json.dumps(
-                {"kind": "sample", "period": period, **sample_to_dict(sample)},
-                sort_keys=True,
-            )
-        )
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
-    for divergence in divergences:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "divergence",
-                    "period": divergence.period,
-                    "facet": divergence.facet,
-                    "controller": divergence.controller,
-                    "reference": divergence.reference,
-                },
-                sort_keys=True,
-                default=str,
-            )
-        )
-    dump_dir = Path(dump_dir)
-    dump_dir.mkdir(parents=True, exist_ok=True)
-    path = dump_dir / f"divergence-{digest}.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def load_trace(
-    path: Path | str,
-) -> tuple[DicerConfig, int, list[PeriodSample]]:
-    """Parse a trace file back into (config, total_ways, samples)."""
-    config: DicerConfig | None = None
-    total_ways: int | None = None
-    samples: list[PeriodSample] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "meta":
-            if record.get("version") != TRACE_VERSION:
-                raise ValueError(
-                    f"trace version {record.get('version')!r} unsupported "
-                    f"(expected {TRACE_VERSION})"
-                )
-            raw = dict(record["config"])
-            raw["sample_hp_ways"] = tuple(raw["sample_hp_ways"])
-            config = DicerConfig(**raw)
-            total_ways = int(record["total_ways"])
-        elif kind == "sample":
-            if config is None:
-                raise ValueError(
-                    f"{path}: no meta line — not a differential trace"
-                )
-            missing = [n for n in _SAMPLE_FIELDS if n not in record]
-            if missing:
-                raise ValueError(
-                    f"{path}: sample line missing {missing}"
-                )
-            samples.append(
-                PeriodSample(
-                    **{name: record[name] for name in _SAMPLE_FIELDS}
-                )
-            )
-    if config is None or total_ways is None:
-        raise ValueError(f"{path}: no meta line — not a differential trace")
-    return config, total_ways, samples
-
-
-def replay_trace(path: Path | str) -> DifferentialResult:
-    """Re-run the differential comparison recorded in a trace file."""
-    config, total_ways, samples = load_trace(path)
-    return run_differential(samples, config=config, total_ways=total_ways)
-
-
-# -- policy-zoo differentials ------------------------------------------------
-
-#: Extra per-core fields zoo traces serialise on top of ``_SAMPLE_FIELDS``.
-_ZOO_SAMPLE_FIELDS = _SAMPLE_FIELDS + (
-    "core_ipcs",
-    "core_mem_bytes_s",
-    "core_occupancy_ways",
-)
-
-
-def zoo_sample_to_dict(sample: PeriodSample) -> dict:
-    """Serialise one sample including the per-core arrays (zoo traces)."""
-    out = {}
-    for name in _ZOO_SAMPLE_FIELDS:
-        value = getattr(sample, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def zoo_sample_from_dict(record: dict) -> PeriodSample:
-    """Rebuild a sample from a zoo trace line (lists back to tuples)."""
-    kwargs = {}
-    for name in _ZOO_SAMPLE_FIELDS:
-        value = record[name]
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return PeriodSample(**kwargs)
-
-
-def _compare_lfoc_period(record, decision) -> list[Divergence]:
-    facets = (
-        ("event", record.event, decision.event),
-        ("classes", record.classes, decision.classes),
-        ("groups", record.groups, decision.groups),
-        ("ways", record.ways, decision.ways),
-    )
-    return [
-        Divergence(record.period, facet, ours, theirs)
-        for facet, ours, theirs in facets
-        if ours != theirs
-    ]
-
-
-def _compare_cbp_period(record, decision) -> list[Divergence]:
-    facets = (
-        ("event", record.event, decision.event),
-        ("hp_ways", record.hp_ways, decision.hp_ways),
-        ("mba_idx", record.mba_idx, decision.mba_idx),
-        ("prefetch_idx", record.prefetch_idx, decision.prefetch_idx),
-        ("saturated", record.saturated, decision.saturated),
-    )
-    return [
-        Divergence(record.period, facet, ours, theirs)
-        for facet, ours, theirs in facets
-        if ours != theirs
-    ]
-
-
-def run_lfoc_differential(
-    samples: Sequence[PeriodSample],
-    *,
-    config=None,
-    total_ways: int = 20,
-    dump_dir: Path | str | None = None,
-) -> DifferentialResult:
-    """LFOC controller vs :class:`~repro.valid.reference.ReferenceLfoc`.
-
-    Compares the per-period event, classification, cluster membership and
-    way split. Divergent streams dump a replayable zoo trace when
-    ``dump_dir`` is given.
-    """
-    from repro.core.lfoc import DEFAULT_LFOC_CONFIG, LfocController
-    from repro.valid.reference import ReferenceLfoc
-
-    if config is None:
-        config = DEFAULT_LFOC_CONFIG
-    controller = LfocController(config, total_ways)
-    oracle = ReferenceLfoc(config, total_ways)
-    divergences: list[Divergence] = []
-    for sample in samples:
-        controller.update(sample)
-        decision = oracle.update(sample)
-        divergences.extend(
-            _compare_lfoc_period(controller.trace[-1], decision)
-        )
-    trace_path = None
-    if divergences and dump_dir is not None:
-        trace_path = dump_zoo_trace(
-            Path(dump_dir),
-            samples,
-            controller="lfoc",
-            config=config,
-            total_ways=total_ways,
-            divergences=divergences,
-        )
-    return DifferentialResult(
-        n_periods=len(samples),
-        divergences=tuple(divergences),
-        trace_path=trace_path,
-    )
-
-
-def run_cbp_differential(
-    samples: Sequence[PeriodSample],
-    *,
-    config=None,
-    total_ways: int = 20,
-    dump_dir: Path | str | None = None,
-) -> DifferentialResult:
-    """CBP controller vs :class:`~repro.valid.reference.ReferenceCbp`.
-
-    Compares the per-period event, HP way count, both ladder indices and
-    the saturation flag; also cross-checks the two knob properties after
-    every period (the runner actuates those, not the raw indices).
-    """
-    from repro.core.cbp import DEFAULT_CBP_CONFIG, CbpController
-    from repro.valid.reference import ReferenceCbp
-
-    if config is None:
-        config = DEFAULT_CBP_CONFIG
-    controller = CbpController(config, total_ways)
-    oracle = ReferenceCbp(config, total_ways)
-    if controller.hp_ways != oracle.initial_hp_ways():
-        raise AssertionError("initial allocations differ before any sample")
-    divergences: list[Divergence] = []
-    for sample in samples:
-        controller.update(sample)
-        decision = oracle.update(sample)
-        divergences.extend(
-            _compare_cbp_period(controller.trace[-1], decision)
-        )
-    trace_path = None
-    if divergences and dump_dir is not None:
-        trace_path = dump_zoo_trace(
-            Path(dump_dir),
-            samples,
-            controller="cbp",
-            config=config,
-            total_ways=total_ways,
-            divergences=divergences,
-        )
-    return DifferentialResult(
-        n_periods=len(samples),
-        divergences=tuple(divergences),
-        trace_path=trace_path,
-    )
-
-
-def dump_zoo_trace(
-    dump_dir: Path | str,
-    samples: Sequence[PeriodSample],
-    *,
-    controller: str,
-    config,
-    total_ways: int,
-    divergences: Sequence[Divergence] = (),
-) -> Path:
-    """Write a replayable zoo trace (meta carries the controller kind)."""
-    if controller not in ("lfoc", "cbp"):
-        raise ValueError(f"unknown zoo controller {controller!r}")
-    lines = [
-        json.dumps(
-            {
-                "kind": "meta",
-                "version": TRACE_VERSION,
-                "controller": controller,
-                "total_ways": total_ways,
-                "config": asdict(config),
-            },
-            sort_keys=True,
-        )
-    ]
+    entry = CONFORMANCE[type(config)]
+    lines = [json.dumps(trace_meta(config, total_ways), sort_keys=True)]
     for period, sample in enumerate(samples, start=1):
         lines.append(
             json.dumps(
                 {
                     "kind": "sample",
                     "period": period,
-                    **zoo_sample_to_dict(sample),
+                    **sample_to_dict(sample, entry.sample_fields),
                 },
                 sort_keys=True,
             )
@@ -532,17 +417,17 @@ def dump_zoo_trace(
         )
     dump_dir = Path(dump_dir)
     dump_dir.mkdir(parents=True, exist_ok=True)
-    path = dump_dir / f"divergence-{controller}-{digest}.jsonl"
+    prefix = "divergence-" if entry.tag is None else f"divergence-{entry.tag}-"
+    path = dump_dir / f"{prefix}{digest}.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def load_zoo_trace(path: Path | str):
-    """Parse a zoo trace into (controller, config, total_ways, samples)."""
-    from repro.core.cbp import CbpConfig
-    from repro.core.lfoc import LfocConfig
+def load_trace(path: Path | str) -> tuple[object, int, list[PeriodSample]]:
+    """Parse a trace file back into (config, total_ways, samples).
 
-    controller: str | None = None
+    The config's type says which controller the trace is for.
+    """
     config = None
     total_ways: int | None = None
     samples: list[PeriodSample] = []
@@ -558,37 +443,24 @@ def load_zoo_trace(path: Path | str):
                     f"trace version {record.get('version')!r} unsupported "
                     f"(expected {TRACE_VERSION})"
                 )
-            controller = record.get("controller")
-            raw = dict(record["config"])
-            if controller == "lfoc":
-                config = LfocConfig(**raw)
-            elif controller == "cbp":
-                raw["mba_levels"] = tuple(raw["mba_levels"])
-                raw["prefetch_ladder"] = tuple(raw["prefetch_ladder"])
-                config = CbpConfig(**raw)
-            else:
-                raise ValueError(
-                    f"{path}: unknown zoo controller {controller!r}"
-                )
+            config = config_from_meta(record)
             total_ways = int(record["total_ways"])
         elif kind == "sample":
             if config is None:
                 raise ValueError(
-                    f"{path}: no meta line — not a zoo trace"
+                    f"{path}: no meta line — not a differential trace"
                 )
-            samples.append(zoo_sample_from_dict(record))
-    if controller is None or config is None or total_ways is None:
-        raise ValueError(f"{path}: no meta line — not a zoo trace")
-    return controller, config, total_ways, samples
+            fields = CONFORMANCE[type(config)].sample_fields
+            try:
+                samples.append(sample_from_dict(record, fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    if config is None or total_ways is None:
+        raise ValueError(f"{path}: no meta line — not a differential trace")
+    return config, total_ways, samples
 
 
-def replay_zoo_trace(path: Path | str) -> DifferentialResult:
-    """Re-run the zoo differential recorded in a trace file."""
-    controller, config, total_ways, samples = load_zoo_trace(path)
-    if controller == "lfoc":
-        return run_lfoc_differential(
-            samples, config=config, total_ways=total_ways
-        )
-    return run_cbp_differential(
-        samples, config=config, total_ways=total_ways
-    )
+def replay_trace(path: Path | str) -> DifferentialResult:
+    """Re-run the differential comparison recorded in a trace file."""
+    config, total_ways, samples = load_trace(path)
+    return run_differential(samples, config=config, total_ways=total_ways)

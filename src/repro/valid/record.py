@@ -1,16 +1,19 @@
 """Golden-trace corpus recorder (``python -m repro.valid.record``).
 
 Each *scenario* is a deterministic, hand-built telemetry stream driving
-the controller through one regime the paper describes — CT-Favoured
-steady shrinking, an Equation-2 phase change, a bandwidth-saturation
-sampling sweep (CT-Thwarted), a failed revalidation that re-samples, and
-a fault storm. Recording runs :class:`~repro.core.dicer.DicerController`
-over the stream and writes one JSONL file per scenario under
+one controller through one regime: for DICER, CT-Favoured steady
+shrinking, an Equation-2 phase change, a bandwidth-saturation sampling
+sweep (CT-Thwarted), a failed revalidation that re-samples and a fault
+storm; for LFOC and CBP, the clustering and coordination regimes of the
+policy zoo. Recording runs the scenario's controller (picked by the
+config's type from :data:`~repro.valid.differential.CONFORMANCE`) over
+the stream and writes one JSONL file per scenario under
 ``tests/golden/``:
 
-* line 1 — ``meta``: scenario name, schema version, config, way count;
+* line 1 — ``meta``: scenario name, schema version, config, way count
+  and, except for DICER, the conformance entry's ``controller`` tag;
 * then one line per period: the ``sample`` fed in and the ``expect``
-  decision (hp_ways / mode / event / flags / classification) observed.
+  block, the controller's conformance facets for that period.
 
 The replay test (``tests/valid/test_golden.py``) feeds the recorded
 samples to *both* the controller and the paper-literal oracle and asserts
@@ -27,29 +30,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.core.cbp import CbpConfig, CbpController
+from repro.core.cbp import CbpConfig
 from repro.core.config import DicerConfig
-from repro.core.dicer import DicerController
-from repro.core.lfoc import LfocConfig, LfocController
+from repro.core.lfoc import LfocConfig
 from repro.rdt.sample import PeriodSample
 from repro.valid.differential import (
-    TRACE_VERSION,
+    CONFORMANCE,
     sample_to_dict,
-    zoo_sample_to_dict,
+    trace_meta,
 )
 
 __all__ = [
     "SCENARIOS",
-    "ZOO_SCENARIOS",
     "render_scenario",
-    "render_zoo_scenario",
     "record_corpus",
     "main",
 ]
+
+#: What a scenario builder returns: (config, total_ways, samples).
+Scenario = tuple[object, int, list[PeriodSample]]
 
 #: Default corpus location, relative to the repository root.
 DEFAULT_OUT = Path("tests") / "golden"
@@ -80,13 +82,13 @@ def _saturated(ipc: float) -> PeriodSample:
     )
 
 
-def _scenario_ctf_steady_shrink() -> tuple[DicerConfig, int, list[PeriodSample]]:
+def _scenario_ctf_steady_shrink() -> Scenario:
     """Stable IPC, calm link: DICER donates a way per period to the floor."""
     config = DicerConfig(sample_hp_ways=(5, 3, 1))
     return config, 6, [_calm(1.0) for _ in range(9)]
 
 
-def _scenario_ctf_phase_reset() -> tuple[DicerConfig, int, list[PeriodSample]]:
+def _scenario_ctf_phase_reset() -> Scenario:
     """A >30 % HP bandwidth jump: Equation-2 reset, then validation."""
     config = DicerConfig(sample_hp_ways=(5, 3, 1))
     stream = [_calm(1.0) for _ in range(4)]
@@ -98,7 +100,7 @@ def _scenario_ctf_phase_reset() -> tuple[DicerConfig, int, list[PeriodSample]]:
     return config, 6, stream
 
 
-def _scenario_ctt_sampling_sweep() -> tuple[DicerConfig, int, list[PeriodSample]]:
+def _scenario_ctt_sampling_sweep() -> Scenario:
     """Link saturation: CT-Thwarted reclassification and a full sweep."""
     config = DicerConfig(sample_hp_ways=(5, 3, 1), sample_periods=2)
     # Probe scores peak at the middle of the grid (hp=3).
@@ -106,9 +108,7 @@ def _scenario_ctt_sampling_sweep() -> tuple[DicerConfig, int, list[PeriodSample]
     return config, 6, [_saturated(ipc) for ipc in ipc_by_period]
 
 
-def _scenario_ctt_revalidate_resample() -> (
-    tuple[DicerConfig, int, list[PeriodSample]]
-):
+def _scenario_ctt_revalidate_resample() -> Scenario:
     """A CT-T reset whose validation fails, forcing a second sweep."""
     config = DicerConfig(
         sample_hp_ways=(5, 3, 1), resample_cooldown_periods=2
@@ -122,7 +122,7 @@ def _scenario_ctt_revalidate_resample() -> (
     return config, 6, stream
 
 
-def _scenario_ctf_validate_ok() -> tuple[DicerConfig, int, list[PeriodSample]]:
+def _scenario_ctf_validate_ok() -> Scenario:
     """A degraded-IPC CT-F reset that validation confirms (validate_ok)."""
     config = DicerConfig(sample_hp_ways=(5, 3, 1))
     stream = [_calm(1.0), _calm(1.0), _calm(1.0)]  # warmup + shrinks
@@ -132,9 +132,7 @@ def _scenario_ctf_validate_ok() -> tuple[DicerConfig, int, list[PeriodSample]]:
     return config, 6, stream
 
 
-def _scenario_ctt_validate_optimal() -> (
-    tuple[DicerConfig, int, list[PeriodSample]]
-):
+def _scenario_ctt_validate_optimal() -> Scenario:
     """A CT-T reset whose validation lands back at the optimum."""
     config = DicerConfig(sample_hp_ways=(5, 3, 1))
     stream = [_saturated(ipc) for ipc in (1.0, 0.6, 0.9, 0.7)]  # sweep
@@ -145,9 +143,7 @@ def _scenario_ctt_validate_optimal() -> (
     return config, 6, stream
 
 
-def _scenario_sampling_empty_guard() -> (
-    tuple[DicerConfig, int, list[PeriodSample]]
-):
+def _scenario_sampling_empty_guard() -> Scenario:
     """Saturation with a grid no probe of which fits the small cache."""
     config = DicerConfig(
         sample_hp_ways=(19,), resample_cooldown_periods=3
@@ -155,7 +151,7 @@ def _scenario_sampling_empty_guard() -> (
     return config, 6, [_saturated(1.0) for _ in range(9)]
 
 
-def _scenario_fault_storm() -> tuple[DicerConfig, int, list[PeriodSample]]:
+def _scenario_fault_storm() -> Scenario:
     """Wrap / zero-dt / stale / nonfinite reads interleaved with calm ones."""
     config = DicerConfig(sample_hp_ways=(5, 3, 1))
     wrap = PeriodSample(
@@ -195,25 +191,10 @@ def _scenario_fault_storm() -> tuple[DicerConfig, int, list[PeriodSample]]:
     ]
 
 
-SCENARIOS: dict[str, Callable[[], tuple[DicerConfig, int, list[PeriodSample]]]]
-SCENARIOS = {
-    "ctf_steady_shrink": _scenario_ctf_steady_shrink,
-    "ctf_phase_reset": _scenario_ctf_phase_reset,
-    "ctf_validate_ok": _scenario_ctf_validate_ok,
-    "ctt_sampling_sweep": _scenario_ctt_sampling_sweep,
-    "ctt_revalidate_resample": _scenario_ctt_revalidate_resample,
-    "ctt_validate_optimal": _scenario_ctt_validate_optimal,
-    "sampling_empty_guard": _scenario_sampling_empty_guard,
-    "fault_storm": _scenario_fault_storm,
-}
-
-
-# -- policy-zoo scenarios ----------------------------------------------------
+# -- LFOC and CBP scenarios --------------------------------------------------
 #
-# Same corpus, different controllers: each zoo scenario pins the per-period
-# behaviour of the LFOC clustering loop or the CBP coordination ladder.
-# Replay (tests/valid/test_golden_zoo.py) runs the production controller
-# *and* the paper-literal oracle over the stream, like the DICER corpus.
+# Same corpus, different controllers: these pin the per-period behaviour of
+# the LFOC clustering loop and the CBP coordination ladder.
 
 #: 2.0 GB/s per core — above the 1.5 GB/s (12 Gbps) streaming threshold.
 _STREAM_CORE_BW = 2.0e9
@@ -238,9 +219,7 @@ def _per_core(
     )
 
 
-def _scenario_lfoc_mixed_recluster() -> (
-    tuple[str, LfocConfig, int, list[PeriodSample]]
-):
+def _scenario_lfoc_mixed_recluster() -> Scenario:
     """Streams + a light + sensitives; one core migrates class mid-run."""
     config = LfocConfig(recluster_periods=3)
     bw = [
@@ -258,22 +237,18 @@ def _scenario_lfoc_mixed_recluster() -> (
     bw2[5] = _STREAM_CORE_BW
     stream += [_per_core(bw2, occ) for _ in range(3)]  # hold x2, recluster
     stream += [_per_core(bw2, occ) for _ in range(3)]  # hold x2, hold
-    return "lfoc", config, 20, stream
+    return config, 20, stream
 
 
-def _scenario_lfoc_no_sensitive() -> (
-    tuple[str, LfocConfig, int, list[PeriodSample]]
-):
+def _scenario_lfoc_no_sensitive() -> Scenario:
     """Only streams and lights: leftover ways join the light cluster."""
     config = LfocConfig()
     bw = [_STREAM_CORE_BW, _STREAM_CORE_BW, _LIGHT_CORE_BW, _LIGHT_CORE_BW]
     occ = [1.0, 1.0, 0.5, 0.5]
-    return "lfoc", config, 20, [_per_core(bw, occ) for _ in range(5)]
+    return config, 20, [_per_core(bw, occ) for _ in range(5)]
 
 
-def _scenario_lfoc_fault_storm() -> (
-    tuple[str, LfocConfig, int, list[PeriodSample]]
-):
+def _scenario_lfoc_fault_storm() -> Scenario:
     """Empty / mismatched / non-finite per-core reads stay inert."""
     config = LfocConfig()
     bw = [_SENSITIVE_CORE_BW, _SENSITIVE_CORE_BW, _LIGHT_CORE_BW]
@@ -303,7 +278,7 @@ def _scenario_lfoc_fault_storm() -> (
         core_mem_bytes_s=(float("inf"), bw[1], bw[2]),
         core_occupancy_ways=(5.0, 3.0, 0.5),
     )
-    return "lfoc", config, 20, [
+    return config, 20, [
         good,
         no_cores,
         good,
@@ -332,9 +307,7 @@ def _cbp_saturated(ipc: float) -> PeriodSample:
     )
 
 
-def _scenario_cbp_escalate_relax() -> (
-    tuple[str, CbpConfig, int, list[PeriodSample]]
-):
+def _scenario_cbp_escalate_relax() -> Scenario:
     """Both ladders up under saturation, then back down once calm.
 
     ``min_hp_ways`` pins the partition at its start size so the relax
@@ -356,12 +329,10 @@ def _scenario_cbp_escalate_relax() -> (
     stream += [_cbp_calm(1.0)]  # hold
     stream += [_cbp_calm(1.0)]  # relax_prefetch
     stream += [_cbp_calm(1.0)]  # hold
-    return "cbp", config, 20, stream
+    return config, 20, stream
 
 
-def _scenario_cbp_ways_adapt() -> (
-    tuple[str, CbpConfig, int, list[PeriodSample]]
-):
+def _scenario_cbp_ways_adapt() -> Scenario:
     """IPC sag grows the HP partition; recovery donates ways back."""
     config = CbpConfig(bw_threshold_bytes=6e9, relax_periods=2)
     stream = [_cbp_calm(1.0), _cbp_calm(1.0)]  # warmup (best = 1.0)
@@ -371,12 +342,10 @@ def _scenario_cbp_ways_adapt() -> (
     stream += [_cbp_calm(1.0)]  # stable relax -> shrink_ways
     stream += [_cbp_calm(1.0)]  # hold
     stream += [_cbp_calm(1.0)]  # shrink_ways
-    return "cbp", config, 20, stream
+    return config, 20, stream
 
 
-def _scenario_cbp_fault_storm() -> (
-    tuple[str, CbpConfig, int, list[PeriodSample]]
-):
+def _scenario_cbp_fault_storm() -> Scenario:
     """Non-finite aggregates are inert; the loop resumes around them."""
     config = CbpConfig(bw_threshold_bytes=6e9)
     bad_duration = PeriodSample(
@@ -397,7 +366,7 @@ def _scenario_cbp_fault_storm() -> (
         hp_mem_bytes_s=_CALM_BW,
         total_mem_bytes_s=float("nan"),
     )
-    return "cbp", config, 20, [
+    return config, 20, [
         _cbp_calm(1.0),
         bad_duration,
         _cbp_calm(1.0),
@@ -408,10 +377,15 @@ def _scenario_cbp_fault_storm() -> (
     ]
 
 
-ZOO_SCENARIOS: dict[
-    str, Callable[[], tuple[str, object, int, list[PeriodSample]]]
-]
-ZOO_SCENARIOS = {
+SCENARIOS: dict[str, Callable[[], Scenario]] = {
+    "ctf_steady_shrink": _scenario_ctf_steady_shrink,
+    "ctf_phase_reset": _scenario_ctf_phase_reset,
+    "ctf_validate_ok": _scenario_ctf_validate_ok,
+    "ctt_sampling_sweep": _scenario_ctt_sampling_sweep,
+    "ctt_revalidate_resample": _scenario_ctt_revalidate_resample,
+    "ctt_validate_optimal": _scenario_ctt_validate_optimal,
+    "sampling_empty_guard": _scenario_sampling_empty_guard,
+    "fault_storm": _scenario_fault_storm,
     "lfoc_mixed_recluster": _scenario_lfoc_mixed_recluster,
     "lfoc_no_sensitive": _scenario_lfoc_no_sensitive,
     "lfoc_fault_storm": _scenario_lfoc_fault_storm,
@@ -424,102 +398,26 @@ ZOO_SCENARIOS = {
 def render_scenario(name: str) -> str:
     """The golden JSONL content for one scenario (byte-stable)."""
     config, total_ways, samples = SCENARIOS[name]()
-    controller = DicerController(config, total_ways)
+    entry = CONFORMANCE[type(config)]
+    controller = entry.controller(config, total_ways)
     lines = [
         json.dumps(
-            {
-                "kind": "meta",
-                "scenario": name,
-                "version": TRACE_VERSION,
-                "total_ways": total_ways,
-                "config": asdict(config),
-            },
-            sort_keys=True,
+            trace_meta(config, total_ways, scenario=name), sort_keys=True
         )
     ]
     for sample in samples:
         controller.update(sample)
-        record = controller.trace[-1]
         lines.append(
             json.dumps(
                 {
                     "kind": "period",
-                    "period": record.period,
-                    "sample": sample_to_dict(sample),
-                    "expect": {
-                        "hp_ways": record.allocation.hp_ways,
-                        "mode": record.mode.value,
-                        "event": record.event,
-                        "saturated": record.saturated,
-                        "phase_change": record.phase_change,
-                        "ct_favoured": controller.ct_favoured,
-                    },
+                    "period": controller.trace[-1].period,
+                    "sample": sample_to_dict(sample, entry.sample_fields),
+                    "expect": entry.controller_facets(controller),
                 },
                 sort_keys=True,
             )
         )
-    return "\n".join(lines) + "\n"
-
-
-def render_zoo_scenario(name: str) -> str:
-    """The golden JSONL content for one zoo scenario (byte-stable)."""
-    kind, config, total_ways, samples = ZOO_SCENARIOS[name]()
-    lines = [
-        json.dumps(
-            {
-                "kind": "meta",
-                "scenario": name,
-                "controller": kind,
-                "version": TRACE_VERSION,
-                "total_ways": total_ways,
-                "config": asdict(config),
-            },
-            sort_keys=True,
-        )
-    ]
-    if kind == "lfoc":
-        lfoc = LfocController(config, total_ways)
-        for sample in samples:
-            lfoc.update(sample)
-            record = lfoc.trace[-1]
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "period",
-                        "period": record.period,
-                        "sample": zoo_sample_to_dict(sample),
-                        "expect": {
-                            "event": record.event,
-                            "classes": list(record.classes),
-                            "groups": [list(g) for g in record.groups],
-                            "ways": list(record.ways),
-                        },
-                    },
-                    sort_keys=True,
-                )
-            )
-    else:
-        cbp = CbpController(config, total_ways)
-        for sample in samples:
-            cbp.update(sample)
-            record = cbp.trace[-1]
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "period",
-                        "period": record.period,
-                        "sample": zoo_sample_to_dict(sample),
-                        "expect": {
-                            "event": record.event,
-                            "hp_ways": record.hp_ways,
-                            "mba_idx": record.mba_idx,
-                            "prefetch_idx": record.prefetch_idx,
-                            "saturated": record.saturated,
-                        },
-                    },
-                    sort_keys=True,
-                )
-            )
     return "\n".join(lines) + "\n"
 
 
@@ -530,11 +428,9 @@ def record_corpus(out_dir: Path, *, check: bool = False) -> list[str]:
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     changed = []
-    renders = [(name, render_scenario) for name in SCENARIOS]
-    renders += [(name, render_zoo_scenario) for name in ZOO_SCENARIOS]
-    for name, render in sorted(renders):
+    for name in sorted(SCENARIOS):
         path = out_dir / f"{name}.jsonl"
-        content = render(name)
+        content = render_scenario(name)
         if path.exists() and path.read_text() == content:
             continue
         changed.append(name)
@@ -569,7 +465,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         print(
             "golden corpus current "
-            f"({len(SCENARIOS) + len(ZOO_SCENARIOS)} scenarios)"
+            f"({len(SCENARIOS)} scenarios)"
         )
         return 0
     if changed:
@@ -577,7 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         print(
             "golden corpus already current "
-            f"({len(SCENARIOS) + len(ZOO_SCENARIOS)} scenarios)"
+            f"({len(SCENARIOS)} scenarios)"
         )
     return 0
 

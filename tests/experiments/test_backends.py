@@ -218,6 +218,37 @@ class TestFileBackendArtefact:
         # Our own pid's temp was consumed by this save's rename cycle.
         assert json.loads(path.read_text())["n_rows"] == 0
 
+    @pytest.mark.parametrize("stage", ["write", "fsync"])
+    def test_failed_save_leaves_no_temp_and_keeps_the_old(
+        self, tmp_path, monkeypatch, stage
+    ):
+        path = tmp_path / "cache.json"
+        backend = FileBackend(path)
+        backend.save([], "exact")
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise OSError(f"injected {stage} failure")
+
+        if stage == "fsync":
+            monkeypatch.setattr(os, "fsync", boom)
+        else:
+            real_open = open
+
+            def failing_open(file, mode="r", *args, **kwargs):
+                fh = real_open(file, mode, *args, **kwargs)
+                if "w" in mode:
+                    fh.write = boom
+                return fh
+
+            monkeypatch.setattr("builtins.open", failing_open)
+        rows = [{"hp_name": "a", "be_name": "b", "n_be": 1, "policy": "UM"}]
+        with pytest.raises(OSError):
+            backend.save(rows, "exact")
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+        assert path.read_bytes() == before
+
 
 class TestSqliteBackendMechanics:
     def test_wal_mode_and_per_row_precision_stamp(self, tmp_path):

@@ -6,8 +6,8 @@ exact alpha boundary, sustained saturation that exhausts both ladders,
 alternating calm/saturated phases that interleave escalation with
 relaxation, and faulty reads. Production and the naive transcription
 must agree on every period's event, HP way count, ladder indices and
-saturation flag; a divergence dumps a replayable zoo trace
-(``repro.valid.differential.replay_zoo_trace``).
+saturation flag; a divergence dumps a replayable trace
+(``repro.valid.differential.replay_trace``).
 
 The fuzz tests together run >300 generated streams, the acceptance floor
 for this suite.
@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 from repro.core.cbp import CbpConfig
 from repro.rdt.sample import PeriodSample
 from repro.valid import (
-    load_zoo_trace,
-    replay_zoo_trace,
-    run_cbp_differential,
+    dump_trace,
+    load_trace,
+    replay_trace,
+    run_differential,
 )
-from repro.valid.differential import dump_zoo_trace
 
 #: Divergent counterexamples land here (only written on failure).
 DIVERGENCE_DIR = Path(__file__).parent / "divergences"
@@ -37,7 +37,7 @@ BW_THRESHOLD = CbpConfig().bw_threshold_bytes
 
 
 def _assert_conformant(samples, config, total_ways):
-    result = run_cbp_differential(
+    result = run_differential(
         samples,
         config=config,
         total_ways=total_ways,
@@ -156,29 +156,26 @@ class TestTraceRoundTrip:
     def test_dump_then_load_round_trips(self, tmp_path):
         config = CbpConfig(relax_periods=2)
         samples = self._stream()
-        path = dump_zoo_trace(
+        path = dump_trace(
             tmp_path,
             samples,
-            controller="cbp",
             config=config,
             total_ways=20,
         )
-        kind, loaded_config, loaded_ways, loaded = load_zoo_trace(path)
-        assert kind == "cbp"
+        loaded_config, loaded_ways, loaded = load_trace(path)
         assert loaded_config == config
         assert loaded_ways == 20
         assert loaded == samples
 
     def test_replay_reruns_the_comparison(self, tmp_path):
         config = CbpConfig(relax_periods=2)
-        path = dump_zoo_trace(
+        path = dump_trace(
             tmp_path,
             self._stream(),
-            controller="cbp",
             config=config,
             total_ways=20,
         )
-        result = replay_zoo_trace(path)
+        result = replay_trace(path)
         assert result.ok
         assert result.n_periods == 3
 
@@ -187,10 +184,9 @@ class TestTraceRoundTrip:
         from repro.valid.differential import Divergence
 
         config = CbpConfig()
-        path = dump_zoo_trace(
+        path = dump_trace(
             tmp_path,
             self._stream(),
-            controller="cbp",
             config=config,
             total_ways=20,
             divergences=[Divergence(2, "event", "hold", "grow_ways")],
@@ -199,10 +195,9 @@ class TestTraceRoundTrip:
         text = path.read_text()
         assert '"kind": "divergence"' in text
         # The divergence lines do not perturb the content address.
-        clean = dump_zoo_trace(
+        clean = dump_trace(
             tmp_path,
             self._stream(),
-            controller="cbp",
             config=config,
             total_ways=20,
         )

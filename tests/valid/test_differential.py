@@ -15,15 +15,21 @@ acceptance floor for this suite.
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cbp import CbpConfig
 from repro.core.config import DicerConfig
+from repro.core.lfoc import LfocConfig
 from repro.rdt.sample import PeriodSample
 from repro.valid import (
+    CONFORMANCE,
+    Divergence,
     ScriptedRdt,
     dump_trace,
     load_trace,
@@ -197,27 +203,6 @@ class TestTraceRoundTrip:
         assert result.n_periods == 3
         assert "conformant" in result.report()
 
-    def test_divergent_run_dumps_replayable_trace(self, tmp_path):
-        """A forced divergence produces a trace whose replay reproduces it.
-
-        The 'bug' is simulated by comparing against a config the stream
-        was not recorded with — the dump itself must still replay.
-        """
-        config = DicerConfig(sample_hp_ways=(5, 3, 1))
-        samples = self._stream()
-        path = dump_trace(
-            tmp_path,
-            samples,
-            config=config,
-            total_ways=6,
-            divergences=(),
-        )
-        # Corrupt one sample line's expected-input side by replaying
-        # against different geometry: parity must still hold (both sides
-        # see the same trace), proving replay uses the recorded config.
-        result = replay_trace(path)
-        assert result.ok
-
     def test_load_rejects_non_trace_files(self, tmp_path):
         path = tmp_path / "not-a-trace.jsonl"
         path.write_text('{"kind": "sample"}\n')
@@ -238,3 +223,133 @@ class TestTraceRoundTrip:
         assert backend.finished
         with pytest.raises(RuntimeError, match="exhausted"):
             backend.sample(1.0)
+
+
+# -- a real divergence, for every controller ---------------------------------
+
+#: Traces written by the trace dumper for the tampered runs below; the
+#: current dumper must reproduce their bytes (the trace format is frozen).
+TRACE_DIR = Path(__file__).parent / "traces"
+
+
+def _per_core(bw, occ):
+    return PeriodSample(
+        duration_s=1.0,
+        hp_ipc=1.0,
+        hp_mem_bytes_s=bw[0],
+        total_mem_bytes_s=sum(bw),
+        core_ipcs=tuple(1.0 for _ in bw),
+        core_mem_bytes_s=tuple(bw),
+        core_occupancy_ways=tuple(occ),
+    )
+
+
+def _divergence_case(name):
+    """(config, total_ways, samples, trace fixture) for one controller."""
+    aggregate = [
+        PeriodSample(1.0, 1.0, 2e9, 3e9),
+        PeriodSample(1.0, 1.0, 2e9, 8e9),
+        PeriodSample(1.0, 0.7, 2e9, 3e9),
+    ]
+    if name == "dicer":
+        return (
+            DicerConfig(sample_hp_ways=(5, 3, 1)), 6, aggregate,
+            "divergence-7dbc04799c31.jsonl",
+        )
+    if name == "lfoc":
+        stream = [
+            _per_core([2.0e9, 0.05e9, 0.8e9], [1.0, 0.5, 5.0])
+            for _ in range(4)
+        ]
+        return (
+            LfocConfig(recluster_periods=2), 20, stream,
+            "divergence-lfoc-0dc4cb7f8e71.jsonl",
+        )
+    return (
+        CbpConfig(relax_periods=2), 20, aggregate,
+        "divergence-cbp-de6e570151f5.jsonl",
+    )
+
+
+def _tamper(monkeypatch, oracle_cls, period=2):
+    """Make the oracle report a bogus ``event`` at one period."""
+    update = oracle_cls.update
+
+    def tampered(self, sample):
+        decision = update(self, sample)
+        if decision.period == period:
+            decision = replace(decision, event="tampered")
+        return decision
+
+    monkeypatch.setattr(oracle_cls, "update", tampered)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("name", ["dicer", "lfoc", "cbp"])
+    def test_divergence_is_reported_dumped_and_replayed(
+        self, name, tmp_path, monkeypatch
+    ):
+        config, total_ways, samples, fixture = _divergence_case(name)
+        with monkeypatch.context() as patch:
+            _tamper(patch, CONFORMANCE[type(config)].oracle)
+            result = run_differential(
+                samples,
+                config=config,
+                total_ways=total_ways,
+                dump_dir=tmp_path,
+            )
+            assert not result.ok
+            assert [(d.period, d.facet) for d in result.divergences] == [
+                (2, "event")
+            ]
+            assert result.divergences[0].reference == "tampered"
+            assert len(result.controller_trace) == len(samples)
+            assert len(result.reference_trace) == len(samples)
+            assert result.trace_path is not None
+            report = result.report()
+            assert "1 divergence(s) over" in report
+            assert "period 2: event diverged" in report
+            assert str(result.trace_path) in report
+            # The dump replays to the same divergences while the bug stands.
+            assert replay_trace(result.trace_path).divergences == (
+                result.divergences
+            )
+        # The dumped bytes are the frozen trace format.
+        assert result.trace_path.name == fixture
+        assert (
+            result.trace_path.read_bytes()
+            == (TRACE_DIR / fixture).read_bytes()
+        )
+        # With the oracle fixed, the same trace replays conformant.
+        fixed = replay_trace(result.trace_path)
+        assert fixed.ok, fixed.report()
+        assert fixed.n_periods == len(samples)
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(p.name for p in TRACE_DIR.glob("*.jsonl"))
+    )
+    def test_recorded_trace_redumps_byte_identically(self, fixture, tmp_path):
+        """Load, re-dump with the recorded divergences, replay clean."""
+        path = TRACE_DIR / fixture
+        config, total_ways, samples = load_trace(path)
+        divergences = [
+            Divergence(
+                line["period"],
+                line["facet"],
+                line["controller"],
+                line["reference"],
+            )
+            for line in map(json.loads, path.read_text().splitlines())
+            if line["kind"] == "divergence"
+        ]
+        assert divergences
+        redumped = dump_trace(
+            tmp_path,
+            samples,
+            config=config,
+            total_ways=total_ways,
+            divergences=divergences,
+        )
+        assert redumped.name == fixture
+        assert redumped.read_bytes() == path.read_bytes()
+        assert replay_trace(path).ok

@@ -1,16 +1,21 @@
 """Golden-trace conformance: replay the recorded corpus, twice.
 
 Each file under ``tests/golden/`` pins one regime's full per-period
-behaviour (allocation, mode, event, flags, classification). The replay
-feeds the recorded samples to *both* the production controller and the
-paper-literal oracle and asserts every recorded expectation against
-both — so a behaviour drift trips regardless of which implementation it
-lands in, and the corpus doubles as a third, human-reviewable reading of
-the contract.
+behaviour: the conformance facets of its controller (for DICER:
+allocation, mode, event, flags, classification). The replay feeds the
+recorded samples to *both* the production controller and the
+paper-literal oracle named by the ``CONFORMANCE`` table and asserts every
+recorded expectation against both — so a behaviour drift trips
+regardless of which implementation it lands in, and the corpus doubles
+as a third, human-reviewable reading of the contract.
+
+The DICER scenarios are parametrised here, the LFOC and CBP ones in
+``test_golden_zoo.py``; both replay through :func:`replay_golden`.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -19,16 +24,19 @@ import pytest
 
 from repro.core.config import DicerConfig
 from repro.core.dicer import DicerController
-from repro.rdt.sample import PeriodSample
+from repro.valid import reference
+from repro.valid.differential import (
+    CONFORMANCE,
+    config_from_meta,
+    sample_from_dict,
+)
 from repro.valid.record import (
     DEFAULT_OUT,
     SCENARIOS,
-    ZOO_SCENARIOS,
     main,
     record_corpus,
     render_scenario,
 )
-from repro.valid.reference import ReferenceDicer
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -54,91 +62,112 @@ ALL_EVENTS = {
 }
 
 
-def load_golden(path: Path):
+def scenario_names(config_type: type) -> list[str]:
+    """The scenarios recorded for one controller, sorted."""
+    return sorted(
+        name
+        for name, build in SCENARIOS.items()
+        if type(build()[0]) is config_type
+    )
+
+
+def load_golden(name: str):
+    """(config, total_ways, samples, period lines) of one golden file."""
     lines = [
         json.loads(line)
-        for line in path.read_text().splitlines()
+        for line in (GOLDEN_DIR / f"{name}.jsonl").read_text().splitlines()
         if line.strip()
     ]
     meta = lines[0]
     assert meta["kind"] == "meta"
-    raw = dict(meta["config"])
-    raw["sample_hp_ways"] = tuple(raw["sample_hp_ways"])
-    config = DicerConfig(**raw)
+    config = config_from_meta(meta)
+    fields = CONFORMANCE[type(config)].sample_fields
     periods = [record for record in lines[1:] if record["kind"] == "period"]
-    return config, int(meta["total_ways"]), periods
+    samples = [sample_from_dict(entry["sample"], fields) for entry in periods]
+    return config, int(meta["total_ways"]), samples, periods
 
 
-def to_sample(record: dict) -> PeriodSample:
-    return PeriodSample(**record["sample"])
+def replay_golden(name: str, *, side: str) -> None:
+    """Assert one side (``controller`` or ``oracle``) matches the file."""
+    config, total_ways, samples, periods = load_golden(name)
+    entry = CONFORMANCE[type(config)]
+    if side == "controller":
+        controller = entry.controller(config, total_ways)
+    else:
+        oracle = entry.oracle(config, total_ways)
+    for sample, line in zip(samples, periods):
+        if side == "controller":
+            controller.update(sample)
+            facets = entry.controller_facets(controller)
+        else:
+            facets = entry.oracle_facets(oracle.update(sample))
+        # JSON round trip: the file spells tuples as lists.
+        got = json.loads(json.dumps(facets))
+        assert got == line["expect"], (
+            f"{name} period {line['period']}: {got} != {line['expect']}"
+        )
+
+
+def events_seen(config_type: type) -> set[str]:
+    """Every ``expect.event`` the corpus records for one controller."""
+    return {
+        line["expect"]["event"]
+        for name in scenario_names(config_type)
+        for line in load_golden(name)[3]
+    }
+
+
+DICER_NAMES = scenario_names(DicerConfig)
 
 
 class TestCorpusReplay:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", DICER_NAMES)
     def test_controller_matches_golden(self, name):
-        config, total_ways, periods = load_golden(
-            GOLDEN_DIR / f"{name}.jsonl"
-        )
-        controller = DicerController(config, total_ways)
-        for entry in periods:
-            controller.update(to_sample(entry))
-            record = controller.trace[-1]
-            expect = entry["expect"]
-            got = {
-                "hp_ways": record.allocation.hp_ways,
-                "mode": record.mode.value,
-                "event": record.event,
-                "saturated": record.saturated,
-                "phase_change": record.phase_change,
-                "ct_favoured": controller.ct_favoured,
-            }
-            assert got == expect, (
-                f"{name} period {entry['period']}: {got} != {expect}"
-            )
+        replay_golden(name, side="controller")
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", DICER_NAMES)
     def test_reference_matches_golden(self, name):
-        config, total_ways, periods = load_golden(
-            GOLDEN_DIR / f"{name}.jsonl"
-        )
-        oracle = ReferenceDicer(config, total_ways)
-        for entry in periods:
-            decision = oracle.update(to_sample(entry))
-            expect = entry["expect"]
-            got = {
-                "hp_ways": decision.hp_ways,
-                "mode": decision.mode,
-                "event": decision.event,
-                "saturated": decision.saturated,
-                "phase_change": decision.phase_change,
-                "ct_favoured": decision.ct_favoured,
-            }
-            assert got == expect, (
-                f"{name} period {entry['period']}: {got} != {expect}"
-            )
+        replay_golden(name, side="oracle")
 
     def test_corpus_exercises_every_event_kind(self):
-        seen = set()
-        for name in SCENARIOS:
-            _, _, periods = load_golden(GOLDEN_DIR / f"{name}.jsonl")
-            seen |= {entry["expect"]["event"] for entry in periods}
-        assert seen == ALL_EVENTS
+        assert events_seen(DicerConfig) == ALL_EVENTS
 
     def test_fault_storm_holds_allocation_and_history(self):
         """The fault scenario's held periods repeat the last allocation."""
-        config, total_ways, periods = load_golden(
-            GOLDEN_DIR / "fault_storm.jsonl"
-        )
+        config, total_ways, samples, periods = load_golden("fault_storm")
         controller = DicerController(config, total_ways)
         last_ways = controller.initial_allocation().hp_ways
-        for entry in periods:
-            allocation = controller.update(to_sample(entry))
+        for sample, entry in zip(samples, periods):
+            allocation = controller.update(sample)
             if entry["expect"]["event"] == "fault":
                 assert allocation.hp_ways == last_ways
             last_ways = allocation.hp_ways
             assert math.isfinite(allocation.hp_ways)
         assert all(
             math.isfinite(b) for b in controller._hp_bw_history
+        )
+
+
+class TestConformanceTable:
+    def test_every_oracle_has_an_entry_and_every_entry_a_scenario(self):
+        """Adding an oracle or a controller without the other trips here.
+
+        The oracles are the classes of :mod:`repro.valid.reference` with
+        an ``update`` method, less the ``ReferenceController`` facade
+        (which wraps ``ReferenceDicer``).
+        """
+        oracles = {
+            cls
+            for _, cls in inspect.getmembers(reference, inspect.isclass)
+            if cls.__module__ == reference.__name__
+            and hasattr(cls, "update")
+            and cls is not reference.ReferenceController
+        }
+        assert {entry.oracle for entry in CONFORMANCE.values()} == oracles
+        for config_type in CONFORMANCE:
+            assert scenario_names(config_type), config_type.__name__
+        assert sum(map(len, map(scenario_names, CONFORMANCE))) == len(
+            SCENARIOS
         )
 
 
@@ -163,7 +192,7 @@ class TestRecorder:
         assert main(["--out", str(out)]) == 0
         assert "recorded" in capsys.readouterr().out
         assert sorted(p.stem for p in out.glob("*.jsonl")) == sorted(
-            list(SCENARIOS) + list(ZOO_SCENARIOS)
+            SCENARIOS
         )
         # Freshly recorded -> check passes, recording again is a no-op.
         assert main(["--out", str(out), "--check"]) == 0

@@ -1,26 +1,19 @@
-"""Policy-zoo golden-trace conformance: replay LFOC/CBP corpora, twice.
+"""LFOC and CBP golden-trace conformance: replay their corpora, twice.
 
-Mirrors ``tests/valid/test_golden.py`` for the zoo controllers: every
-``lfoc_*``/``cbp_*`` file under ``tests/golden/`` pins the per-period
-behaviour of one clustering or coordination regime, and replay asserts
-the recorded expectations against both the production controller and the
+Every ``lfoc_*``/``cbp_*`` file under ``tests/golden/`` pins the
+per-period behaviour of one clustering or coordination regime. Replay
+runs through the same :func:`~tests.valid.test_golden.replay_golden` as
+the DICER corpus, against both the production controller and the
 paper-literal oracle.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.core.cbp import CbpConfig, CbpController
-from repro.core.lfoc import LfocConfig, LfocController
-from repro.valid.differential import zoo_sample_from_dict
-from repro.valid.record import ZOO_SCENARIOS
-from repro.valid.reference import ReferenceCbp, ReferenceLfoc
-
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
+from repro.core.cbp import CbpConfig
+from repro.core.lfoc import LfocConfig
+from tests.valid.test_golden import events_seen, replay_golden, scenario_names
 
 #: Every structured decision kind the LFOC controller can emit.
 LFOC_EVENTS = {"warmup", "cluster", "hold", "recluster", "fault"}
@@ -39,118 +32,29 @@ CBP_EVENTS = {
     "hold",
 }
 
-LFOC_NAMES = sorted(n for n in ZOO_SCENARIOS if n.startswith("lfoc_"))
-CBP_NAMES = sorted(n for n in ZOO_SCENARIOS if n.startswith("cbp_"))
-
-
-def load_zoo_golden(path: Path):
-    lines = [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-    meta = lines[0]
-    assert meta["kind"] == "meta"
-    raw = dict(meta["config"])
-    if meta["controller"] == "lfoc":
-        config = LfocConfig(**raw)
-    else:
-        raw["mba_levels"] = tuple(raw["mba_levels"])
-        raw["prefetch_ladder"] = tuple(raw["prefetch_ladder"])
-        config = CbpConfig(**raw)
-    periods = [r for r in lines[1:] if r["kind"] == "period"]
-    return meta["controller"], config, int(meta["total_ways"]), periods
-
-
-def lfoc_expect(record) -> dict:
-    return {
-        "event": record.event,
-        "classes": list(record.classes),
-        "groups": [list(g) for g in record.groups],
-        "ways": list(record.ways),
-    }
-
-
-def cbp_expect(record) -> dict:
-    return {
-        "event": record.event,
-        "hp_ways": record.hp_ways,
-        "mba_idx": record.mba_idx,
-        "prefetch_idx": record.prefetch_idx,
-        "saturated": record.saturated,
-    }
+LFOC_NAMES = scenario_names(LfocConfig)
+CBP_NAMES = scenario_names(CbpConfig)
 
 
 class TestZooCorpusReplay:
     @pytest.mark.parametrize("name", LFOC_NAMES)
     def test_lfoc_controller_matches_golden(self, name):
-        kind, config, total_ways, periods = load_zoo_golden(
-            GOLDEN_DIR / f"{name}.jsonl"
-        )
-        assert kind == "lfoc"
-        controller = LfocController(config, total_ways)
-        for entry in periods:
-            controller.update(zoo_sample_from_dict(entry["sample"]))
-            got = lfoc_expect(controller.trace[-1])
-            assert got == entry["expect"], (
-                f"{name} period {entry['period']}: {got} != {entry['expect']}"
-            )
+        replay_golden(name, side="controller")
 
     @pytest.mark.parametrize("name", LFOC_NAMES)
     def test_lfoc_reference_matches_golden(self, name):
-        _, config, total_ways, periods = load_zoo_golden(
-            GOLDEN_DIR / f"{name}.jsonl"
-        )
-        oracle = ReferenceLfoc(config, total_ways)
-        for entry in periods:
-            decision = oracle.update(zoo_sample_from_dict(entry["sample"]))
-            got = lfoc_expect(decision)
-            assert got == entry["expect"], (
-                f"{name} period {entry['period']}: {got} != {entry['expect']}"
-            )
+        replay_golden(name, side="oracle")
 
     @pytest.mark.parametrize("name", CBP_NAMES)
     def test_cbp_controller_matches_golden(self, name):
-        kind, config, total_ways, periods = load_zoo_golden(
-            GOLDEN_DIR / f"{name}.jsonl"
-        )
-        assert kind == "cbp"
-        controller = CbpController(config, total_ways)
-        for entry in periods:
-            controller.update(zoo_sample_from_dict(entry["sample"]))
-            got = cbp_expect(controller.trace[-1])
-            assert got == entry["expect"], (
-                f"{name} period {entry['period']}: {got} != {entry['expect']}"
-            )
+        replay_golden(name, side="controller")
 
     @pytest.mark.parametrize("name", CBP_NAMES)
     def test_cbp_reference_matches_golden(self, name):
-        _, config, total_ways, periods = load_zoo_golden(
-            GOLDEN_DIR / f"{name}.jsonl"
-        )
-        oracle = ReferenceCbp(config, total_ways)
-        for entry in periods:
-            decision = oracle.update(zoo_sample_from_dict(entry["sample"]))
-            got = cbp_expect(decision)
-            assert got == entry["expect"], (
-                f"{name} period {entry['period']}: {got} != {entry['expect']}"
-            )
+        replay_golden(name, side="oracle")
 
     def test_corpus_exercises_every_lfoc_event_kind(self):
-        seen = set()
-        for name in LFOC_NAMES:
-            _, _, _, periods = load_zoo_golden(GOLDEN_DIR / f"{name}.jsonl")
-            seen |= {entry["expect"]["event"] for entry in periods}
-        assert seen == LFOC_EVENTS
+        assert events_seen(LfocConfig) == LFOC_EVENTS
 
     def test_corpus_exercises_every_cbp_event_kind(self):
-        seen = set()
-        for name in CBP_NAMES:
-            _, _, _, periods = load_zoo_golden(GOLDEN_DIR / f"{name}.jsonl")
-            seen |= {entry["expect"]["event"] for entry in periods}
-        assert seen == CBP_EVENTS
-
-    def test_both_controllers_have_scenarios(self):
-        """A zoo corpus with only one controller family is a recording bug."""
-        assert LFOC_NAMES and CBP_NAMES
-        assert set(LFOC_NAMES) | set(CBP_NAMES) == set(ZOO_SCENARIOS)
+        assert events_seen(CbpConfig) == CBP_EVENTS

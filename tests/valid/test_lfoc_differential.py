@@ -6,8 +6,8 @@ bandwidths sitting exactly on the streaming/light thresholds, occupancy
 ties that exercise the deterministic ordering, migrating cores that force
 reclustering, and faulty per-core reads. Production and the naive
 transcription must agree on every period's event, classification, cluster
-membership and way split; a divergence dumps a replayable zoo trace
-(``repro.valid.differential.replay_zoo_trace``).
+membership and way split; a divergence dumps a replayable trace
+(``repro.valid.differential.replay_trace``).
 
 The fuzz tests together run >300 generated streams, the acceptance floor
 for this suite.
@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 from repro.core.lfoc import LfocConfig
 from repro.rdt.sample import PeriodSample
 from repro.valid import (
-    load_zoo_trace,
-    replay_zoo_trace,
-    run_lfoc_differential,
+    dump_trace,
+    load_trace,
+    replay_trace,
+    run_differential,
 )
-from repro.valid.differential import dump_zoo_trace
 
 #: Divergent counterexamples land here (only written on failure).
 DIVERGENCE_DIR = Path(__file__).parent / "divergences"
@@ -36,7 +36,7 @@ DEFAULT = LfocConfig()
 
 
 def _assert_conformant(samples, config, total_ways):
-    result = run_lfoc_differential(
+    result = run_differential(
         samples,
         config=config,
         total_ways=total_ways,
@@ -199,28 +199,25 @@ class TestTraceRoundTrip:
     def test_dump_then_load_round_trips(self, tmp_path):
         config = LfocConfig(recluster_periods=2)
         samples = self._stream()
-        path = dump_zoo_trace(
+        path = dump_trace(
             tmp_path,
             samples,
-            controller="lfoc",
             config=config,
             total_ways=20,
         )
-        kind, loaded_config, loaded_ways, loaded = load_zoo_trace(path)
-        assert kind == "lfoc"
+        loaded_config, loaded_ways, loaded = load_trace(path)
         assert loaded_config == config
         assert loaded_ways == 20
         assert loaded == samples
 
     def test_replay_reruns_the_comparison(self, tmp_path):
         config = LfocConfig(recluster_periods=2)
-        path = dump_zoo_trace(
+        path = dump_trace(
             tmp_path,
             self._stream(),
-            controller="lfoc",
             config=config,
             total_ways=20,
         )
-        result = replay_zoo_trace(path)
+        result = replay_trace(path)
         assert result.ok
         assert result.n_periods == 5
