@@ -4,6 +4,10 @@
 
 .DEFAULT_GOAL := all
 
+# Every recipe imports the package from src/, so a fresh checkout needs no
+# `pip install -e .` first; an inherited PYTHONPATH stays after it.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 all: lint test chaos serve conformance queue-smoke serve-smoke bench-fast-quick
 
 install:
@@ -45,7 +49,7 @@ bench:            ## quick-mode campaign (truncated populations)
 	pytest benchmarks/ --benchmark-only
 
 bench-quick:      ## quick-mode campaign + autosave + >25% regression gate
-	PYTHONPATH=src pytest benchmarks/ --benchmark-only --benchmark-autosave
+	pytest benchmarks/ --benchmark-only --benchmark-autosave
 	python benchmarks/compare_saves.py --threshold 0.25
 
 bench-full:       ## paper-scale campaign (3481 pairs, 120-workload grid); fails if a committed artefact drifts
@@ -53,19 +57,19 @@ bench-full:       ## paper-scale campaign (3481 pairs, 120-workload grid); fails
 	git diff --exit-code -- benchmarks/results_full
 
 bench-fast:       ## fast-math speedup gate: full 3481-pair grid, exact vs fast, floor 9.6x
-	PYTHONPATH=src python benchmarks/bench_fast.py
+	python benchmarks/bench_fast.py
 
 bench-fast-quick: ## fast-math speedup gate on the truncated population (floor 4.9x)
-	PYTHONPATH=src python benchmarks/bench_fast.py --quick
+	python benchmarks/bench_fast.py --quick
 
 queue-smoke:      ## serial/threads/processes pools + two-worker shared queue, digest-checked against serial
-	PYTHONPATH=src python benchmarks/queue_smoke.py
+	python benchmarks/queue_smoke.py
 
 serve:            ## serve-marked control-plane integration suites (daemon, API, chaos determinism)
 	pytest tests/ -m serve
 
 serve-smoke:      ## seeded 1200-event churn + node chaos + SIGTERM kill/restart, digest-checked
-	PYTHONPATH=src python benchmarks/serve_smoke.py
+	python benchmarks/serve_smoke.py
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f; done

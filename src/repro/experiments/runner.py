@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from repro.core.dicer import DecisionRecord
 from repro.core.policies import Policy
 from repro.metrics.efu import efu
+from repro.obs import get_registry
 from repro.rdt.harness import drive
 from repro.rdt.simulated import SimulatedRdt
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import PlatformConfig, TABLE1_PLATFORM
-from repro.sim.server import Server, StaticOutcome, claim_static_outcome
+from repro.sim.server import Server, StaticOutcome
 from repro.sim.solo import SoloProfile, solo_profile
 from repro.workloads.app import AppModel
 from repro.workloads.mix import MultiHpMix, WorkloadMix
@@ -99,26 +100,30 @@ def _execute(
     platform: PlatformConfig,
     max_time_s: float,
     precision: str,
+    staged: StaticOutcome | tuple[tuple, tuple] | None = None,
 ) -> tuple[StaticOutcome, tuple]:
     """Run ``apps`` under a fresh copy of ``policy``: outcome and trace.
 
-    A fast static run a campaign prewarm already stepped to completion
-    (:func:`~repro.sim.server.claim_static_outcome`) takes that outcome
-    instead of running its own Server; the metrics are the same bits.
-    Otherwise both kinds batch-solve the phase product of the initial
-    partition up front (a no-op under exact precision): a static run
-    then steps its Server to completion, a dynamic one dwells there
-    between decisions while :func:`~repro.rdt.harness.drive` runs the
-    policy's periods.
+    ``staged`` is this run's entry from a campaign prewarm
+    (:func:`~repro.sim.server.stage_phase_products`, built for these
+    apps, ``platform``, ``max_time_s`` and fast precision). A static run
+    the prewarm stepped to completion returns that outcome instead of
+    running its own Server; the metrics are the same bits. Otherwise
+    both kinds seed their Server with the phase product of the initial
+    partition up front, staged or batch-solved here (a no-op under exact
+    precision): a static run then steps its Server to completion, a
+    dynamic one dwells there between decisions while
+    :func:`~repro.rdt.harness.drive` runs the policy's periods.
     """
+    if isinstance(staged, StaticOutcome):
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("server.static.claimed").inc()
+        return staged, ()
     policy = policy.fresh()
     partition = initial_partition(policy, len(apps), platform.llc_ways)
-    if not policy.dynamic and precision == "fast":
-        outcome = claim_static_outcome(platform, apps, partition, max_time_s)
-        if outcome is not None:
-            return outcome, ()
     server = Server(platform, apps, partition, precision=precision)
-    server.prefetch_phase_product()
+    server.prefetch_phase_product(staged=staged)
     trace: tuple = ()
     if policy.dynamic:
         rdt = SimulatedRdt(server)
@@ -154,16 +159,19 @@ def run_pair(
     *,
     max_time_s: float = MAX_TIME_S,
     precision: str = "exact",
+    staged: StaticOutcome | tuple[tuple, tuple] | None = None,
 ) -> PairResult:
     """Execute ``mix`` under ``policy`` and compute the paper's metrics.
 
     ``precision`` selects the steady-state solver mode for every solve in
     the run — event loop, prefetches, and solo baselines alike ("exact" =
     bitwise-reproducible scalar parity, "fast" = tolerance-contracted
-    vectorised kernel; DESIGN.md §10).
+    vectorised kernel; DESIGN.md §10). ``staged`` is private to the
+    campaign supervisor: the cell's entry from its prewarm (see
+    :func:`_execute`); a run without one never reads another run's work.
     """
     outcome, trace = _execute(
-        mix.apps(), policy, platform, max_time_s, precision
+        mix.apps(), policy, platform, max_time_s, precision, staged
     )
     return _pair_result(mix, policy.name, platform, precision, outcome, trace)
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 import heapq
 import time
 import traceback as _traceback
-from collections import Counter
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -90,7 +89,7 @@ Cell = tuple[str, str, int, Policy]
 
 #: Attempt outcomes that consume retry budget ("pool_crash" / "pool_lost"
 #: are unattributed collateral and do not).
-_COUNTED_OUTCOMES = frozenset({"error", "timeout", "crash", "garbage"})
+_COUNTED_KINDS = frozenset({"error", "timeout", "crash", "garbage"})
 
 #: Cap on stored traceback text per attempt.
 _MAX_TRACEBACK_CHARS = 4000
@@ -278,13 +277,20 @@ def run_cell(
     platform: PlatformConfig,
     cell: Cell,
     run_kwargs: dict | None = None,
+    *,
+    staged=None,
 ) -> PairResult:
-    """Execute one campaign cell (the unit of work the pool distributes)."""
+    """Execute one campaign cell (the unit of work the pool distributes).
+
+    ``staged`` is the cell's prewarm entry, if the supervisor holds one
+    (:func:`_prewarm_phase_products`).
+    """
     hp_name, be_name, n_be, policy = cell
     return run_pair(
         make_mix(hp_name, be_name, n_be=n_be),
         policy,
         platform,
+        staged=staged,
         **(run_kwargs or {}),
     )
 
@@ -328,8 +334,7 @@ def _prewarm_phase_products(
     platform: PlatformConfig,
     cells: list[Cell],
     run_kwargs: dict | None = None,
-    max_points_per_cell: int = 64,
-) -> int:
+) -> list | None:
     """Fuse the phase-product operating points of many cells into one batch.
 
     Fast-mode in-process campaigns only. Each cell's execution starts from
@@ -339,33 +344,25 @@ def _prewarm_phase_products(
     cell at a time. Aggregating them across the whole campaign hands the
     vectorised fast kernel one wide fused batch instead of hundreds of
     narrow ones, which is where its throughput comes from (DESIGN.md §10).
-    :func:`~repro.sim.server.stage_phase_products` keeps each cell's solved
-    product for the cell's Server to claim, so no cell builds it twice,
-    and steps the static cells to completion in one pass, so their
-    ``run_pair`` needs no Server at all (DESIGN.md §7).
-    Every copy of a repeated cell gets its own claim.
+    :func:`~repro.sim.server.stage_phase_products` also steps the static
+    cells to completion in one pass (DESIGN.md §7). Returns one entry per
+    cell, aligned with ``cells``, for the supervisor to hand to the cell's
+    attempts: a static cell's outcome, so its ``run_pair`` needs no Server
+    at all, or the cell's solved product for its Server's memo, so no cell
+    builds it twice. Cells with equal staging keys share one entry.
 
-    A no-op for ``precision="exact"`` (the scalar-parity path keeps its
-    historical per-cell solve pattern) and for cells whose mix or policy
-    setup fails — those cells surface their own errors when they run.
-    Returns the number of operating points submitted.
+    ``None`` for ``precision="exact"`` (the scalar-parity path keeps its
+    historical per-cell solve pattern); a cell whose mix or policy setup
+    fails gets a ``None`` entry and surfaces its own error when it runs.
     """
     from repro.sim.server import stage_phase_products
 
     run_kwargs = run_kwargs or {}
     if run_kwargs.get("precision", "exact") != "fast":
-        return 0
+        return None
 
     def runs():
-        # Local to the generator, so it is gone before the fused solve.
-        copies = Counter(
-            (hp_name, be_name, n_be, policy.name)
-            for hp_name, be_name, n_be, policy in cells
-        )
         for hp_name, be_name, n_be, policy in cells:
-            n_copies = copies.pop((hp_name, be_name, n_be, policy.name), 0)
-            if not n_copies:
-                continue
             try:
                 models = make_mix(hp_name, be_name, n_be=n_be).apps()
                 fresh = policy.fresh()
@@ -373,14 +370,13 @@ def _prewarm_phase_products(
                     fresh, len(models), platform.llc_ways
                 )
             except Exception:
+                yield None
                 continue
-            for _ in range(n_copies):
-                yield models, partition, not fresh.dynamic
+            yield models, partition, not fresh.dynamic
 
     return stage_phase_products(
         platform,
         runs(),
-        max_points_per_cell,
         max_time_s=run_kwargs.get("max_time_s", MAX_TIME_S),
     )
 
@@ -390,11 +386,11 @@ def _supervised_worker(payload: tuple) -> PairResult:
 
     The unit of work every run strategy submits.
     """
-    platform, cell, run_kwargs, index1, attempt = payload
+    platform, cell, run_kwargs, index1, attempt, staged = payload
     garbage = maybe_inject(index1, attempt)
     if garbage is not None:
         return garbage
-    return run_cell(platform, cell, run_kwargs)
+    return run_cell(platform, cell, run_kwargs, staged=staged)
 
 
 class _CellState:
@@ -700,14 +696,15 @@ class SupervisedExecutor:
                     timeout_s=timeout,
                     reason="serial in-process execution cannot be preempted",
                 )
+        staged = None
         if strategy.prewarm:
             # Solo profiles and (fast precision) the fused phase-product
             # batch are solved once up front, so every in-process attempt
-            # finds them staged instead of cold-solving its own.
+            # is handed its cell's entry instead of cold-solving its own.
             _prewarm_solo_profiles(platform, cells, run_kwargs)
-            _prewarm_phase_products(platform, cells, run_kwargs)
+            staged = _prewarm_phase_products(platform, cells, run_kwargs)
         outcome = self._supervise(
-            cells, platform, run_kwargs, on_result, strategy
+            cells, platform, run_kwargs, on_result, strategy, staged
         )
         if registry.enabled and cells:
             elapsed = time.perf_counter() - t0
@@ -761,7 +758,7 @@ class SupervisedExecutor:
         exc: BaseException | None = None,
         duration_s: float = 0.0,
     ) -> AttemptRecord:
-        counted = outcome in _COUNTED_OUTCOMES
+        counted = outcome in _COUNTED_KINDS
         record = AttemptRecord(
             attempt=state.next_attempt,
             outcome=outcome,
@@ -801,6 +798,7 @@ class SupervisedExecutor:
         run_kwargs: dict | None,
         on_result,
         strategy,
+        staged: list | None,
     ) -> CampaignOutcome:
         config = self.config
         timeout = config.cell_timeout_s
@@ -843,19 +841,26 @@ class SupervisedExecutor:
                     if on_result is not None:
                         on_result(index, cells[index], value)
 
-        def resolve_ok(index: int, result: PairResult, duration: float) -> None:
+        def release(index: int) -> None:
+            # A resolved cell's state and prewarm entry go (retries still
+            # take the entry), so the stage shrinks as the campaign runs.
             nonlocal unresolved
+            states[index] = None
+            if staged:
+                staged[index] = None
+            unresolved -= 1
+
+        def resolve_ok(index: int, result: PairResult, duration: float) -> None:
             registry.counter("parallel.cells").inc()
             registry.counter("supervise.cells_ok").inc()
             if registry.enabled:
                 registry.histogram("parallel.cell_seconds").observe(duration)
             resolved[index] = result
-            states[index] = None
-            unresolved -= 1
+            release(index)
             emit_ready()
 
         def quarantine(state: _CellState, exc: BaseException | None) -> None:
-            nonlocal unresolved, abort
+            nonlocal abort
             failure = self._failed_cell(state, run_kwargs)
             self._emit_recovery(
                 "quarantine",
@@ -871,8 +876,7 @@ class SupervisedExecutor:
                 return
             outcome.failures.append(failure)
             resolved[state.index] = failure
-            states[state.index] = None
-            unresolved -= 1
+            release(state.index)
             emit_ready()
 
         def requeue(state: _CellState, *, delay: float, solo: bool) -> None:
@@ -941,7 +945,14 @@ class SupervisedExecutor:
             running[index] = time.monotonic()
             strategy.submit(
                 index,
-                (platform, state.cell, run_kwargs, index + 1, state.next_attempt),
+                (
+                    platform,
+                    state.cell,
+                    run_kwargs,
+                    index + 1,
+                    state.next_attempt,
+                    staged[index] if staged else None,
+                ),
             )
 
         def rebuild_pool() -> None:

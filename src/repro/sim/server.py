@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,13 +37,16 @@ __all__ = [
     "Server",
     "SimulationTimeout",
     "StaticOutcome",
-    "claim_static_outcome",
     "phase_product_points",
     "stage_phase_products",
 ]
 
 #: Relative tolerance for phase-boundary hit detection.
 _BOUNDARY_RTOL = 1e-9
+
+#: The largest phase product a Server or a campaign prewarm solves up
+#: front; a larger one (a multi-phase zoo) is cheaper to solve on demand.
+_MAX_PRODUCT_POINTS = 64
 
 
 class SimulationTimeout(RuntimeError):
@@ -55,7 +57,7 @@ def phase_product_points(
     models: Sequence[AppModel],
     partition: PartitionSpec,
     mba_scale: tuple[float, ...] | None = None,
-    max_points: int = 64,
+    max_points: int = _MAX_PRODUCT_POINTS,
     *,
     prefetch: tuple[float, ...] | None = None,
 ) -> list[tuple]:
@@ -67,10 +69,9 @@ def phase_product_points(
     ``(phases, partition, mba_scale, prefetch)`` points, or ``[]`` when
     the product exceeds ``max_points`` (multi-phase zoos are cheaper to
     solve on demand). Shared by :meth:`Server.prefetch_phase_product` and
-    the campaign-level fused prewarm in
-    :func:`repro.experiments.supervise._prewarm_phase_products`.
-    ``prefetch`` is keyword-only so the long-standing positional
-    ``max_points`` callers keep binding.
+    :func:`stage_phase_products`, which builds each cell's entry for a
+    campaign's fused prewarm. ``prefetch`` is keyword-only so the
+    long-standing positional ``max_points`` callers keep binding.
     """
     distinct: list[tuple[tuple[Phase, ...], list[int]]] = []
     index_of: dict[tuple[Phase, ...], int] = {}
@@ -98,18 +99,6 @@ def phase_product_points(
     return points
 
 
-#: Phase products :func:`stage_phase_products` solved, waiting for their
-#: Servers: staging key (:func:`_staged_key`) -> ``[claims left, memo
-#: keys, states]``. Unthrottled points with prefetchers fully on, all on
-#: ``_staged_platform``.
-_STAGED: dict[tuple, list] = {}
-#: Static runs :func:`stage_phase_products` stepped to completion, waiting
-#: for their ``run_pair``: staging key + ``(max_time_s,)`` -> ``[claims
-#: left, StaticOutcome]``, on ``_staged_platform`` too.
-_OUTCOMES: dict[tuple, list] = {}
-_staged_platform: PlatformConfig | None = None
-_STAGED_LOCK = threading.Lock()
-
 #: The factor :meth:`Server.advance` snaps a retire onto a boundary by.
 _SNAP = 1.0 - _BOUNDARY_RTOL
 #: Static runs stepped together: keeps the pass's arrays small (peak
@@ -132,161 +121,108 @@ class StaticOutcome:
     hp_run_times: tuple[float, ...]
 
 
-def _staged_key(
-    models: Sequence[AppModel], partition_key: tuple, max_points: int
-) -> tuple:
-    # The product depends on the models only through their phases.
-    return (partition_key, max_points, *(m.phases for m in models))
-
-
 def stage_phase_products(
     platform: PlatformConfig,
-    runs: Iterable[tuple[Sequence[AppModel], PartitionSpec, bool]],
-    max_points: int = 64,
+    runs: Iterable[tuple[Sequence[AppModel], PartitionSpec, bool] | None],
     *,
     max_time_s: float | None = None,
-) -> int:
+) -> list[StaticOutcome | tuple[tuple, tuple] | None]:
     """Solve the phase products of many upcoming runs in one fast batch.
 
-    ``runs`` yields one ``(models, partition, static)`` per run: the apps
-    and the initial partition of a Server about to start unthrottled with
-    prefetchers fully on, and whether the run keeps that partition to the
-    end. Their :func:`phase_product_points` go to the fast kernel as ONE
-    fused batch (DESIGN.md §10), and each run's memo keys and states are
-    staged until a Server running the same phases under that partition
-    claims them in :meth:`Server.prefetch_phase_product` — so each run's
-    product and keys are built once, here. Runs whose product exceeds
-    ``max_points`` are staged empty. Equal partitions share one object,
-    so the memo keys of thousands of runs share a handful of partition
-    keys.
+    ``runs`` yields one ``(models, partition, static)`` per run, or
+    ``None`` for a run that stages nothing: the apps and the initial
+    partition of a Server about to start unthrottled with prefetchers
+    fully on, and whether the run keeps that partition to the end. Their
+    :func:`phase_product_points` go to the fast kernel as ONE fused batch
+    (DESIGN.md §10). Returns one entry per run, in order: the run's
+    product as ``(memo keys, states)`` for
+    :meth:`Server.prefetch_phase_product` to seed its memo with, so each
+    run's product and keys are built once, here. A product past
+    ``_MAX_PRODUCT_POINTS`` points is empty. Runs over the same phases
+    under equal partitions share one entry object, and their memo keys
+    share one partition object, so thousands of runs hold a handful of
+    partition keys.
 
     Given ``max_time_s``, the static runs are then stepped to completion
-    together (:func:`_step_static_runs`) and each finished one is staged
-    as a :class:`StaticOutcome` for :func:`claim_static_outcome`, in place
-    of its phase product. A run that would time out, leave its product or
-    hit an error is staged as a product only: its Server's event loop
-    shows what happens.
-
-    Replaces whatever an earlier call staged; a stage nobody claims lives
-    until the next call. Returns the number of points submitted.
+    together (:func:`_step_static_runs`) and each finished one gets its
+    :class:`StaticOutcome` in place of its product: the outcome a fast,
+    unthrottled Server over ``models`` reaches with
+    :meth:`Server.prefetch_phase_product` and
+    :meth:`Server.run_until_all_complete` under the fixed ``partition``,
+    bit for bit (DESIGN.md §7). A run that would time out, leave its
+    product or hit an error gets its product only: its Server's event
+    loop shows what happens.
     """
-    global _staged_platform
     partitions: dict[tuple, PartitionSpec] = {}
     points: list[tuple] = []
-    # key -> [claims, start, stop, static claims]
+    # Staging key (the partition key, then each core's phases: the
+    # product depends on the models only through their phases) ->
+    # [start, stop, static runs].
     spans: dict[tuple, list[int]] = {}
-    for models, partition, static in runs:
+    # Each run's staging key, replaced by its entry at the end (no
+    # per-run objects: they would add to the campaign's peak RSS).
+    staged: list = []
+    static_runs: list[bool] = []
+    for run in runs:
+        if run is None:
+            staged.append(None)
+            static_runs.append(False)
+            continue
+        models, partition, static = run
         partition = partitions.setdefault(partition.key(), partition)
-        key = _staged_key(models, partition.key(), max_points)
+        key = (partition.key(), *(m.phases for m in models))
         span = spans.get(key)
         if span is None:
             start = len(points)
-            points += phase_product_points(models, partition, None, max_points)
-            span = spans[key] = [0, start, len(points), 0]
-        span[0] += 1
-        span[3] += static
+            points += phase_product_points(
+                models, partition, None, _MAX_PRODUCT_POINTS
+            )
+            span = spans[key] = [start, len(points), 0]
+        span[2] += static
+        staged.append(key)
+        static_runs.append(static)
     states = (
         SteadyStateCache().solve_many(platform, points, precision="fast")
         if points
         else []
     )
-    outcomes: dict[tuple, list] = {}
+    outcomes: dict[tuple, StaticOutcome] = {}
     if max_time_s is not None:
-        # A key holds its run's phase lists, one per core, after the
-        # partition key and max_points.
         static = [
-            (key, key[2:], states[start:stop])
-            for key, (_claims, start, stop, n_static) in spans.items()
-            if n_static and stop > start and len(key) - 2 <= platform.n_cores
+            (key, key[1:], states[start:stop])
+            for key, (start, stop, n_static) in spans.items()
+            if n_static and stop > start and len(key) - 1 <= platform.n_cores
         ]
         for first in range(0, len(static), _STATIC_CHUNK):
             chunk = static[first : first + _STATIC_CHUNK]
-            for key, outcome in _step_static_runs(
-                platform, chunk, max_time_s
-            ).items():
-                span = spans[key]
-                outcomes[(*key, max_time_s)] = [span[3], outcome]
-                span[0] -= span[3]  # no Server will claim this product
+            outcomes.update(_step_static_runs(platform, chunk, max_time_s))
         registry = get_registry()
         if registry.enabled:
             registry.counter("server.static.staged").inc(
-                sum(claims for claims, _outcome in outcomes.values())
+                sum(spans[key][2] for key in outcomes)
             )
-    staged = {
-        key: [
-            claims,
-            tuple(
-                SteadyStateCache.make_key(
-                    platform, phases, partition, None, "fast"
-                )
-                for phases, partition, _mba, _prefetch in points[start:stop]
-            ),
-            tuple(states[start:stop]),
-        ]
-        for key, (claims, start, stop, _static) in spans.items()
-        if claims
-    }
-    with _STAGED_LOCK:
-        _STAGED.clear()
-        _STAGED.update(staged)
-        _OUTCOMES.clear()
-        _OUTCOMES.update(outcomes)
-        _staged_platform = platform
-    return len(points)
+    products: dict[tuple, tuple[tuple, tuple]] = {}
 
+    def product(key: tuple) -> tuple[tuple, tuple]:
+        entry = products.get(key)
+        if entry is None:
+            start, stop, _static = spans[key]
+            entry = products[key] = (
+                tuple(
+                    SteadyStateCache.make_key(
+                        platform, phases, partition, None, "fast"
+                    )
+                    for phases, partition, _mba, _prefetch in points[start:stop]
+                ),
+                tuple(states[start:stop]),
+            )
+        return entry
 
-def _take_claim(
-    table: dict[tuple, list], key: tuple, platform: PlatformConfig
-) -> list | None:
-    """Take one claim on ``table[key]`` (``None``: nothing staged there)."""
-    with _STAGED_LOCK:
-        entry = table.get(key)
-        if entry is None or _staged_platform != platform:
-            return None
-        entry[0] -= 1
-        if not entry[0]:
-            del table[key]
-    return entry
-
-
-def _claim_staged(
-    platform: PlatformConfig,
-    models: Sequence[AppModel],
-    partition: PartitionSpec,
-    max_points: int,
-) -> tuple[tuple, tuple] | None:
-    """Take one claim on a staged ``(keys, states)`` (``None``: no stage)."""
-    if not _STAGED:
-        return None
-    key = _staged_key(models, partition.key(), max_points)
-    entry = _take_claim(_STAGED, key, platform)
-    return None if entry is None else (entry[1], entry[2])
-
-
-def claim_static_outcome(
-    platform: PlatformConfig,
-    models: Sequence[AppModel],
-    partition: PartitionSpec,
-    max_time_s: float,
-    max_points: int = 64,
-) -> StaticOutcome | None:
-    """Take one claim on a staged static run (``None``: none staged).
-
-    The outcome is the one a fast, unthrottled Server over
-    ``models`` would reach with :meth:`Server.prefetch_phase_product`
-    and :meth:`Server.run_until_all_complete` under the fixed
-    ``partition``, bit for bit (DESIGN.md §7).
-    """
-    if not _OUTCOMES:
-        return None
-    key = (*_staged_key(models, partition.key(), max_points), max_time_s)
-    entry = _take_claim(_OUTCOMES, key, platform)
-    if entry is None:
-        return None
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("server.static.claimed").inc()
-    return entry[1]
+    for i, key in enumerate(staged):
+        if key is not None:
+            outcome = outcomes.get(key) if static_runs[i] else None
+            staged[i] = product(key) if outcome is None else outcome
+    return staged
 
 
 def _phase_at(
@@ -759,7 +695,12 @@ class Server:
         except ConvergenceError:
             return 0
 
-    def prefetch_phase_product(self, max_points: int = 64) -> int:
+    def prefetch_phase_product(
+        self,
+        max_points: int = _MAX_PRODUCT_POINTS,
+        *,
+        staged: tuple[tuple, tuple] | None = None,
+    ) -> int:
         """Pre-solve the cross product of per-app phases in one batch.
 
         A static-partition run visits exactly the phase combinations in
@@ -769,27 +710,23 @@ class Server:
         one fast batch turns the event loop's per-interval solves into
         memo hits. Skipped when the product exceeds ``max_points``
         (multi-phase zoos) and under ``precision="exact"`` (see
-        :meth:`prefetch_partitions`). When a campaign prewarm already
-        staged this run's product (:func:`stage_phase_products`), its keys
-        and states are claimed instead of rebuilt. Returns the number of
-        points memoised.
+        :meth:`prefetch_partitions`). ``staged`` is this run's product as
+        a campaign prewarm already solved it (:func:`stage_phase_products`:
+        ``(memo keys, states)`` for these apps under the current,
+        unthrottled partition); its keys and states go into the memo
+        instead of being rebuilt. Returns the number of points memoised.
         """
         if self.precision != "fast":
             return 0
-        models = [app.model for app in self.apps]
-        if self.mba_scale is None and self.prefetch is None:
-            staged = _claim_staged(
-                self.platform, models, self.partition, max_points
-            )
-            if staged is not None:
-                # A key already memoised gets the same bits again (fast
-                # lanes are pure per lane) and keeps its place.
-                added = len(self._memo)
-                self._memo.update(zip(*staged))
-                return self._prefetched(len(self._memo) - added)
+        if staged is not None:
+            # A key already memoised gets the same bits again (fast lanes
+            # are pure per lane) and keeps its place.
+            added = len(self._memo)
+            self._memo.update(zip(*staged))
+            return self._prefetched(len(self._memo) - added)
         return self._prefetch_points(
             phase_product_points(
-                models,
+                [app.model for app in self.apps],
                 self.partition,
                 self.mba_scale,
                 max_points,

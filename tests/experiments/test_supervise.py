@@ -240,9 +240,9 @@ class TestSerialSupervision:
         ran = []
         real_run_cell = supervise.run_cell
 
-        def record(platform, cell, run_kwargs=None):
+        def record(platform, cell, run_kwargs=None, **kwargs):
             ran.append(self.CELLS.index(cell))
-            return real_run_cell(platform, cell, run_kwargs)
+            return real_run_cell(platform, cell, run_kwargs, **kwargs)
 
         monkeypatch.setattr(supervise, "run_cell", record)
         monkeypatch.setenv(CHAOS_ENV_VAR, chaos_env(schedule={1: "raise"}))

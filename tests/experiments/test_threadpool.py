@@ -145,11 +145,11 @@ class TestThreadPoolSupervision:
         real_run_cell = supervise.run_cell
         slow_attempts = []
 
-        def slow_first(platform, cell, run_kwargs=None):
+        def slow_first(platform, cell, run_kwargs=None, **kwargs):
             if cell == self.CELLS[2] and not slow_attempts:
                 slow_attempts.append(cell)
                 time.sleep(1.2)
-            return real_run_cell(platform, cell, run_kwargs)
+            return real_run_cell(platform, cell, run_kwargs, **kwargs)
 
         monkeypatch.setattr(supervise, "run_cell", slow_first)
         path = tmp_path / "events.jsonl"

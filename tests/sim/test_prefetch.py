@@ -221,7 +221,9 @@ class TestRdtAndControllerHook:
             p: run_pair(mix, StaticPolicy(4), precision=p) for p in PRECISIONS
         }
         monkeypatch.setattr(
-            Server, "prefetch_phase_product", lambda self, max_points=64: 0
+            Server,
+            "prefetch_phase_product",
+            lambda self, max_points=64, *, staged=None: 0,
         )
         for precision in PRECISIONS:
             plain = run_pair(mix, StaticPolicy(4), precision=precision)

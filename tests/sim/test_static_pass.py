@@ -2,10 +2,11 @@
 
 A fast campaign prewarm steps every static (UM/CT) cell to completion in
 one lock-step NumPy pass (:func:`repro.sim.server.stage_phase_products`)
-and stages one :class:`~repro.sim.server.StaticOutcome` per run;
-``run_pair`` claims it instead of running a Server. The oracle here holds
-the two bit for bit (``float.hex``) on every :class:`PairResult` field,
-timeouts included; the remaining tests pin who may claim and how often.
+and returns one :class:`~repro.sim.server.StaticOutcome` per such cell;
+the supervisor hands it to the cell's ``run_pair`` (``staged=``), which
+takes it instead of running a Server. The oracle here holds the two bit
+for bit (``float.hex``) on every :class:`PairResult` field, timeouts
+included; the remaining tests pin which runs take an entry and how often.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.sim.server as server_mod
 from repro import obs
 from repro.core.policies import (
     CacheTakeoverPolicy,
@@ -25,15 +25,16 @@ from repro.core.policies import (
     UnmanagedPolicy,
 )
 from repro.experiments.runner import MAX_TIME_S, run_pair
+from repro.experiments import supervise
 from repro.experiments.supervise import (
     SupervisedExecutor,
     _prewarm_phase_products,
 )
 from repro.sim.partition import PartitionSpec
-from repro.sim.platform import TABLE1_PLATFORM, PlatformConfig
+from repro.sim.platform import TABLE1_PLATFORM
 from repro.sim.server import (
     SimulationTimeout,
-    claim_static_outcome,
+    StaticOutcome,
     stage_phase_products,
 )
 from repro.workloads.app import AppModel
@@ -54,13 +55,11 @@ def _partition(policy, n_cores, platform=PLAT):
 
 
 def _stage(mix, policy, max_time_s=MAX_TIME_S):
+    """The prewarm's entry for one static run of ``mix`` under ``policy``."""
     models = mix.apps()
     run = (models, _partition(policy, len(models)), True)
-    stage_phase_products(PLAT, [run], max_time_s=max_time_s)
-
-
-def _unstage():
-    stage_phase_products(PLAT, ())
+    (entry,) = stage_phase_products(PLAT, [run], max_time_s=max_time_s)
+    return entry
 
 
 def _outcome(mix, policy, **run_kwargs):
@@ -81,7 +80,7 @@ def _hexed(result):
 
 
 def _claimed(mix, policy, **run_kwargs):
-    """(staged outcome claimed?, result) of a run_pair after a stage."""
+    """(staged outcome claimed?, result) of a run_pair."""
     registry, _ = obs.enable()
     try:
         result = _outcome(mix, policy, **run_kwargs)
@@ -121,7 +120,6 @@ class TestOracle:
     def test_staged_outcome_is_the_event_loop_bit_for_bit(self, cell):
         hp, be, n_be, name, budget = cell
         mix, policy = make_mix(hp, be, n_be=n_be), POLICIES[name]
-        _unstage()
         max_time_s = MAX_TIME_S
         if budget is not None:
             end = run_pair(mix, policy, PLAT, precision="fast").duration_s
@@ -134,9 +132,10 @@ class TestOracle:
                         max_time_s, math.inf if budget > 0 else 0.0
                     )
         loop = _outcome(mix, policy, max_time_s=max_time_s)
-        _stage(mix, policy, max_time_s)
-        claimed, staged = _claimed(mix, policy, max_time_s=max_time_s)
-        _unstage()
+        entry = _stage(mix, policy, max_time_s)
+        claimed, staged = _claimed(
+            mix, policy, max_time_s=max_time_s, staged=entry
+        )
         assert _hexed(staged) == _hexed(loop)
         if isinstance(loop, str):
             assert not claimed  # timeouts fall through to the event loop
@@ -160,14 +159,16 @@ class TestSweeps:
             for n_be in (1, 5, 9)
             for policy in POLICIES.values()
         ]
-        _prewarm_phase_products(PLAT, cells, {"precision": "fast"})
-        n_staged = len(server_mod._OUTCOMES)
+        entries = _prewarm_phase_products(PLAT, cells, {"precision": "fast"})
+        n_staged = sum(isinstance(e, StaticOutcome) for e in entries)
         assert n_staged > 0.9 * len(cells)
         staged = [
-            run_pair(make_mix(hp, be, n_be), policy, PLAT, precision="fast")
-            for hp, be, n_be, policy in cells
+            run_pair(
+                make_mix(hp, be, n_be), policy, PLAT, precision="fast",
+                staged=entry,
+            )
+            for (hp, be, n_be, policy), entry in zip(cells, entries)
         ]
-        assert not server_mod._OUTCOMES
         for (hp, be, n_be, policy), result in zip(cells, staged):
             loop = run_pair(
                 make_mix(hp, be, n_be), policy, PLAT, precision="fast"
@@ -194,20 +195,35 @@ class TestSweeps:
         )
         mix = WorkloadMix(hp=hp, be=catalog()["gcc_base6"], n_be=n_be)
         policy = POLICIES[name]
-        _stage(mix, policy)
-        claimed, staged = _claimed(mix, policy)
+        claimed, staged = _claimed(mix, policy, staged=_stage(mix, policy))
         assert claimed == 1
         assert _hexed(staged) == _hexed(_outcome(mix, policy))
+
+
+#: The two in-process run strategies, which prewarm and hand out entries.
+IN_PROCESS = pytest.mark.parametrize(
+    "executor",
+    [
+        pytest.param(lambda: SupervisedExecutor(n_workers=1), id="serial"),
+        pytest.param(
+            lambda: SupervisedExecutor(n_workers=2, pool="threads"),
+            id="threads",
+        ),
+    ],
+)
 
 
 class TestClaims:
     MIX = ("milc1", "gcc_base6", 3)
 
-    def test_duplicated_cell_claimed_once_per_copy(self, clean_caches):
+    @IN_PROCESS
+    def test_duplicated_cell_claimed_once_per_copy(
+        self, clean_caches, executor
+    ):
         cell = (*self.MIX, UnmanagedPolicy())
         registry, _ = obs.enable()
         try:
-            outcome = SupervisedExecutor(n_workers=1).run(
+            outcome = executor().run(
                 [cell, cell], PLAT, run_kwargs={"precision": "fast"}
             )
             staged = registry.counter("server.static.staged").value
@@ -215,8 +231,36 @@ class TestClaims:
         finally:
             obs.disable()
         assert (staged, claimed) == (2, 2)
-        assert not server_mod._OUTCOMES
         assert outcome.results[0] == outcome.results[1]
+
+    def test_run_pair_without_an_entry_never_claims(self, clean_caches):
+        # Right after a prewarm in this process: only the entry handed to
+        # run_pair counts, nothing the prewarm left behind.
+        mix, policy = make_mix(*self.MIX), UnmanagedPolicy()
+        (entry,) = _prewarm_phase_products(
+            PLAT, [(*self.MIX, policy)], {"precision": "fast"}
+        )
+        assert isinstance(entry, StaticOutcome)
+        claimed, result = _claimed(mix, policy)
+        assert claimed == 0
+        assert _hexed(result) == _hexed(_outcome(mix, policy))
+
+    def test_process_payloads_carry_no_entry(self, clean_caches, monkeypatch):
+        payloads = []
+        real_submit = supervise._Processes.submit
+
+        def spy(self, index, payload):
+            payloads.append(payload)
+            real_submit(self, index, payload)
+
+        monkeypatch.setattr(supervise._Processes, "submit", spy)
+        cells = [(*self.MIX, UnmanagedPolicy()), (*self.MIX, DicerPolicy())]
+        outcome = SupervisedExecutor(n_workers=2).run(
+            cells, PLAT, run_kwargs={"precision": "fast"}
+        )
+        assert outcome.ok
+        assert len(payloads) == len(cells)
+        assert all(payload[-1] is None for payload in payloads)
 
     def test_timeout_is_not_staged_and_raises_the_loop_message(
         self, clean_caches
@@ -225,62 +269,51 @@ class TestClaims:
         end = run_pair(mix, policy, PLAT, precision="fast").duration_s
         with pytest.raises(SimulationTimeout) as loop:
             run_pair(mix, policy, PLAT, precision="fast", max_time_s=end / 2)
-        _stage(mix, policy, end / 2)
-        assert not server_mod._OUTCOMES
-        claimed, staged = _claimed(mix, policy, max_time_s=end / 2)
+        entry = _stage(mix, policy, end / 2)
+        assert not isinstance(entry, StaticOutcome)  # its product only
+        claimed, staged = _claimed(
+            mix, policy, max_time_s=end / 2, staged=entry
+        )
         assert not claimed
         assert staged == f"SimulationTimeout: {loop.value}"
         assert "simulation exceeded" in staged
 
-    @pytest.mark.parametrize(
-        "run_kwargs",
-        [
-            {"precision": "exact"},
-            {"precision": "fast", "max_time_s": MAX_TIME_S / 2},
-        ],
-        ids=["exact", "other-max-time"],
-    )
-    def test_other_run_settings_never_claim(self, clean_caches, run_kwargs):
-        mix, policy = make_mix(*self.MIX), UnmanagedPolicy()
-        _stage(mix, policy)
-        registry, _ = obs.enable()
-        try:
-            run_pair(mix, policy, PLAT, **run_kwargs)
-            claimed = registry.counter("server.static.claimed").value
-        finally:
-            obs.disable()
-        assert claimed == 0
-        assert len(server_mod._OUTCOMES) == 1
+    @pytest.mark.parametrize("setting", ["exact", "other-max-time"])
+    def test_other_run_settings_never_claim(self, clean_caches, setting):
+        # Exact precision builds no entry; another max_time_s builds the
+        # entry for that budget, so no run takes one made for another.
+        cell = (*self.MIX, CacheTakeoverPolicy())
+        if setting == "exact":
+            run_kwargs = {"precision": "exact"}
+            assert _prewarm_phase_products(PLAT, [cell], run_kwargs) is None
+            return
+        mix, policy = make_mix(*self.MIX), cell[-1]
+        end = run_pair(mix, policy, PLAT, precision="fast").duration_s
+        for max_time_s, finishes in ((end / 2, False), (end, True)):
+            run_kwargs = {"precision": "fast", "max_time_s": max_time_s}
+            (entry,) = _prewarm_phase_products(PLAT, [cell], run_kwargs)
+            assert isinstance(entry, StaticOutcome) is finishes
+            claimed, staged = _claimed(
+                mix, policy, max_time_s=max_time_s, staged=entry
+            )
+            assert claimed == finishes
+            loop = _outcome(mix, policy, max_time_s=max_time_s)
+            assert _hexed(staged) == _hexed(loop)
 
-    def test_other_platform_never_claims(self, clean_caches):
-        mix, policy = make_mix(*self.MIX), UnmanagedPolicy()
-        _stage(mix, policy)
-        other = PlatformConfig(freq_hz=PLAT.freq_hz * 2)
-        models = mix.apps()
-        partition = _partition(policy, len(models), other)
-        assert claim_static_outcome(other, models, partition, MAX_TIME_S) is None
-        assert claim_static_outcome(PLAT, models, partition, MAX_TIME_S)
-
-    def test_dynamic_cells_stage_products_not_outcomes(self, clean_caches):
+    @IN_PROCESS
+    def test_dynamic_cells_stage_products_not_outcomes(
+        self, clean_caches, executor
+    ):
         cells = [(*self.MIX, CacheTakeoverPolicy()), (*self.MIX, DicerPolicy())]
         registry, _ = obs.enable()
         try:
-            SupervisedExecutor(n_workers=1).run(
-                cells, PLAT, run_kwargs={"precision": "fast"}
-            )
+            executor().run(cells, PLAT, run_kwargs={"precision": "fast"})
             staged = registry.counter("server.static.staged").value
             claimed = registry.counter("server.static.claimed").value
             used = registry.counter("server.prefetch.used").value
         finally:
             obs.disable()
         # CT and DICER start from one partition: CT takes the outcome,
-        # DICER's Server still claims the shared product.
+        # DICER's Server is seeded with the shared product.
         assert (staged, claimed) == (1, 1)
         assert used > 0
-        assert not server_mod._OUTCOMES and not server_mod._STAGED
-
-    def test_clean_caches_clears_staged_outcomes(self, request):
-        _stage(make_mix(*self.MIX), UnmanagedPolicy())
-        assert server_mod._OUTCOMES
-        request.getfixturevalue("clean_caches")
-        assert not server_mod._OUTCOMES

@@ -63,6 +63,16 @@ class TestMakefile:
     def test_lint_without_ruff_checks_unused_imports(self):
         assert "tools/unused_imports.py" in self._text()
 
+    def test_recipes_import_the_package_from_src(self):
+        # Bare `pytest` and `python -m repro...` recipes work from a fresh
+        # checkout: src/ is exported once, ahead of any inherited path.
+        text = self._text()
+        assert (
+            "export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),"
+            ":$(PYTHONPATH))" in text
+        )
+        assert "PYTHONPATH=src" not in text
+
 
 class TestRuffConfig:
     def test_config_present_and_plausible(self):
