@@ -62,7 +62,7 @@ bench-fast:       ## fast-math speedup gate: full 3481-pair grid, exact vs fast,
 bench-fast-quick: ## fast-math speedup gate on the truncated population (floor 4.9x)
 	python benchmarks/bench_fast.py --quick
 
-queue-smoke:      ## serial/threads/processes pools + two-worker shared queue, digest-checked against serial
+queue-smoke:      ## serial/processes stores + two-worker shared queue, digest-checked against serial
 	python benchmarks/queue_smoke.py
 
 serve:            ## serve-marked control-plane integration suites (daemon, API, chaos determinism)

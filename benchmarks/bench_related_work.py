@@ -5,9 +5,9 @@ bandwidth-saturation detection). The zoo generalises it into a
 six-policy head-to-head — UM / CT / S10 / DICER / LFOC / CBP — over
 
 * the classic 1-HP grid (one HP, nine BE instances), executed through
-  :class:`~repro.experiments.store.ResultStore` three ways — serial,
-  multi-process and thread-pool — with the artefact digests asserted
-  identical (the campaign-determinism contract of DESIGN.md §11-12);
+  :class:`~repro.experiments.store.ResultStore` two ways — serial and
+  multi-process — with the artefact digests asserted identical (the
+  campaign-determinism contract of DESIGN.md §7 and §11);
 * new multi-HP mixes (:func:`~repro.experiments.runner.run_multi`),
   where the headline is the *worst* co-equal HP's normalised IPC —
   LFOC's fairness target — asserted repeat-stable.
@@ -49,14 +49,13 @@ MULTI_MIXES = (
 )
 
 
-def _grid_digest(tmpdir: Path, name: str, *, workers: int, pool: str) -> str:
+def _grid_digest(tmpdir: Path, name: str, *, workers: int) -> str:
     """Artefact digest of the 1-HP shoot-out under one execution mode."""
     path = tmpdir / name
     store = ResultStore(
         cache_path=path,
         n_workers=workers,
         precision=PRECISION,
-        pool=pool,
     )
     shootout(store, PAIRS, zoo_policies())
     store.save()
@@ -82,21 +81,14 @@ def _rows_digest(rows) -> str:
 
 def bench_policy_zoo(benchmark):
     def run():
-        # -- 1-HP shoot-out: serial == processes == threads ------------
+        # -- 1-HP shoot-out: serial == processes ------------------------
         with tempfile.TemporaryDirectory() as tmp:
             tmpdir = Path(tmp)
-            d_serial = _grid_digest(
-                tmpdir, "serial.json", workers=1, pool="processes"
-            )
-            d_procs = _grid_digest(
-                tmpdir, "procs.json", workers=2, pool="processes"
-            )
-            d_threads = _grid_digest(
-                tmpdir, "threads.json", workers=2, pool="threads"
-            )
-        assert d_serial == d_procs == d_threads, (
-            "policy-zoo campaign not digest-stable across pools: "
-            f"serial={d_serial} processes={d_procs} threads={d_threads}"
+            d_serial = _grid_digest(tmpdir, "serial.json", workers=1)
+            d_procs = _grid_digest(tmpdir, "procs.json", workers=2)
+        assert d_serial == d_procs, (
+            "policy-zoo campaign not digest-stable across worker counts: "
+            f"serial={d_serial} processes={d_procs}"
         )
 
         store = ResultStore(precision=PRECISION)

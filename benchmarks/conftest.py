@@ -42,15 +42,12 @@ WORKERS = int(os.environ.get("REPRO_WORKERS", "1"))
 #: bitwise-reproducible path instead.
 PRECISION = os.environ.get("REPRO_PRECISION", "fast")
 
-#: Execution pool for REPRO_WORKERS > 1: processes (default) or threads.
-POOL = os.environ.get("REPRO_POOL", "processes")
-
 
 @pytest.fixture(scope="session")
 def store() -> ResultStore:
     """One memoising store for the whole harness — Figures 1 and 4-8 share
     most of their underlying executions."""
-    return ResultStore(n_workers=WORKERS, precision=PRECISION, pool=POOL)
+    return ResultStore(n_workers=WORKERS, precision=PRECISION)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Self-checking smoke test for the shared campaign queue.
 
-Runs a small real campaign five ways — two concurrent ``dicer-repro
+Runs a small real campaign four ways — two concurrent ``dicer-repro
 campaign`` worker processes draining one queue into one shared SQLite
-store, a serial SQLite store, a serial JSON-file store, and JSON-file
-stores fanned out over ``pool="threads"`` and ``pool="processes"`` —
-and fails (exit 1) unless all five artefacts carry the same canonical
-content digest and the queue reports every cell done exactly once. This
-is the acceptance property of DESIGN.md §11 (queue ≡ serial) and §12
-(serial ≡ threads ≡ processes) run end-to-end through the real CLI and
-``ResultStore``; ``make queue-smoke`` wires it into ``make all``.
+store, a serial SQLite store, a serial JSON-file store, and a JSON-file
+store fanned out over worker processes — and fails (exit 1) unless all
+four artefacts carry the same canonical content digest and the queue
+reports every cell done exactly once. This is the acceptance property
+of DESIGN.md §11 (queue ≡ serial) and §7 (serial ≡ processes) run
+end-to-end through the real CLI and ``ResultStore``; ``make
+queue-smoke`` wires it into ``make all``.
 
 Usage::
 
@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cores", type=int, default=3)
     parser.add_argument("--workers", type=int, default=2,
                         help="concurrent queue workers, and the pool width "
-                        "of the threads/processes references (default 2)")
+                        "of the processes reference (default 2)")
     args = parser.parse_args(argv)
 
     import os
@@ -85,22 +85,20 @@ def main(argv: list[str] | None = None) -> int:
 
         # References: the exact workload a campaign worker runs
         # (classification sample + canonical grid), serially on each
-        # backend and over both execution pools.
+        # backend and over worker processes.
         from repro.experiments.grid import build_sample, grid_cells
         from repro.experiments.store import ResultStore
 
         references = (
-            ("serial.db", 1, "processes"),
-            ("serial.json", 1, "processes"),
-            ("threads.json", args.workers, "threads"),
-            ("processes.json", args.workers, "processes"),
+            ("serial.db", 1),
+            ("serial.json", 1),
+            ("processes.json", args.workers),
         )
-        for name, workers, pool in references:
+        for name, workers in references:
             store = ResultStore(
                 cache_path=tmpdir / name,
                 n_workers=workers,
                 precision="fast",
-                pool=pool,
             )
             sample = build_sample(store, limit=args.limit)
             store.get_many(grid_cells(sample, cores=(args.cores,)))
@@ -109,21 +107,20 @@ def main(argv: list[str] | None = None) -> int:
         digests = {
             path.name: open_backend(path).digest()
             for path in [store_db]
-            + [tmpdir / name for name, _, _ in references]
+            + [tmpdir / name for name, _ in references]
         }
         for name, digest in sorted(digests.items()):
             print(f"digest {name}: {digest}")
         if len(set(digests.values())) != 1:
             print(
                 f"FAIL: {args.workers}-worker queue store and the "
-                "serial/threads/processes references diverged"
+                "serial/processes references diverged"
             )
             return 1
         print(
             f"OK: {args.workers} workers, {snapshot.done} cells, "
             f"{snapshot.steals} steal(s) — queue store byte-identical to "
-            "serial file and sqlite references and to threads/processes "
-            "pool runs"
+            "serial file and sqlite references and to a processes pool run"
         )
     return 0
 

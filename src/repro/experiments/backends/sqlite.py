@@ -43,7 +43,7 @@ from repro.experiments.backends.base import (
     StoreBackend,
 )
 
-__all__ = ["SqliteBackend"]
+__all__ = ["SqliteBackend", "connect_wal"]
 
 _log = logging.getLogger(__name__)
 
@@ -66,6 +66,26 @@ CREATE TABLE IF NOT EXISTS meta (
 #: Seconds a writer waits on a locked database before giving up.
 _BUSY_TIMEOUT_S = 30.0
 
+
+def connect_wal(path, script: str | None = None) -> sqlite3.Connection:
+    """Open ``path`` in WAL mode with ``synchronous=NORMAL``.
+
+    The one open of the result store's SQLite engine and the campaign
+    queue: a 30 s busy timeout, then ``script`` (a schema) if given. A
+    failing pragma or script closes the connection before re-raising.
+    """
+    conn = sqlite3.connect(path, timeout=_BUSY_TIMEOUT_S)
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        if script is not None:
+            conn.executescript(script)
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
+
+
 #: A row's canonical JSON (sorted keys, no whitespace): the same bytes as
 #: ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` without
 #: building an encoder per row.
@@ -82,14 +102,7 @@ class SqliteBackend(StoreBackend):
     # and every save is one self-contained transaction.
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-        except sqlite3.Error:
-            conn.close()
-            raise
-        return conn
+        return connect_wal(self.path)
 
     def exists(self) -> bool:
         """The artefact exists once it holds any schema at all."""

@@ -146,8 +146,8 @@ def shootout(
     ``policies`` defaults to the full zoo roster
     (:func:`repro.experiments.grid.zoo_policies`); pass the paper trio to
     reproduce the original three-way comparison. All cells go to the
-    store in one ``get_many`` request, so serial, multi-process and
-    thread-pool stores produce identical rows.
+    store in one ``get_many`` request, so serial and multi-process
+    stores produce identical rows.
     """
     from repro.experiments.grid import zoo_policies
 

@@ -150,15 +150,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
         "cooperating campaign worker must agree",
     )
     parser.add_argument(
-        "--pool",
-        choices=("processes", "threads"),
-        default="processes",
-        help="execution pool for --workers > 1: 'processes' (default) "
-        "isolates crashes, 'threads' shares the in-process solver caches "
-        "without spawn/pickling cost; results are digest-identical "
-        "either way",
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=2,
@@ -349,7 +340,6 @@ def main(argv: list[str] | None = None) -> int:
             limit=args.limit,
             workers=args.workers,
             precision=args.precision,
-            pool=args.pool,
         )
 
     try:
@@ -434,7 +424,6 @@ def _dispatch(exp: str, args: argparse.Namespace) -> None:
             ),
             precision=args.precision,
             backend=args.backend,
-            pool=args.pool,
         )
     except ValueError as exc:
         # e.g. --cache written under the other --precision mode
@@ -677,7 +666,6 @@ def _campaign_main(argv: list[str]) -> int:
                 # The shared store must support concurrent writers.
                 backend="sqlite",
                 batch_label=worker_id,
-                pool=args.pool,
             )
         except ValueError as exc:
             raise SystemExit(f"campaign: {exc}") from None

@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.policies import Policy, policy_from_name
+from repro.experiments.backends.sqlite import connect_wal
 from repro.obs import get_event_log, get_registry
 from repro.util.lease import LeaseClock, jittered_interval
 from repro.util.tables import format_table
@@ -87,9 +88,6 @@ CREATE TABLE IF NOT EXISTS cells (
 );
 CREATE INDEX IF NOT EXISTS cells_status_seq ON cells (status, seq);
 """
-
-#: Seconds a writer waits on a locked queue before giving up.
-_BUSY_TIMEOUT_S = 30.0
 
 #: Process-wide lease clock: wall-clock-valued (cross-process comparable)
 #: but monotonically non-decreasing, so a backwards NTP step can neither
@@ -196,15 +194,7 @@ class CampaignQueue:
 
     def _connect(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-        except sqlite3.Error:
-            conn.close()
-            raise
-        return conn
+        return connect_wal(self.path, _SCHEMA)
 
     # -- producing -------------------------------------------------------
 

@@ -7,9 +7,9 @@ runs. :class:`ResultStore` memoises :class:`~repro.experiments.runner.
 PairResult` objects per (hp, be, n_be, policy) in memory, with optional
 persistence so a long campaign survives process restarts.
 
-Bulk requests (:meth:`ResultStore.get_many` / :meth:`ResultStore.prefetch`)
-partition the requested cells into cached vs. pending and fan the pending
-ones out over a :class:`~repro.experiments.supervise.SupervisedExecutor`.
+Bulk requests (:meth:`ResultStore.get_many`) partition the requested
+cells into cached vs. pending and fan the pending ones out over a
+:class:`~repro.experiments.supervise.SupervisedExecutor`.
 Worker results merge back into the parent cache as they arrive, and — when
 a ``cache_path`` is configured — are checkpointed to disk every
 ``checkpoint_every`` results, so an interrupted paper-scale campaign
@@ -140,11 +140,6 @@ class ResultStore:
         Optional tag stamped on this store's ``campaign.batch`` telemetry
         events — campaign-queue workers set it to their worker id so a
         shared telemetry file attributes batches to workers.
-    pool:
-        Execution pool for bulk requests: ``"processes"`` (default,
-        crash-isolated workers) or ``"threads"`` (GIL-sharing workers
-        over the in-process solver caches; see DESIGN.md §12). Serial,
-        thread and process campaigns produce digest-identical artefacts.
     """
 
     #: Minimum seconds between mid-campaign checkpoint rewrites.
@@ -162,13 +157,12 @@ class ResultStore:
         precision: str = "exact",
         backend: str | StoreBackend = "auto",
         batch_label: str | None = None,
-        pool: str = "processes",
     ) -> None:
         self.platform = platform
         self.precision = _check_precision(precision)
         self._supervise = supervise if supervise is not None else SuperviseConfig()
         self._executor = SupervisedExecutor(
-            n_workers, config=self._supervise, label=batch_label, pool=pool
+            n_workers, config=self._supervise, label=batch_label
         )
         if checkpoint_every < 1:
             raise ValueError(
@@ -207,11 +201,6 @@ class ResultStore:
     def n_workers(self) -> int:
         """Worker process count used for bulk requests."""
         return self._executor.n_workers
-
-    @property
-    def pool(self) -> str:
-        """Execution pool bulk requests fan out over."""
-        return self._executor.pool
 
     @property
     def supervise_config(self) -> SuperviseConfig:
@@ -356,47 +345,6 @@ class ResultStore:
                 )
 
         return [self._results.get(key) for key in keys]
-
-    def prefetch(
-        self,
-        cells: Iterable[Cell],
-        **run_kwargs,
-    ) -> dict[str, int]:
-        """Ensure every cell is computed; report the cached/run partition.
-
-        Returns ``{"requested": ..., "cached": ..., "computed": ...,
-        "failed": ...}``. All four counts are per *position* in the
-        batch: the first occurrence of each freshly executed cell counts
-        as ``computed``, duplicates of it (and anything already held)
-        count as ``cached``, and every position whose cell ended the
-        batch quarantined counts as ``failed`` — so the three always sum
-        to ``requested`` even when a failing cell appears several times.
-        """
-        cells = list(cells)
-        keys = [self._key(cell) for cell in cells]
-        pending_before = {key for key in keys if key not in self._results}
-        failed_before = len(self.failures)
-        self.get_many(cells, **run_kwargs)
-        failed_keys = {
-            (f.hp_name, f.be_name, f.n_be, f.policy)
-            for f in self.failures[failed_before:]
-        }
-        computed = failed = cached = 0
-        counted_new: set[tuple[str, str, int, str]] = set()
-        for key in keys:
-            if key in failed_keys:
-                failed += 1
-            elif key in pending_before and key not in counted_new:
-                counted_new.add(key)
-                computed += 1
-            else:
-                cached += 1
-        return {
-            "requested": len(cells),
-            "cached": cached,
-            "computed": computed,
-            "failed": failed,
-        }
 
     def __len__(self) -> int:
         return len(self._results)

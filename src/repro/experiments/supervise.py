@@ -22,14 +22,11 @@ that owns everything a campaign needs whatever executes its cells:
   :mod:`repro.obs`.
 
 *How* an attempt runs is a small run strategy, picked from the worker
-count, the pool kind, the cell count and the timeout:
+count, the cell count and the timeout:
 
 * **inline** (serial) runs each attempt in the caller's thread, with no
   future and no ``wait()``. A running cell cannot be preempted, so a
   ``cell_timeout_s`` is flagged ``supervise.timeout_unenforced``;
-* **threads** (DESIGN.md §12) share the in-process solver caches. An
-  expired deadline *abandons* the future: the cell takes a ``timeout``
-  strike, but the wedged thread holds its worker slot until it returns;
 * **processes** isolate crashes. An expired deadline kills the pool, and
   a ``BrokenProcessPool`` costs only the in-flight cells one
   (re-)attempt: the pool is drained and rebuilt, a sole in-flight cell
@@ -38,10 +35,10 @@ count, the pool kind, the cell count and the timeout:
   repeat crash is exactly attributed. Innocent bystanders are never
   quarantined for a neighbour's segfault.
 
-Inline and threads prewarm the shared solo profiles and phase products
-before the first cell; process workers start cold. Worker-fault
-injection for tests lives in :mod:`repro.experiments.chaos`; chaos
-kinds ``crash`` and ``hang`` need the process strategy.
+Inline prewarms the shared solo profiles and phase products before the
+first cell; process workers start cold. Worker-fault injection for
+tests lives in :mod:`repro.experiments.chaos`; chaos kinds ``crash`` and
+``hang`` need the process strategy.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -416,7 +412,7 @@ class _CellState:
 # is enforced and what a broken pool means. ``poll`` returns the finished
 # attempts as ``(index, result, exc)`` and the attempts lost without a
 # result as ``(index, kind, exc, solo)`` strikes; ``expire`` is handed the
-# cells past their deadline and returns the strikes it settles at once.
+# cells past their deadline, whose strikes a later ``poll`` returns.
 
 
 class _Inline:
@@ -426,7 +422,6 @@ class _Inline:
     workers = 1
     prewarm = True
     enforces_timeout = False
-    wedged = False
 
     def __init__(self) -> None:
         self._done: list[tuple[int, object, BaseException | None]] = []
@@ -448,18 +443,20 @@ class _Inline:
         pass
 
 
-class _FuturePool:
-    """Shared future bookkeeping of the two executor-backed strategies."""
+class _Processes:
+    """Crash-isolated worker processes; timeouts kill the pool."""
 
+    name = "processes"
+    prewarm = False
     enforces_timeout = True
-    wedged = False
-    timeout_detail: dict = {}
 
     def __init__(self, workers: int, timeout_s: float | None) -> None:
         self.workers = workers
         self.timeout_s = timeout_s
         self._futures: dict[Future, int] = {}
-        self._pool = self._new_pool()
+        #: Cells whose expired deadline made us kill the pool.
+        self._killed: set[int] = set()
+        self._pool = ProcessPoolExecutor(max_workers=workers)
 
     def has_slot(self, running: int) -> bool:
         return running < self.workers
@@ -471,79 +468,6 @@ class _FuturePool:
         index = self._futures.pop(fut)
         exc = fut.exception()
         return index, (fut.result() if exc is None else None), exc
-
-    def close(self) -> None:
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-
-class _Threads(_FuturePool):
-    """A thread pool sharing the in-process caches; timeouts abandon."""
-
-    name = "threads"
-    prewarm = True
-    timeout_detail = {"enforcement": "abandoned"}
-
-    def __init__(self, workers: int, timeout_s: float | None) -> None:
-        #: Futures struck for timeout whose threads still run: they hold
-        #: worker slots, and their late results are discarded.
-        self._abandoned: set[Future] = set()
-        super().__init__(workers, timeout_s)
-
-    def _new_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="supervise"
-        )
-
-    @property
-    def wedged(self) -> bool:
-        return bool(self._abandoned)
-
-    def has_slot(self, running: int) -> bool:
-        # Submitting past the pool width would only queue work behind the
-        # wedged threads.
-        return running + len(self._abandoned) < self.workers
-
-    def poll(self, timeout: float) -> tuple[list, list]:
-        self._abandoned = {fut for fut in self._abandoned if not fut.done()}
-        # With every slot wedged, block on the abandoned threads instead
-        # of spinning until one returns.
-        done, _ = wait(
-            set(self._futures) or self._abandoned,
-            timeout=timeout,
-            return_when=FIRST_COMPLETED,
-        )
-        return [self._take(fut) for fut in done if fut in self._futures], []
-
-    def expire(self, indices: set[int]) -> list:
-        lost = []
-        for fut, index in list(self._futures.items()):
-            if index in indices and not fut.done():
-                del self._futures[fut]
-                self._abandoned.add(fut)
-                exc = TimeoutError(
-                    f"cell exceeded {self.timeout_s}s "
-                    f"(thread abandoned, not killed)"
-                )
-                lost.append((index, "timeout", exc, False))
-        return lost
-
-
-class _Processes(_FuturePool):
-    """Crash-isolated worker processes; timeouts kill the pool."""
-
-    name = "processes"
-    prewarm = False
-
-    def __init__(self, workers: int, timeout_s: float | None) -> None:
-        #: Cells whose expired deadline made us kill the pool.
-        self._killed: set[int] = set()
-        super().__init__(workers, timeout_s)
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
 
     def poll(self, timeout: float) -> tuple[list, list]:
         done, _ = wait(
@@ -587,7 +511,7 @@ class _Processes(_FuturePool):
         # exactly attributed; these strikes are recorded but uncounted.
         return [(i, "pool_crash", None, True) for i in broken]
 
-    def expire(self, indices: set[int]) -> list:
+    def expire(self, indices: set[int]) -> None:
         # Kill the pool under a wedged worker; the resulting break is
         # attributed in the next poll.
         expired = {
@@ -600,14 +524,19 @@ class _Processes(_FuturePool):
             processes = getattr(self._pool, "_processes", None) or {}
             for proc in list(processes.values()):
                 proc.kill()
-        return []
 
     def rebuild(self) -> None:
         try:
             self._pool.shutdown(wait=False)
         except Exception:
             pass
-        self._pool = self._new_pool()
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+
+    def close(self) -> None:
+        try:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
 
 
 class SupervisedExecutor:
@@ -628,11 +557,6 @@ class SupervisedExecutor:
         telemetry events, so batches from several cooperating processes
         (campaign-queue workers) stay attributable in one shared
         telemetry stream.
-    pool:
-        With more than one worker: ``"processes"`` (default) runs cells in
-        crash-isolated worker processes; ``"threads"`` in a thread pool
-        sharing the in-process solver caches — the same loop minus crash
-        attribution and hard preemption (see the module docstring).
     """
 
     #: Hard cap on pool rebuilds, as a termination backstop: every
@@ -646,20 +570,14 @@ class SupervisedExecutor:
         *,
         config: SuperviseConfig | None = None,
         label: str | None = None,
-        pool: str = "processes",
     ) -> None:
         import os
 
         if n_workers is None or n_workers <= 0:
             n_workers = os.cpu_count() or 1
-        if pool not in ("processes", "threads"):
-            raise ValueError(
-                f"pool must be 'processes' or 'threads', got {pool!r}"
-            )
         self.n_workers = n_workers
         self.config = config if config is not None else SuperviseConfig()
         self.label = label
-        self.pool = pool
 
     # -- public API ----------------------------------------------------------
 
@@ -684,8 +602,7 @@ class SupervisedExecutor:
         t0 = time.perf_counter() if registry.enabled else 0.0
         if self.n_workers > 1 and (len(cells) > 1 or timeout is not None):
             workers = min(self.n_workers, max(1, len(cells)))
-            strategy_cls = _Threads if self.pool == "threads" else _Processes
-            strategy = strategy_cls(workers, timeout)
+            strategy = _Processes(workers, timeout)
         else:
             strategy = _Inline()
         if timeout is not None and not strategy.enforces_timeout:
@@ -898,10 +815,7 @@ class SupervisedExecutor:
             state = states[index]
             duration = time.monotonic() - running.pop(index)
             if kind == "timeout":
-                self._emit_recovery(
-                    "timeout", state, timeout_s=timeout,
-                    **strategy.timeout_detail,
-                )
+                self._emit_recovery("timeout", state, timeout_s=timeout)
             elif kind == "crash":
                 registry.counter("supervise.crashes").inc()
             record = self._record_attempt(
@@ -994,7 +908,7 @@ class SupervisedExecutor:
                     else:
                         break
 
-                if not running and not strategy.wedged:
+                if not running:
                     if not delayed:
                         break  # nothing left anywhere
                     time.sleep(
@@ -1029,8 +943,7 @@ class SupervisedExecutor:
                         if now - started >= timeout
                     }
                     if expired:
-                        for index, kind, exc, solo in strategy.expire(expired):
-                            strike(index, kind, exc, solo)
+                        strategy.expire(expired)
         finally:
             strategy.close()
 

@@ -186,8 +186,8 @@ class Histogram:
 class MetricsRegistry:
     """Namespace of live instruments, memoised by name.
 
-    Instrument creation is locked (campaign code is occasionally
-    threaded); updates are plain attribute writes — the GIL makes them
+    Instrument creation is locked (serve's heartbeat probes nodes on
+    worker threads); updates are plain attribute writes — the GIL makes them
     safe enough for telemetry, and campaign workers are *processes*, so
     cross-worker aggregation happens at the reporting layer instead.
     """

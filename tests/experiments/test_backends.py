@@ -363,12 +363,11 @@ class TestStoreBugfixes:
         assert len(exact) == 0
         assert exact.stats()["dropped"] >= 1
 
-    def test_prefetch_duplicate_failing_cells_do_not_overcount_cached(
+    def test_duplicate_failing_cells_leave_holes(
         self, monkeypatch
     ):
-        """Regression: ``cached`` was derived as ``requested - computed -
-        failed`` with ``failed`` counted once per *cell*, so duplicates
-        of a failing cell inflated ``cached`` on a cold store."""
+        """A failing cell requested three times is quarantined once and
+        leaves a ``None`` placeholder at each of its positions."""
         from repro.experiments.chaos import CHAOS_ENV_VAR, chaos_env
 
         monkeypatch.setenv(
@@ -379,19 +378,14 @@ class TestStoreBugfixes:
                 max_retries=0, backoff_base_s=0.0, on_failure="skip"
             )
         )
-        # The failing cell appears three times; nothing is cached.
-        cells = [CELLS[0], CELLS[0], CELLS[0], CELLS[1]]
-        report = store.prefetch(cells)
-        assert report == {
-            "requested": 4, "cached": 0, "computed": 1, "failed": 3,
-        }
-        assert sum(
-            (report["cached"], report["computed"], report["failed"])
-        ) == report["requested"]
+        results = store.get_many([CELLS[0], CELLS[0], CELLS[0], CELLS[1]])
+        assert results[:3] == [None, None, None]
+        assert results[3] is not None
+        assert len(store.failures) == 1
+        assert (store.stats()["recomputed"], store.stats()["served"]) == (1, 2)
 
-    def test_prefetch_duplicates_of_computed_cells_count_cached(self):
+    def test_duplicates_of_a_computed_cell_run_once(self):
         store = ResultStore()
-        report = store.prefetch([CELLS[0], CELLS[0], CELLS[1]])
-        assert report == {
-            "requested": 3, "cached": 1, "computed": 2, "failed": 0,
-        }
+        results = store.get_many([CELLS[0], CELLS[0], CELLS[1]])
+        assert results[0] is results[1]
+        assert (store.stats()["recomputed"], store.stats()["served"]) == (2, 1)

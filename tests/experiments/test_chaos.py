@@ -5,7 +5,7 @@ the executor's analogue of the RDT fault-injection suite: random
 crash/hang/raise/garbage schedules must never wedge a campaign, and
 every surviving cell must stay bit-identical to a clean serial run —
 under the process strategy, and with raise/garbage schedules under the
-thread and inline strategies too.
+inline strategy too.
 """
 
 import os
@@ -141,8 +141,8 @@ def _schedules(kinds):
     )
 
 
-# ``crash`` and ``hang`` need process isolation: in-process (serial or
-# threads) a crash exits the test process and a hang cannot be preempted.
+# ``crash`` and ``hang`` need process isolation: inline, a crash exits the
+# test process and a hang cannot be preempted.
 _IN_PROCESS_KINDS = ["raise", "garbage"]
 
 
@@ -161,7 +161,7 @@ class TestSupervisorFuzz:
             ).results
         return cls._clean
 
-    def _check(self, schedule, n_workers, pool="processes"):
+    def _check(self, schedule, n_workers):
         cells = _cells()
         clean = self.clean_results()
         env = chaos_env(
@@ -177,7 +177,7 @@ class TestSupervisorFuzz:
         )
         os.environ[CHAOS_ENV_VAR] = env
         try:
-            executor = SupervisedExecutor(n_workers, config=config, pool=pool)
+            executor = SupervisedExecutor(n_workers, config=config)
             outcome = executor.run(cells, TABLE1_PLATFORM)
         finally:
             os.environ.pop(CHAOS_ENV_VAR, None)
@@ -197,11 +197,6 @@ class TestSupervisorFuzz:
     @settings(max_examples=6, deadline=None, derandomize=True)
     def test_any_schedule_terminates_and_matches_serial(self, schedule):
         self._check(schedule, 2)
-
-    @given(schedule=_schedules(_IN_PROCESS_KINDS))
-    @settings(max_examples=6, deadline=None, derandomize=True)
-    def test_threads_schedule_terminates_and_matches_serial(self, schedule):
-        self._check(schedule, 3, pool="threads")
 
     @given(schedule=_schedules(_IN_PROCESS_KINDS))
     @settings(max_examples=6, deadline=None, derandomize=True)

@@ -58,6 +58,18 @@ class TestParallelExecutor:
         # Dataclass equality is exact float equality, field by field.
         assert _run(4, cells) == _run(1, cells)
 
+    def test_fast_precision_bit_identical_to_serial(self):
+        cells = _cells(2)
+        run_kwargs = {"precision": "fast"}
+        serial, parallel = (
+            SupervisedExecutor(n_workers).run(
+                cells, TABLE1_PLATFORM, run_kwargs=run_kwargs
+            )
+            for n_workers in (1, 4)
+        )
+        assert parallel.ok
+        assert parallel.results == serial.results
+
     def test_dicer_trace_survives_the_pool(self):
         cells = [("omnetpp1", "bzip22", 3, DicerPolicy())]
         serial = _run(1, cells)
@@ -123,6 +135,23 @@ class TestParallelCampaigns:
 
         assert parallel_classes == serial_classes
         assert parallel_grid == serial_grid
+
+    def test_store_digest_identical_to_serial(self, tmp_path):
+        from repro.experiments.backends import open_backend
+        from repro.experiments.grid import build_sample, grid_cells
+
+        digests = {}
+        for name, workers in (("serial.json", 1), ("processes.json", 4)):
+            store = ResultStore(
+                cache_path=tmp_path / name,
+                n_workers=workers,
+                precision="fast",
+            )
+            sample = build_sample(store, limit=2)
+            store.get_many(grid_cells(sample, cores=(3,)))
+            store.save()
+            digests[name] = open_backend(tmp_path / name).digest()
+        assert digests["processes.json"] == digests["serial.json"]
 
     def test_get_many_aligns_with_requests(self):
         cells = _cells(2)

@@ -123,16 +123,13 @@ class TestBulkAndResume:
         ("omnetpp1", "gcc_base6", 3, CacheTakeoverPolicy()),
     ]
 
-    def test_prefetch_partitions_cached_vs_pending(self):
+    def test_get_many_partitions_cached_vs_pending(self):
         store = ResultStore()
-        first = store.prefetch(self.CELLS[:2])
-        assert first == {
-            "requested": 2, "cached": 0, "computed": 2, "failed": 0,
-        }
-        second = store.prefetch(self.CELLS)
-        assert second == {
-            "requested": 4, "cached": 2, "computed": 2, "failed": 0,
-        }
+        first = store.get_many(self.CELLS[:2])
+        assert (store.stats()["recomputed"], store.stats()["served"]) == (2, 0)
+        second = store.get_many(self.CELLS)
+        assert (store.stats()["recomputed"], store.stats()["served"]) == (4, 2)
+        assert second[:2] == first
 
     def test_get_many_then_get_is_cached(self):
         store = ResultStore()
@@ -300,20 +297,6 @@ class TestSupervisedFailures:
         assert entry["attempts"] == 2
         assert "ChaosInjected" in entry["error"]
         assert entry["policy"] == self.CELLS[1][3].name
-
-    def test_prefetch_reports_failed_cells(self, monkeypatch):
-        monkeypatch.setenv(
-            CHAOS_ENV_VAR, chaos_env(schedule={1: "raise"}, persistent=[1])
-        )
-        store = ResultStore(
-            supervise=SuperviseConfig(
-                max_retries=0, backoff_base_s=0.0, on_failure="skip"
-            )
-        )
-        report = store.prefetch(self.CELLS)
-        assert report == {
-            "requested": 4, "cached": 0, "computed": 3, "failed": 1,
-        }
 
 
 #: A small UM/CT/DICER campaign: the DICER rows carry decision traces.

@@ -90,15 +90,9 @@ class TestConfig:
         assert SuperviseConfig().backoff_delay(0) == 0.0
 
 
-#: (n_workers, pool) of each run strategy the supervisor loop drives:
-#: serial runs inline in the caller's thread. Threads come last, so a
-#: process pool never forks right after an aborted thread campaign whose
-#: leftover workers may still hold an in-process lock.
-_MODES = {
-    "serial": (1, "processes"),
-    "processes": (2, "processes"),
-    "threads": (3, "threads"),
-}
+#: Worker count of each run strategy the supervisor loop drives: serial
+#: runs inline in the caller's thread, processes in a worker pool.
+_MODES = {"serial": 1, "processes": 2}
 
 
 @pytest.mark.parametrize("mode", list(_MODES))
@@ -108,8 +102,7 @@ class TestSupervisionContract:
     CELLS = _cells(2)  # 8 cells
 
     def _run(self, mode, config, on_result=None):
-        n_workers, pool = _MODES[mode]
-        return SupervisedExecutor(n_workers, config=config, pool=pool).run(
+        return SupervisedExecutor(_MODES[mode], config=config).run(
             self.CELLS, TABLE1_PLATFORM, on_result=on_result
         )
 

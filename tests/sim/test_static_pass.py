@@ -200,16 +200,10 @@ class TestSweeps:
         assert _hexed(staged) == _hexed(_outcome(mix, policy))
 
 
-#: The two in-process run strategies, which prewarm and hand out entries.
+#: The in-process run strategy, which prewarms and hands out entries.
 IN_PROCESS = pytest.mark.parametrize(
     "executor",
-    [
-        pytest.param(lambda: SupervisedExecutor(n_workers=1), id="serial"),
-        pytest.param(
-            lambda: SupervisedExecutor(n_workers=2, pool="threads"),
-            id="threads",
-        ),
-    ],
+    [pytest.param(lambda: SupervisedExecutor(n_workers=1), id="serial")],
 )
 
 
