@@ -8,7 +8,7 @@
 # `pip install -e .` first; an inherited PYTHONPATH stays after it.
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-all: lint test chaos serve conformance queue-smoke serve-smoke bench-fast-quick
+all: lint test fastmath chaos serve conformance queue-smoke serve-smoke bench-fast-quick
 
 install:
 	pip install -e .

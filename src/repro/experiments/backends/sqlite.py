@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
+import time
 from contextlib import closing
 
 from repro.experiments.backends.base import (
@@ -76,7 +77,7 @@ def connect_wal(path, script: str | None = None) -> sqlite3.Connection:
     """
     conn = sqlite3.connect(path, timeout=_BUSY_TIMEOUT_S)
     try:
-        conn.execute("PRAGMA journal_mode=WAL")
+        _enter_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         if script is not None:
             conn.executescript(script)
@@ -84,6 +85,28 @@ def connect_wal(path, script: str | None = None) -> sqlite3.Connection:
         conn.close()
         raise
     return conn
+
+
+def _enter_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, waiting out other writers.
+
+    On a rollback-journal database the switch fails at once with
+    ``database is locked`` while another connection holds a write lock:
+    SQLite never consults the busy handler for it. Retry it, backing off,
+    until the busy timeout elapses. Once the file is in WAL mode the
+    pragma succeeds under a held lock, so only a fresh database waits.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    pause = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(pause)
+        pause = min(pause * 2, 0.05)
 
 
 #: A row's canonical JSON (sorted keys, no whitespace): the same bytes as

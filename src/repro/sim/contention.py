@@ -27,15 +27,16 @@ DESIGN.md §7): ``np.power`` queue tails, vectorised transcendental MRC
 evaluation, and lane-batched pressure sharing.
 
 One fixed-point loop on Python floats, :func:`_solve_floats`, solves every
-exact point and every lane of a small fast batch. Its ``fast`` flag picks
-the few per-precision choices once per solve: the miss-ratio evaluation
-(curve calls, or the fused ``np.exp`` row of the vectorised kernel), the
-queue-tail power (``**`` or ``np.power``), the intermediate roots'
-bracket gap (1e-7 or 1e-4) and the sum order (NumPy's pairwise order or
-the kernel's fixed core order). In its fast mode a lane is bit-identical
-to the vectorised kernel's. Fast results are still *pure per lane*: a
-lane's bits depend only on its own operating point, never on batch
-composition, so fused cross-cell batches, memoisation and the
+exact point and every fast lane the vectorised kernel leaves (all of a
+small batch), so it alone decides when a lane has failed. Its ``fast``
+flag picks the few per-precision choices once per solve: the miss-ratio
+evaluation (curve calls, or the fused ``np.exp`` row of the vectorised
+kernel), the queue-tail power (``**`` or ``np.power``), the intermediate
+roots' bracket gap (1e-7 or 1e-4) and the sum order (NumPy's pairwise
+order or the kernel's fixed core order). In its fast mode a lane is
+bit-identical to the vectorised kernel's. Fast results are still *pure per
+lane*: a lane's bits depend only on its own operating point, never on
+batch composition, so fused cross-cell batches, memoisation and the
 serial-vs-parallel determinism audit all keep working. Set
 ``REPRO_FAST_CHECK=1`` to shadow every fast solve with an exact solve and
 assert the contract at runtime.
@@ -100,7 +101,7 @@ FAST_WAYS_ATOL = 0.05
 #: ~free next to a solve). ``scalar_solves`` counts exact points, each
 #: solved by the scalar solver; ``fast_solves`` counts calls into the
 #: fast kernel and ``fast_points`` the points they carried, whether the
-#: vectorised kernel or the per-lane loop for small batches solved them
+#: vectorised kernel or the per-lane loop finished them
 #: (``fast_lane_points`` counts the latter's share). The benchmark
 #: reports the same split per layer as the ``sim.solver.*`` metrics of
 #: ``bench/`` (calls, points, iterations and us_per_point for each
@@ -112,10 +113,10 @@ SOLVER_COUNTERS: dict[str, int] = {
     "fast_points": 0,
     "fast_iterations": 0,
     # Sharing-step calls made by the vectorised fast kernel: one per
-    # core-group layout with live lanes per iteration.
+    # core-group layout with live lanes per round.
     "fast_sharing_calls": 0,
-    # Fast points solved by the per-lane loop for small batches (also
-    # counted in fast_points).
+    # Fast points the per-lane loop finished, cold (a small batch) or
+    # resumed from the vectorised kernel (also counted in fast_points).
     "fast_lane_points": 0,
     # _PARAMS_MEMO parse-cache effectiveness (bounded LRU, see below).
     "params_memo_hits": 0,
@@ -444,6 +445,7 @@ def _solve_floats(
     max_iter: int,
     damping: float,
     stop_at: int | None = None,
+    start: tuple | None = None,
 ) -> tuple[SteadyState | None, int, float]:
     """The damped fixed point of one operating point on Python floats.
 
@@ -461,6 +463,10 @@ def _solve_floats(
     several times over. Every per-element expression keeps the NumPy
     evaluation order of the vectorised form ((mpi*blocking)*(latency/
     throttle), (freq*ipc)*mpi, ...), so results are bit-identical to it.
+
+    ``start`` resumes a lane the vectorised kernel left before any
+    escalation, ``(ways, latency, step, prev_delta, iterations)`` after
+    its last round; ``None`` is the cold start.
 
     Returns ``(state, iterations, latency)``. ``state`` is ``None`` when
     the iteration overran its budget, or reached round ``stop_at`` first;
@@ -521,12 +527,15 @@ def _solve_floats(
 
         return _illinois_root(excess, guess, lat_floor, lat_ceil, gap)
 
-    ways = _initial_ways(partition, caps)
-    latency = lat_floor
-    step = damping
+    if start is None:
+        ways = _initial_ways(partition, caps)
+        latency = lat_floor
+        step = damping
+        prev_delta = math.inf
+        iterations = 0
+    else:
+        ways, latency, step, prev_delta, iterations = start
     budget = max_iter
-    prev_delta = math.inf
-    iterations = 0
     while True:
         iterations += 1
         mpi = [a * m for a, m in zip(apki, miss_ratios(ways))]
@@ -781,13 +790,14 @@ def _parse_points(
         prefetch = (
             None if prefetch is None else tuple(float(x) for x in prefetch)
         )
+        # Memo hits skip _point_params, so the shape check runs here.
+        if len(phases) != partition.n_cores:
+            raise ValueError(
+                f"expected {partition.n_cores} phases, got {len(phases)}"
+            )
         hit = id_memo_get((id(phases), mba, prefetch))
         if hit is not None:
             _ref, params = hit
-            if len(phases) != partition.n_cores:
-                raise ValueError(
-                    f"expected {partition.n_cores} phases, got {len(phases)}"
-                )
         else:
             key = (platform, phases, mba, prefetch)
             with _PARAMS_MEMO_LOCK:
@@ -805,11 +815,6 @@ def _parse_points(
                     while len(memo) > _PARAMS_MEMO_MAX:
                         memo.popitem(last=False)
                         SOLVER_COUNTERS["params_memo_evictions"] += 1
-            elif len(phases) != partition.n_cores:
-                # The memo hit skipped _point_params' shape validation.
-                raise ValueError(
-                    f"expected {partition.n_cores} phases, got {len(phases)}"
-                )
             id_memo[(id(phases), mba, prefetch)] = (phases, params)
         parsed_append((phases, partition, mba, params))
     return parsed
@@ -869,9 +874,8 @@ def solve_steady_state_batch(
     return states
 
 
-#: Largest batch the fast solver runs as a per-lane loop on Python floats
-#: (:func:`_solve_lanes_fast`) instead of the vectorised kernel; the
-#: measured crossover is in DESIGN.md §10.
+#: The vectorised kernel iterates only while more than this many lanes
+#: are live; fewer run faster one at a time (measured in DESIGN.md §10).
 _FAST_LANE_CAP = 24
 
 
@@ -883,24 +887,14 @@ def _solve_fast(
     max_iter: int,
     damping: float,
 ) -> list[SteadyState]:
-    """Fast-kernel solve of raw points, shadowed under REPRO_FAST_CHECK.
-
-    Batches of at most :data:`_FAST_LANE_CAP` points run the per-lane
-    float loop, larger ones the vectorised kernel; both give the same
-    bits for every lane (DESIGN.md §10).
-    """
-    kernel = (
-        _solve_lanes_fast
-        if len(points) <= _FAST_LANE_CAP
-        else _solve_batch_fast
+    """Fast-kernel solve of raw points, shadowed under REPRO_FAST_CHECK."""
+    states = _solve_batch_fast(
+        platform, _parse_points(platform, points),
+        tol=tol, max_iter=max_iter, damping=damping,
     )
-    states = kernel(
-        platform,
-        _parse_points(platform, points),
-        tol=tol,
-        max_iter=max_iter,
-        damping=damping,
-    )
+    SOLVER_COUNTERS["fast_solves"] += 1
+    SOLVER_COUNTERS["fast_points"] += len(states)
+    SOLVER_COUNTERS["fast_iterations"] += sum(s.iterations for s in states)
     if _fast_check_enabled():
         _assert_fast_contract(
             platform, points, states,
@@ -1076,21 +1070,21 @@ def _solve_batch_fast(
 ) -> list[SteadyState]:
     """Tolerance-contracted vectorised kernel behind ``precision="fast"``.
 
-    Same damped fixed point + Illinois structure as the scalar solver,
-    over masked NumPy lanes: converged lanes freeze, stragglers keep
-    iterating under per-lane adaptive damping and budget escalation. MRC
-    curves evaluate through their vectorised ``eval_many_fast`` paths,
-    the queue-curve power tail is a single ``np.power`` call instead of a
-    Python-float loop, and the pressure-sharing step runs lane-batched
-    instead of one Python call per lane per iteration. Lanes are grouped
-    by core-group layout (core count plus each group's cores), not by
-    partition: the layout core
+    The damped fixed point of the float core over masked NumPy lanes, as
+    a head for :func:`_solve_lanes_fast`: converged lanes freeze, and the
+    rest iterate while more than :data:`_FAST_LANE_CAP` are live. A lane
+    leaves for the float core, which resumes it, when its step reaches
+    the 0.02 floor (before the escalation rule could apply), when at most
+    :data:`_FAST_LANE_CAP` lanes remain live, or at the latest before
+    round ``max_iter``; so the head neither escalates nor fails a lane.
+    A batch of at most :data:`_FAST_LANE_CAP` points goes to the float
+    core before any parameter plane is built. MRC curves evaluate through
+    one fused expression (tabulated ones through ``eval_many_fast``), the
+    queue tail is one ``np.power`` call, and the sharing step runs once
+    per core-group layout (core count plus each group's cores) and round:
     :func:`~repro.sim.llc._effective_ways_layout` takes each lane's group
     ways and shared ways as arrays, so a k-rung DICER ladder makes one
-    sharing call per iteration, not k (counted in
-    ``solver_counters()["fast_sharing_calls"]``). The cold-start iterate
-    is built once per distinct partition and gathered. No masked-scalar
-    tail remains on the hot path.
+    call, not k (``solver_counters()["fast_sharing_calls"]``).
 
     Lane purity (load-bearing for memoisation and the serial-vs-parallel
     determinism audit): a lane's result depends only on its own operating
@@ -1102,6 +1096,10 @@ def _solve_batch_fast(
     tests/sim/test_fastmath.py.
     """
     n_points = len(parsed)
+    if n_points <= _FAST_LANE_CAP:
+        return _solve_lanes_fast(
+            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
+        )
     n_cores = np.array([partition.n_cores for _, partition, _, _ in parsed])
     width = int(n_cores.max())
 
@@ -1291,15 +1289,17 @@ def _solve_batch_fast(
 
     latency = np.full(n_points, lat_floor)
     step = np.full(n_points, damping)
-    budget = np.full(n_points, max_iter, dtype=np.int64)
     prev_delta = np.full(n_points, np.inf)
     iterations = np.zeros(n_points, dtype=np.int64)
-    active = np.ones(n_points, dtype=bool)
+    # Live lanes: not converged, step above the floor. Lanes that leave
+    # unconverged keep their state here for the float core to resume.
+    active = np.full(n_points, damping > 0.021)
+    done = np.zeros(n_points, dtype=bool)
     row_of = np.empty(n_points, dtype=np.int64)
 
-    while True:
+    for _ in range(max_iter - 1):
         act = np.nonzero(active)[0]
-        if act.size == 0:
+        if act.size <= _FAST_LANE_CAP:
             break
         iterations[act] += 1
         all_active = act.size == n_points
@@ -1352,28 +1352,30 @@ def _solve_batch_fast(
 
         conv = delta_a < delta_tol
         ncv = ~conv
-        # Per-lane adaptive damping, same rules as the scalar solver.
+        # Adaptive damping as in the float core (live steps: above floor).
         worse = ncv & (delta_a >= prev_delta[act])
-        shrink = worse & (step_a > 0.021)
-        floored = worse & ~shrink
         new_step = step_a.copy()
-        new_step[shrink] = np.maximum(step_a[shrink] * 0.7, 0.02)
+        new_step[worse] = np.maximum(step_a[worse] * 0.7, 0.02)
         step[act] = new_step
-        if floored.any():
-            budget[act[floored]] = max_iter * 10
         pd = prev_delta[act]
         pd[ncv] = delta_a[ncv]
         prev_delta[act] = pd
-        active[act[conv]] = False
-        blown = iterations[act] >= budget[act]
-        if blown.any():
-            i = int(act[np.nonzero(blown)[0][0]])
-            raise ConvergenceError(
-                f"fast lane {i}: no convergence after {int(iterations[i])} "
-                f"iterations (latency={latency[i]:.1f} cy, precision=fast)"
-            )
+        done[act[conv]] = True
+        active[act[conv | (new_step <= 0.021)]] = False
 
-    # Final consistent evaluation at each converged operating point.
+    # The float core finishes every unconverged lane from its state here,
+    # and raises for the batch if one of them fails.
+    starts = {
+        i: (ways2[i, : n_cores[i]].tolist(), float(latency[i]),
+            float(step[i]), float(prev_delta[i]), int(iterations[i]))
+        for i in np.nonzero(~done)[0].tolist()
+    }
+    tail = _solve_lanes_fast(
+        platform, parsed, tol=tol, max_iter=max_iter, damping=damping,
+        starts=starts,
+    )
+
+    # Final consistent evaluation on every row; the float core's are dropped.
     np.minimum(ways2, caps2, out=ways2)
     eval_mrc(None)
     mpi2 = apki2 * mr2
@@ -1409,9 +1411,6 @@ def _solve_batch_fast(
                 granted_sum = granted_sum + granted[:, j]
             demand[sel] = granted_sum
 
-    SOLVER_COUNTERS["fast_solves"] += 1
-    SOLVER_COUNTERS["fast_points"] += n_points
-    SOLVER_COUNTERS["fast_iterations"] += int(iterations.sum())
     SOLVER_COUNTERS["fast_sharing_calls"] += sharing_calls
 
     # Per-lane link utilisation from the fixed-order demand sums above
@@ -1426,21 +1425,21 @@ def _solve_batch_fast(
     # kernel owns the planes and never touches them again. The views pin
     # their (n_points, width) base arrays, which is at most a few MB per
     # batch and dies with the returned states.
-    out = []
-    for i, (_phases, partition, _mba, _params) in enumerate(parsed):
-        nc = partition.n_cores
-        out.append(
-            SteadyState(
-                ipc=ipc2[i, :nc],
-                ways=ways2[i, :nc],
-                miss_ratio=mr2[i, :nc],
-                bw_bytes=bw2[i, :nc],
-                latency_cycles=lat_list[i],
-                utilisation=util_list[i],
-                iterations=iter_list[i],
-            )
+    finished = dict(zip(starts, tail))
+    return [
+        finished[i]
+        if i in finished
+        else SteadyState(
+            ipc=ipc2[i, :nc],
+            ways=ways2[i, :nc],
+            miss_ratio=mr2[i, :nc],
+            bw_bytes=bw2[i, :nc],
+            latency_cycles=lat_list[i],
+            utilisation=util_list[i],
+            iterations=iter_list[i],
         )
-    return out
+        for i, nc in enumerate(n_cores.tolist())
+    ]
 
 
 #: Curve coefficients of a slot the fused expression cannot evaluate, as
@@ -1509,26 +1508,26 @@ def _solve_lanes_fast(
     tol: float,
     max_iter: int,
     damping: float,
+    starts: dict[int, tuple | None] | None = None,
 ) -> list[SteadyState]:
-    """The fast kernel for small batches: one lane at a time on floats.
+    """The fast kernel's tail: one lane at a time on floats.
 
-    :func:`_solve_batch_fast` pays about a dozen NumPy dispatches per
-    latency evaluation whatever its lane count, which dominates batches
-    of a few points (DESIGN.md §10). This loop solves each lane alone
-    with :func:`_solve_floats` in its fast mode, which keeps the
-    vectorised kernel's per-lane operation order, so every lane is
-    bit-identical to it.
+    The vectorised kernel's fixed cost per round dominates a few lanes
+    (DESIGN.md §10). This loop solves each lane with :func:`_solve_floats`
+    in its fast mode, bit-identical to the vectorised kernel. ``starts``
+    maps the lanes to solve, in ascending order, to their start states
+    (``None`` is a cold start); by default every lane starts cold.
 
-    A lane that overruns its budget raises the vectorised kernel's
-    message for the same lane: the one that overruns in the earliest
-    round, the lowest index on a tie. Once a lane has overrun, later
-    lanes run only as long as they could still overrun first.
+    The one place a fast lane fails: the lane that overruns its budget in
+    the earliest round, the lowest index on a tie, raises. Once a lane
+    has overrun, later lanes run only as long as they could overrun first.
     """
     link = MemoryLink.from_platform(platform)
     specs: dict[int, tuple] = {}
     fail = None  # (round, lane, latency) of the earliest budget overrun
     states = []
-    for lane, (phases, partition, _mba, params) in enumerate(parsed):
+    for lane in range(len(parsed)) if starts is None else sorted(starts):
+        phases, partition, _mba, params = parsed[lane]
         spec = specs.get(id(params))
         if spec is None:
             spec = specs[id(params)] = _lane_spec(phases, params)
@@ -1544,6 +1543,7 @@ def _solve_lanes_fast(
             max_iter=max_iter,
             damping=damping,
             stop_at=None if fail is None else fail[0],
+            start=None if starts is None else starts[lane],
         )
         if state is None:
             if fail is None or iterations < fail[0]:
@@ -1556,10 +1556,7 @@ def _solve_lanes_fast(
             f"fast lane {lane}: no convergence after {rounds} "
             f"iterations (latency={latency:.1f} cy, precision=fast)"
         )
-    SOLVER_COUNTERS["fast_solves"] += 1
-    SOLVER_COUNTERS["fast_points"] += len(parsed)
-    SOLVER_COUNTERS["fast_iterations"] += sum(s.iterations for s in states)
-    SOLVER_COUNTERS["fast_lane_points"] += len(parsed)
+    SOLVER_COUNTERS["fast_lane_points"] += len(states)
     return states
 
 

@@ -12,6 +12,8 @@ import json
 import logging
 import os
 import sqlite3
+import threading
+from contextlib import closing
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.experiments.backends import (
     SqliteBackend,
     open_backend,
 )
+from repro.experiments.backends.sqlite import connect_wal
+from repro.experiments.queue import CampaignQueue
 from repro.experiments.store import ResultStore
 from repro.experiments.supervise import SuperviseConfig
 
@@ -389,3 +393,53 @@ class TestStoreBugfixes:
         results = store.get_many([CELLS[0], CELLS[0], CELLS[1]])
         assert results[0] is results[1]
         assert (store.stats()["recomputed"], store.stats()["served"]) == (2, 1)
+
+
+class TestConnectWalUnderAHeldLock:
+    """A fresh database switches to WAL while another connection writes.
+
+    SQLite fails the switch at once, without its busy handler, while a
+    write lock is held on a rollback-journal file; ``connect_wal`` waits
+    for the lock instead. The holder takes the lock before the open and
+    a timer thread releases it.
+    """
+
+    @staticmethod
+    def _hold_write_lock(path, seconds: float) -> threading.Timer:
+        holder = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
+        )
+        holder.execute("BEGIN IMMEDIATE")
+
+        def release():
+            holder.rollback()
+            holder.close()
+
+        timer = threading.Timer(seconds, release)
+        timer.start()
+        return timer
+
+    def test_connect_wal_waits_for_the_lock(self, tmp_path):
+        path = tmp_path / "fresh.db"
+        timer = self._hold_write_lock(path, 0.3)
+        try:
+            conn = connect_wal(path, "CREATE TABLE t (x INTEGER);")
+        finally:
+            timer.join(timeout=10)
+        assert not timer.is_alive()
+        with closing(conn):
+            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+        assert mode == "wal"
+
+    def test_campaign_queue_opens_under_the_lock(self, tmp_path):
+        path = tmp_path / "queue.db"
+        timer = self._hold_write_lock(path, 0.3)
+        try:
+            added = CampaignQueue(path).enqueue(
+                [("omnetpp1", "lbm1", 1, UnmanagedPolicy())]
+            )
+        finally:
+            timer.join(timeout=10)
+        assert not timer.is_alive()
+        assert added == 1
+        assert CampaignQueue(path).snapshot().pending == 1

@@ -1,14 +1,17 @@
 """Bitwise oracle for the fast solver's per-lane loop.
 
-A fast batch of at most ``_FAST_LANE_CAP`` points runs
-``_solve_lanes_fast``, one lane at a time on Python floats; a larger one
-runs the vectorised ``_solve_batch_fast``. Both must give every lane the
-same bits (compared as ``float.hex`` strings hashed with sha256), and a
-batch that does not converge must raise the same message on both, naming
-the same lane. The batches are the ones ``test_fast_oracle.py`` checks
-the vectorised kernel on, plus overlap-zone points whose group weights
-add up nine BE cores (the length at which NumPy's pairwise sum and the
-kernel's fixed-order sum part ways).
+``_solve_lanes_fast`` solves one lane at a time on Python floats: every
+lane of a fast batch of at most ``_FAST_LANE_CAP`` points, and the last
+lanes of a larger one, which ``_solve_batch_fast`` starts in its
+vectorised head and hands over mid-iteration. Run alone on a whole
+batch, the lane loop must give every lane the same bits as the kernel
+and as the frozen kernel of ``test_fast_oracle.py`` (compared as
+``float.hex`` strings hashed with sha256), and a batch that does not
+converge must raise the same message on each, naming the same lane. The
+batches are the ones ``test_fast_oracle.py`` checks the kernel on, plus
+overlap-zone points whose group weights add up nine BE cores (the length
+at which NumPy's pairwise sum and the kernel's fixed-order sum part
+ways), and failing lanes padded past the cap.
 """
 
 from __future__ import annotations
@@ -36,7 +39,11 @@ from repro.workloads.app import Phase
 from repro.workloads.catalog import catalog
 from repro.workloads.mrc import KneeMRC
 
-from tests.sim.test_fast_oracle import FEATURE_BATCH, mixed_batches
+from tests.sim.test_fast_oracle import (
+    FEATURE_BATCH,
+    mixed_batches,
+    ref_solve_batch_fast,
+)
 
 SOLVE = dict(tol=1e-6, max_iter=800, damping=0.5)
 _CATALOG = catalog()
@@ -122,22 +129,43 @@ class TestLanesMatchTheVectorisedKernel:
         assert_lanes_match(*batch)
 
 
+def ladder_points(n: int) -> list:
+    """``n`` DICER-ladder points of one HP/BE layout; all converge at SOLVE."""
+    phases = (_phase("omnetpp1"),) + (_phase("lbm1"),) * 9
+    rungs = [
+        (phases, PartitionSpec.hp_be(k, 10, 20, overlap_ways=k % 3))
+        for k in range(1, 18)
+    ]
+    return (rungs * (n // len(rungs) + 1))[:n]
+
+
 class TestDispatch:
-    def test_each_side_of_the_cap(self):
-        phases = (_phase("omnetpp1"),) + (_phase("lbm1"),) * 9
-        ladder = [
-            (phases, PartitionSpec.hp_be(k, 10, 20, overlap_ways=k % 3))
-            for k in range(1, 18)
-        ]
-        ladder = (ladder * 3)[: _FAST_LANE_CAP + 1]
+    def test_each_side_of_the_cap(self, monkeypatch):
+        real = contention._solve_lanes_fast
+        finished = []
+
+        def counted(platform, parsed, **solve):
+            states = real(platform, parsed, **solve)
+            finished.append(len(states))
+            return states
+
+        monkeypatch.setattr(contention, "_solve_lanes_fast", counted)
+        ladder = ladder_points(_FAST_LANE_CAP + 1)
         for points, on_lanes in ((ladder[:-1], True), (ladder, False)):
+            finished.clear()
             before = solver_counters()
             states = solve_steady_state_batch(
                 TABLE1_PLATFORM, points, precision="fast"
             )
             after = solver_counters()
             lane_points = after["fast_lane_points"] - before["fast_lane_points"]
-            assert lane_points == (len(points) if on_lanes else 0)
+            # The float core finishes every lane of a small batch, and the
+            # stragglers of a large one, cold or resumed; each counts.
+            assert finished == [lane_points]
+            if on_lanes:
+                assert lane_points == len(points)
+            else:
+                assert 0 < lane_points < len(points)
             # Every fast lane still counts, whichever path solved it.
             assert after["fast_solves"] - before["fast_solves"] == 1
             assert after["fast_points"] - before["fast_points"] == len(points)
@@ -145,7 +173,7 @@ class TestDispatch:
                 "fast_iterations"
             ] == sum(s.iterations for s in states)
             assert [lane_digest(s) for s in states] == outcome(
-                _solve_batch_fast, TABLE1_PLATFORM, points
+                ref_solve_batch_fast, TABLE1_PLATFORM, points
             )
 
 
@@ -162,6 +190,26 @@ def _escalating() -> tuple:
     """
     sharp = Phase("sharp", 1e10, 0.7, 30.0, KneeMRC(0.95, 0.05, 9.5, 0.01))
     return ((sharp, _phase("mcf1")), PartitionSpec.unmanaged(2, 20))
+
+
+def _padded(failing: list) -> list:
+    """``failing`` lanes spread through 24 converging ladder points."""
+    rungs = ladder_points(24)
+    points = rungs[:5] + failing[:1] + rungs[5:17] + failing[1:] + rungs[17:]
+    assert len(points) > _FAST_LANE_CAP
+    return points
+
+
+def assert_three_agree(points, **solve) -> list | tuple:
+    """Vectorised kernel, frozen reference and lane loop: same outcome."""
+    batch = outcome(_solve_batch_fast, TABLE1_PLATFORM, points, **solve)
+    assert batch == outcome(
+        ref_solve_batch_fast, TABLE1_PLATFORM, points, **solve
+    )
+    assert batch == outcome(
+        _solve_lanes_fast, TABLE1_PLATFORM, points, **solve
+    )
+    return batch
 
 
 class TestConvergenceFailures:
@@ -193,6 +241,38 @@ class TestConvergenceFailures:
         )
         assert lanes[1].startswith(f"fast lane {lane}: ")
 
+    @pytest.mark.parametrize(
+        "solve",
+        [dict(tol=1e-6, max_iter=10, damping=0.02), SOLVE],
+        ids=["floor-step", "default"],
+    )
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ("stuck",),
+            ("escalating",),
+            ("stuck", "stuck"),
+            ("escalating", "stuck"),
+            ("stuck", "escalating"),
+        ],
+    )
+    def test_padded_failures_agree(self, order, solve):
+        make = {"stuck": _nonconvergent, "escalating": _escalating}
+        assert_three_agree(_padded([make[name]() for name in order]), **solve)
+
+    def test_default_settings_name_the_stuck_lane(self):
+        result = assert_three_agree(_padded([_nonconvergent()]), **SOLVE)
+        assert result == (
+            "ConvergenceError",
+            "fast lane 5: no convergence after 800 iterations "
+            "(latency=192.0 cy, precision=fast)",
+        )
+
+    @pytest.mark.parametrize("copies", (1, 3), ids=["once", "thrice"])
+    def test_every_lane_starts_at_the_floor_step(self, copies):
+        solve = dict(tol=1e-6, max_iter=800, damping=0.02)
+        assert_three_agree(FEATURE_BATCH * copies, **solve)
+
 
 class TestFastCheckShadow:
     def test_shadow_covers_a_lane_path_batch(self, monkeypatch):
@@ -212,3 +292,4 @@ class TestFastCheckShadow:
         with pytest.raises(FastContractError, match="lane 0"):
             solve_steady_state_batch(TABLE1_PLATFORM, points, precision="fast")
         assert calls == [len(points)]
+

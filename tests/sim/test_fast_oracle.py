@@ -14,8 +14,9 @@ zone-less ones of the same layout, other multi-group layouts with
 permuted cores, ragged core counts, MBA scales, prefetch levels,
 tabulated curves, occupancy caps and ``pressure_theta != 1``.
 :data:`FEATURE_BATCH` holds all of them at once regardless of what
-hypothesis draws, plus a point that rations bandwidth. The module also pins the sharing step's work: one call
-per layout with live lanes per iteration.
+hypothesis draws, plus a point that rations bandwidth. The module also
+pins the sharing step's work: one call per layout with live lanes per
+round of the kernel's vectorised head.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.sim import contention
 from repro.sim.contention import (
+    _FAST_LANE_CAP,
     ConvergenceError,
     SteadyState,
     _illinois_root_batch,
@@ -613,6 +616,22 @@ def _feature_batch() -> list:
 FEATURE_BATCH = _feature_batch()
 
 
+def _overlap_ladder() -> list:
+    """Thirty-two rungs of one HP/BE layout, each with an overlap zone.
+
+    Every rung takes a dozen rounds, so more than ``_FAST_LANE_CAP``
+    lanes stay live in the head for most of them.
+    """
+    phases = (_CATALOG["omnetpp1"].phases[0],) + (
+        _CATALOG["lbm1"].phases[0],
+    ) * 9
+    return [
+        (phases, PartitionSpec.hp_be(k, 10, TOTAL_WAYS, overlap_ways=o))
+        for k in range(16, 0, -1)
+        for o in (1, 2)
+    ]
+
+
 # -- the oracle ----------------------------------------------------------
 
 
@@ -642,36 +661,69 @@ class TestFastKernelOracle:
         assert_matches_frozen(*batch)
 
 
+class TestHeadOracle:
+    """Batches above the cap: the vectorised head, then the float core."""
+
+    @pytest.mark.parametrize("theta", (1.0, 0.8))
+    def test_feature_batch_and_ladder_bitwise(self, theta):
+        platform = dataclasses.replace(TABLE1_PLATFORM, pressure_theta=theta)
+        points = FEATURE_BATCH + _overlap_ladder()
+        assert len(points) > _FAST_LANE_CAP
+        assert_matches_frozen(platform, points)
+
+    @given(mixed_batches())
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_mixed_batches_above_the_cap_bitwise(self, batch):
+        platform, points = batch
+        assert_matches_frozen(platform, list(points) + _overlap_ladder())
+
+
 # -- the sharing step's work ----------------------------------------------
 
 
-def _sharing_calls(points) -> tuple[int, list[SteadyState]]:
+def _sharing_calls(points, monkeypatch) -> tuple[int, list[int]]:
+    """Sharing calls of one vectorised solve, and each lane's head rounds.
+
+    The head is the kernel's masked loop; a lane's head rounds are its
+    iterations if it converged there, else the rounds it had run when
+    the float core took it over.
+    """
+    assert len(points) > _FAST_LANE_CAP
+    real = contention._solve_lanes_fast
+    resumed: dict[int, int] = {}
+
+    def spy(platform, parsed, *, starts=None, **solve):
+        resumed.update({lane: start[-1] for lane, start in starts.items()})
+        return real(platform, parsed, starts=starts, **solve)
+
+    monkeypatch.setattr(contention, "_solve_lanes_fast", spy)
     before = solver_counters()["fast_sharing_calls"]
     states = _solve_batch_fast(
         TABLE1_PLATFORM, _parse_points(TABLE1_PLATFORM, points), **SOLVE
     )
-    return solver_counters()["fast_sharing_calls"] - before, states
+    calls = solver_counters()["fast_sharing_calls"] - before
+    rounds = [resumed.get(i, s.iterations) for i, s in enumerate(states)]
+    return calls, rounds
 
 
 class TestSharingWork:
-    def test_ladder_makes_one_sharing_call_per_iteration(self):
-        # Twelve rungs of one HP/BE layout: one call per iteration, where
-        # grouping by partition made one per rung.
-        phases = (_CATALOG["omnetpp1"].phases[0],) + (
-            _CATALOG["lbm1"].phases[0],
-        ) * 9
-        ladder = [
-            (phases, PartitionSpec.hp_be(k, 10, TOTAL_WAYS))
-            for k in range(12, 0, -1)
-        ]
-        calls, states = _sharing_calls(ladder)
-        assert calls == max(s.iterations for s in states)
+    def test_ladder_makes_one_sharing_call_per_iteration(self, monkeypatch):
+        # One call per head round, where grouping by partition made one
+        # per rung.
+        calls, rounds = _sharing_calls(_overlap_ladder(), monkeypatch)
+        assert calls == max(rounds) > 1
 
-    def test_one_call_per_layout_per_iteration(self):
-        calls, states = _sharing_calls(FEATURE_BATCH)
+    def test_one_call_per_layout_per_iteration(self, monkeypatch):
+        points = FEATURE_BATCH + _overlap_ladder()
+        calls, rounds = _sharing_calls(points, monkeypatch)
         layouts: dict[tuple, int] = {}
-        for (_phases, part, *_), state in zip(FEATURE_BATCH, states):
+        for (_phases, part, *_), n in zip(points, rounds):
             layout = (part.n_cores, tuple(g.cores for g in part.groups))
-            layouts[layout] = max(layouts.get(layout, 0), state.iterations)
+            layouts[layout] = max(layouts.get(layout, 0), n)
         assert len(layouts) == 6
         assert calls == sum(layouts.values())
+        assert max(rounds) > 1
