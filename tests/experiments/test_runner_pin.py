@@ -2,7 +2,10 @@
 
 ``run_custom`` and ``run_multi`` under every queueable policy family (UM,
 CT, DICER, MBA-DICER, LFOC, CBP) at both precisions, plus ``run_pair``
-under DICER and under a static ``S<k>`` split. Each pin is
+under DICER and under a static ``S<k>`` split, and exact 10-core
+``run_pair`` runs of LFOC, CBP and DICER behind a multi-phase HP (the
+period loop at the core count where NumPy's pairwise sums differ from a
+sequential sum). Each pin is
 the SHA-256 of the result's ``repr`` (floats repr round-trip exactly), so
 any change to the sequence of operations the runner performs on its
 Server — an extra apply, a dropped knob, a reordered normalisation —
@@ -46,6 +49,13 @@ CUSTOM_MIX = HeterogeneousMix(
 )
 MULTI_MIX = make_multi_mix(("omnetpp1", "milc1"), ("lbm1", "bzip22", "lbm1"))
 PAIR_MIX = make_mix("omnetpp1", "lbm1", n_be=9)
+#: Exact 10-core pairs per controller: (HP, BE, policy). None of them is
+#: a query the exact solver cannot converge on.
+TEN_CORE_PAIRS = {
+    "LFOC": ("omnetpp1", "lbm1", LfocPolicy),
+    "CBP": ("omnetpp1", "lbm1", CbpPolicy),
+    "DICER-multiphase": ("wrf1", "lbm1", DicerPolicy),
+}
 
 PINS = {
     ("custom", "UM", "exact"):
@@ -104,6 +114,12 @@ PINS = {
         "8b75fac4c6eae68e1dfca4665598b3c620e1ca3b0abf99f61bceeaefc3304d45",
     ("pair", "S6", "fast"):
         "7a1ec34530c0602f7e7dc79245284ef23f0ba2d9ff398993ebe0b49d266b525e",
+    ("pair", "LFOC", "exact"):
+        "102770698e18581ca326c762339154f4457be8926003806273f96a966c20f453",
+    ("pair", "CBP", "exact"):
+        "a85aaef1e3d6e100f74e9515d602252ec73c78de0594086ba690c598e613aecf",
+    ("pair", "DICER-multiphase", "exact"):
+        "b5b62271c5cf4e9679c1c886a0781cc77b85b5416f4f57a3f92eb74946ae4227",
 }
 
 
@@ -133,3 +149,10 @@ def test_pair_dicer_pinned(precision):
 def test_pair_static_split_pinned(precision):
     result = run_pair(PAIR_MIX, StaticPolicy(6), precision=precision)
     assert _digest(result) == PINS[("pair", "S6", precision)]
+
+
+@pytest.mark.parametrize("name", sorted(TEN_CORE_PAIRS))
+def test_ten_core_pair_pinned(name):
+    hp, be, policy = TEN_CORE_PAIRS[name]
+    result = run_pair(make_mix(hp, be, n_be=9), policy(), precision="exact")
+    assert _digest(result) == PINS[("pair", name, "exact")]

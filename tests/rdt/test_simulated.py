@@ -1,14 +1,22 @@
 """Tests for the simulator-bound RDT backend."""
 
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.allocation import Allocation
+from repro.core.allocation import Allocation, GroupAllocation
+from repro.rdt.sample import PeriodSample
 from repro.rdt.simulated import SimulatedRdt
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM, bytes_to_gbps
 from repro.sim.server import Server
+from repro.workloads.app import AppModel
+from repro.workloads.catalog import get_app
 from repro.workloads.mix import make_mix
+from tests.sim.test_event_loop import _ReferenceServer
 
 
 def make_backend(hp="milc1", be="gcc_base6", n_be=9):
@@ -165,3 +173,149 @@ class TestPerCoreFields:
         s = backend.sample(1.0)
         assert all(w >= 0.0 for w in s.core_occupancy_ways)
         assert sum(s.core_occupancy_ways) <= 20.0 + 1e-9
+
+
+def _short(model: AppModel, budget: float) -> AppModel:
+    """``model`` with every phase cut to ``budget`` instructions."""
+    return AppModel(
+        name=model.name,
+        suite=model.suite,
+        archetype=model.archetype,
+        phases=tuple(
+            dataclasses.replace(p, instructions=budget) for p in model.phases
+        ),
+    )
+
+
+def _reference_sample(ref, last, period_s):
+    """A naive ``SimulatedRdt.sample`` over the naive reference loop.
+
+    Occupancy comes from ``steady_state().ways.tolist()`` and the total
+    traffic from ``np.add.reduce`` over the per-core byte diffs.
+    Returns the sample and the counter snapshot it ends on.
+    """
+    target = ref.time + period_s
+    while ref.time < target and not ref.all_completed:
+        ref.advance(target - ref.time)
+    now = (
+        ref.time,
+        [a.total_instructions for a in ref.apps],
+        [a.total_mem_bytes for a in ref.apps],
+    )
+    dt = now[0] - last[0]
+    if dt <= 0:
+        dt = 1e-9
+    d_bytes = [x - y for x, y in zip(now[2], last[2])]
+    cycles = dt * TABLE1_PLATFORM.freq_hz
+    ipcs = tuple((x - y) / cycles for x, y in zip(now[1], last[1]))
+    mem = tuple(x / dt for x in d_bytes)
+    ways = ref.steady_state().ways.tolist()
+    sample = PeriodSample(
+        duration_s=dt,
+        hp_ipc=ipcs[0],
+        hp_mem_bytes_s=mem[0],
+        total_mem_bytes_s=float(np.add.reduce(d_bytes)) / dt,
+        hp_llc_occupancy_bytes=ways[0] * TABLE1_PLATFORM.way_bytes,
+        core_ipcs=ipcs,
+        core_mem_bytes_s=mem,
+        core_occupancy_ways=tuple(ways),
+    )
+    return sample, now
+
+
+def _sample_bits(sample: PeriodSample) -> dict:
+    """Every field of a sample as exact bit patterns."""
+    out = {}
+    for f in dataclasses.fields(sample):
+        value = getattr(sample, f.name)
+        if isinstance(value, tuple):
+            out[f.name] = tuple(float(v).hex() for v in value)
+        else:
+            out[f.name] = float(value).hex()
+    return out
+
+
+#: 8-10 core mixes, multi-phase apps among them.
+ORACLE_MIXES = {
+    "ten-core": ("milc1", ("gcc_base6",) * 9),
+    "eight-multiphase": (
+        "wrf1",
+        ("lbm1", "ferret1", "omnetpp1", "bzip23", "namd1", "lbm1", "milc1"),
+    ),
+    "nine-mixed": (
+        "omnetpp1",
+        ("h264ref2", "lbm1", "povray1", "gcc_base4", "mcf1", "milc1",
+         "lbm1", "namd1"),
+    ),
+}
+
+
+class TestSampleOracle:
+    """``sample`` ≡ a naive sampler over the naive event loop, bit for bit.
+
+    From eight cores up NumPy's pairwise ``np.add.reduce`` rounds
+    differently from a sequential sum, so the total traffic pins the
+    reduction order. Between periods the partition (HP/BE and group
+    splits), the MBA scale and the prefetch level change at random; the
+    run ends with the degenerate 1e-9 s sample that follows the last
+    completion.
+    """
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    @pytest.mark.parametrize("mix", sorted(ORACLE_MIXES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_field_bitwise_equal(self, mix, precision, seed):
+        hp, bes = ORACLE_MIXES[mix]
+        models = [
+            _short(get_app(name).with_name(f"{name}-{i}"), 5e9)
+            for i, name in enumerate((hp, *bes))
+        ]
+        n = len(models)
+        partition = PartitionSpec.unmanaged(n, 20)
+        server = Server(TABLE1_PLATFORM, models, partition,
+                        precision=precision)
+        backend = SimulatedRdt(server)
+        ref = _ReferenceServer(models, partition, precision)
+        last = (0.0, [0.0] * n, [0.0] * n)
+        rng = random.Random(seed)
+        periods = 0
+        while True:
+            periods += 1
+            finished = backend.finished
+            assert finished == ref.all_completed
+            period_s = rng.choice((0.05, 0.3, 1.0))
+            want, last = _reference_sample(ref, last, period_s)
+            got = backend.sample(period_s)
+            assert _sample_bits(got) == _sample_bits(want), (
+                f"period {periods}"
+            )
+            if finished:
+                assert got.duration_s == 1e-9
+                break
+            knob = rng.choice(("ways", "groups", "mba", "prefetch", None))
+            if knob == "ways":
+                allocation = Allocation(hp_ways=rng.randint(1, 19),
+                                        total_ways=20)
+            elif knob == "groups":
+                cut, ways = rng.randint(1, n - 1), rng.randint(1, 19)
+                allocation = GroupAllocation(
+                    total_ways=20,
+                    cores=(tuple(range(cut)), tuple(range(cut, n))),
+                    ways=(float(ways), 20.0 - ways),
+                )
+            if knob in ("ways", "groups"):
+                backend.apply(allocation)
+                ref.set_partition(allocation.to_partition(n))
+            elif knob == "mba":
+                scale = rng.choice((0.3, 0.6, 1.0))
+                backend.apply_be_throttle(scale)
+                ref.set_mba_scale(
+                    None if scale >= 1.0 else [1.0] + [scale] * (n - 1)
+                )
+            elif knob == "prefetch":
+                level = rng.choice((0.0, 0.5, 1.0))
+                backend.apply_be_prefetch(level)
+                ref.set_prefetch_levels(
+                    None if level <= 0.0 else [0.0] + [level] * (n - 1)
+                )
+        assert periods > 10
