@@ -46,6 +46,7 @@ Clustering (the executable spec both implementations follow):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.core.allocation import GroupAllocation
@@ -254,18 +255,19 @@ class LfocController:
         return None
 
     def _sample_fault(self, sample: PeriodSample) -> bool:
-        if sample.n_cores == 0:
+        n = sample.n_cores
+        if n == 0:
             return True
-        if len(sample.core_mem_bytes_s) != sample.n_cores or len(
+        if len(sample.core_mem_bytes_s) != n or len(
             sample.core_occupancy_ways
-        ) != sample.n_cores:
+        ) != n:
             return True
-        values = (
-            sample.core_ipcs
-            + sample.core_mem_bytes_s
-            + sample.core_occupancy_ways
+        isfinite = math.isfinite
+        return not (
+            all(map(isfinite, sample.core_ipcs))
+            and all(map(isfinite, sample.core_mem_bytes_s))
+            and all(map(isfinite, sample.core_occupancy_ways))
         )
-        return not all(math.isfinite(v) for v in values)
 
     def _accumulate(self, sample: PeriodSample) -> None:
         n = sample.n_cores
@@ -273,9 +275,14 @@ class LfocController:
             self._window_bw = [0.0] * n
             self._window_occ = [0.0] * n
             self._window_n = 0
-        for i in range(n):
-            self._window_bw[i] += sample.core_mem_bytes_s[i]
-            self._window_occ[i] += sample.core_occupancy_ways[i]
+        # Element-wise window + sample: the same additions as an in-place
+        # loop, in C.
+        self._window_bw = list(
+            map(operator.add, self._window_bw, sample.core_mem_bytes_s)
+        )
+        self._window_occ = list(
+            map(operator.add, self._window_occ, sample.core_occupancy_ways)
+        )
         self._window_n += 1
 
     def _window_averages(self) -> tuple[list[float], list[float]]:

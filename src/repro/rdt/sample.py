@@ -57,9 +57,46 @@ class PeriodSample:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("core_ipcs", "core_mem_bytes_s", "core_occupancy_ways"):
-            for v in getattr(self, name):
-                if v < 0:
-                    raise ValueError(f"{name} entries must be >= 0")
+            values = getattr(self, name)
+            # A minimum >= 0 proves no entry negative (a NaN minimum
+            # proves nothing); otherwise check entry by entry.
+            if values and not min(values) >= 0:
+                for v in values:
+                    if v < 0:
+                        raise ValueError(f"{name} entries must be >= 0")
+
+    @classmethod
+    def checked(
+        cls,
+        duration_s: float,
+        hp_ipc: float,
+        hp_mem_bytes_s: float,
+        total_mem_bytes_s: float,
+        hp_llc_occupancy_bytes: float,
+        core_ipcs: tuple[float, ...],
+        core_mem_bytes_s: tuple[float, ...],
+        core_occupancy_ways: tuple[float, ...],
+    ) -> "PeriodSample":
+        """Every field positionally, without the frozen ``__init__``.
+
+        A backend building one sample per monitoring period pays for the
+        frozen dataclass's per-field ``object.__setattr__``; this fills
+        the instance dict at once and then runs :meth:`__post_init__`, so
+        it rejects exactly what the constructor rejects.
+        """
+        sample = object.__new__(cls)
+        sample.__dict__.update(
+            duration_s=duration_s,
+            hp_ipc=hp_ipc,
+            hp_mem_bytes_s=hp_mem_bytes_s,
+            total_mem_bytes_s=total_mem_bytes_s,
+            hp_llc_occupancy_bytes=hp_llc_occupancy_bytes,
+            core_ipcs=core_ipcs,
+            core_mem_bytes_s=core_mem_bytes_s,
+            core_occupancy_ways=core_occupancy_ways,
+        )
+        sample.__post_init__()
+        return sample
 
     @property
     def n_cores(self) -> int:

@@ -9,7 +9,7 @@ can be memoised per platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.util.validation import (
     check_in_range,
@@ -84,6 +84,18 @@ class PlatformConfig:
         check_in_range("utilisation_cap", self.utilisation_cap, 0.5, 0.999)
         check_positive("pressure_theta", self.pressure_theta)
         check_positive_int("prefetch_levels", self.prefetch_levels)
+        # Cache the (frozen) hash, as Phase does: every steady-state memo
+        # key holds the platform, and the generated __hash__ re-hashes all
+        # thirteen fields per lookup. The fields are numbers, whose hashes
+        # do not depend on the process, so a pickled copy keeps a valid one.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(tuple(getattr(self, f.name) for f in fields(self))),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def way_bytes(self) -> float:
