@@ -444,8 +444,12 @@ class DicerController:
             return sample.hp_mem_bytes_s > threshold * max(baseline, 1.0)
         if len(self._hp_bw_history) < 3:
             return False
+        # The three logs added left to right, as ``sum`` adds them, with
+        # no generator per period.
+        b0, b1, b2 = self._hp_bw_history
+        log = math.log
         gmean = math.exp(
-            sum(math.log(max(b, 1.0)) for b in self._hp_bw_history) / 3.0
+            (log(max(b0, 1.0)) + log(max(b1, 1.0)) + log(max(b2, 1.0))) / 3.0
         )
         return sample.hp_mem_bytes_s > threshold * gmean
 
