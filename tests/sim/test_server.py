@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.policies import policy_from_name
+from repro.experiments.runner import run_pair
 from repro.sim.partition import PartitionSpec
 from repro.sim.platform import TABLE1_PLATFORM
 from repro.sim.server import Server, SimulationTimeout
@@ -186,3 +189,43 @@ class TestReconfiguration:
         server.set_mba_scale(None)
         server.set_prefetch_levels([0.0] * 10)
         assert server.steady_state() is squeezed
+
+
+class TestRequestTelemetry:
+    """With telemetry on, every ``advance`` and every ``steady_state``
+    read counts one steady request, even where the held operating point
+    lets ``advance`` skip re-resolving it."""
+
+    @pytest.mark.parametrize(
+        "policy, hp, be",
+        [("DICER", "wrf1", "lbm1"), ("CBP", "omnetpp1", "lbm1")],
+    )
+    def test_one_request_per_call(self, monkeypatch, policy, hp, be):
+        calls = [0]
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                calls[0] += 1
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Server, "advance", counted(Server.advance))
+        monkeypatch.setattr(
+            Server, "steady_state", counted(Server.steady_state)
+        )
+        registry, _ = obs.enable()
+        try:
+            run_pair(
+                make_mix(hp, be, n_be=9),
+                policy_from_name(policy),
+                precision="exact",
+            )
+            requests = registry.counter("server.steady_requests").value
+            hits = registry.counter("server.memo_hits").value
+        finally:
+            obs.disable()
+        assert calls[0] > 100
+        assert requests == calls[0]
+        # Most requests find the held point; the rest solved a new one.
+        assert calls[0] / 2 < hits < requests
