@@ -152,6 +152,17 @@ class ConstantMRC(MissRatioCurve):
         """See :meth:`MissRatioCurve.miss_ratio`."""
         return self._ratio
 
+    def __call__(self, ways: float) -> float:
+        # The base __call__ with miss_ratio inlined: one dispatch per
+        # evaluation on the exact solver's hot path, same operations.
+        if ways < 0:
+            raise ValueError(f"ways must be >= 0, got {ways}")
+        if ways < 1.0:
+            value = 1.0 + (self._ratio - 1.0) * ways
+        else:
+            value = self._ratio
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+
     @property
     def footprint_ways(self) -> float:
         """See :meth:`MissRatioCurve.footprint_ways`."""
@@ -214,6 +225,21 @@ class ExponentialMRC(MissRatioCurve):
         return self._floor + (self._peak - self._floor) * math.exp(
             -ways / self._scale
         )
+
+    def __call__(self, ways: float) -> float:
+        # The base __call__ with miss_ratio inlined (see ConstantMRC).
+        if ways < 0:
+            raise ValueError(f"ways must be >= 0, got {ways}")
+        if ways < 1.0:
+            at_one = self._floor + (self._peak - self._floor) * math.exp(
+                -1.0 / self._scale
+            )
+            value = 1.0 + (at_one - 1.0) * ways
+        else:
+            value = self._floor + (self._peak - self._floor) * math.exp(
+                -ways / self._scale
+            )
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
     @property
     def footprint_ways(self) -> float:

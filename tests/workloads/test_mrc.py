@@ -11,6 +11,7 @@ from repro.workloads.mrc import (
     ConstantMRC,
     ExponentialMRC,
     KneeMRC,
+    MissRatioCurve,
     TabulatedMRC,
 )
 
@@ -68,6 +69,44 @@ class TestInvariants:
     @given(any_mrc())
     def test_footprint_positive(self, mrc):
         assert mrc.footprint_ways > 0
+
+
+def base_call(mrc, ways):
+    """The base class's ``__call__`` (ramp, ``miss_ratio``, clamp)."""
+    try:
+        return repr(MissRatioCurve.__call__(mrc, ways))
+    except ValueError as exc:
+        return str(exc)
+
+
+def own_call(mrc, ways):
+    try:
+        return repr(mrc(ways))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSingleDispatchCall:
+    """Curves that inline ``miss_ratio`` into ``__call__`` keep its bits."""
+
+    @given(
+        any_mrc(),
+        st.one_of(
+            st.floats(min_value=0, max_value=1),
+            st.floats(min_value=0, max_value=40),
+            st.sampled_from(
+                [0.0, -0.0, 1.0, 1.0 - 1e-16, -1e-300, -0.1, math.nan,
+                 math.inf, 1e300, 1 / 9]
+            ),
+        ),
+    )
+    def test_matches_base_call(self, mrc, ways):
+        assert own_call(mrc, ways) == base_call(mrc, ways)
+
+    @pytest.mark.parametrize("ways", [0, 1, 3, 0.5, -1])
+    def test_int_ways(self, ways):
+        for mrc in (ConstantMRC(0.4), ExponentialMRC(0.9, 0.2, 2.5)):
+            assert own_call(mrc, ways) == base_call(mrc, ways)
 
 
 class TestConstant:
