@@ -6,7 +6,9 @@ per iteration, carrying every lane's group ways and shared ways as
 arrays. Per-lane arithmetic is the same as when it grouped lanes by
 partition key, one sharing call per partition. That kernel is frozen
 below, with the batched sharing functions it called, as the reference:
-every fast result must stay byte-identical to it.
+every fast result must stay byte-identical to it. The batched latency
+root it called, which probed both boundaries before each lane's guess,
+is frozen too (``ref_illinois_root_batch``).
 
 The strategies mix, in one batch, DICER ladders (one HP/BE layout, many
 HP way counts), UM and CT partitions, overlap partitions next to
@@ -33,7 +35,6 @@ from repro.sim.contention import (
     _FAST_LANE_CAP,
     ConvergenceError,
     SteadyState,
-    _illinois_root_batch,
     _parse_points,
     _solve_batch_fast,
     solve_steady_state_batch,
@@ -51,6 +52,89 @@ SOLVE = dict(tol=1e-6, max_iter=800, damping=0.5)
 
 
 # -- frozen per-partition-key kernel --------------------------------------
+
+
+def ref_illinois_root_batch(excess_b, guess, lat_floor, lat_ceil, gap_rtol=1e-7):
+    """The batched latency root before it took the guess first.
+
+    Probes the floor on every lane and the ceiling on the rest, then
+    brackets each remaining lane around its clamped guess and closes in
+    with masked Illinois steps.
+    """
+    n_lanes = guess.size
+    out = np.empty(n_lanes)
+    lanes = np.arange(n_lanes)
+
+    f_floor = excess_b(np.full(n_lanes, lat_floor), lanes)
+    at_floor = f_floor <= 0.0
+    out[at_floor] = lat_floor
+    rem = lanes[~at_floor]
+    if rem.size:
+        f_ceil = excess_b(np.full(rem.size, lat_ceil), rem)
+        at_ceil = f_ceil >= 0.0
+        out[rem[at_ceil]] = lat_ceil
+        rem = rem[~at_ceil]
+    if rem.size == 0:
+        return out
+
+    lo = np.maximum(lat_floor, np.minimum(guess[rem], lat_ceil))
+    f_lo = excess_b(lo, rem)
+    hi = lo.copy()
+    f_hi = f_lo.copy()
+    up_mask = f_lo > 0.0
+    expanding = np.nonzero(up_mask)[0]
+    for _ in range(60):
+        if expanding.size == 0:
+            break
+        lo[expanding] = hi[expanding]
+        f_lo[expanding] = f_hi[expanding]
+        hi[expanding] = np.minimum(hi[expanding] * 1.5, lat_ceil)
+        f_hi[expanding] = excess_b(hi[expanding], rem[expanding])
+        expanding = expanding[f_hi[expanding] > 0.0]
+    shrinking = np.nonzero(~up_mask)[0]
+    for _ in range(60):
+        if shrinking.size == 0:
+            break
+        hi[shrinking] = lo[shrinking]
+        f_hi[shrinking] = f_lo[shrinking]
+        lo[shrinking] = np.maximum(lo[shrinking] / 1.5, lat_floor)
+        f_lo[shrinking] = excess_b(lo[shrinking], rem[shrinking])
+        shrinking = shrinking[f_lo[shrinking] < 0.0]
+
+    exact = np.zeros(rem.size, dtype=bool)
+    exact_val = np.empty(rem.size)
+    running = np.arange(rem.size)
+    for _ in range(60):
+        running = running[hi[running] - lo[running] >= gap_rtol * hi[running]]
+        if running.size == 0:
+            break
+        br_lo = lo[running]
+        br_hi = hi[running]
+        fl = f_lo[running]
+        fh = f_hi[running]
+        mid = (br_lo * fh - br_hi * fl) / (fh - fl)
+        off = ~((br_lo < mid) & (mid < br_hi))
+        mid[off] = 0.5 * (br_lo[off] + br_hi[off])
+        f_mid = excess_b(mid, rem[running])
+        pos = f_mid > 0.0
+        neg = f_mid < 0.0
+        zero = ~(pos | neg)
+        zi = running[zero]
+        exact[zi] = True
+        exact_val[zi] = mid[zero]
+        pi = running[pos]
+        lo[pi] = mid[pos]
+        f_lo[pi] = f_mid[pos]
+        f_hi[pi] *= 0.5
+        ni = running[neg]
+        hi[ni] = mid[neg]
+        f_hi[ni] = f_mid[neg]
+        f_lo[ni] *= 0.5
+        running = running[~zero]
+    res = 0.5 * (lo + hi)
+    res[exact] = exact_val[exact]
+    out[rem] = res
+    return out
 
 
 def ref_waterfill_batch(total_ways, weights, caps):
@@ -319,7 +403,7 @@ def ref_solve_batch_fast(
             cpi_a,
             (mpi_a * blk_a) / thr_a,
         )
-        lat_a = _illinois_root_batch(
+        lat_a = ref_illinois_root_batch(
             excess_b, latency[act], lat_floor, lat_ceil, gap_rtol=1e-4
         )
         latency[act] = lat_a
@@ -371,7 +455,7 @@ def ref_solve_batch_fast(
     excess_b = make_excess(
         (freq * mpi2) * bpm2, cpi2, (mpi2 * blk2) / thr2
     )
-    latency = _illinois_root_batch(excess_b, latency, lat_floor, lat_ceil)
+    latency = ref_illinois_root_batch(excess_b, latency, lat_floor, lat_ceil)
     ipc2 = 1.0 / (cpi2 + mpi2 * blk2 * (latency[:, None] / thr2))
     bw2 = freq * ipc2 * mpi2 * bpm2
 
