@@ -297,6 +297,8 @@ class KneeMRC(MissRatioCurve):
             raise ValueError(f"floor ({floor}) must be <= peak ({peak})")
         self._knee = check_positive("knee_ways", knee_ways)
         self._sharpness = check_positive("sharpness", sharpness)
+        # The sub-way ramp's end, evaluated once per curve.
+        self._at_one = self.miss_ratio(1.0)
 
     @property
     def knee_ways(self) -> float:
@@ -315,6 +317,23 @@ class KneeMRC(MissRatioCurve):
             frac_hit = 1.0 / (1.0 + math.exp(-z))
         return self._peak + (self._floor - self._peak) * frac_hit
 
+    def __call__(self, ways: float) -> float:
+        # The base __call__ with miss_ratio inlined (see ConstantMRC).
+        if ways < 0:
+            raise ValueError(f"ways must be >= 0, got {ways}")
+        if ways < 1.0:
+            value = 1.0 + (self._at_one - 1.0) * ways
+        else:
+            z = (ways - self._knee) / self._sharpness
+            if z > 40.0:
+                frac_hit = 1.0
+            elif z < -40.0:
+                frac_hit = 0.0
+            else:
+                frac_hit = 1.0 / (1.0 + math.exp(-z))
+            value = self._peak + (self._floor - self._peak) * frac_hit
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+
     @property
     def footprint_ways(self) -> float:
         """See :meth:`MissRatioCurve.footprint_ways`."""
@@ -329,7 +348,7 @@ class KneeMRC(MissRatioCurve):
         frac_hit = 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
         frac_hit = np.where(z > 40.0, 1.0, np.where(z < -40.0, 0.0, frac_hit))
         value = self._peak + (self._floor - self._peak) * frac_hit
-        return _finish_fast(ways, value, self.miss_ratio(1.0))
+        return _finish_fast(ways, value, self._at_one)
 
     def fused_fast_params(self) -> tuple:
         """See :meth:`MissRatioCurve.fused_fast_params` (blend = 0)."""
@@ -340,7 +359,7 @@ class KneeMRC(MissRatioCurve):
             1.0,
             self._knee,
             self._sharpness,
-            self.miss_ratio(1.0),
+            self._at_one,
         )
 
     def __repr__(self) -> str:
@@ -379,6 +398,8 @@ class BlendedMRC(MissRatioCurve):
         self._scale = check_positive("scale", scale)
         self._sharpness = check_positive("sharpness", sharpness)
         self._blend = check_fraction("blend", blend)
+        # The sub-way ramp's end, evaluated once per curve.
+        self._at_one = self.miss_ratio(1.0)
 
     @property
     def knee_ways(self) -> float:
@@ -399,6 +420,28 @@ class BlendedMRC(MissRatioCurve):
         captured = self._blend * exp_part + (1.0 - self._blend) * knee_part
         return self._floor + span * captured
 
+    def __call__(self, ways: float) -> float:
+        # The base __call__ with miss_ratio inlined (see ConstantMRC).
+        if ways < 0:
+            raise ValueError(f"ways must be >= 0, got {ways}")
+        if ways < 1.0:
+            value = 1.0 + (self._at_one - 1.0) * ways
+        else:
+            span = self._peak - self._floor
+            exp_part = math.exp(-ways / self._scale)
+            z = (ways - self._knee) / self._sharpness
+            if z > 40.0:
+                knee_part = 0.0
+            elif z < -40.0:
+                knee_part = 1.0
+            else:
+                knee_part = 1.0 - 1.0 / (1.0 + math.exp(-z))
+            captured = (
+                self._blend * exp_part + (1.0 - self._blend) * knee_part
+            )
+            value = self._floor + span * captured
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+
     @property
     def footprint_ways(self) -> float:
         """See :meth:`MissRatioCurve.footprint_ways`."""
@@ -416,7 +459,7 @@ class BlendedMRC(MissRatioCurve):
         )
         captured = self._blend * exp_part + (1.0 - self._blend) * knee_part
         value = self._floor + span * captured
-        return _finish_fast(ways, value, self.miss_ratio(1.0))
+        return _finish_fast(ways, value, self._at_one)
 
     def fused_fast_params(self) -> tuple:
         """See :meth:`MissRatioCurve.fused_fast_params` (exact match)."""
@@ -427,7 +470,7 @@ class BlendedMRC(MissRatioCurve):
             self._scale,
             self._knee,
             self._sharpness,
-            self.miss_ratio(1.0),
+            self._at_one,
         )
 
     def __repr__(self) -> str:

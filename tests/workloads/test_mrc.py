@@ -105,8 +105,56 @@ class TestSingleDispatchCall:
 
     @pytest.mark.parametrize("ways", [0, 1, 3, 0.5, -1])
     def test_int_ways(self, ways):
-        for mrc in (ConstantMRC(0.4), ExponentialMRC(0.9, 0.2, 2.5)):
+        for mrc in (
+            ConstantMRC(0.4),
+            ExponentialMRC(0.9, 0.2, 2.5),
+            KneeMRC(0.9, 0.1, knee_ways=3, sharpness=1),
+            BlendedMRC(0.8, 0.2, knee_ways=2, scale=1, sharpness=1, blend=0.5),
+        ):
             assert own_call(mrc, ways) == base_call(mrc, ways)
+
+    #: Knee and blended curves whose logistic saturates exactly at
+    #: ``ways`` 10 (z = -40) and 50 (z = 40), a blend at each end, and
+    #: one whose value at one way sits on the clamp.
+    EDGE_CURVES = [
+        KneeMRC(0.9, 0.1, knee_ways=30.0, sharpness=0.5),
+        KneeMRC(1.0, 0.0, knee_ways=0.5, sharpness=0.3),
+        BlendedMRC(0.9, 0.1, knee_ways=30.0, scale=2.0, sharpness=0.5,
+                   blend=0.3),
+        BlendedMRC(1.0, 0.0, knee_ways=30.0, scale=0.3, sharpness=0.5,
+                   blend=0.0),
+        BlendedMRC(1.0, 0.0, knee_ways=0.5, scale=4.0, sharpness=0.3,
+                   blend=1.0),
+    ]
+    EDGE_WAYS = [
+        0.0, -0.0, 0.5, 1 / 9, math.nextafter(1.0, 0.0), 1.0,
+        math.nextafter(1.0, 2.0), 10.0, math.nextafter(10.0, 0.0),
+        math.nextafter(10.0, 20.0), 30.0, 50.0, math.nextafter(50.0, 0.0),
+        math.nextafter(50.0, 60.0), 1e300, math.inf, math.nan, -1e-300,
+        -0.5, -math.inf,
+    ]
+
+    @pytest.mark.parametrize("index", range(len(EDGE_CURVES)))
+    def test_knee_and_blend_edges_bitwise(self, index):
+        mrc = self.EDGE_CURVES[index]
+        for ways in self.EDGE_WAYS:
+            assert own_call(mrc, ways) == base_call(mrc, ways), ways
+
+    @pytest.mark.parametrize("index", range(len(EDGE_CURVES)))
+    def test_sub_way_calls_do_not_reevaluate(self, index, monkeypatch):
+        # The ramp's end is evaluated once, when the curve is built.
+        mrc = self.EDGE_CURVES[index]
+        calls = []
+        real = type(mrc).miss_ratio
+
+        def spy(self, ways):
+            calls.append(ways)
+            return real(self, ways)
+
+        monkeypatch.setattr(type(mrc), "miss_ratio", spy)
+        for ways in (0.0, 0.25, 0.5, 0.999, 2.0, 40.0):
+            mrc(ways)
+        assert calls == []
 
 
 class TestConstant:
