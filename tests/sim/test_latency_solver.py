@@ -17,7 +17,9 @@ Four contracts under test:
   root is the clamped true root to the solver's 1e-7 relative gap.
 * **Lane independence** — every lane of ``_illinois_root_batch`` is
   bit-identical to a scalar solve of that lane alone, for arbitrary lane
-  mixes (floor-outs, ceil-outs, upward and downward expansion).
+  mixes (floor-outs, ceil-outs, upward and downward expansion), and
+  walks the scalar's decision order: each edge case above, run as a
+  lane among others, evaluates the scalar's points in its order.
 """
 
 from __future__ import annotations
@@ -272,3 +274,81 @@ class TestBatchRoot:
             assert len(tail) == len(set(tail)), (
                 f"lane {lane} re-evaluated points in {seen}"
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(lane_params, min_size=1, max_size=8))
+    def test_no_lane_point_evaluated_twice(self, lanes):
+        # Boundaries included, as for the scalar finder.
+        a = np.array([p[0] for p in lanes])
+        b = np.array([p[1] for p in lanes])
+        guess = np.array([p[2] for p in lanes])
+        calls: dict[int, list[float]] = {i: [] for i in range(len(lanes))}
+        inner = affine_excess_batch(a, b)
+
+        def excess_b(lat, idx):
+            for point, lane in zip(lat, idx):
+                calls[int(lane)].append(float(point))
+            return inner(lat, idx)
+
+        _illinois_root_batch(excess_b, guess, FLOOR, CEIL)
+        for lane, seen in calls.items():
+            assert len(seen) == len(set(seen)), (
+                f"lane {lane} re-evaluated points in {seen}"
+            )
+
+
+#: Lanes run next to the edge cases: roots inside, at and past both
+#: boundaries, guesses on either side of them. ``(excess, guess)``.
+OTHER_LANES = [
+    (affine_excess(500.0, 1.0), 300.0),
+    (affine_excess(5000.0, 2.0), 9000.0),
+    (affine_excess(1.0e5, 1.0), 50.0),
+    (affine_excess(0.1, 1.0), 5.0),
+    (affine_excess(7.0e3, 3.0), FLOOR),
+    (affine_excess(2.0, 1.0), 1.0e4),
+]
+
+
+def lanes_batch(fns):
+    """A batched excess over per-lane scalar closures, and each lane's
+    evaluation points."""
+    seen: list[list[float]] = [[] for _ in fns]
+
+    def excess_b(lat, lanes):
+        out = np.empty(lat.size)
+        for k, (x, lane) in enumerate(zip(lat.tolist(), lanes.tolist())):
+            seen[lane].append(x)
+            out[k] = fns[lane](x)
+        return out
+
+    return excess_b, seen
+
+
+class TestBatchRootEdgeCases:
+    CEIL = 1.0e4
+
+    def test_cases_share_one_ceiling(self):
+        assert {case[2] for case in EDGE_CASES.values()} == {self.CEIL}
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-4])
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_case_as_a_lane_among_others(self, name, gap):
+        names = sorted(EDGE_CASES)
+        fns = [EDGE_CASES[n][0] for n in names] + [f for f, _ in OTHER_LANES]
+        guesses = [EDGE_CASES[n][1] for n in names] + [
+            g for _, g in OTHER_LANES
+        ]
+        excess_b, seen = lanes_batch(fns)
+        roots = _illinois_root_batch(
+            excess_b, np.array(guesses), FLOOR, self.CEIL, gap
+        )
+        for lane, (fn, guess) in enumerate(zip(fns, guesses)):
+            scalar, scalar_seen = counted(fn)
+            root = _illinois_root(scalar, guess, FLOOR, self.CEIL, gap)
+            assert repr(float(roots[lane])) == repr(root), lane
+            assert seen[lane] == scalar_seen, lane
+        lane = names.index(name)
+        # The scalar finder's pinned count, lane by lane.
+        if gap == 1e-7:
+            assert len(seen[lane]) == EDGE_CASES[name][3]
+        assert len(seen[lane]) == len(set(seen[lane]))
